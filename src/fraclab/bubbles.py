@@ -54,7 +54,12 @@ def standard_bubble(params: Params, lam: float = 1.0,
 
 @dataclass(frozen=True)
 class KelvinMap:
-    """Inversion about the sphere of radius lam, with the conformal weight."""
+    """Inversion about the sphere of radius lam, with the conformal weight.
+
+    Acts on boundary points y in R^n and on extension points Y = (y, t)
+    alike: Y -> lam^2 Y / |Y|^2 preserves the upper half space and
+    restricts to the boundary map at t = 0.
+    """
 
     params: Params
     lam: float = 1.0
@@ -77,16 +82,6 @@ class KelvinMap:
             return self.weight(y) * field(self.point(y))
         return ScalarField(func=func, n=self.params.n,
                            decay="power_decay", decay_rate=self.params.kelvin_exp)
-
-    def halfspace_point(self, yt: Array) -> Array:
-        """Inversion of extension-space points Y = (y, t), t > 0.
-
-        The map Y -> lam^2 Y / |Y|^2 preserves the upper half space and
-        restricts to :meth:`point` on the boundary t = 0.
-        """
-        yt = np.asarray(yt, dtype=float)
-        r2 = np.sum(yt ** 2, axis=-1, keepdims=True)
-        return self.lam ** 2 * yt / r2
 
 
 def bubble_identity_residuals(params: Params, lam: float = 1.0,

@@ -1,8 +1,11 @@
 """Command-line front door: verification suites, construction runs, data dumps.
 
+``green-verify`` and ``msphere`` are ``verify`` with the suite preset.
 Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
-report files.  FRACLAP_THREADS caps suite concurrency (default 1).
+report files.  FRACLAP_THREADS caps suite concurrency (default 1).  A
+configuration no suite can run (n <= 2 sigma, a malformed
+FRACLAP_THREADS) exits with status 2 and the reason on stderr.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import fields as dc_fields
 
 import numpy as np
 
-from . import bubbles, constants, construction, extension, fracops, green, \
-    movingsphere, reports, solver
+from . import bubbles, constants, construction, extension, fracops, reports, \
+    solver
 from .fields import ScalarField
 from .params import Params
 
@@ -46,31 +49,20 @@ def _config_from_args(args: argparse.Namespace) -> reports.RunConfig:
     return cfg
 
 
-def _emit_report(report: dict, out_dir: str, stem: str) -> None:
-    text = reports.format_report(report)
+def _save(out_dir: str, name: str, text: str) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"{stem}.json"), "w") as fh:
+        with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(text)
-    sys.stdout.write(reports.summarize(report))
-
-
-def _run_single_suite(args: argparse.Namespace, suite: str) -> int:
-    cfg = _config_from_args(args)
-    cfg.suite = suite
-    report = reports.run_suite(cfg)
-    _emit_report(report, cfg.out, f"report_{suite}")
-    if not report["passed"]:
-        sys.stderr.write(f"first failing check: {report['first_failure']}\n")
-        return 1
-    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """Run ``args.suite``: from ``--suite``, or preset by green-verify/msphere."""
     cfg = _config_from_args(args)
     cfg.suite = args.suite
     report = reports.run_suite(cfg)
-    _emit_report(report, cfg.out, f"report_{cfg.suite}")
+    _save(cfg.out, f"report_{cfg.suite}.json", reports.format_report(report))
+    sys.stdout.write(reports.summarize(report))
     if not report["passed"]:
         sys.stderr.write(f"first failing check: {report['first_failure']}\n")
         return 1
@@ -83,10 +75,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
     cset = constants.constant_set(pr)
     payload = {"n": pr.n, "sigma": pr.sigma, "constants": cset.as_dict()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "constants.json"), "w") as fh:
-            fh.write(text)
+    _save(cfg.out, "constants.json", text)
     sys.stdout.write(text)
     return 0
 
@@ -133,14 +122,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_green_verify(args: argparse.Namespace) -> int:
-    return _run_single_suite(args, "green")
-
-
-def cmd_msphere(args: argparse.Namespace) -> int:
-    return _run_single_suite(args, "msphere")
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     pr = Params(5, 0.5)
@@ -163,10 +144,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             for v in plan.margins.values()),
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        with open(os.path.join(cfg.out, "plan.json"), "w") as fh:
-            fh.write(text)
+    _save(cfg.out, "plan.json", text)
     sys.stdout.write(text)
     return 0
 
@@ -232,23 +210,29 @@ def main(argv=None) -> int:
         "fraclap": cmd_fraclap,
         "bubble": cmd_bubble,
         "extend": cmd_extend,
-        "green-verify": cmd_green_verify,
-        "msphere": cmd_msphere,
+        "green-verify": cmd_verify,
+        "msphere": cmd_verify,
         "construct": cmd_construct,
         "iterate": cmd_iterate,
         "verify": cmd_verify,
     }
+    preset_suites = {"green-verify": "green", "msphere": "msphere"}
     for name in commands:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "verify":
             p.add_argument("--suite", type=str, default="all",
                            choices=("all",) + reports.SUITES)
+        if name in preset_suites:
+            p.set_defaults(suite=preset_suites[name])
         if name == "iterate":
             p.add_argument("--demo", type=str, default="getoor",
                            choices=("getoor", "construction1d"))
     args = parser.parse_args(argv)
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except reports.ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

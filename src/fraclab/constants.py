@@ -95,10 +95,9 @@ def radial_integral(g: Callable[[np.ndarray], np.ndarray], n: int,
     """
     from . import geometry
 
-    breaks = geometry.geometric_panels(1e-30, 1e30, per_decade)
-    rule = geometry.panel_rule(breaks)
-    vals = np.asarray(g(rule.nodes), dtype=float)
-    total = float(np.dot(vals * rule.nodes ** (n - 1), rule.weights))
+    total = geometry.panel_quad(
+        lambda r: np.asarray(g(r), dtype=float) * r ** (n - 1),
+        geometry.geometric_panels(1e-30, 1e30, per_decade))
     return sphere_area(n) * total
 
 

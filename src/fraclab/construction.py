@@ -174,13 +174,6 @@ class SequencePlan:
     w0: float                  # w(0)
     margins: dict = field(default_factory=dict)
 
-    @property
-    def tail_coeff(self) -> float:
-        return 2.0 ** (-self.n_mat)
-
-    def k_value(self, i: int) -> float:
-        return 1.0 - self.one_minus_k[i]
-
     def w_profile(self, r) -> np.ndarray:
         """w(x) = c (2b)^{-n/2s} (1 + |x|^2)^{-(n-2s)/2}."""
         pref = self.amplitude * (2.0 * self.b) ** (-self.params.n / (2.0 * self.params.sigma))
@@ -276,15 +269,22 @@ def m_from_one_minus_k(m1k: float, params: Params) -> float:
     return math.exp(math.log1p(-m1k) - math.log(gap) / q)
 
 
-def one_minus_k_for_m(m_target: float, params: Params) -> float:
-    """Invert m_from_one_minus_k by bisection in log(1 - k)."""
-    lo, hi = -740.0, math.log(0.5)
-    for _ in range(200):
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float,
+            steps: int) -> Tuple[float, float]:
+    """Halve [lo, hi] ``steps`` times about where pred turns from true to false."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if m_from_one_minus_k(math.exp(mid), params) > m_target:
+        if pred(mid):
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def one_minus_k_for_m(m_target: float, params: Params) -> float:
+    """Invert m_from_one_minus_k by bisection in log(1 - k)."""
+    lo, hi = _bisect(lambda mid: m_from_one_minus_k(math.exp(mid), params) > m_target,
+                     -740.0, math.log(0.5), 200)
     return math.exp(0.5 * (lo + hi))
 
 
@@ -383,13 +383,7 @@ def rho_from_constraint(plan_like: dict, i: int, params: Params) -> float:
     lo, hi = -740.0, math.log(plan_like["r_small"])
     if feasible(hi):
         return math.exp(hi)
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+    return math.exp(_bisect(feasible, lo, hi, 120)[0])
 
 
 def lambda_from_constraint(plan_like: dict, i: int, params: Params) -> float:
@@ -428,13 +422,7 @@ def lambda_from_constraint(plan_like: dict, i: int, params: Params) -> float:
     lo, hi = -740.0, math.log(rho) - 1e-9
     if not feasible(lo + 1.0):
         raise RuntimeError("lambda constraint infeasible even at the floor")
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+    return math.exp(_bisect(feasible, lo, hi, 120)[0])
 
 
 class InfeasiblePlanError(RuntimeError):
@@ -754,18 +742,6 @@ def u_tilde_terms(plan: SequencePlan, pt: Point,
     t = math.expm1(math.log1p(ep) / p)
     u_max = math.exp(top) if top > -700 else 0.0
     return top, math.exp(math.log1p(ep) / p), v + u_max * (e1 - t)
-
-
-def h_log(plan: SequencePlan, pt: Point, v: float,
-          envelope: str = "middle", k: Optional[ScalarField] = None) -> float:
-    """log H(x, v) (or of the lower/upper envelope) evaluated stably.
-
-    ``envelope``: "lower" uses f with kappa, "middle" uses F with kappa,
-    "upper" uses F with k.  The lower envelope can be negative; its log
-    is returned as log|value| with the sign in h_sign (see h_eval).
-    """
-    val, _ = _h_signed_log(plan, pt, v, envelope, k)
-    return val
 
 
 def _h_signed_log(plan: SequencePlan, pt: Point, v: float, envelope: str,

@@ -15,8 +15,7 @@ derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,11 +37,10 @@ def extend(field: ScalarField, y: Array, t: float, params: Params,
     n, s2 = params.n, 2.0 * params.sigma
 
     outer = 1e4
-    breaks = geometry.geometric_panels(1e-8, outer, spec.panels_per_decade)
-    rule = geometry.panel_rule(breaks)
-    means = _sphere_means(field, y, t * rule.nodes, spec.angular_points)
-    kern = rule.nodes ** (n - 1) * (1.0 + rule.nodes ** 2) ** (-(n + s2) / 2.0)
-    val = float(np.dot(means * kern, rule.weights))
+    val = geometry.panel_quad(
+        lambda r: _sphere_means(field, y, t * r, spec.angular_points)
+        * (r ** (n - 1) * (1.0 + r ** 2) ** (-(n + s2) / 2.0)),
+        geometry.geometric_panels(1e-8, outer, spec.panels_per_decade))
 
     # tail: the kernel decays like r^{-1-2s}; treat u as frozen past outer
     s_tail = _sphere_means(field, y, np.array([t * outer]), spec.angular_points)[0]
@@ -50,31 +48,36 @@ def extend(field: ScalarField, y: Array, t: float, params: Params,
     return cset.gamma_poisson * cset.sphere_area * val
 
 
-def conormal_derivative(field: ScalarField, y: Array, params: Params,
-                        spec: QuadratureSpec = QuadratureSpec(),
-                        t_scale: float = 1.0) -> float:
-    """-lim_{t->0} t^{1-2s} dU/dt, by Richardson extrapolation along t_k = 2^{-k}.
+def conormal_limit(U: Callable[[float], float], t_top: float,
+                   ks: Iterable[int], sigma: float) -> float:
+    """-lim_{t->0} t^{1-2s} dU/dt, by Richardson extrapolation along t_k = t_top 2^{-k}.
 
-    The extension satisfies t^{1-2s} dU/dt = -conormal + O(t^{2-2s}), so
-    successive halvings of t are combined with that exponent; the pair
-    whose extrapolants agree best is returned.
+    dU/dt is a centred difference over t (1 +- 0.05).  An extension
+    satisfies t^{1-2s} dU/dt = -conormal + O(t^{2-2s}), so successive
+    halvings of t are combined with that exponent; the pair whose
+    extrapolants agree best is returned.
     """
-    s = params.sigma
     q = 0.05
-    e = 2.0 - 2.0 * s
-    rho = 2.0 ** (-e)
+    rho = 2.0 ** (-(2.0 - 2.0 * sigma))
 
     def g(t: float) -> float:
-        du = (extend(field, y, t * (1 + q), params, spec)
-              - extend(field, y, t * (1 - q), params, spec)) / (2 * q * t)
-        return -t ** (1.0 - 2.0 * s) * du
+        du = (U(t * (1 + q)) - U(t * (1 - q))) / (2 * q * t)
+        return -t ** (1.0 - 2.0 * sigma) * du
 
-    ladder = [g(t_scale * 2.0 ** (-k)) for k in range(3, 13)]
+    ladder = [g(t_top * 2.0 ** (-k)) for k in ks]
     extrap = [(ladder[i + 1] - rho * ladder[i]) / (1.0 - rho)
               for i in range(len(ladder) - 1)]
     diffs = [abs(extrap[i + 1] - extrap[i]) for i in range(len(extrap) - 1)]
     best = int(np.argmin(diffs))
     return extrap[best + 1]
+
+
+def conormal_derivative(field: ScalarField, y: Array, params: Params,
+                        spec: QuadratureSpec = QuadratureSpec(),
+                        t_scale: float = 1.0) -> float:
+    """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = t_scale / 8 down."""
+    return conormal_limit(lambda t: extend(field, y, t, params, spec),
+                          t_scale, range(3, 13), params.sigma)
 
 
 def degenerate_residual(field: ScalarField, y: Array, t: float, params: Params,

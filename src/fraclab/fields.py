@@ -86,7 +86,6 @@ class QuadratureSpec:
     outer_radius: float = 1e3
     panels_per_decade: int = 4
     angular_points: int = 32
-    target_tol: float = 1e-4
 
     def scaled(self, factor: float) -> "QuadratureSpec":
         """Refined copy: more panels and angles, wider radial window."""
@@ -95,5 +94,4 @@ class QuadratureSpec:
             outer_radius=self.outer_radius * factor,
             panels_per_decade=int(round(self.panels_per_decade * factor)),
             angular_points=int(round(self.angular_points * factor)),
-            target_tol=self.target_tol,
         )

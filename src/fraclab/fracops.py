@@ -60,18 +60,10 @@ def _panel_breaks(field: ScalarField, d: float, outer: float,
     A kink of the profile at radius k shows up in the sphere mean about x
     (|x| = d) at s = |k - d| and s = k + d.
     """
-    breaks = geometry.geometric_panels(1e-12, outer, per_decade)
-    extras = []
-    grading = np.array([0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1])
-    for k in field.kink_radii:
-        for edge in (abs(k - d), k + d):
-            if edge > 1e-11:
-                extras.append(edge * grading)
-    if extras:
-        pts = np.concatenate(extras)
-        pts = pts[(pts > breaks[0]) & (pts < outer)]
-        breaks = np.unique(np.concatenate([breaks, pts]))
-    return breaks
+    edges = [e for k in field.kink_radii for e in (abs(k - d), k + d)
+             if e > 1e-11]
+    return geometry.graded_breaks(1e-12, outer, per_decade, edges,
+                                  (0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1))
 
 
 def frac_lap_at(field: ScalarField, x: Array, params: Params,
@@ -102,15 +94,11 @@ def frac_lap_at(field: ScalarField, x: Array, params: Params,
 
     breaks = _panel_breaks(field, d, outer, spec.panels_per_decade)
     breaks = np.concatenate([[s_lo], breaks[breaks > s_lo]])
-    rule = geometry.panel_rule(breaks)
-    means = _sphere_means(field, x, rule.nodes, spec.angular_points)
-    means_c = _sphere_means(field, x, rule.nodes_coarse, spec.angular_points)
-
-    kern = rule.nodes ** (-1.0 - s2)
-    kern_c = rule.nodes_coarse ** (-1.0 - s2)
-    fine = inner + float(np.dot((fx - means) * kern, rule.weights))
-    coarse = inner + float(np.dot((fx - means_c) * kern_c, rule.weights_coarse))
-    err = abs(fine - coarse) + inner_err
+    body, err = geometry.panel_quad(
+        lambda s: (fx - _sphere_means(field, x, s, spec.angular_points))
+        * s ** (-1.0 - s2), breaks, estimate=True)
+    fine = inner + body
+    err += inner_err
 
     # tail beyond the last panel
     tail = fx * outer ** (-s2) / s2
@@ -153,27 +141,22 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
     outer = spec.outer_radius
     if field.decay == "compact_support":
         outer = d + field.support_radius * 1.001
-    breaks = _panel_breaks(field, d, outer, spec.panels_per_decade)
-    rule = geometry.panel_rule(breaks)
-    means = _sphere_means(field, x, rule.nodes, spec.angular_points)
-    means_c = _sphere_means(field, x, rule.nodes_coarse, spec.angular_points)
-    fine = float(np.dot(means * rule.nodes ** (s2 - 1.0), rule.weights))
-    coarse = float(np.dot(means_c * rule.nodes_coarse ** (s2 - 1.0),
-                          rule.weights_coarse))
-    err = abs(fine - coarse)
+    fine, err = geometry.panel_quad(
+        lambda s: _sphere_means(field, x, s, spec.angular_points) * s ** (s2 - 1.0),
+        _panel_breaks(field, d, outer, spec.panels_per_decade), estimate=True)
 
+    if field.decay != "compact_support":
+        s_tail = _sphere_means(field, x, np.array([outer]), spec.angular_points)[0]
     if field.decay == "power_decay":
         # S(s) ~ amp * s^{-alpha}; the tail converges because alpha > 2 sigma
         alpha = field.decay_rate
         if alpha <= s2:
             raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
-        s_tail = _sphere_means(field, x, np.array([outer]), spec.angular_points)[0]
         amp = s_tail * outer ** alpha
         tail = amp * outer ** (s2 - alpha) / (alpha - s2)
         fine += tail
         err += abs(tail) * 0.1
     elif field.decay == "integrable_against_kernel":
-        s_tail = _sphere_means(field, x, np.array([outer]), spec.angular_points)[0]
         err += abs(s_tail) * outer ** s2  # crude: undecayed tail is unbounded-ish
 
     front = cset.riesz_constant * cset.sphere_area
@@ -197,20 +180,16 @@ def riesz_ball_indicator(d: float, radius: float, params: Params,
     if delta > 1e3:
         # point-mass far field: I(x) ~ r * |B_radius| * d^{2s - n},
         # grouped as radius^{2s} * delta^{2s - n} to dodge underflow
-        return (cset.riesz_constant * cset.sphere_area / n
-                * radius ** s2 * delta ** (s2 - n))
+        return front / n * radius ** s2 * delta ** (s2 - n)
 
-    hi = delta + 1.0
-    breaks = geometry.geometric_panels(1e-12, hi, per_decade)
-    if delta > 0.0:
-        # refine around the cap-transition radius |delta - 1|
-        edge = abs(delta - 1.0)
-        if edge > 1e-10:
-            extra = edge * np.array([0.9, 0.99, 1.0, 1.01, 1.1])
-            breaks = np.unique(np.concatenate([breaks, extra[extra < hi]]))
-    rule = geometry.panel_rule(breaks)
-    caps = np.array([geometry.cap_fraction(delta, t, 1.0, n) for t in rule.nodes])
-    val = float(np.dot(caps * rule.nodes ** (s2 - 1.0), rule.weights))
+    # refine around the cap-transition radius |delta - 1|
+    edge = abs(delta - 1.0)
+    breaks = geometry.graded_breaks(
+        1e-12, delta + 1.0, per_decade,
+        [edge] if delta > 0.0 and edge > 1e-10 else [],
+        (0.9, 0.99, 1.0, 1.01, 1.1))
+    val = geometry.panel_quad(
+        lambda t: geometry.cap_fraction(delta, t, 1.0, n) * t ** (s2 - 1.0), breaks)
     if delta < 1.0 - breaks[0]:
         # analytic head below the first panel, where the cap fraction is 1
         val += breaks[0] ** s2 / s2

@@ -1,15 +1,17 @@
-"""Sphere means, spherical-cap fractions, and radial quadrature panels.
+"""Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
 
-Everything here is plain geometry on spheres in R^n; the singular-integral
-operators in :mod:`fraclab.fracops` are built on top of these pieces.
+Everything here is plain geometry on spheres in R^n.  Every radial
+singular integral in the package (:mod:`fraclab.fracops`,
+:mod:`fraclab.extension`, :mod:`fraclab.green`, :mod:`fraclab.constants`)
+is summed by :func:`panel_quad` on geometric panels, graded about the
+integrand's kinks by :func:`graded_breaks` where it has any.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betainc, roots_jacobi
@@ -53,14 +55,6 @@ def sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
     return pts, wts
 
 
-def sphere_mean(f: Callable[[Array], Array], center: Array, radius: float,
-                n: int, m: int = 32) -> float:
-    """Mean of f over the sphere of given radius about center."""
-    pts, wts = sphere_rule(n, m)
-    x = center[None, :] + radius * pts
-    return float(np.dot(np.asarray(f(x), dtype=float), wts))
-
-
 @lru_cache(maxsize=None)
 def radial_sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
     """Gauss-Jacobi rule for sphere means of radial functions, any n >= 2.
@@ -75,57 +69,33 @@ def radial_sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
     return t, w / w.sum()
 
 
-def radial_sphere_mean(g: Callable[[Array], Array], d: float, s: float,
-                       n: int, m: int = 32) -> float:
-    """Mean of the radial profile g(|x|) over the sphere |x - x0| = s, |x0| = d."""
-    if n == 1:
-        vals = np.asarray(g(np.abs(np.array([d + s, d - s]))), dtype=float)
-        return 0.5 * float(vals.sum())
-    t, w = radial_sphere_rule(n, m)
-    rr = np.sqrt(np.maximum(d * d + s * s + 2.0 * d * s * t, 0.0))
-    return float(np.dot(np.asarray(g(rr), dtype=float), w))
-
-
 # --- spherical caps -------------------------------------------------------
 
-def cap_fraction(d: float, s: float, radius: float, n: int) -> float:
-    """Fraction of the sphere |x - x0| = s lying inside the ball |x| <= radius.
+def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
+    """Fraction of each sphere |x - x0| = s lying inside the ball |x| <= radius.
 
-    ``d`` is |x0|.  The boundary polar cosine is
-    t0 = (radius^2 - d^2 - s^2) / (2 d s); the fraction is the normalized
-    surface measure of {theta : <x0/d, theta> <= t0} ... computed through
-    the regularized incomplete beta function.
+    ``d`` is |x0| and ``s`` an array of radii >= 0.  The boundary polar
+    cosine is t0 = (radius^2 - d^2 - s^2) / (2 d s); where the sphere
+    crosses the ball boundary the fraction is the normalized surface
+    measure of {theta : <x0/d, theta> <= t0}, computed through the
+    regularized incomplete beta function.  Spheres inside the ball give
+    exactly 1, spheres outside it (or enclosing it) exactly 0.
     """
-    if s <= 0.0:
-        return 1.0 if d <= radius else 0.0
-    if d + s <= radius:
-        return 1.0
-    if abs(d - s) >= radius:
-        return 0.0 if d > radius or d >= s else 1.0
+    s = np.asarray(s, dtype=float)
+    out = np.where(s > 0.0, d + s <= radius, d <= radius).astype(float)
+    cross = (s > 0.0) & (d + s > radius) & (np.abs(d - s) < radius)
     if n == 1:
         # two points d - s and d + s; here exactly one is inside
-        return 0.5
-    t0 = (radius * radius - d * d - s * s) / (2.0 * d * s)
-    t0 = min(1.0, max(-1.0, t0))
-    a = (n - 1) / 2.0
-    return float(betainc(a, a, (1.0 + t0) / 2.0))
+        out[cross] = 0.5
+    else:
+        sc = s[cross]
+        t0 = np.clip((radius * radius - d * d - sc * sc) / (2.0 * d * sc), -1.0, 1.0)
+        a = (n - 1) / 2.0
+        out[cross] = betainc(a, a, (1.0 + t0) / 2.0)
+    return out
 
 
 # --- composite radial panels ----------------------------------------------
-
-_GL8 = np.polynomial.legendre.leggauss(8)
-_GL4 = np.polynomial.legendre.leggauss(4)
-
-
-@dataclass(frozen=True)
-class PanelRule:
-    """Composite Gauss-Legendre rule with an embedded lower-order estimate."""
-
-    nodes: Array
-    weights: Array
-    nodes_coarse: Array
-    weights_coarse: Array
-
 
 def geometric_panels(s_min: float, s_max: float, per_decade: int = 4) -> Array:
     """Panel breakpoints growing geometrically from s_min to s_max."""
@@ -136,26 +106,51 @@ def geometric_panels(s_min: float, s_max: float, per_decade: int = 4) -> Array:
     return s_min * (s_max / s_min) ** (np.arange(k + 1) / k)
 
 
-def panel_rule(breaks: Array) -> PanelRule:
-    """Gauss-Legendre(8) on each panel, with embedded GL(4) for error estimates."""
-    lo = breaks[:-1]
-    hi = breaks[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+def graded_breaks(s_min: float, s_max: float, per_decade: int,
+                  edges: Sequence[float], grading: Sequence[float]) -> Array:
+    """Geometric panels plus breaks at edge * grading about each kink edge.
 
-    x8, w8 = _GL8
-    nodes = (mid[:, None] + half[:, None] * x8[None, :]).ravel()
-    weights = (half[:, None] * w8[None, :]).ravel()
+    An integrand that loses smoothness at s = edge is resolved by panels
+    that shrink toward it; graded points outside (s_min, s_max) are dropped.
+    """
+    breaks = geometric_panels(s_min, s_max, per_decade)
+    if len(edges):
+        pts = (np.asarray(edges, dtype=float)[:, None]
+               * np.asarray(grading, dtype=float)[None, :]).ravel()
+        breaks = np.unique(np.concatenate(
+            [breaks, pts[(pts > s_min) & (pts < s_max)]]))
+    return breaks
 
-    x4, w4 = _GL4
-    nodes_c = (mid[:, None] + half[:, None] * x4[None, :]).ravel()
-    weights_c = (half[:, None] * w4[None, :]).ravel()
-    return PanelRule(nodes, weights, nodes_c, weights_c)
+
+@lru_cache(maxsize=None)
+def _legendre(order: int) -> Tuple[Array, Array]:
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
-def integrate_panels(g: Callable[[Array], Array], rule: PanelRule) -> Tuple[float, float]:
-    """Integral of g over the panels and a coarse-vs-fine error estimate."""
-    fine = float(np.dot(np.asarray(g(rule.nodes), dtype=float), rule.weights))
-    coarse = float(np.dot(np.asarray(g(rule.nodes_coarse), dtype=float),
-                          rule.weights_coarse))
+def gauss_panels(breaks: Array, order: int) -> Tuple[Array, Array]:
+    """Composite Gauss-Legendre nodes and weights on the panels of ``breaks``."""
+    breaks = np.asarray(breaks, dtype=float)
+    x, w = _legendre(order)
+    mid = 0.5 * (breaks[:-1] + breaks[1:])
+    half = 0.5 * (breaks[1:] - breaks[:-1])
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
+def panel_quad(g: Callable[[Array], Array], breaks: Array,
+               estimate: bool = False):
+    """Integral of g over the panels by composite Gauss-Legendre(8).
+
+    With ``estimate`` the result is (value, |GL8 - GL4|), the embedded
+    lower-order rule giving the error bar; otherwise just the value.
+    """
+    nodes, weights = gauss_panels(breaks, 8)
+    fine = float(np.dot(np.asarray(g(nodes), dtype=float), weights))
+    if not estimate:
+        return fine
+    nodes_c, weights_c = gauss_panels(breaks, 4)
+    coarse = float(np.dot(np.asarray(g(nodes_c), dtype=float), weights_c))
     return fine, abs(fine - coarse)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import constants, extension, geometry
-from .bubbles import model_bubble
+from .bubbles import KelvinMap, model_bubble
 from .fields import QuadratureSpec, ScalarField
 from .params import Params
 
@@ -103,11 +103,8 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
         if lam < df < outer:
             extra = df + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
             rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
-    x8, w8 = np.polynomial.legendre.leggauss(radial_per_panel)
-    mid = 0.5 * (rbreaks[:-1] + rbreaks[1:])
-    half = 0.5 * (rbreaks[1:] - rbreaks[:-1])
-    r = (mid[:, None] + half[:, None] * x8).ravel()
-    wr = (half[:, None] * w8).ravel() * r ** (n - 1)
+    r, wr = geometry.gauss_panels(rbreaks, radial_per_panel)
+    wr = wr * r ** (n - 1)
 
     if n == 2:
         if focus is not None and np.linalg.norm(focus) > 0:
@@ -120,18 +117,10 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
         ])
         offs = offs[offs < math.pi]
         tbreaks = np.unique(np.concatenate([-offs[::-1], offs, [math.pi, -math.pi]]))
-        tmid = 0.5 * (tbreaks[:-1] + tbreaks[1:])
-        thalf = 0.5 * (tbreaks[1:] - tbreaks[:-1])
-        x4, w4 = np.polynomial.legendre.leggauss(4)
-        th = th0 + (tmid[:, None] + thalf[:, None] * x4).ravel()
-        wth = (thalf[:, None] * w4).ravel()
-        pts = np.empty((r.size * th.size, 2))
-        pts[:, 0] = np.outer(r, np.cos(th)).ravel()
-        pts[:, 1] = np.outer(r, np.sin(th)).ravel()
-        wts = np.outer(wr, wth).ravel()
-        return pts, wts
-
-    if n == 3:
+        th, wang = geometry.gauss_panels(tbreaks, 4)
+        th = th0 + th
+        dirs = np.column_stack([np.cos(th), np.sin(th)])
+    elif n == 3:
         # frame with first axis along the focus direction
         if focus is not None and np.linalg.norm(focus) > 0:
             e1 = np.asarray(focus, dtype=float) / np.linalg.norm(focus)
@@ -144,11 +133,7 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
         # polar cosine panels graded toward +1 (the focus direction)
         cb = 1.0 - np.concatenate([[0.0], 0.004 * 2.0 ** np.arange(10)])
         cbreaks = np.unique(np.clip(np.concatenate([cb, [-1.0]]), -1.0, 1.0))
-        x4, w4 = np.polynomial.legendre.leggauss(4)
-        cmid = 0.5 * (cbreaks[:-1] + cbreaks[1:])
-        chalf = 0.5 * (cbreaks[1:] - cbreaks[:-1])
-        ct = (cmid[:, None] + chalf[:, None] * x4).ravel()
-        wct = (chalf[:, None] * w4).ravel()
+        ct, wct = geometry.gauss_panels(cbreaks, 4)
         m_az = 24
         phi = 2.0 * math.pi * (np.arange(m_az) + 0.5) / m_az
         st = np.sqrt(np.maximum(1.0 - ct ** 2, 0.0))
@@ -157,11 +142,10 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
                                        + np.sin(phi)[None, :, None] * e3[None, None, :]))
         wang = np.repeat(wct * (2.0 * math.pi / m_az), m_az)
         dirs = dirs.reshape(-1, 3)
-        pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
-        wts = np.outer(wr, wang).ravel()
-        return pts, wts
-
-    raise ValueError("phi_potential supports n in {2, 3}")
+    else:
+        raise ValueError("phi_potential supports n in {2, 3}")
+    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    return pts, np.outer(wr, wang).ravel()
 
 
 def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float,
@@ -175,22 +159,15 @@ def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float,
     lam = ctx.lam
     s2n = (2.0 * ctx.params.sigma - n) / 2.0
     hi = d + outer
-    breaks = geometry.geometric_panels(max(1e-8 * lam, 1e-3 * max(t, 1e-30)),
-                                       hi, per_decade)
-    edges = []
-    for k in (lam, outer):
-        for e in (abs(k - d), k + d):
-            if 0 < e < hi:
-                edges.append(e * np.array([0.99, 0.999, 1.0, 1.001, 1.01]))
-    if edges:
-        pts = np.concatenate(edges)
-        breaks = np.unique(np.concatenate([breaks, pts[(pts > breaks[0]) & (pts < hi)]]))
-    rule = geometry.panel_rule(breaks)
-    frac = np.array([geometry.cap_fraction(d, s, outer, n)
-                     - geometry.cap_fraction(d, s, lam, n) for s in rule.nodes])
-    integ = rule.nodes ** (n - 1) * (rule.nodes ** 2 + t * t) ** s2n * frac
+    edges = [e for k in (lam, outer) for e in (abs(k - d), k + d) if 0 < e < hi]
+    breaks = geometry.graded_breaks(max(1e-8 * lam, 1e-3 * max(t, 1e-30)), hi,
+                                    per_decade, edges,
+                                    (0.99, 0.999, 1.0, 1.001, 1.01))
     cset = constants.constant_set(ctx.params)
-    return cset.sphere_area * float(np.dot(integ, rule.weights))
+    return cset.sphere_area * geometry.panel_quad(
+        lambda s: s ** (n - 1) * (s ** 2 + t * t) ** s2n
+        * (geometry.cap_fraction(d, s, outer, n) - geometry.cap_fraction(d, s, lam, n)),
+        breaks)
 
 
 def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
@@ -232,23 +209,10 @@ def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
 def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array,
                  radial_per_panel: int = 8) -> float:
     """-lim t^{1-2s} d Phi/dt at the boundary point y, via Richardson."""
-    s = ctx.params.sigma
-    e = 2.0 - 2.0 * s
-    rho = 2.0 ** (-e)
     y = np.asarray(y, dtype=float).reshape(-1)
-    qstep = 0.05
-
-    def g(t: float) -> float:
-        hi = phi_potential(ctx, q, np.append(y, t * (1 + qstep)), radial_per_panel)
-        lo = phi_potential(ctx, q, np.append(y, t * (1 - qstep)), radial_per_panel)
-        return -t ** (1.0 - 2.0 * s) * (hi - lo) / (2.0 * qstep * t)
-
-    ladder = [g(ctx.lam * 2.0 ** (-k)) for k in range(4, 12)]
-    extrap = [(ladder[i + 1] - rho * ladder[i]) / (1.0 - rho)
-              for i in range(len(ladder) - 1)]
-    diffs = [abs(extrap[i + 1] - extrap[i]) for i in range(len(extrap) - 1)]
-    best = int(np.argmin(diffs))
-    return extrap[best + 1]
+    return extension.conormal_limit(
+        lambda t: phi_potential(ctx, q, np.append(y, t), radial_per_panel),
+        ctx.lam, range(4, 12), ctx.params.sigma)
 
 
 # --- comparison inequalities for the extended model bubble ---------------
@@ -268,9 +232,8 @@ def wtilde_kelvin(Y: Array, lam: float, params: Params,
                   spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Half-space Kelvin transform of the extended model bubble."""
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(Y))
-    return (lam / r) ** params.kelvin_exp * wtilde_extension(
-        lam ** 2 * Y / r ** 2, params, spec)
+    k = KelvinMap(params, lam=lam)
+    return float(k.weight(Y)) * wtilde_extension(k.point(Y), params, spec)
 
 
 def _halfspace_samples(rng: np.random.Generator, count: int, n: int,
@@ -298,10 +261,13 @@ def check_bbl_inequalities(params: Params, grid_points: int = 1000,
     n = params.n
     ne = params.kelvin_exp
 
+    def gap(Y: Array, lam: float) -> float:
+        return wtilde_extension(Y, params, spec) - wtilde_kelvin(Y, lam, params, spec)
+
     samples = _halfspace_samples(rng, grid_points, n, 0.5 + 1e-3, 50.0)
     cs = []
     for Y in samples:
-        diff = wtilde_extension(Y, params, spec) - wtilde_kelvin(Y, 0.5, params, spec)
+        diff = gap(Y, 0.5)
         r = float(np.linalg.norm(Y))
         cs.append(diff / ((r - 0.5) * r ** (2 * params.sigma - n - 1)))
     c_report = float(np.min(cs))
@@ -312,22 +278,16 @@ def check_bbl_inequalities(params: Params, grid_points: int = 1000,
     deriv_min = math.inf
     for Y in sphere:
         u = Y / np.linalg.norm(Y)
-        fp = (wtilde_extension(Y + h * u, params, spec)
-              - wtilde_kelvin(Y + h * u, 0.5, params, spec))
-        fm = (wtilde_extension(Y - h * u, params, spec)
-              - wtilde_kelvin(Y - h * u, 0.5, params, spec))
-        deriv_min = min(deriv_min, (fp - fm) / (2 * h))
+        deriv_min = min(deriv_min, (gap(Y + h * u, 0.5) - gap(Y - h * u, 0.5)) / (2 * h))
 
     outside = _halfspace_samples(rng, 200, n, 2.0 + 1e-3, 30.0)
     neg_max = -math.inf
     for Y in outside:
-        neg_max = max(neg_max, wtilde_extension(Y, params, spec)
-                      - wtilde_kelvin(Y, 2.0, params, spec))
+        neg_max = max(neg_max, gap(Y, 2.0))
 
     far = np.zeros(n + 1)
     far[0] = 1e3
-    far_coeff = 1e3 ** ne * (wtilde_extension(far, params, spec)
-                             - wtilde_kelvin(far, 0.5, params, spec))
+    far_coeff = 1e3 ** ne * gap(far, 0.5)
     far_target = 1.0 - 0.5 ** ne
 
     return {

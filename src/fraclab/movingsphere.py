@@ -57,13 +57,11 @@ class ComparisonState:
 def kelvin_difference(state: ComparisonState, Y: Array) -> float:
     """W(Y) - (lam/|Y|)^{n-2s} W(lam^2 Y / |Y|^2); domain error inside B_lam."""
     Y = np.asarray(Y, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(Y))
     lam = state.kelvin_radius
-    if r < lam * (1.0 - 1e-12):
+    if np.linalg.norm(Y) < lam * (1.0 - 1e-12):
         raise ValueError("Y must lie outside B_lam")
-    image = lam ** 2 * Y / r ** 2
-    return (state.extension(Y)
-            - (lam / r) ** state.params.kelvin_exp * state.extension(image))
+    k = KelvinMap(state.params, lam=lam)
+    return state.extension(Y) - float(k.weight(Y)) * state.extension(k.point(Y))
 
 
 def b_from_values(k_val: float, w_val: float, w_lam_val: float, p: float) -> float:

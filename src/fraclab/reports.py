@@ -27,6 +27,10 @@ SUITES = ("constants", "fraclap", "bubble", "extend", "green", "msphere",
           "construct", "solver")
 
 
+class ConfigError(ValueError):
+    """A run configuration or environment setting that no suite can run."""
+
+
 @dataclass
 class RunConfig:
     """Every field has a default; round-trips through key=value files."""
@@ -259,13 +263,14 @@ def suite_msphere(cfg: RunConfig) -> List[Dict]:
     grid = np.linspace(0.6, 1.4, 11)
     sweep = movingsphere.lambda_star_sweep(
         lambda lam: _bubble_state(pr, lam), grid, samples)
-    ok = sweep is not None and 0.5 < sweep["lambda_star"] < 2.0 \
+    lam_star = sweep["lambda_star"]  # None when the sweep finds no sign change
+    ok = lam_star is not None and 0.5 < lam_star < 2.0 \
         and sweep["bracket"][1] - sweep["bracket"][0] <= 2e-3
     out.append(check("critical-radius-bracket", "the critical inversion "
                      "radius of the pure bubble lies strictly inside "
                      "(1/2, 2) with a refined bracket",
-                     None if sweep is None else
-                     min(sweep["lambda_star"] - 0.5, 2.0 - sweep["lambda_star"]),
+                     None if lam_star is None else
+                     min(lam_star - 0.5, 2.0 - lam_star),
                      ok))
     state = _bubble_state(pr, 1.0)
     worst = math.inf
@@ -368,13 +373,27 @@ SUITE_FUNCS = {
 }
 
 
+def _thread_count() -> int:
+    """Suite concurrency from FRACLAP_THREADS: an integer >= 1, default 1."""
+    raw = os.environ.get("FRACLAP_THREADS", "") or "1"
+    if not re.fullmatch(r"\s*[0-9]+\s*", raw) or int(raw) < 1:
+        raise ConfigError(f"FRACLAP_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def run_suite(cfg: RunConfig) -> Dict:
-    """Run the selected suites; returns the full deterministic report."""
+    """Run the selected suites; returns the full deterministic report.
+
+    A config no suite can run raises :class:`ConfigError` up front.
+    """
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     for name in names:
         if name not in SUITE_FUNCS:
-            raise ValueError(f"unknown suite: {name}")
-    workers = int(os.environ.get("FRACLAP_THREADS", "1") or "1")
+            raise ConfigError(f"unknown suite: {name}")
+    if cfg.n <= 2 * cfg.sigma:
+        raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: the suites need "
+                          "n > 2*sigma, where the critical exponent exists")
+    workers = _thread_count()
     results: Dict[str, List[Dict]] = {}
     if workers > 1 and len(names) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -126,15 +126,15 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
                     val = kk * g
                     if s_min < val < s_max:
                         breaks.append(val)
-        rule = geometry.panel_rule(np.unique(np.asarray(breaks)))
-        kern = rule.nodes ** (-1.0 - s2)
-        radii, wts = _mean_radii_weights(d, rule.nodes, dimension, angular)
+        s_nodes, s_weights = geometry.gauss_panels(np.unique(np.asarray(breaks)), 8)
+        kern = s_nodes ** (-1.0 - s2)
+        radii, wts = _mean_radii_weights(d, s_nodes, dimension, angular)
         basis = _hat_values(radii.ravel(), grid, h, lo, hi)
         means = (wts.ravel()[:, None] * basis).reshape(
-            len(rule.nodes), wts.shape[1], nodes).sum(axis=1)
+            len(s_nodes), wts.shape[1], nodes).sum(axis=1)
         # f(x) sum(kernel) minus the basis means; exact exterior tail
         a[i, i] += front * s_min ** (-s2) / s2
-        a[i, :] -= front * np.einsum("k,k,kj->j", rule.weights, kern, means)
+        a[i, :] -= front * np.einsum("k,k,kj->j", s_weights, kern, means)
         # near field: quadratic second-difference model on (0, h/2)
         a[i, i] += 2.0 * near_coef
         if i > 0:

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fraclab import cli, reports
+from fraclab import cli, movingsphere, reports
 
 
 def test_parse_phi():
@@ -87,3 +87,41 @@ def test_concurrency_env_matches_serial(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         reports.run_suite(reports.RunConfig(suite="nope"))
+
+
+def test_msphere_subcommand_matches_verify(tmp_path, capsys):
+    cli.main(["msphere", "--out", str(tmp_path / "a")])
+    cli.main(["verify", "--suite", "msphere", "--out", str(tmp_path / "b")])
+    name = "report_msphere.json"
+    assert (tmp_path / "a" / name).read_bytes() == \
+        (tmp_path / "b" / name).read_bytes()
+
+
+def test_subcritical_config_rejected_up_front():
+    with pytest.raises(reports.ConfigError, match=r"n=1 and sigma=0\.5"):
+        reports.run_suite(reports.RunConfig(suite="constants", n=1, sigma=0.5))
+
+
+def test_subcritical_config_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "constants", "--n", "1",
+                  "--sigma", "0.5"])
+    assert exc.value.code == 2
+    assert "n=1 and sigma=0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["two", "0", "-1", "1.5"])
+def test_malformed_thread_count_rejected(monkeypatch, raw):
+    monkeypatch.setenv("FRACLAP_THREADS", raw)
+    with pytest.raises(reports.ConfigError, match="FRACLAP_THREADS"):
+        reports.run_suite(reports.RunConfig(suite="constants"))
+
+
+def test_sweep_without_sign_change_fails_its_check(monkeypatch):
+    monkeypatch.setattr(movingsphere, "lambda_star_sweep",
+                        lambda *args, **kwargs: {"lambda_star": None,
+                                                 "grid": [], "minima": []})
+    first = reports.suite_msphere(reports.RunConfig(suite="msphere"))[0]
+    assert first["name"] == "critical-radius-bracket"
+    assert not first["passed"]
+    assert first["margin"] is None
