@@ -5,7 +5,8 @@ Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
 report files.  FRACLAP_THREADS caps suite concurrency (default 1).  A
 configuration no suite can run (n <= 2 sigma, a malformed
-FRACLAP_THREADS) exits with status 2 and the reason on stderr.
+FRACLAP_THREADS) exits with status 2 and the reason on stderr; a
+``construct`` whose plan is infeasible exits with status 1 and the reason.
 """
 
 from __future__ import annotations
@@ -127,8 +128,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
     pr = Params(5, 0.5)
     kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=5,
                      decay="integrable_against_kernel")
-    plan = construction.plan_sequences(pr, kf, reports.parse_phi(cfg.phi),
-                                       N=cfg.N, seed=cfg.seed)
+    try:
+        plan = construction.plan_sequences(pr, kf, reports.parse_phi(cfg.phi),
+                                           N=cfg.N, seed=cfg.seed)
+    except construction.InfeasiblePlanError as exc:
+        sys.stderr.write(f"no plan for N={cfg.N}: {exc}\n")
+        return 1
     payload = {
         "n": pr.n, "sigma": pr.sigma, "N": plan.n_mat, "reduced": plan.reduced,
         "a": plan.a, "b": plan.b, "i0": plan.i0, "beta": plan.beta,

@@ -44,10 +44,13 @@ def gamma_poisson(params: Params) -> float:
 
 
 def n_green(params: Params) -> float:
-    """Half-space Green constant: N (n-2s) * integral (1+|z|^2)^{(2s-n-2)/2} dz = 1."""
+    """Half-space Green constant: N (n-2s) * integral (1+|z|^2)^{(2s-n-2)/2} dz = 1.
+
+    Defined only for n > 2 sigma; raises ValueError otherwise.
+    """
     n, s = params.n, params.sigma
     integral = math.pi ** (n / 2.0) * gamma_fn(1.0 - s) / gamma_fn((n + 2 - 2 * s) / 2.0)
-    return 1.0 / ((n - 2 * s) * integral)
+    return 1.0 / (params.kelvin_exp * integral)
 
 
 def d_sigma(params: Params) -> float:
@@ -111,8 +114,9 @@ def poisson_norm_residual(params: Params) -> float:
 def green_norm_residual(params: Params) -> float:
     """|N (n-2s) * integral (1+|z|^2)^{(2s-n-2)/2} dz - 1| under reference quadrature."""
     n, s = params.n, params.sigma
+    nm2s = params.kelvin_exp  # raises ValueError for n <= 2 sigma
     integral = radial_integral(lambda r: (1.0 + r ** 2) ** ((2 * s - n - 2) / 2.0), n)
-    return abs(n_green(params) * (n - 2 * s) * integral - 1.0)
+    return abs(n_green(params) * nm2s * integral - 1.0)
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,7 @@ def _maybe(fn: Callable[[Params], float], params: Params) -> float:
     """Evaluate a constant, or NaN where it does not exist (n <= 2 sigma)."""
     try:
         return fn(params)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return math.nan
 
 

@@ -11,6 +11,12 @@ Points near the ring of bubble centers must be described relative to a
 center (``(anchor_index, offset)``): the centers are separated by ~1e-66
 while sitting on a sphere of radius ~1e-2, so absolute coordinates cannot
 resolve the local geometry.
+
+The log-space core is written once: :func:`log_envelope`, :func:`log_f`,
+:func:`bubble_log_profile` and :func:`_sum_exp`.  The envelope values, the
+plan step, the ring checks, the bubble sums and H all use it.
+:func:`validate_plan` deliberately stays outside it: it re-derives the
+invariants directly, so it remains an independent reference.
 """
 
 from __future__ import annotations
@@ -31,67 +37,81 @@ Point = Union[Array, Tuple[int, Array]]
 LOG2 = math.log(2.0)
 
 
-# --- envelope functions ----------------------------------------------------
+# --- log-space core --------------------------------------------------------
 
-def f_val(z1: float, z2: float, z3: float, params: Params) -> float:
-    """z2 (z1 + z3)^p - z1^p, evaluated stably for very large z1.
+def log_envelope(lz2: float, log_z3: float,
+                 params: Params) -> Tuple[float, float]:
+    """(log Z, log M): argmax and maximum of z1 -> z2 (z1 + z3)^p - z1^p.
+
+    Z = z3 z2^q / (1 - z2^q) and M = z2 z3^p / (1 - z2^q)^{1/q}, q = (n-2s)/4s,
+    from lz2 = log z2 < 0; the gap is -expm1(q lz2), accurate to 1 - z2 ~ 1e-300.
+    """
+    q = params.kelvin_exp / (4.0 * params.sigma)
+    log_gap = math.log(-math.expm1(q * lz2))
+    return log_z3 + q * lz2 - log_gap, lz2 + params.p * log_z3 - log_gap / q
+
+
+def log_f(log_z1: float, lz2: float, log_z3: float,
+          p: float) -> Tuple[float, float]:
+    """(log |f|, sign f) for f = z2 (z1 + z3)^p - z1^p, from logs.
 
     For z1 large the two terms nearly cancel against the scale z1^p, so
-    the value is computed as z1^p * expm1(log z2 + p log1p(z3/z1)).
+    f = z1^p expm1(log z2 + p log1p(z3/z1)); log_z1 = -inf means z1 = 0.
     """
-    p = params.p
+    if log_z1 == -math.inf:
+        return lz2 + p * log_z3, 1.0
+    d = log_z3 - log_z1
+    # log1p(e^d) equals d to double precision long before exp overflows
+    inner = lz2 + p * (d if d > 700.0 else math.log1p(math.exp(d)))
+    if inner > 40.0:  # z1^p negligible against z2 (z1 + z3)^p
+        return p * log_z1 + inner, 1.0
+    term = math.expm1(inner)
+    if term == 0.0:
+        return -math.inf, 1.0
+    return p * log_z1 + math.log(abs(term)), math.copysign(1.0, term)
+
+
+def _envelope(z2: float, z3: float, params: Params,
+              one_minus_z2: Optional[float]) -> Tuple[float, float]:
+    """log_envelope from z2, or from 1 - z2 when given (1 - z2 ~ 1e-131 survives)."""
+    if one_minus_z2 is not None:
+        return log_envelope(math.log1p(-one_minus_z2), math.log(z3), params)
+    if not 0.0 < z2 < 1.0:
+        raise ValueError("the envelope requires z2 in (0, 1)")
+    return log_envelope(math.log(z2), math.log(z3), params)
+
+
+def f_val(z1: float, z2: float, z3: float, params: Params) -> float:
+    """z2 (z1 + z3)^p - z1^p, evaluated stably for very large z1."""
     if z1 < 0 or z2 <= 0 or z3 <= 0:
         raise ValueError("need z1 >= 0, z2 > 0, z3 > 0")
-    if z1 == 0.0:
-        return z2 * z3 ** p
-    ratio = z3 / z1
-    if not math.isfinite(ratio) or ratio > 1e12:
-        # z1^p is negligible against z2 (z1 + z3)^p: no cancellation
-        return z2 * (z1 + z3) ** p - z1 ** p
-    term = math.expm1(math.log(z2) + p * math.log1p(ratio))
-    if term == 0.0:
-        return 0.0
-    return math.copysign(math.exp(p * math.log(z1) + math.log(abs(term))), term)
-
-
-def _one_minus_power(z2: float, q: float, one_minus_z2: Optional[float]) -> float:
-    """1 - z2^q without cancellation, using 1 - z2 when provided."""
-    if one_minus_z2 is not None:
-        return -math.expm1(q * math.log1p(-one_minus_z2))
-    return -math.expm1(q * math.log(z2))
+    lg, sign = log_f(math.log(z1) if z1 > 0.0 else -math.inf, math.log(z2),
+                     math.log(z3), params.p)
+    return sign * math.exp(lg)
 
 
 def m_val(z2: float, z3: float, params: Params,
           one_minus_z2: Optional[float] = None) -> float:
     """Envelope maximum z2 z3^p / (1 - z2^{(n-2s)/4s})^{4s/(n-2s)}."""
-    if not (0.0 < z2 < 1.0) and one_minus_z2 is None:
-        raise ValueError("m_val requires z2 in (0, 1)")
-    q = params.kelvin_exp / (4.0 * params.sigma)
-    gap = _one_minus_power(z2, q, one_minus_z2)
-    lz2 = math.log1p(-one_minus_z2) if one_minus_z2 is not None else math.log(z2)
-    return math.exp(lz2 + params.p * math.log(z3) - math.log(gap) / q)
+    return math.exp(_envelope(z2, z3, params, one_minus_z2)[1])
 
 
 def z_val(z2: float, z3: float, params: Params,
           one_minus_z2: Optional[float] = None) -> float:
     """Envelope argmax z3 z2^{(n-2s)/4s} / (1 - z2^{(n-2s)/4s})."""
-    if not (0.0 < z2 < 1.0) and one_minus_z2 is None:
-        raise ValueError("z_val requires z2 in (0, 1)")
-    q = params.kelvin_exp / (4.0 * params.sigma)
-    gap = _one_minus_power(z2, q, one_minus_z2)
-    lz2 = math.log1p(-one_minus_z2) if one_minus_z2 is not None else math.log(z2)
-    return math.exp(math.log(z3) + q * lz2 - math.log(gap))
+    return math.exp(_envelope(z2, z3, params, one_minus_z2)[0])
 
 
 def big_f_val(z1: float, z2: float, z3: float, params: Params,
               one_minus_z2: Optional[float] = None) -> float:
     """Monotone envelope F: f below the argmax, frozen at the max beyond it."""
-    z2_eff = 1.0 - one_minus_z2 if one_minus_z2 is not None else z2
-    if z2_eff >= 1.0 and (one_minus_z2 is None or one_minus_z2 <= 0.0):
+    at_one = z2 >= 1.0 if one_minus_z2 is None else one_minus_z2 <= 0.0
+    if at_one:
         return f_val(z1, z2, z3, params)
-    if z1 <= z_val(z2, z3, params, one_minus_z2):
+    log_z, log_m = _envelope(z2, z3, params, one_minus_z2)
+    if z1 <= math.exp(log_z):
         return f_val(z1, z2, z3, params)
-    return m_val(z2, z3, params, one_minus_z2)
+    return math.exp(log_m)
 
 
 def talia_ratio(a_list: Sequence[float], p: float) -> Tuple[float, float]:
@@ -194,40 +214,35 @@ class SequencePlan:
             return out
         return self.centers[i] - self.centers[j]
 
+    def offset_from_center(self, pt: Point, i: int) -> Array:
+        """x - x_i for an absolute or anchored point (exact near the ring)."""
+        if isinstance(pt, tuple):
+            return np.asarray(pt[1], dtype=float) + self.center_difference(pt[0], i)
+        return np.asarray(pt, dtype=float) - self.centers[i]
+
     def distances_to_centers(self, pt: Point) -> Tuple[Array, float]:
         """(|x - x_i| for all materialized i, |x|) for absolute or anchored points."""
         if isinstance(pt, tuple):
-            anchor, offset = pt
-            offset = np.asarray(offset, dtype=float)
-            dists = np.empty(self.n_mat)
-            for j in range(self.n_mat):
-                dists[j] = float(np.linalg.norm(
-                    offset + self.center_difference(anchor, j)))
-            base = self.centers[anchor]
-            radius = float(np.linalg.norm(base + offset))
-            return dists, radius
-        x = np.asarray(pt, dtype=float)
-        dists = np.linalg.norm(x[None, :] - self.centers, axis=1)
-        return dists, float(np.linalg.norm(x))
+            dists = np.array([np.linalg.norm(self.offset_from_center(pt, j))
+                              for j in range(self.n_mat)])
+        else:
+            dists = np.linalg.norm(np.asarray(pt, dtype=float) - self.centers, axis=1)
+        return dists, float(np.linalg.norm(_absolute(self, pt)))
 
 
 # --- bubble evaluation in log space ---------------------------------------
 
-def bubble_log_profile(lam: float, s, amplitude: float, params: Params):
-    """log psi_lambda at distance s from the center (vectorized)."""
+def bubble_log_profile(lam, s, amplitude: float, params: Params):
+    """log psi_lambda at distance s from the center (vectorized in lam and s)."""
     s = np.asarray(s, dtype=float)
     return (math.log(amplitude)
-            + params.half_exp * (math.log(lam) - np.log(lam * lam + s * s)))
+            + params.half_exp * (np.log(lam) - np.log(lam * lam + s * s)))
 
 
 def bubble_logs(plan: SequencePlan, pt: Point) -> Array:
     """log u_i(x) for every materialized bubble."""
     dists, _ = plan.distances_to_centers(pt)
-    out = np.empty(plan.n_mat)
-    for i in range(plan.n_mat):
-        out[i] = bubble_log_profile(plan.lam[i], dists[i], plan.amplitude,
-                                    plan.params)
-    return out
+    return bubble_log_profile(plan.lam, dists, plan.amplitude, plan.params)
 
 
 def _sum_exp(logs: Array) -> Tuple[float, float]:
@@ -263,10 +278,11 @@ def beta_from_formula(params: Params) -> float:
 
 
 def m_from_one_minus_k(m1k: float, params: Params) -> float:
-    """M_i = k_i / (1 - k_i^{(n-2s)/4s})^{4s/(n-2s)} from the stored 1 - k_i."""
-    q = params.kelvin_exp / (4.0 * params.sigma)
-    gap = -math.expm1(q * math.log1p(-m1k))
-    return math.exp(math.log1p(-m1k) - math.log(gap) / q)
+    """M_i = k_i / (1 - k_i^{(n-2s)/4s})^{4s/(n-2s)}: the envelope M at z3 = 1."""
+    try:
+        return math.exp(log_envelope(math.log1p(-m1k), 0.0, params)[1])
+    except OverflowError:  # past the float range: above any finite target
+        return math.inf
 
 
 def _bisect(pred: Callable[[float], bool], lo: float, hi: float,
@@ -335,6 +351,14 @@ def choose_deltas(params: Params, delta: float, seed: int = 5) -> Tuple[float, f
             delta1 *= 0.5
         delta2 = min(delta2 * 0.5, delta1 / 2.01)
     raise RuntimeError("could not satisfy the two-center ratio condition")
+
+
+class InfeasiblePlanError(RuntimeError):
+    """Raised when the search budget cannot satisfy a named constraint."""
+
+
+class _Escalate(InfeasiblePlanError):
+    """A per-index check that a larger target M_i cures (smaller 1 - k_i, rho_i)."""
 
 
 def rho_from_constraint(plan_like: dict, i: int, params: Params) -> float:
@@ -421,12 +445,9 @@ def lambda_from_constraint(plan_like: dict, i: int, params: Params) -> float:
 
     lo, hi = -740.0, math.log(rho) - 1e-9
     if not feasible(lo + 1.0):
-        raise RuntimeError("lambda constraint infeasible even at the floor")
+        raise InfeasiblePlanError(f"lambda_{i} falls below the float floor "
+                                  "e^-740: its constraint fails even there")
     return math.exp(_bisect(feasible, lo, hi, 120)[0])
-
-
-class InfeasiblePlanError(RuntimeError):
-    """Raised when the search budget cannot satisfy a named constraint."""
 
 
 def plan_sequences(params: Params, k: ScalarField,
@@ -466,57 +487,52 @@ def plan_sequences(params: Params, k: ScalarField,
         raise InfeasiblePlanError("N must be >= 1")
     delta1, delta2 = choose_deltas(params, delta, seed=seed)
     w0 = amp * (2.0 * b) ** (-n / (2.0 * s))
-    p = params.p
-    q = params.kelvin_exp / (4.0 * s)
 
     ring = min(N, i0)
     eps_ring = 2.0 ** (-ring)
     r_ring = delta2 / 2.0
 
-    def m_formula(i: int) -> float:
-        return max(9.0 ** i, max(eps_ring ** (-4 * s / params.kelvin_exp),
+    def m_formula(i: int, eps_i: float) -> float:
+        return max(9.0 ** i, max(eps_i ** (-4 * s / params.kelvin_exp),
                                  2.0 ** i) ** (1.0 / beta)) * 2.0
 
-    # worst ring index first: escalate M until every ring constraint passes
-    worst_i = ring
-    m_target = m_formula(worst_i)
     k_floor = ((1.0 + 3.0 ** (-params.kelvin_exp))
-               / (1.0 + p * 3.0 ** (-params.kelvin_exp))) ** (4 * s / (n + 2 * s))
+               / (1.0 + params.p * 3.0 ** (-params.kelvin_exp))) ** (4 * s / (n + 2 * s))
 
-    plan = None
-    failure = "k escalation budget exhausted"
-    for attempt in range(search_budget):
-        m1k = one_minus_k_for_m(m_target, params)
+    def step(i: int, m_t: float, center_radius: float, r_i: float,
+             eps_i: float) -> Tuple[float, float, float, float]:
+        """(1 - k_i, M_i, rho_i, lambda_i) for index i at target M_i = m_t."""
+        m1k = one_minus_k_for_m(m_t, params)
         if 1.0 - m1k <= max(0.5 + 1e-9, k_floor):
-            m_target *= 4.0
-            failure = "k_i floor violated"
-            continue
-        m_big_ring = m_from_one_minus_k(m1k, params)
-        partial = {
-            "center_radius": delta1, "m_big": m_big_ring, "w0": w0,
-            "amplitude": amp, "b": b, "r_small": r_ring,
-        }
-        rho_ring = rho_from_constraint(partial, worst_i, params)
-        if not rho_ring < r_ring:
-            m_target *= 4.0
-            failure = "rho_i < r_i"
-            continue
-        partial.update({"rho": rho_ring, "eps": eps_ring, "a": a})
-        lam_ring = lambda_from_constraint(partial, worst_i, params)
-        checks = _ring_checks(params, a, b, w0, amp, phi, i0, beta, ring,
-                              eps_ring, m1k, m_big_ring, rho_ring, lam_ring,
-                              delta, delta1, delta2)
-        bad = [name for name, ok, _ in checks if not ok]
-        if bad:
-            m_target *= 4.0
+            raise _Escalate(f"k_i floor violated at index {i}")
+        m_i = m_from_one_minus_k(m1k, params)
+        part = {"center_radius": center_radius, "m_big": m_i, "w0": w0,
+                "amplitude": amp, "b": b, "r_small": r_i}
+        rho_i = rho_from_constraint(part, i, params)
+        if not rho_i < r_i:
+            raise _Escalate(f"rho_i < r_i failed at index {i}")
+        part.update({"rho": rho_i, "eps": eps_i, "a": a})
+        return m1k, m_i, rho_i, lambda_from_constraint(part, i, params)
+
+    # worst ring index i = ring first: escalate M until every ring check passes
+    m_target = m_formula(ring, eps_ring)
+    failure = "k escalation budget exhausted"
+    for _ in range(search_budget):
+        try:
+            seq = step(ring, m_target, delta1, r_ring, eps_ring)
+        except _Escalate as exc:
+            failure = str(exc)
+        else:
+            checks = _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring,
+                                  *seq, delta1, delta2)
+            bad = [name for name, ok, _ in checks if not ok]
+            if not bad:
+                break
             failure = bad[0]
-            continue
-        plan = (m1k, m_big_ring, rho_ring, lam_ring, checks)
-        break
-    if plan is None:
+        m_target *= 4.0
+    else:
         raise InfeasiblePlanError(f"constraint not satisfied in budget: {failure}")
-    m1k, m_big_ring, rho_ring, lam_ring, checks = plan
-    esc = m_target / m_formula(worst_i)
+    esc = m_target / m_formula(ring, eps_ring)
 
     # per-index ring sequences on the geometric schedule: M_i grows by at
     # least 4 per step so rho_i^{2s} ~ 2^{-i}/M_i and the collar slope
@@ -530,20 +546,11 @@ def plan_sequences(params: Params, k: ScalarField,
     r_small = np.full(N, r_ring)
     for idx in range(ring):
         i = idx + 1
-        m_t = m_formula(i) * esc
+        m_t = m_formula(i, eps_ring) * esc
         if idx > 0:
             m_t = max(m_t, 4.0 * m_big[idx - 1])
-        one_minus_k[idx] = one_minus_k_for_m(m_t, params)
-        m_big[idx] = m_from_one_minus_k(one_minus_k[idx], params)
-        if 1.0 - one_minus_k[idx] <= max(0.5 + 1e-9, k_floor):
-            raise InfeasiblePlanError("k_i floor violated on the ring schedule")
-        part = {"center_radius": delta1, "m_big": m_big[idx], "w0": w0,
-                "amplitude": amp, "b": b, "r_small": r_ring}
-        rho[idx] = rho_from_constraint(part, i, params)
-        if not rho[idx] < r_ring:
-            raise InfeasiblePlanError("rho_i < r_i failed on the ring schedule")
-        part.update({"rho": rho[idx], "eps": eps_ring, "a": a})
-        lam[idx] = lambda_from_constraint(part, i, params)
+        one_minus_k[idx], m_big[idx], rho[idx], lam[idx] = step(
+            i, m_t, delta1, r_ring, eps_ring)
 
     # ring geometry: regular i0-gon of side 4 rho_1 on the sphere |x| = delta1
     ring_radius = 2.0 * rho[0] / math.sin(math.pi / i0)
@@ -557,24 +564,16 @@ def plan_sequences(params: Params, k: ScalarField,
         centers[j, 1] = ring_radius * math.sin(th)
         centers[j, 2] = height
 
-    if N > i0:
-        # inner schedule: x_i = delta2 2^{-(i - i0)} e_1, r_i = |x_i| / 8
-        for idx in range(i0, N):
-            i = idx + 1
-            ci = delta2 * 2.0 ** (-(i - i0))
-            centers[idx] = 0.0
-            centers[idx, 0] = ci
-            r_small[idx] = ci / 8.0
-            eps[idx] = 2.0 ** (-i)
-            m_t = max(9.0 ** i, max(eps[idx] ** (-4 * s / params.kelvin_exp),
-                                    2.0 ** i) ** (1.0 / beta)) * 2.0
-            one_minus_k[idx] = one_minus_k_for_m(m_t, params)
-            m_big[idx] = m_from_one_minus_k(one_minus_k[idx], params)
-            part = {"center_radius": ci, "m_big": m_big[idx], "w0": w0,
-                    "amplitude": amp, "b": b, "r_small": r_small[idx]}
-            rho[idx] = rho_from_constraint(part, i, params)
-            part.update({"rho": rho[idx], "eps": eps[idx], "a": a})
-            lam[idx] = lambda_from_constraint(part, i, params)
+    # inner schedule: x_i = delta2 2^{-(i - i0)} e_1, r_i = |x_i| / 8
+    for idx in range(i0, N):
+        i = idx + 1
+        ci = delta2 * 2.0 ** (-(i - i0))
+        centers[idx] = 0.0
+        centers[idx, 0] = ci
+        r_small[idx] = ci / 8.0
+        eps[idx] = 2.0 ** (-i)
+        one_minus_k[idx], m_big[idx], rho[idx], lam[idx] = step(
+            i, m_formula(i, eps[idx]), ci, r_small[idx], eps[idx])
 
     margins = {name: margin for name, ok, margin in checks}
     out = SequencePlan(params=params, a=a, b=b, delta=delta, delta1=delta1,
@@ -587,12 +586,10 @@ def plan_sequences(params: Params, k: ScalarField,
     return out
 
 
-def _ring_checks(params, a, b, w0, amp, phi, i0, beta, ring, eps_ring, m1k,
-                 m_big, rho, lam, delta, delta1, delta2):
+def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
+                 rho, lam, delta1, delta2):
     """(name, ok, margin) for each shared-ring constraint."""
     n, s = params.n, params.sigma
-    p = params.p
-    q = params.kelvin_exp / (4.0 * s)
     out = []
     log_m = math.log(m_big)
     out.append(("M_i > 9^i", log_m > ring * math.log(9.0),
@@ -603,8 +600,9 @@ def _ring_checks(params, a, b, w0, amp, phi, i0, beta, ring, eps_ring, m1k,
     lhs = beta * math.log(lam)
     rhs = (2 * s / params.kelvin_exp) * math.log(eps_ring) - ring * LOG2
     out.append(("lambda_i^beta < eps^{2s/(n-2s)}/2^i", lhs < rhs, rhs - lhs))
-    kpow = math.expm1((n + 2 * s) / (4 * s) * math.log1p(-m1k)) + 1.0
-    thr = (1.0 + 3.0 ** (-params.kelvin_exp)) / (1.0 + p * 3.0 ** (-params.kelvin_exp))
+    lz2 = (n + 2 * s) / (4 * s) * math.log1p(-m1k)  # log k^{(n+2s)/4s}
+    kpow = math.expm1(lz2) + 1.0
+    thr = (1.0 + 3.0 ** (-params.kelvin_exp)) / (1.0 + params.p * 3.0 ** (-params.kelvin_exp))
     out.append(("k_i^{(n+2s)/4s} threshold", kpow > thr, kpow - thr))
     out.append(("lambda_i < delta_2", lam < delta2, delta2 - lam))
     out.append(("rho_i < r_i", rho < delta2 / 2.0, delta2 / 2.0 - rho))
@@ -615,8 +613,7 @@ def _ring_checks(params, a, b, w0, amp, phi, i0, beta, ring, eps_ring, m1k,
                 log_peak - log_need))
     # cross smallness off B_{2 r_i}: psi_lam at distance delta2 plus gradient
     s_out = delta2
-    u_out = math.exp(math.log(amp) + params.half_exp
-                     * (math.log(lam) - math.log(lam ** 2 + s_out ** 2)))
+    u_out = math.exp(bubble_log_profile(lam, s_out, amp, params))
     grad_out = u_out * params.kelvin_exp * s_out / (lam ** 2 + s_out ** 2)
     out.append(("u_i + |grad u_i| < 2^{-i} off B_{2 r_i}",
                 u_out + grad_out < 2.0 ** (-ring),
@@ -625,14 +622,9 @@ def _ring_checks(params, a, b, w0, amp, phi, i0, beta, ring, eps_ring, m1k,
     # minimized over B_{2 rho_j}; the off-ring sum is the full i0-gon sum
     chord = lambda sep: 2.0 * (2.0 * rho / math.sin(math.pi / i0)) \
         * math.sin(math.pi * sep / i0)
-    z3_logs = [math.log(amp) + params.half_exp
-               * (math.log(lam) - math.log(lam ** 2 + (chord(sep) + 2 * rho) ** 2))
-               for sep in range(1, i0)]
-    top = max(z3_logs)
-    z3 = math.exp(top) * sum(math.exp(v - top) for v in z3_logs)
-    z2_gap = -math.expm1((n + 2 * s) / (4 * s) * q * math.log1p(-m1k))
-    log_z = math.log(z3) + q * (n + 2 * s) / (4 * s) * math.log1p(-m1k) \
-        - math.log(z2_gap)
+    top, total = _sum_exp(bubble_log_profile(
+        lam, [chord(sep) + 2 * rho for sep in range(1, i0)], amp, params))
+    log_z, _ = log_envelope(lz2, top + math.log(total), params)
     out.append(("Z(k^{(n+2s)/4s}, ring sum) > w(0)", log_z > math.log(w0),
                 log_z - math.log(w0)))
     return out
@@ -648,10 +640,8 @@ def _min_bj_margin(plan: SequencePlan) -> float:
     if min(plan.n_mat, plan.i0) < 3:
         return math.inf
     lam, rho = plan.lam[1], plan.rho[1]
-    d = plan.center_difference(2, 1)
-    side = float(np.linalg.norm(d))
-    near = side - 2.0 * plan.rho[1]
-    far = side + 2.0 * plan.rho[1]
+    side = float(np.linalg.norm(plan.center_difference(2, 1)))
+    near, far = side - 2.0 * rho, side + 2.0 * rho
     ratio = ((lam ** 2 + near ** 2) / (lam ** 2 + far ** 2)) ** plan.params.half_exp
     return ratio - 3.0 ** (-plan.params.kelvin_exp)
 
@@ -685,11 +675,7 @@ def grad_kappa(plan: SequencePlan, pt: Point) -> Array:
     for i in range(plan.n_mat):
         t = dists[i] / plan.rho[i]
         if 1.0 < t < 1.5 and dists[i] > 0.0:
-            if isinstance(pt, tuple):
-                direction = (np.asarray(pt[1], dtype=float)
-                             + plan.center_difference(pt[0], i)) / dists[i]
-            else:
-                direction = (_absolute(plan, pt) - plan.centers[i]) / dists[i]
+            direction = plan.offset_from_center(pt, i) / dists[i]
             out += (-plan.one_minus_k[i] / plan.rho[i]) \
                 * eta_cutoff_prime(t) * direction
     return out
@@ -746,79 +732,64 @@ def u_tilde_terms(plan: SequencePlan, pt: Point,
 
 def _h_signed_log(plan: SequencePlan, pt: Point, v: float, envelope: str,
                   k: Optional[ScalarField]) -> Tuple[float, float]:
-    params = plan.params
-    p = params.p
     top, ut_rel, p0 = u_tilde_terms(plan, pt, v)
     if p0 <= 0.0:
         p0 = max(p0, 1e-300)
+    omk = None
     if envelope == "upper":
         kap = 1.0 if k is None else k.at(_absolute(plan, pt))
-        omk = None if kap < 1.0 else 0.0
     else:
         kap = kappa_eval(plan, pt, k)
         # inside a cutoff plateau kappa = k_i, with 1 - k_i stored exactly
-        omk = None
         dists, _ = plan.distances_to_centers(pt)
         for i in range(plan.n_mat):
             if dists[i] <= plan.rho[i]:
                 omk = plan.one_minus_k[i]
                 break
-        if omk is None and kap >= 1.0:
-            omk = 0.0
     log_ut = top + math.log(ut_rel) if top > -745 else -math.inf
-    lz2 = math.log1p(-omk) if omk is not None else math.log(kap)
+    # z2 = kappa, capped at 1
+    lz2 = math.log1p(-omk) if omk is not None else math.log(min(kap, 1.0))
+    log_p0 = math.log(p0)
+    if envelope in ("middle", "upper") and lz2 < 0.0:
+        log_z, log_m = log_envelope(lz2, log_p0, plan.params)
+        if log_ut > log_z:
+            return log_m, 1.0
+    return log_f(log_ut, lz2, log_p0, plan.params.p)
 
-    if envelope in ("middle", "upper"):
-        eff_omk = omk if omk is not None else (1.0 - kap if kap < 1.0 else 0.0)
-        if eff_omk > 0.0:
-            q = params.kelvin_exp / (4.0 * params.sigma)
-            gap = -math.expm1(q * math.log1p(-eff_omk))
-            log_z_argmax = math.log(p0) + q * math.log1p(-eff_omk) - math.log(gap)
-            if log_ut > log_z_argmax:
-                log_m = lz2 + p * math.log(p0) - math.log(gap) / q
-                return log_m, 1.0
-    # f branch: z1^p * expm1(log z2 + p log1p(z3/z1))
-    if log_ut == -math.inf:
-        return lz2 + p * math.log(p0), 1.0
-    ratio = math.exp(min(math.log(p0) - log_ut, 700.0))
-    inner = lz2 + p * math.log1p(ratio)
-    if inner > 40.0:  # z1^p negligible against z2 (z1 + z3)^p
-        return p * log_ut + inner, 1.0
-    term = math.expm1(inner)
-    if term == 0.0:
-        return -math.inf, 1.0
-    return p * log_ut + math.log(abs(term)), math.copysign(1.0, term)
+
+def _signed_exp(lg: float, sign: float) -> float:
+    return sign * math.exp(min(lg, 709.0)) if lg > -745 else 0.0
 
 
 def h_eval(plan: SequencePlan, pt: Point, v: float,
            k: Optional[ScalarField] = None) -> float:
-    lg, sign = _h_signed_log(plan, pt, v, "middle", k)
-    return sign * math.exp(min(lg, 709.0)) if lg > -745 else 0.0
+    return _signed_exp(*_h_signed_log(plan, pt, v, "middle", k))
 
 
 def h_under(plan: SequencePlan, pt: Point, v: float,
             k: Optional[ScalarField] = None) -> float:
-    lg, sign = _h_signed_log(plan, pt, v, "lower", k)
-    return sign * math.exp(min(lg, 709.0)) if lg > -745 else 0.0
+    return _signed_exp(*_h_signed_log(plan, pt, v, "lower", k))
 
 
 def h_over(plan: SequencePlan, pt: Point, v: float,
            k: Optional[ScalarField] = None) -> float:
-    lg, sign = _h_signed_log(plan, pt, v, "upper", k)
-    return sign * math.exp(min(lg, 709.0)) if lg > -745 else 0.0
+    return _signed_exp(*_h_signed_log(plan, pt, v, "upper", k))
+
+
+def _u0(plan: SequencePlan, u0_mode, pt: Point) -> float:
+    """u0 at pt per mode {zero, supersolution, callable}."""
+    if u0_mode == "zero":
+        return 0.0
+    if u0_mode == "supersolution":
+        return vbar_eval(plan, pt)
+    if callable(u0_mode):
+        return float(u0_mode(_absolute(plan, pt)))
+    raise ValueError("u0_mode must be 'zero', 'supersolution', or callable")
 
 
 def assemble_u(plan: SequencePlan, u0_mode, pt: Point) -> float:
     """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution, callable}."""
-    if u0_mode == "zero":
-        u0 = 0.0
-    elif u0_mode == "supersolution":
-        u0 = vbar_eval(plan, pt)
-    elif callable(u0_mode):
-        u0 = float(u0_mode(_absolute(plan, pt)))
-    else:
-        raise ValueError("u0_mode must be 'zero', 'supersolution', or callable")
-    return u0 + bubble_sum(plan, pt)
+    return _u0(plan, u0_mode, pt) + bubble_sum(plan, pt)
 
 
 def k_assemble(plan: SequencePlan, u0_mode, pt: Point,
@@ -830,29 +801,23 @@ def k_assemble(plan: SequencePlan, u0_mode, pt: Point,
     supersolution mode the source is its closed-form fractional
     Laplacian (2b)^p w^p + tent profile.
     """
-    params = plan.params
-    p = params.p
+    if callable(u0_mode):  # a callable u0 has no closed-form source term
+        raise ValueError("u0_mode must be 'zero' or 'supersolution'")
+    p = plan.params.p
     logs = bubble_logs(plan, pt)
-    top = float(np.max(logs))
-    r = np.exp(logs - top)
-    dists, radius = plan.distances_to_centers(pt)
-
-    if u0_mode == "zero":
-        u0 = 0.0
-        log_src = -math.inf
-    elif u0_mode == "supersolution":
-        u0 = vbar_eval(plan, pt)
+    u0 = _u0(plan, u0_mode, pt)
+    log_src = -math.inf
+    if u0_mode == "supersolution":
+        dists, radius = plan.distances_to_centers(pt)
         src = (2.0 * plan.b) ** p * float(plan.w_profile(radius)) ** p
         for i in range(plan.n_mat):
             t = dists[i] / plan.rho[i]
             if t < 2.0:
                 src += (2.0 * plan.w0) ** p * plan.m_big[i] * min(1.0, 2.0 - t)
         log_src = math.log(src)
-    else:
-        raise ValueError("u0_mode must be 'zero' or 'supersolution'")
 
     log_u0 = math.log(u0) if u0 > 0.0 else -math.inf
-    base = max(top, log_u0)
+    base = max(float(np.max(logs)), log_u0)
     r = np.exp(logs - base)
     num_rel = float(np.sum(r ** p)) + (math.exp(log_src - p * base)
                                        if log_src - p * base > -700 else 0.0)

@@ -47,20 +47,22 @@ def _split(Y: Array, n: int) -> Tuple[Array, float]:
     return Y[:n], float(Y[n])
 
 
+def _direct_and_image(ctx: GreenContext, y: Array, t: float,
+                      etas: Array) -> Tuple[Array, Array]:
+    """|Y - eta|^{2s-n} and (lam/|eta|)^{n-2s} |Y - eta^lam|^{2s-n} per row eta."""
+    kelvin = KelvinMap(ctx.params, lam=ctx.lam)
+    s2n = (2.0 * ctx.params.sigma - ctx.params.n) / 2.0
+    d1sq = np.sum((etas - y) ** 2, axis=1) + t * t
+    d2sq = np.sum((kelvin.point(etas) - y) ** 2, axis=1) + t * t
+    return d1sq ** s2n, kelvin.weight(etas) * d2sq ** s2n
+
+
 def green_kernel(ctx: GreenContext, Y: Array, etas: Array) -> Array:
     """G(Y, eta) for one half-space point against many boundary points."""
-    n = ctx.params.n
-    ne = ctx.params.kelvin_exp
-    y, t = _split(Y, n)
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    r_eta = np.linalg.norm(etas, axis=1)
-    d1sq = np.sum((etas - y) ** 2, axis=1) + t * t
-    images = ctx.lam ** 2 * etas / (r_eta ** 2)[:, None]
-    d2sq = np.sum((images - y) ** 2, axis=1) + t * t
-    cset = constants.constant_set(ctx.params)
-    return cset.n_green * (d1sq ** ((2 * ctx.params.sigma - n) / 2.0)
-                           - (ctx.lam / r_eta) ** ne
-                           * d2sq ** ((2 * ctx.params.sigma - n) / 2.0))
+    y, t = _split(Y, ctx.params.n)
+    direct, image = _direct_and_image(
+        ctx, y, t, np.atleast_2d(np.asarray(etas, dtype=float)))
+    return constants.constant_set(ctx.params).n_green * (direct - image)
 
 
 def green_eval(ctx: GreenContext, Y: Array, eta: Array) -> float:
@@ -179,12 +181,10 @@ def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
     spherical-cap integral); the remainder vanishes at eta = y and is
     handled by a graded product grid.
     """
-    n = ctx.params.n
-    y, t = _split(Y, n)
+    y, t = _split(Y, ctx.params.n)
     d = float(np.linalg.norm(y))
     outer = q.outer_radius
     cset = constants.constant_set(ctx.params)
-    s2n = (2.0 * ctx.params.sigma - n) / 2.0
 
     qy = 0.0
     if ctx.lam < d < outer:
@@ -193,13 +193,8 @@ def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
     pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None,
                              radial_per_panel=radial_per_panel)
     qv = q(pts)
-    r_eta = np.linalg.norm(pts, axis=1)
-    d1sq = np.sum((pts - y) ** 2, axis=1) + t * t
-    images = ctx.lam ** 2 * pts / (r_eta ** 2)[:, None]
-    d2sq = np.sum((images - y) ** 2, axis=1) + t * t
-    direct = d1sq ** s2n * (qv - qy)
-    image = (ctx.lam / r_eta) ** ctx.params.kelvin_exp * d2sq ** s2n * qv
-    rest = cset.n_green * float(np.dot(direct - image, wts))
+    direct, image = _direct_and_image(ctx, y, t, pts)
+    rest = cset.n_green * float(np.dot(direct * (qv - qy) - image * qv, wts))
 
     if qy != 0.0:
         rest += cset.n_green * qy * _cap_integral(ctx, d, t, outer)

@@ -84,6 +84,12 @@ def check(name: str, claim: str, margin: float, passed: bool) -> Dict:
             "passed": bool(passed)}
 
 
+def gate(name: str, claim: str, err: float, tol: float, cfg: RunConfig) -> Dict:
+    """Check passing when err < tol * cfg.tol_scale, with that bound's margin."""
+    bound = tol * cfg.tol_scale
+    return check(name, claim, bound - err, err < bound)
+
+
 # --- suites ------------------------------------------------------------------
 
 def suite_constants(cfg: RunConfig) -> List[Dict]:
@@ -95,21 +101,19 @@ def suite_constants(cfg: RunConfig) -> List[Dict]:
             worst = max(worst,
                         abs(constants.poisson_norm_residual(pr)),
                         abs(constants.green_norm_residual(pr)))
-    tol = 1e-8 * cfg.tol_scale
-    out.append(check("normalization-quadrature", "closed-form constants match "
-                     "their defining radial integrals on the 12-point grid",
-                     tol - worst, worst < tol))
+    out.append(gate("normalization-quadrature", "closed-form constants match "
+                    "their defining radial integrals on the 12-point grid",
+                    worst, 1e-8, cfg))
     ct = constants.c_tilde(Params(2, 0.5))
-    out.append(check("halforder-unit", "the trace-to-source constant equals 1 "
-                     "at n=2, sigma=1/2", 1e-10 - abs(ct - 1.0),
-                     abs(ct - 1.0) < 1e-10 * cfg.tol_scale))
+    out.append(gate("halforder-unit", "the trace-to-source constant equals 1 "
+                    "at n=2, sigma=1/2", abs(ct - 1.0), 1e-10, cfg))
     pr = Params(cfg.n, cfg.sigma)
     lhs = constants.c_tilde(pr)
     rhs = constants.d_sigma(pr) * constants.bubble_eigenvalue(pr)
     rel = abs(lhs - rhs) / abs(rhs)
-    out.append(check("constant-cross-check", "trace constant equals the "
-                     "extension weight times the bubble eigenvalue",
-                     1e-6 - rel, rel < 1e-6 * cfg.tol_scale))
+    out.append(gate("constant-cross-check", "trace constant equals the "
+                    "extension weight times the bubble eigenvalue",
+                    rel, 1e-6, cfg))
     return out
 
 
@@ -120,9 +124,8 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
                     decay="integrable_against_kernel")
     res = fracops.frac_lap_at(f, np.zeros(1), pr1)
     err = abs(res.value - 1.0)
-    out.append(check("cosine-symbol", "half Laplacian of cos at the origin "
-                     "equals 1 in one dimension", 1e-3 - err,
-                     err < 1e-3 * cfg.tol_scale))
+    out.append(gate("cosine-symbol", "half Laplacian of cos at the origin "
+                    "equals 1 in one dimension", err, 1e-3, cfg))
     # Riesz inversion on smooth compact bumps
     worst = 0.0
     for n in (2, 3):
@@ -140,9 +143,9 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
             back = fracops.frac_lap_at(pot_field, d * np.eye(n)[0], pr)
             rel = abs(back.value - bump.at(d * np.eye(n)[0])) / bump.at(np.zeros(n))
             worst = max(worst, rel)
-    out.append(check("riesz-inversion", "fractional Laplacian of the Riesz "
-                     "potential recovers a smooth compact bump",
-                     1e-3 - worst, worst < 1e-3 * cfg.tol_scale))
+    out.append(gate("riesz-inversion", "fractional Laplacian of the Riesz "
+                    "potential recovers a smooth compact bump",
+                    worst, 1e-3, cfg))
     return out
 
 
@@ -152,9 +155,8 @@ def suite_bubble(cfg: RunConfig) -> List[Dict]:
     for (n, s) in ((2, 0.5), (3, 0.5), (3, 0.75)):
         res = bubbles.bubble_identity_residuals(Params(n, s))
         worst = max(worst, float(np.max(res)))
-    out.append(check("bubble-identity", "the standard bubble solves the "
-                     "critical equation at five radii", 1e-3 - worst,
-                     worst < 1e-3 * cfg.tol_scale))
+    out.append(gate("bubble-identity", "the standard bubble solves the "
+                    "critical equation at five radii", worst, 1e-3, cfg))
     pr = Params(2, 0.5)
     res_bad = bubbles.bubble_identity_residuals(
         pr, amplitude=1.1 * constants.bubble_constant(pr))
@@ -173,8 +175,8 @@ def suite_extend(cfg: RunConfig) -> List[Dict]:
                       decay="integrable_against_kernel")
     val = extension.extend(one, np.zeros(pr.n), 0.7, pr)
     err = abs(val - 1.0)
-    out.append(check("poisson-mass", "the extension of the constant 1 is 1",
-                     1e-6 - err, err < 1e-6 * cfg.tol_scale))
+    out.append(gate("poisson-mass", "the extension of the constant 1 is 1",
+                    err, 1e-6, cfg))
     worst = 0.0
     cset = constants.constant_set(pr)
     w = bubbles.model_bubble(pr)
@@ -183,9 +185,9 @@ def suite_extend(cfg: RunConfig) -> List[Dict]:
         der = extension.conormal_derivative(w, y, pr)
         ref = cset.c_tilde * w.at(y) ** pr.p
         worst = max(worst, abs(der - ref) / abs(ref))
-    out.append(check("conormal-identity", "the conormal derivative of the "
-                     "extended bubble reproduces the critical power",
-                     1e-2 - worst, worst < 1e-2 * cfg.tol_scale))
+    out.append(gate("conormal-identity", "the conormal derivative of the "
+                    "extended bubble reproduces the critical power",
+                    worst, 1e-2, cfg))
     # conformal invariance via the half-order closed form
     pr_half = Params(pr.n, 0.5)
     worst = 0.0
@@ -194,9 +196,9 @@ def suite_extend(cfg: RunConfig) -> List[Dict]:
         direct = extension.model_bubble_extension_halforder(y, t, pr_half)
         quad = extension.extend(bubbles.model_bubble(pr_half), y, t, pr_half)
         worst = max(worst, abs(direct - quad) / abs(direct))
-    out.append(check("conformal-invariance", "the closed-form half-order "
-                     "extension matches the Poisson quadrature",
-                     1e-3 - worst, worst < 1e-3 * cfg.tol_scale))
+    out.append(gate("conformal-invariance", "the closed-form half-order "
+                    "extension matches the Poisson quadrature",
+                    worst, 1e-3, cfg))
     return out
 
 
@@ -224,17 +226,15 @@ def suite_green(cfg: RunConfig) -> List[Dict]:
     ysph = np.zeros(pr.n + 1)
     ysph[0] = 1.0
     phi0 = green.phi_potential(ctx, q, ysph)
-    out.append(check("sphere-vanishing", "the sphere-cancelled potential "
-                     "vanishes on the inversion sphere", 1e-8 - abs(phi0),
-                     abs(phi0) < 1e-8 * cfg.tol_scale))
+    out.append(gate("sphere-vanishing", "the sphere-cancelled potential "
+                    "vanishes on the inversion sphere", abs(phi0), 1e-8, cfg))
     y0 = np.zeros(pr.n)
     y0[0] = 1.5
     der = green.phi_conormal(ctx, q, y0)
     ref = float(q(y0[None, :])[0])
     rel = abs(der - ref) / abs(ref)
-    out.append(check("conormal-recovery", "the conormal derivative of the "
-                     "potential recovers the density", 5e-2 - rel,
-                     rel < 5e-2 * cfg.tol_scale))
+    out.append(gate("conormal-recovery", "the conormal derivative of the "
+                    "potential recovers the density", rel, 5e-2, cfg))
     g3 = green.check_g3_bound(ctx, seed=cfg.seed)
     out.append(check("kernel-ratio-stable", "the kernel ratio supremum is "
                      "stable under grid doubling", 1.5 - g3["ratio"],

@@ -60,6 +60,15 @@ def test_construct_subcommand(tmp_path, capsys):
     assert plan["all_margins_positive"]
 
 
+def test_construct_infeasible_plan_is_reported(tmp_path, capsys):
+    # N = 19 needs lambda_19 below the float floor; no traceback, exit 1
+    rc = cli.main(["construct", "--N", "19", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "lambda_19" in err and "e^-740" in err
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_iterate_getoor_writes_csv(tmp_path, capsys):
     rc = cli.main(["iterate", "--demo", "getoor", "--out", str(tmp_path)])
     assert rc == 0
@@ -125,3 +134,14 @@ def test_sweep_without_sign_change_fails_its_check(monkeypatch):
     assert first["name"] == "critical-radius-bracket"
     assert not first["passed"]
     assert first["margin"] is None
+
+
+@pytest.mark.parametrize("suite", ["constants", "bubble", "extend"])
+@pytest.mark.parametrize("scale", [1e-6, 100.0])
+def test_margin_sign_matches_verdict(suite, scale):
+    # a check passes exactly when its reported margin is positive, at any
+    # tolerance scale
+    cfg = reports.RunConfig(suite=suite, tol_scale=scale)
+    for c in reports.run_suite(cfg)["checks"]:
+        if c["margin"] is not None:
+            assert (c["margin"] > 0.0) == c["passed"], c["name"]

@@ -60,8 +60,15 @@ def test_constant_set_guards_critical_exponents():
     cset = constants.constant_set(Params(1, 0.75))
     d = cset.as_dict()
     assert math.isnan(d["p"])
+    assert math.isnan(d["n_green"])
     cset2 = constants.constant_set(Params(3, 0.5))
     assert cset2.as_dict()["p"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.5), (1, 0.75)])
+def test_green_constant_needs_n_above_two_sigma(n, s):
+    with pytest.raises(ValueError, match="n > 2"):
+        constants.green_norm_residual(Params(n, s))
 
 
 def test_bubble_constant_positive_and_cached():

@@ -1,8 +1,10 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fraclab import construction as cn
 from fraclab.fields import ScalarField
@@ -49,6 +51,91 @@ def test_envelope_extreme_scale_stability():
     omz = 1e-131
     m = cn.m_val(1.0, 1.0, PR, one_minus_z2=omz)
     assert m == pytest.approx((2.0 * omz) ** -0.5, rel=1e-6)
+
+
+# --- the log-space core against mpmath ---------------------------------------
+#
+# The references are the naive closed forms, evaluated in mpmath with 60
+# digits to spare beyond the worst cancellation (1 - z2 down to 1e-300 and
+# f down to 1e-300 of z1^p need about 320 more), so they share no
+# expm1/log1p rewriting with the float core.
+
+CORE_PARAMS = [Params(2, 0.75), Params(3, 0.25), Params(3, 0.5),
+               Params(3, 0.75), Params(5, 0.5), Params(7, 0.25)]
+MP_DPS = 60 + 330
+
+log_one_minus_z2 = st.floats(min_value=math.log(1e-300), max_value=math.log(0.5))
+
+
+def _mp_exponents(pr):
+    nm2s = mpmath.mpf(pr.kelvin_exp)
+    return nm2s / (4 * mpmath.mpf(pr.sigma)), (pr.n + 2 * mpmath.mpf(pr.sigma)) / nm2s
+
+
+def _agree(got, want, rel):
+    return abs(got - float(want)) <= rel * max(1.0, abs(float(want)))
+
+
+@given(st.sampled_from(CORE_PARAMS), log_one_minus_z2,
+       st.floats(min_value=-50.0, max_value=50.0))
+@settings(max_examples=200, deadline=None)
+def test_log_envelope_matches_mpmath(pr, log_omz, log_z3):
+    lz2 = math.log1p(-math.exp(log_omz))
+    log_z, log_m = cn.log_envelope(lz2, log_z3, pr)
+    with mpmath.workdps(MP_DPS):
+        q, p = _mp_exponents(pr)
+        z2q = mpmath.exp(mpmath.mpf(lz2)) ** q
+        z3 = mpmath.exp(mpmath.mpf(log_z3))
+        want_z = mpmath.log(z3 * z2q / (1 - z2q))
+        want_m = mpmath.log(mpmath.exp(mpmath.mpf(lz2)) * z3 ** p
+                            / (1 - z2q) ** (1 / q))
+    assert _agree(log_z, want_z, 1e-12)
+    assert _agree(log_m, want_m, 1e-12)
+
+
+@given(st.sampled_from(CORE_PARAMS), log_one_minus_z2,
+       st.floats(min_value=-700.0, max_value=700.0),
+       st.floats(min_value=-700.0, max_value=700.0))
+@settings(max_examples=200, deadline=None)
+def test_log_f_matches_mpmath(pr, log_omz, log_z1, log_z3):
+    lz2 = math.log1p(-math.exp(log_omz))
+    with mpmath.workdps(MP_DPS):
+        _, p = _mp_exponents(pr)
+        z1, z3 = mpmath.exp(mpmath.mpf(log_z1)), mpmath.exp(mpmath.mpf(log_z3))
+        # away from the root of f, where the float inner exponent
+        # log z2 + p log1p(z3/z1) has no relative accuracy left
+        spread = p * mpmath.log1p(z3 / z1)
+        inner = mpmath.mpf(lz2) + spread
+        assume(abs(inner) > 1e-3 * (abs(lz2) + spread
+                                    * (1 + abs(log_z1) + abs(log_z3))))
+        f = mpmath.exp(mpmath.mpf(lz2)) * (z1 + z3) ** p - z1 ** p
+        want = mpmath.log(abs(f))
+    lg, sign = cn.log_f(log_z1, lz2, log_z3, pr.p)
+    assert sign == (1.0 if f > 0 else -1.0)
+    assert _agree(lg, want, 1e-12)
+
+
+@given(st.sampled_from(CORE_PARAMS), log_one_minus_z2,
+       st.floats(min_value=-50.0, max_value=50.0))
+@settings(max_examples=200, deadline=None)
+def test_f_at_the_argmax_is_the_maximum(pr, log_omz, log_z3):
+    lz2 = math.log1p(-math.exp(log_omz))
+    log_z, log_m = cn.log_envelope(lz2, log_z3, pr)
+    lg, sign = cn.log_f(log_z, lz2, log_z3, pr.p)
+    assert sign == 1.0
+    assert _agree(lg, log_m, 1e-10)
+
+
+@given(st.sampled_from(CORE_PARAMS), st.floats(min_value=1e-3, max_value=1 - 1e-3))
+@settings(max_examples=200, deadline=None)
+def test_one_minus_k_round_trip(pr, u):
+    # representable M: from 1 - k = 1/2 down to the smallest normal float
+    # (subnormal 1 - k loses digits), capped below the float overflow
+    lo = cn.log_envelope(math.log(0.5), 0.0, pr)[1]
+    hi = min(cn.log_envelope(-sys.float_info.min, 0.0, pr)[1], 700.0)
+    m = math.exp(lo + u * (hi - lo))
+    back = cn.m_from_one_minus_k(cn.one_minus_k_for_m(m, pr), pr)
+    assert back == pytest.approx(m, rel=1e-10)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2,
