@@ -35,6 +35,7 @@ Array = np.ndarray
 Point = Union[Array, Tuple[int, Array]]
 
 LOG2 = math.log(2.0)
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 # --- log-space core --------------------------------------------------------
@@ -233,10 +234,21 @@ class SequencePlan:
 # --- bubble evaluation in log space ---------------------------------------
 
 def bubble_log_profile(lam, s, amplitude: float, params: Params):
-    """log psi_lambda at distance s from the center (vectorized in lam and s)."""
+    """log psi_lambda at distance s from the center (vectorized in lam and s).
+
+    Where lam^2 + s^2 is below the normal float range (lam < 1.5e-154 near
+    the center) log(lam^2 + s^2) is formed as logaddexp(2 log lam, 2 log s);
+    every other value takes the direct form.
+    """
     s = np.asarray(s, dtype=float)
-    return (math.log(amplitude)
-            + params.half_exp * (np.log(lam) - np.log(lam * lam + s * s)))
+    den = lam * lam + s * s
+    with np.errstate(divide="ignore"):
+        log_den = np.log(den)
+        deep = den < np.finfo(float).tiny
+        if np.any(deep):
+            log_den = np.where(deep, np.logaddexp(2.0 * np.log(lam),
+                                                  2.0 * np.log(s)), log_den)
+    return math.log(amplitude) + params.half_exp * (np.log(lam) - log_den)
 
 
 def bubble_logs(plan: SequencePlan, pt: Point) -> Array:
@@ -251,8 +263,21 @@ def _sum_exp(logs: Array) -> Tuple[float, float]:
     return top, float(np.sum(np.exp(logs - top)))
 
 
+class BubbleRangeError(OverflowError):
+    """A bubble value past the float range, near the center of a deep bubble."""
+
+
+def _in_range(pt: Point, log_u: float, what: str) -> None:
+    if log_u > LOG_MAX:
+        where = (f"anchor {pt[0]}" if isinstance(pt, tuple)
+                 else "an absolute point")
+        raise BubbleRangeError(f"{what} at {where} exceeds the float range: "
+                               f"log value {log_u:.6g} > {LOG_MAX:.6g}")
+
+
 def bubble_sum(plan: SequencePlan, pt: Point) -> float:
     top, s = _sum_exp(bubble_logs(plan, pt))
+    _in_range(pt, top + math.log(s), "the bubble sum")
     return math.exp(top) * s if top > -700 else 0.0
 
 
@@ -726,6 +751,7 @@ def u_tilde_terms(plan: SequencePlan, pt: Point,
     e1 = float(np.sum(np.delete(r, jmax)))
     ep = float(np.sum(np.delete(r, jmax) ** p))
     t = math.expm1(math.log1p(ep) / p)
+    _in_range(pt, top, "the largest bubble")
     u_max = math.exp(top) if top > -700 else 0.0
     return top, math.exp(math.log1p(ep) / p), v + u_max * (e1 - t)
 

@@ -97,12 +97,16 @@ def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
 
 # --- composite radial panels ----------------------------------------------
 
-def geometric_panels(s_min: float, s_max: float, per_decade: int = 4) -> Array:
-    """Panel breakpoints growing geometrically from s_min to s_max."""
+def panel_count(s_min: float, s_max: float, per_decade: int) -> int:
+    """Number of geometric panels from s_min to s_max at per_decade a decade."""
     if not (0.0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
-    decades = math.log10(s_max / s_min)
-    k = max(1, int(math.ceil(decades * per_decade)))
+    return max(1, int(math.ceil(math.log10(s_max / s_min) * per_decade)))
+
+
+def geometric_panels(s_min: float, s_max: float, per_decade: int = 4) -> Array:
+    """Panel breakpoints growing geometrically from s_min to s_max."""
+    k = panel_count(s_min, s_max, per_decade)
     return s_min * (s_max / s_min) ** (np.arange(k + 1) / k)
 
 
@@ -130,14 +134,19 @@ def _legendre(order: int) -> Tuple[Array, Array]:
     return x, w
 
 
+def gauss_nodes(lo: Array, hi: Array, order: int) -> Tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights on the panels [lo_j, hi_j], panel by panel."""
+    x, w = _legendre(order)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
 def gauss_panels(breaks: Array, order: int) -> Tuple[Array, Array]:
     """Composite Gauss-Legendre nodes and weights on the panels of ``breaks``."""
     breaks = np.asarray(breaks, dtype=float)
-    x, w = _legendre(order)
-    mid = 0.5 * (breaks[:-1] + breaks[1:])
-    half = 0.5 * (breaks[1:] - breaks[:-1])
-    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
-            (half[:, None] * w[None, :]).ravel())
+    return gauss_nodes(breaks[:-1], breaks[1:], order)
 
 
 def panel_quad(g: Callable[[Array], Array], breaks: Array,

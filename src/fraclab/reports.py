@@ -135,9 +135,8 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
         bump = radial_field(prof, n, decay="compact_support", support_radius=1.0)
         for d in (0.0, 0.3, 0.5):
             pot_field = ScalarField(
-                lambda x, _pr=pr, _b=bump: np.array(
-                    [fracops.riesz_potential(_b, xi, _pr).value
-                     for xi in np.atleast_2d(x)]),
+                lambda x, _pr=pr, _b=bump: fracops.riesz_potential(
+                    _b, x, _pr).value,
                 n=n, decay="power_decay", decay_rate=n - 2 * pr.sigma,
                 kink_radii=(1.0,))
             back = fracops.frac_lap_at(pot_field, d * np.eye(n)[0], pr)

@@ -328,3 +328,51 @@ def test_assemble_u_modes(plan):
 def test_infeasible_plan_reporting():
     with pytest.raises(cn.InfeasiblePlanError):
         cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=0)
+
+
+# --- deep bubble centres -------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def deep_plan():
+    # lambda_i falls below 1e-154 from i = 8 on, so lambda^2 underflows
+    return cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=16, seed=7)
+
+
+def test_every_centre_is_finite_or_named(deep_plan):
+    plan = deep_plan
+    assert plan.lam[-1] ** 2 == 0.0
+    for i in range(plan.n_mat):
+        pt = (i, np.zeros(5))
+        logs = cn.bubble_logs(plan, pt)
+        assert np.all(np.isfinite(logs))
+        # at its own centre psi_i = c lambda_i^{-(n - 2 sigma)/2}
+        own = math.log(plan.amplitude) - PR.half_exp * math.log(plan.lam[i])
+        assert logs[i] == pytest.approx(own, rel=1e-14)
+        k = cn.k_assemble(plan, "zero", pt)
+        assert math.isfinite(k) and 0.0 < k <= 1.0 + 1e-12
+        for fn in (lambda: cn.bubble_sum(plan, pt),
+                   lambda: cn.h_eval(plan, pt, 1.0),
+                   lambda: cn.h_under(plan, pt, 1.0),
+                   lambda: cn.h_over(plan, pt, 1.0)):
+            if logs[i] <= cn.LOG_MAX:
+                assert math.isfinite(fn())
+            else:
+                with pytest.raises(cn.BubbleRangeError,
+                                   match=rf"anchor {i} .*log value {logs[i]:.6g}"):
+                    fn()
+
+
+@given(st.floats(min_value=-720.0, max_value=-1.0),
+       st.floats(min_value=-400.0, max_value=2.0))
+@settings(max_examples=200, deadline=None)
+def test_bubble_log_profile_direct_where_normal(log_lam, log_s):
+    lam, s = math.exp(log_lam), math.exp(log_s)
+    got = cn.bubble_log_profile(lam, s, 1.3, PR)
+    if lam * lam + s * s >= sys.float_info.min:
+        # bit-identical to the direct form wherever lam^2 + s^2 is normal
+        assert got == math.log(1.3) + PR.half_exp * (
+            np.log(lam) - np.log(lam * lam + s * s))
+    else:
+        want = (mpmath.log(1.3) + PR.half_exp * (
+            mpmath.log(lam) - mpmath.log(mpmath.mpf(lam) ** 2 + mpmath.mpf(s) ** 2)))
+        assert got == pytest.approx(float(want), rel=1e-13)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclab import constants, fracops
+from fraclab import constants, fracops, geometry
 from fraclab.fields import QuadratureSpec, ScalarField, radial_field
 from fraclab.gammafn import gamma_fn
 from fraclab.params import Params
@@ -123,3 +123,103 @@ def test_opresult_error_brackets_truth():
                     decay="integrable_against_kernel")
     res = fracops.frac_lap_at(f, np.zeros(1), pr)
     assert abs(res.value - 1.0) < max(10.0 * res.error, 1e-3)
+
+
+# --- riesz_potential: the small-s head and the batched path --------------------
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_riesz_error_bar_covers_ball_centre(s):
+    # the stretch below the first panel is part of the integral: at the
+    # centre of the unit ball the potential is r omega / (2 sigma)
+    pr = Params(3, s)
+    ball = radial_field(lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0), 3,
+                        decay="compact_support", support_radius=1.0)
+    spec = QuadratureSpec(angular_points=128, panels_per_decade=6)
+    res = fracops.riesz_potential(ball, np.zeros(3), pr, spec)
+    closed = fracops.riesz_ball_indicator(0.0, 1.0, pr)
+    assert abs(res.value - closed) <= res.error
+
+
+def _bump(r):
+    r = np.asarray(r, dtype=float)
+    return np.where(r < 1.0, np.exp(-np.clip(r, 0, 0.999999) ** 2
+                                    / np.clip(1 - r ** 2, 1e-12, None)), 0.0)
+
+
+def _kinked_power(r):
+    r = np.asarray(r, dtype=float)
+    return (1.0 + r ** 2) ** -2.0 + 0.1 * np.maximum(0.5 - r, 0.0) ** 2
+
+
+BATCH_FIELDS = {
+    "bump": (radial_field(_bump, 2, decay="compact_support",
+                          support_radius=1.0), Params(2, 0.5)),
+    "power": (radial_field(_kinked_power, 3, decay="power_decay",
+                           decay_rate=4.0, kink_radii=(0.5,)), Params(3, 0.25)),
+    "tilted": (ScalarField(lambda x: np.maximum(1.0 - np.sum(x * x, axis=1), 0.0)
+                           * (1.0 + 0.3 * x[:, 0]), n=2,
+                           decay="compact_support", support_radius=1.0),
+               Params(2, 0.75)),
+}
+
+
+@given(st.sampled_from(sorted(BATCH_FIELDS)),
+       st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=4),
+       st.floats(min_value=1e-9, max_value=1e-6),
+       st.integers(min_value=0, max_value=2 ** 31))
+@settings(max_examples=15, deadline=None)
+def test_riesz_batch_matches_single_points(name, radii, gap, seed):
+    field, pr = BATCH_FIELDS[name]
+    n = field.n
+    rng = np.random.default_rng(seed)
+    kink = field.kink_radii[0]
+    dists = np.array(radii + [kink - gap, kink + gap])
+    dirs = rng.normal(size=(dists.size, n))
+    pts = dists[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    # duplicates, near-duplicates and a rotated copy of the first point
+    pts = np.vstack([pts, pts[:2], pts[:1] * (1.0 + 3e-14), pts[:1, ::-1]])
+    batch = fracops.riesz_potential(field, pts, pr)
+    assert batch.value.shape == batch.error.shape == (len(pts),)
+    for j, x in enumerate(pts):
+        one = fracops.riesz_potential(field, x, pr)
+        assert isinstance(one.value, float) and isinstance(one.error, float)
+        # merged distances move by at most 2^-44 of themselves
+        tol = 1e-12 * max(1.0, abs(one.value))
+        assert abs(batch.value[j] - one.value) <= tol
+        assert abs(batch.error[j] - one.error) <= tol
+
+
+def test_riesz_merges_only_below_the_merge_bound():
+    field, pr = BATCH_FIELDS["bump"]
+    d = 0.5 * np.array([1.0, 1.0 + 2.0 ** -50, 1.0 + 2.0 ** -40])
+    res = fracops.riesz_potential(field, d[:, None] * np.eye(2)[0], pr)
+    assert res.value[1] == res.value[0]
+    assert res.value[2] != res.value[0]
+    assert abs(res.value[2] - res.value[0]) <= 1e-11
+
+
+@given(st.floats(min_value=0.0, max_value=3.0),
+       st.floats(min_value=1e-4, max_value=1e-2),
+       st.sampled_from([(1.0,), (0.5, 1.0), ()]))
+@settings(max_examples=50, deadline=None)
+def test_panel_breaks_rows_match_graded_breaks(d, inner, kinks):
+    # each row is geometry.graded_breaks cut at s_lo and started there
+    field = radial_field(_bump, 2, decay="compact_support", support_radius=1.0,
+                         kink_radii=kinks)
+    outer = d + 1.001
+    edges = fracops._kink_edges(field, np.array([d]))
+    s_lo = inner * max(1.0, d)
+    row = fracops._panel_breaks(edges, np.array([outer]), 4, np.array([s_lo]))[0]
+    want = geometry.graded_breaks(
+        1e-12, outer, 4, [e for e in edges[0] if np.isfinite(e)],
+        (0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1))
+    want = np.concatenate([[s_lo], want[want > s_lo]])
+    assert np.array_equal(row[np.isfinite(row)], want)
+
+
+def test_riesz_rejects_bad_point_shapes():
+    field, pr = BATCH_FIELDS["bump"]
+    with pytest.raises(ValueError):
+        fracops.riesz_potential(field, np.zeros(3), pr)
+    with pytest.raises(ValueError):
+        fracops.riesz_potential(field, np.zeros((2, 2, 2)), pr)
