@@ -221,6 +221,9 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
         raise ValueError("points must have shape (n,) or (m, n)")
     s2 = 2.0 * params.sigma
+    if params.n <= s2:
+        raise ValueError(f"Riesz potential diverges: n = {params.n} <= "
+                         f"2 sigma = {s2:g}")
     if field.decay == "power_decay" and field.decay_rate <= s2:
         raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
     batch = pts.reshape(-1, field.n)

@@ -8,12 +8,23 @@ tail, and the innermost region uses a quadratic second-difference model.
 All off-diagonal entries are nonpositive and rows act nonnegatively on
 the exterior-extended constant, so the discrete maximum principle and
 the monotone Picard scheme both hold.
+
+A hat function is nonzero on two cells only, so each sphere-mean radius
+r in (lo, hi) touches exactly two basis functions: with u = (r - lo)/h
+and m = floor(u), its weight goes to node m - 1 as (1 - frac) and to
+node m as frac, frac = u - m (each evaluated as 1 - |r - x_j|/h).  Each
+row scatters those two values with one ``bincount``, O(R + N) per row
+for R radii, where a dense (R x N) basis table cost O(R N); the rows are
+assembled one at a time.  The assembled matrix is read-only and its LU
+factorization is computed once, on first use, and shared by
+``solve_linear`` and ``monotone_iterate``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,14 +57,24 @@ class FractionalDirichletProblem:
     operator_matrix: Array
     rhs_map: Optional[Callable[[Array, Array], Array]] = None
 
+    @cached_property
+    def lu(self) -> Tuple[Array, Array]:
+        """LU factorization of the operator matrix, computed once."""
+        return lu_factor(self.operator_matrix)
+
     def row_sum_check(self) -> Tuple[bool, float]:
         """Maximum-principle structure: A 1 >= 0, diag > 0, off-diag <= 0."""
-        a = self.operator_matrix
-        off = a - np.diag(np.diag(a))
-        ok = bool(np.all(np.diag(a) > 0.0)
-                  and np.all(off <= 1e-12 * np.max(np.diag(a)))
-                  and np.all(a @ np.ones(len(self.grid)) >= -1e-10))
-        return ok, float(np.min(a @ np.ones(len(self.grid))))
+        a = np.ascontiguousarray(self.operator_matrix)
+        n = a.shape[0]
+        diag = np.diag(a)
+        # the N^2 - 1 entries after a[0, 0], read as N - 1 rows of N + 1,
+        # hold a diagonal entry last in each row: drop that column
+        off = a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        rows = a @ np.ones(n)
+        ok = bool(np.all(diag > 0.0)
+                  and np.max(off, initial=-np.inf) <= 1e-12 * np.max(diag)
+                  and np.all(rows >= -1e-10))
+        return ok, float(np.min(rows))
 
 
 @dataclass
@@ -64,11 +85,25 @@ class IterationTrace:
     converged: bool = False
 
 
-def _hat_values(r: Array, grid: Array, h: float, lo: float, hi: float) -> Array:
-    """(len(r), len(grid)) piecewise-linear basis values, zero outside (lo, hi)."""
-    out = np.clip(1.0 - np.abs(r[:, None] - grid[None, :]) / h, 0.0, None)
-    out[(r <= lo) | (r >= hi)] = 0.0
-    return out
+def _hat_scatter(r: Array, w: Array, lo: float, hi: float, h: float,
+                 nodes: int) -> Array:
+    """sum_k w_k phi_j(r_k) for every node j of the hat basis on (lo, hi).
+
+    A radius r in (lo, hi) lies in the cell [x_{m-1}, x_m], with
+    m = floor((r - lo) / h) and x_j = lo + (j + 1) h, so only the hats of
+    nodes m - 1 and m are live there; m - 1 = -1 and m = nodes are the
+    boundary and drop out.  Each live value is 1 - |r - x_j| / h, the
+    entry a dense basis table would hold.
+    """
+    inside = (r > lo) & (r < hi)
+    r, w = r[inside], w[inside]
+    m = np.floor((r - lo) / h).astype(np.intp)
+    cols = np.concatenate([m - 1, m])
+    hat = np.clip(1.0 - np.abs(np.concatenate([r, r])
+                               - (lo + h * (cols + 1))) / h, 0.0, None)
+    keep = (cols >= 0) & (cols < nodes)
+    return np.bincount(cols[keep], (np.concatenate([w, w]) * hat)[keep],
+                       minlength=nodes)
 
 
 def _mean_radii_weights(d: float, s_nodes: Array, dim: int,
@@ -129,18 +164,18 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
         s_nodes, s_weights = geometry.gauss_panels(np.unique(np.asarray(breaks)), 8)
         kern = s_nodes ** (-1.0 - s2)
         radii, wts = _mean_radii_weights(d, s_nodes, dimension, angular)
-        basis = _hat_values(radii.ravel(), grid, h, lo, hi)
-        means = (wts.ravel()[:, None] * basis).reshape(
-            len(s_nodes), wts.shape[1], nodes).sum(axis=1)
+        w = (s_weights * kern)[:, None] * wts
         # f(x) sum(kernel) minus the basis means; exact exterior tail
         a[i, i] += front * s_min ** (-s2) / s2
-        a[i, :] -= front * np.einsum("k,k,kj->j", s_weights, kern, means)
+        a[i, :] -= front * _hat_scatter(radii.ravel(), w.ravel(), lo, hi, h,
+                                        nodes)
         # near field: quadratic second-difference model on (0, h/2)
         a[i, i] += 2.0 * near_coef
         if i > 0:
             a[i, i - 1] -= near_coef
         if i + 1 < nodes:
             a[i, i + 1] -= near_coef
+    a.flags.writeable = False
     return FractionalDirichletProblem(params=params, domain=(lo, hi),
                                       dimension=dimension, grid=grid, h=h,
                                       operator_matrix=a, rhs_map=rhs_map)
@@ -176,14 +211,13 @@ def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
         raise ValueError("rhs_map must be nonnegative")
     if np.any(prob.operator_matrix @ vbar < rhs_bar - 1e-8 * (1 + np.abs(rhs_bar))):
         raise ValueError("supersolution fails its discrete inequality")
-    lu = lu_factor(prob.operator_matrix)
     trace = IterationTrace()
     y = np.zeros(len(prob.grid))
     trace.iterates.append(y.copy())
     for _ in range(max_iters):
         rhs = np.broadcast_to(np.asarray(prob.rhs_map(prob.grid, y),
                                          dtype=float), y.shape)
-        y_next = lu_solve(lu, rhs)
+        y_next = lu_solve(prob.lu, rhs)
         flag = bool(np.all(y_next >= y - 1e-12))
         trace.monotone_flags.append(flag)
         if not flag:
@@ -205,4 +239,9 @@ def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
 
 def solve_linear(prob: FractionalDirichletProblem, rhs: Array) -> Array:
     """Direct solve A y = rhs (the one-step case of the iteration)."""
-    return np.linalg.solve(prob.operator_matrix, np.asarray(rhs, dtype=float))
+    b = np.asarray(rhs, dtype=float)
+    nodes = len(prob.grid)
+    if b.shape[:1] != (nodes,):
+        raise ValueError(f"rhs has shape {b.shape}, the problem has "
+                         f"{nodes} nodes")
+    return lu_solve(prob.lu, b)

@@ -77,6 +77,14 @@ def test_iterate_getoor_writes_csv(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_iterate_construction1d_demo(capsys):
+    # solve_linear gives the supersolution, then monotone_iterate runs on
+    # the same problem
+    rc = cli.main(["iterate", "--demo", "construction1d"])
+    assert rc == 0
+    assert "converged=True monotone=True" in capsys.readouterr().out
+
+
 def test_suite_determinism(tmp_path):
     cfg1 = reports.RunConfig(suite="msphere", seed=7)
     cfg2 = reports.RunConfig(suite="msphere", seed=7, out="elsewhere")

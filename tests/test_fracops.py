@@ -71,6 +71,16 @@ def test_riesz_power_decay_divergence_guard():
         fracops.riesz_potential(slow, np.zeros(3), pr)
 
 
+@pytest.mark.parametrize("s", [0.5, 0.75])
+def test_riesz_dimension_divergence_guard(s):
+    # I_{2 sigma} needs n > 2 sigma: at n = 1 the kernel is not integrable
+    pr = Params(1, s)
+    bump = radial_field(_ball_profile(pr), 1, decay="compact_support",
+                        support_radius=1.0)
+    with pytest.raises(ValueError, match="n = 1"):
+        fracops.riesz_potential(bump, np.zeros(1), pr)
+
+
 @pytest.mark.parametrize("n,s", [(2, 0.5), (3, 0.5), (3, 0.25)])
 def test_riesz_ball_indicator_center_value(n, s):
     pr = Params(n, s)

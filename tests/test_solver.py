@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclab import fracops, solver
 from fraclab.fields import ScalarField
@@ -137,3 +138,55 @@ def test_dimension_consistency_guard():
     with pytest.raises(ValueError):
         solver.build_problem((-1.0, 1.0), Params(2, 0.5), nodes=64,
                              dimension=1)
+
+
+def _dense_hat_means(r, w, lo, hi, h, nodes):
+    # reference: the full (radii x nodes) table of hat values
+    grid = lo + h * np.arange(1, nodes + 1)
+    basis = np.clip(1.0 - np.abs(r[:, None] - grid[None, :]) / h, 0.0, None)
+    basis[(r <= lo) | (r >= hi)] = 0.0
+    return w @ basis
+
+
+@given(st.sampled_from([((-1.0, 1.0), 1), ((0.0, 3.0), 1), ((1.0, 2.0), 2)]),
+       st.sampled_from([0.25, 0.5, 0.75]),
+       st.integers(min_value=64, max_value=160))
+@settings(max_examples=12, deadline=None)
+def test_scatter_assembly_matches_dense_basis(case, s, nodes):
+    (domain, dim), pr = case, Params(case[1], s)
+    a = solver.build_problem(domain, pr, nodes=nodes,
+                             dimension=dim).operator_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_hat_scatter", _dense_hat_means)
+        ref = solver.build_problem(domain, pr, nodes=nodes,
+                                   dimension=dim).operator_matrix
+    assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(a == 0.0, ref == 0.0)
+    off = ~np.eye(nodes, dtype=bool)
+    assert np.array_equal(np.sign(a[off]), np.sign(ref[off]))
+
+
+def test_one_factorization_per_problem(monkeypatch):
+    calls = []
+    real = solver.lu_factor
+    monkeypatch.setattr(solver, "lu_factor",
+                        lambda m: calls.append(m.shape) or real(m))
+    prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
+    prob.rhs_map = lambda x, v: np.ones_like(x)
+    vbar = solver.solve_linear(prob, 2.0 * np.ones(64))
+    trace = solver.monotone_iterate(prob, supersolution=vbar)
+    solver.solve_linear(prob, np.ones(64))
+    assert trace.converged
+    assert calls == [(64, 64)]
+
+
+def test_operator_matrix_is_read_only():
+    prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
+    with pytest.raises(ValueError):
+        prob.operator_matrix[0, 0] = 1.0
+
+
+def test_solve_linear_rejects_wrong_length_rhs():
+    prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
+    with pytest.raises(ValueError, match=r"\(63,\).*64 nodes"):
+        solver.solve_linear(prob, np.ones(63))
