@@ -10,7 +10,8 @@ multi-bubble construction, and a monotone fractional Dirichlet solver.
 from .params import Params
 from .fields import ScalarField, QuadratureSpec, radial_field
 from .constants import ConstantSet, constant_set
-from .fracops import OpResult, frac_lap_at, frac_lap_radial, riesz_potential
+from .fracops import (OpResult, frac_lap_at, frac_lap_radial, riesz_field,
+                      riesz_potential)
 from .bubbles import KelvinMap, model_bubble, standard_bubble
 from .extension import extend, conormal_derivative
 from .green import GreenContext, green_eval, phi_potential
@@ -25,8 +26,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Params", "ScalarField", "QuadratureSpec", "radial_field",
     "ConstantSet", "constant_set", "OpResult", "frac_lap_at",
-    "frac_lap_radial", "riesz_potential", "KelvinMap", "model_bubble",
-    "standard_bubble", "extend", "conormal_derivative", "GreenContext",
+    "frac_lap_radial", "riesz_field", "riesz_potential", "KelvinMap",
+    "model_bubble", "standard_bubble", "extend", "conormal_derivative",
+    "GreenContext",
     "green_eval", "phi_potential", "ComparisonState", "lambda_star_sweep",
     "SequencePlan", "plan_sequences", "validate_plan",
     "FractionalDirichletProblem", "IterationTrace", "build_problem",

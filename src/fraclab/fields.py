@@ -38,6 +38,9 @@ class ScalarField:
     kink_radii : tuple of float
         Radii |x| where the field is not smooth (e.g. a support boundary);
         the singular-integral quadratures place panel breaks there.
+    error_bound : float
+        A bound on how far the field is from the function it stands for,
+        such as an interpolation error; 0 for a field given exactly.
     """
 
     func: Callable[[Array], Array]
@@ -47,6 +50,7 @@ class ScalarField:
     support_radius: Optional[float] = None
     radial_profile: Optional[Callable[[Array], Array]] = None
     kink_radii: tuple = ()
+    error_bound: float = 0.0
 
     def __post_init__(self):
         if self.decay not in DECAY_HINTS:

@@ -19,18 +19,27 @@ and charge half the quartic term to the error bar.
 code path.  For a radial field it evaluates each distinct distance once,
 with distances merged to 43 significant bits (a relative move of at most
 2^-44), and it hands the sphere-mean nodes of ``BLOCK`` distances to the
-field's profile in one call.
+field's profile in one call.  Outside twice the support of a radial
+compact field the potential is a convergent series in (a/d)^2 whose
+coefficients are moments of the profile (Landkof, *Foundations of Modern
+Potential Theory*, 1972, §I.1), summed exactly with a truncation bound.
+
+:func:`riesz_field` tabulates the potential of such a field once: one
+batched call at Chebyshev nodes inside twice the support, the exterior
+series beyond it, and an interpolation bound read from the trailing
+Chebyshev coefficients.  A nested operator such as (-Lap)^s I_{2s} f then
+costs one table, not one potential per outer quadrature node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from . import constants, geometry
-from .fields import QuadratureSpec, ScalarField
+from .fields import QuadratureSpec, ScalarField, radial_field
 from .params import Params
 
 Array = np.ndarray
@@ -48,13 +57,35 @@ class OpResult:
 
 
 #: Distances (for a radial field) or points whose sphere-mean nodes go to
-#: the field in one call in :func:`riesz_potential`.  Each takes about 300
-#: nodes times the angular points, so a block is ~1.5e5 profile points and
-#: a large batch needs no more memory than a small one.
+#: the field in one call in :func:`riesz_potential`, at the default 32
+#: angular points of :class:`QuadratureSpec`.  Each takes about 300 nodes
+#: times the angular points, so a block is ~1.5e5 profile points and a
+#: large batch needs no more memory than a small one; a finer angular rule
+#: takes proportionally fewer.
 BLOCK = 16
 
 #: Significant bits kept when distances are merged (about 13 digits).
 MERGE_BITS = 43
+
+#: Terms of the exterior series of :func:`riesz_potential`; beyond 2a each
+#: term is under a quarter of the one before, so the rest is below 4^-40.
+SERIES_TERMS = 40
+
+#: Gauss-Legendre panels per stretch between kinks for the moments of the
+#: exterior series.
+MOMENT_PANELS = 16
+
+#: Chebyshev nodes on each of the two pieces of :func:`riesz_field`, and
+#: the trailing coefficients its interpolation bound is read from.
+TABLE_NODES = 48
+TRAILING = 4
+
+#: The rule the table is sampled with.  An interpolant hands each node's
+#: error on to its neighbours, scaled by up to the Lebesgue constant (about
+#: 3.4 at 48 nodes).  With the default 32 angular points the angular error
+#: of a smooth bump's potential, ~1e-7 of its peak, sits above the
+#: interpolation error; 128 points bring it below 1e-8.
+TABLE_SPEC = QuadratureSpec(angular_points=128)
 
 _GRADING = (0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1)
 
@@ -147,7 +178,11 @@ def frac_lap_at(field: ScalarField, x: Array, params: Params,
     # Below s_lo the difference f(x) - S(s) = a (s/s_lo)^2 + b (s/s_lo)^4 + ...
     # drowns in float cancellation, so that stretch is integrated from a
     # two-term even Taylor fit instead of raw quadrature.
-    s_lo = spec.inner_radius * max(1.0, d)
+    # The fit needs S smooth on [0, s_lo], so s_lo stays below half the
+    # nearest kink edge, as in :func:`riesz_potential`.
+    edges = _kink_edges(field, np.array([d]))
+    s_lo = min(spec.inner_radius * max(1.0, d),
+               0.5 * float(np.min(edges, initial=np.inf)))
     d_lo = fx - _sphere_means(field, x, np.array([s_lo, 0.5 * s_lo]),
                               spec.angular_points)
     a = (16.0 * d_lo[1] - d_lo[0]) / 3.0
@@ -155,8 +190,8 @@ def frac_lap_at(field: ScalarField, x: Array, params: Params,
     inner = s_lo ** (-s2) * (a / (2.0 - s2) + b / (4.0 - s2))
     inner_err = abs(b) * s_lo ** (-s2) / (4.0 - s2) * 0.5
 
-    breaks = _panel_breaks(_kink_edges(field, np.array([d])), np.array([outer]),
-                           spec.panels_per_decade, np.array([s_lo]))[0]
+    breaks = _panel_breaks(edges, np.array([outer]), spec.panels_per_decade,
+                           np.array([s_lo]))[0]
     breaks = breaks[np.isfinite(breaks)]
     body, err = geometry.panel_quad(
         lambda s: (fx - _sphere_means(field, x, s, spec.angular_points))
@@ -216,6 +251,10 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
     rounding bound k eps sum |terms| of the k-node GL8 sum, plus half the
     quartic term's share, |b| s_lo^{2 sigma} / (2 (2 sigma + 4)), for the
     neglected higher terms of the head, plus the tail charge.
+
+    A radial field supported in B_a takes the exact exterior series of
+    :func:`_exterior_series` at distances d > 2a, where each sphere meets
+    the support in a thin cap that the angular rule above cannot resolve.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
@@ -239,13 +278,19 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
         centres, at_centre = batch, field(batch)
     value = np.empty(dist.size)
     error = np.empty(dist.size)
-    for lo in range(0, dist.size, BLOCK):
-        blk = slice(lo, lo + BLOCK)
+    near = np.arange(dist.size)
+    if field.is_radial and field.decay == "compact_support":
+        far = dist > 2.0 * field.support_radius
+        if far.any():
+            value[far], error[far] = _exterior_series(field, s2)(dist[far])
+            near = near[~far]
+    step = max(1, BLOCK * QuadratureSpec.angular_points // spec.angular_points)
+    for lo in range(0, near.size, step):
+        blk = near[lo:lo + step]
         value[blk], error[blk] = _riesz_block(
             field, centres[blk], dist[blk], at_centre[blk], s2, spec)
 
-    cset = constants.constant_set(params)
-    front = cset.riesz_constant * cset.sphere_area
+    front = _riesz_front(params)
     value = front * value[inverse]
     error = front * error[inverse]
     if pts.ndim == 1:
@@ -305,6 +350,116 @@ def _riesz_block(field: ScalarField, centres: Array, d: Array, f0: Array,
     elif not compact:
         err += np.abs(s_tail) * outer ** s2  # crude: undecayed tail is unbounded-ish
     return fine, err
+
+
+def _riesz_front(params: Params) -> float:
+    cset = constants.constant_set(params)
+    return cset.riesz_constant * cset.sphere_area
+
+
+def _exterior_series(field: ScalarField, s2: float
+                     ) -> Callable[[Array], Tuple[Array, Array]]:
+    """The potential of a radial field supported in B_a, for d > 2a.
+
+    The mean of |x - y|^{-q} over the sphere |y| = r < d = |x| is
+    d^{-q} 2F1(q/2, q/2 - n/2 + 1; n/2; r^2/d^2), q = n - 2 sigma, so
+    int_0^inf s^{2 sigma - 1} S(s) ds = sum_j c_j m_j d^{-q-2j} with c_j the
+    2F1 coefficients and m_j = int_0^a f(r) r^{n-1+2j} dr.  Each c_j lies in
+    (0, 1] and falls with j, and (a/d)^2 < 1/4, so ``SERIES_TERMS`` terms
+    leave at most c_J (a/d)^{2J} / (1 - (a/d)^2) times int |f| r^{n-1} dr.
+
+    Returns a function of an array of distances d > 2a giving that sum
+    (without the Riesz front factor) and its bar: the truncation bound, plus
+    sum_j c_j |GL8 - GL4| of the moments, plus the rounding bound
+    k eps sum |terms| over the k GL8 nodes and ``SERIES_TERMS`` terms.
+    """
+    n = field.n
+    a = field.support_radius
+    q = n - s2
+    knots = np.unique([0.0, a] + [k for k in field.kink_radii if 0.0 < k < a])
+    breaks = np.unique(np.concatenate(
+        [np.linspace(lo, hi, MOMENT_PANELS + 1)
+         for lo, hi in zip(knots[:-1], knots[1:])]))
+    j = np.arange(SERIES_TERMS)
+    ratio = (q / 2 + j) * (q / 2 - n / 2 + 1 + j) / ((n / 2 + j) * (j + 1))
+    c = np.cumprod(np.concatenate([[1.0], ratio]))
+    c, c_next = c[:-1], c[-1]
+
+    def moment_terms(order):
+        # (k, J) terms of m_j / a^{2j}, so that tiny supports do not underflow
+        r, w = geometry.gauss_panels(breaks, order)
+        return (np.vander((r / a) ** 2, SERIES_TERMS, increasing=True)
+                * (field.radial_profile(r) * r ** (n - 1) * w)[:, None])
+
+    terms = moment_terms(8)
+    m8, abs8 = terms.sum(axis=0), np.abs(terms).sum(axis=0)
+    m4 = moment_terms(4).sum(axis=0)
+    rounding = (terms.shape[0] + SERIES_TERMS) * np.finfo(float).eps
+    # columns: the coefficients of the value, |GL8 - GL4| and rounding series
+    coeffs = c[:, None] * np.stack([m8, np.abs(m8 - m4), rounding * abs8],
+                                   axis=1)
+
+    def evaluate(d: Array) -> Tuple[Array, Array]:
+        x = (a / d) ** 2
+        value, quad, rounded = (
+            np.vander(x, SERIES_TERMS, increasing=True) @ coeffs).T
+        tail = c_next * x ** SERIES_TERMS * abs8[0] / (1.0 - x)
+        lead = d ** -q
+        return lead * value, lead * (quad + rounded + tail)
+    return evaluate
+
+
+def riesz_field(field: ScalarField, params: Params) -> ScalarField:
+    """The Riesz potential of a radial compact field, tabulated once.
+
+    The potential I(d) is even in d and smooth on each of [0, a] and
+    [a, 2a], a = ``support_radius``.  It is sampled by one batched
+    :func:`riesz_potential` call, with ``TABLE_SPEC``, at ``TABLE_NODES``
+    Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a],
+    and interpolated there; beyond 2a the profile is the exact exterior
+    series of :func:`_exterior_series`.  The result is a radial field
+    decaying like d^{2 sigma - n}, with kinks where the pieces join.  Its
+    ``error_bound`` is the interpolation bound read from the
+    trailing Chebyshev coefficients: the interpolation error is at most
+    2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
+    Approximation Practice*, ch. 7-8), and the sum of the last
+    ``TRAILING`` computed |c_k| stands in for that tail.  The sampled
+    values carry the bars of :func:`riesz_potential` besides.
+    """
+    if not field.is_radial or field.decay != "compact_support":
+        raise ValueError("riesz_field needs a radial, compactly supported "
+                         "field")
+    n = field.n
+    a = field.support_radius
+    theta = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
+    t = np.cos(theta)
+    d = np.concatenate([a * np.sqrt(0.5 * (t + 1.0)), a * (0.5 * t + 1.5)])
+    nodes = np.zeros((d.size, n))
+    nodes[:, 0] = d
+    sampled = riesz_potential(field, nodes, params, TABLE_SPEC)
+    # values at first-kind nodes -> Chebyshev coefficients (a DCT-II)
+    to_coeffs = (2.0 / TABLE_NODES) * np.cos(
+        np.outer(np.arange(TABLE_NODES), theta))
+    to_coeffs[0] *= 0.5
+    inner, mid = (to_coeffs @ v for v in np.split(sampled.value, 2))
+    bound = 2.0 * float(max(np.abs(inner[-TRAILING:]).sum(),
+                            np.abs(mid[-TRAILING:]).sum()))
+    front = _riesz_front(params)
+    exterior = _exterior_series(field, 2.0 * params.sigma)
+
+    def profile(r):
+        chebval = np.polynomial.chebyshev.chebval
+        r = np.asarray(r, dtype=float)
+        out = np.empty(r.shape)
+        lo, hi = r <= a, r > 2.0 * a
+        between = ~(lo | hi)
+        out[lo] = chebval(2.0 * (r[lo] / a) ** 2 - 1.0, inner)
+        out[between] = chebval(2.0 * r[between] / a - 3.0, mid)
+        out[hi] = front * exterior(r[hi])[0]
+        return out
+    return radial_field(profile, n, decay="power_decay",
+                        decay_rate=n - 2.0 * params.sigma,
+                        kink_radii=(a, 2.0 * a), error_bound=bound)
 
 
 def riesz_ball_indicator(d: float, radius: float, params: Params,

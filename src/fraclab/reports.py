@@ -133,12 +133,8 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
         prof = lambda r: np.where(r < 1.0, np.exp(
             -np.clip(r, 0, 0.999999) ** 2 / np.clip(1 - r ** 2, 1e-12, None)), 0.0)
         bump = radial_field(prof, n, decay="compact_support", support_radius=1.0)
+        pot_field = fracops.riesz_field(bump, pr)
         for d in (0.0, 0.3, 0.5):
-            pot_field = ScalarField(
-                lambda x, _pr=pr, _b=bump: fracops.riesz_potential(
-                    _b, x, _pr).value,
-                n=n, decay="power_decay", decay_rate=n - 2 * pr.sigma,
-                kink_radii=(1.0,))
             back = fracops.frac_lap_at(pot_field, d * np.eye(n)[0], pr)
             rel = abs(back.value - bump.at(d * np.eye(n)[0])) / bump.at(np.zeros(n))
             worst = max(worst, rel)

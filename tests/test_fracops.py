@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from fraclab import constants, fracops, geometry
 from fraclab.fields import QuadratureSpec, ScalarField, radial_field
@@ -20,6 +22,22 @@ def _ball_constant(params):
     n, s = params.n, params.sigma
     return (2.0 ** (2 * s) * gamma_fn(1.0 + s) * gamma_fn((n + 2 * s) / 2.0)
             / gamma_fn(n / 2.0))
+
+
+@pytest.mark.parametrize("n,s,gap", [(1, 0.5, 5e-4), (1, 0.5, 5e-5),
+                                     (1, 0.25, 5e-4), (1, 0.25, 5e-5),
+                                     (2, 0.5, 5e-4)])
+def test_frac_lap_head_stays_below_the_kink(n, s, gap):
+    # at d = 1 - gap the kink of (1 - r^2)_+^s is inside the default Taylor
+    # head of 1e-3 unless the head is capped at half the kink edge
+    pr = Params(n, s)
+    f = radial_field(_ball_profile(pr), n, decay="compact_support",
+                     support_radius=1.0)
+    want = _ball_constant(pr)
+    res = fracops.frac_lap_radial(f, 1.0 - gap, pr)
+    err = abs(res.value - want)
+    assert err < 1e-2 * want
+    assert err <= res.error
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.25), (1, 0.5), (2, 0.5), (3, 0.75)])
@@ -174,7 +192,7 @@ BATCH_FIELDS = {
 
 
 @given(st.sampled_from(sorted(BATCH_FIELDS)),
-       st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=1, max_size=4),
+       st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=4),
        st.floats(min_value=1e-9, max_value=1e-6),
        st.integers(min_value=0, max_value=2 ** 31))
 @settings(max_examples=15, deadline=None)
@@ -233,3 +251,137 @@ def test_riesz_rejects_bad_point_shapes():
         fracops.riesz_potential(field, np.zeros(3), pr)
     with pytest.raises(ValueError):
         fracops.riesz_potential(field, np.zeros((2, 2, 2)), pr)
+
+
+# --- the exterior series and the tabulated potential -------------------------
+
+FAR = (2.5, 4.0, 10.0, 30.0, 1e3, 1e5)
+
+
+def _unit_ball(n):
+    return radial_field(lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0), n,
+                        decay="compact_support", support_radius=1.0)
+
+
+def _on_axis(d, n):
+    pts = np.zeros((len(d), n))
+    pts[:, 0] = d
+    return pts
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_exterior_series_matches_ball_indicator(n, s):
+    pr = Params(n, s)
+    res = fracops.riesz_potential(_unit_ball(n), _on_axis(FAR, n), pr)
+    want = [fracops.riesz_ball_indicator(d, 1.0, pr) for d in FAR]
+    assert np.all(res.value > 0.0)
+    np.testing.assert_allclose(res.value, want, rtol=1e-9, atol=0.0)
+
+
+def _mp_ball_potential(n, s, d):
+    """int_{B_1} |x - y|^{2s-n} dy at |x| = d > 1, a 30-digit double
+    quadrature over the radius and the polar angle (both integrands are
+    analytic there, so Gauss-Legendre converges fast)."""
+    with mp.workdps(30):
+        q, d = mp.mpf(n) - 2 * mp.mpf(s), mp.mpf(d)
+        norm = mp.quad(lambda th: mp.sin(th) ** (n - 2), [0, mp.pi])
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        inner = lambda r: mp.quad(
+            lambda th: (d * d + r * r - 2 * d * r * mp.cos(th)) ** (-q / 2)
+            * mp.sin(th) ** (n - 2), [0, mp.pi], method="gauss-legendre")
+        return float(area / norm * mp.quad(lambda r: r ** (n - 1) * inner(r),
+                                           [0, 1], method="gauss-legendre"))
+
+
+def test_exterior_series_matches_double_quadrature_in_the_plane():
+    # riesz_ball_indicator is not accurate enough at n = 2 to be the oracle
+    pr = Params(2, 0.25)
+    res = fracops.riesz_potential(_unit_ball(2), _on_axis([2.5, 10.0], 2), pr)
+    rc = constants.constant_set(pr).riesz_constant
+    for d, value, bar in zip((2.5, 10.0), res.value, res.error):
+        want = rc * _mp_ball_potential(2, 0.25, d)
+        assert value == pytest.approx(want, rel=1e-10)
+        assert abs(value - want) <= bar
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_exterior_series_bar_covers_the_closed_form(n, s):
+    # outside the unit ball the potential of its indicator is
+    # r omega / n d^{2s-n} 2F1((n-2s)/2, 1 - s; n/2 + 1; 1/d^2)
+    pr = Params(n, s)
+    res = fracops.riesz_potential(_unit_ball(n), _on_axis(FAR, n), pr)
+    cset = constants.constant_set(pr)
+    for d, value, bar in zip(FAR, res.value, res.error):
+        with mp.workdps(30):
+            want = float(cset.riesz_constant * cset.sphere_area / n
+                         * mp.mpf(d) ** (2 * s - n)
+                         * mp.hyp2f1((n - 2 * s) / 2, 1 - s, n / 2 + 1,
+                                     1 / mp.mpf(d) ** 2))
+        assert value > 0.0
+        assert abs(value - want) <= bar
+
+
+def test_exterior_series_obeys_the_mass_law():
+    pr = Params(3, 0.5)
+    bump = radial_field(_bump, 3, decay="compact_support", support_radius=1.0)
+    cset = constants.constant_set(pr)
+    mass = cset.sphere_area * quad(lambda r: _bump(r) * r * r, 0.0, 1.0,
+                                   epsabs=0.0, epsrel=1e-13)[0]
+    d = 1e5
+    got = fracops.riesz_potential(bump, _on_axis([d], 3)[0], pr).value
+    assert got * d ** (pr.n - 2 * pr.sigma) == pytest.approx(
+        cset.riesz_constant * mass, rel=1e-9)
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def bump_table(request):
+    n = request.param
+    pr = Params(n, 0.5)
+    bump = radial_field(_bump, n, decay="compact_support", support_radius=1.0)
+    return bump, pr, fracops.riesz_field(bump, pr)
+
+
+def test_riesz_field_matches_direct_potential(bump_table):
+    bump, pr, table = bump_table
+    d = np.random.default_rng(20261018).uniform(0.0, 2.0, 200)
+    direct = fracops.riesz_potential(bump, _on_axis(d, bump.n), pr,
+                                     fracops.TABLE_SPEC)
+    gap = np.abs(table.radial_profile(d) - direct.value)
+    assert np.all(gap <= table.error_bound + direct.error)
+
+
+def test_riesz_field_is_the_exterior_series_beyond_2a(bump_table):
+    bump, pr, table = bump_table
+    direct = fracops.riesz_potential(bump, _on_axis(FAR, bump.n), pr)
+    assert np.array_equal(table.radial_profile(np.array(FAR)), direct.value)
+
+
+def test_riesz_field_bound_and_metadata(bump_table):
+    bump, pr, table = bump_table
+    at_zero = float(table.radial_profile(np.zeros(1))[0])
+    assert 0.0 < table.error_bound < 1e-6 * at_zero
+    assert table.is_radial and table.decay == "power_decay"
+    assert table.decay_rate == bump.n - 2 * pr.sigma
+    assert table.kink_radii == (1.0, 2.0)
+
+
+def test_riesz_field_samples_in_one_call(monkeypatch):
+    calls = []
+    direct = fracops.riesz_potential
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return direct(*args, **kwargs)
+    monkeypatch.setattr(fracops, "riesz_potential", counted)
+    bump = radial_field(_bump, 2, decay="compact_support", support_radius=1.0)
+    fracops.riesz_field(bump, Params(2, 0.5))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["power", "tilted"])
+def test_riesz_field_needs_a_radial_compact_field(name):
+    field, pr = BATCH_FIELDS[name]
+    with pytest.raises(ValueError):
+        fracops.riesz_field(field, pr)
