@@ -15,7 +15,7 @@ derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -48,23 +48,23 @@ def extend(field: ScalarField, y: Array, t: float, params: Params,
     return cset.gamma_poisson * cset.sphere_area * val
 
 
-def conormal_limit(U: Callable[[float], float], t_top: float,
+def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,
                    ks: Iterable[int], sigma: float) -> float:
     """-lim_{t->0} t^{1-2s} dU/dt, by Richardson extrapolation along t_k = t_top 2^{-k}.
 
-    dU/dt is a centred difference over t (1 +- 0.05).  An extension
-    satisfies t^{1-2s} dU/dt = -conormal + O(t^{2-2s}), so successive
-    halvings of t are combined with that exponent; the pair whose
-    extrapolants agree best is returned.
+    ``U`` takes the heights t_k (1 + 0.05), then t_k (1 - 0.05), as one list
+    and returns their values.  As t^{1-2s} dU/dt = -conormal + O(t^{2-2s}),
+    the centred differences at successive halvings are combined with that
+    exponent; the two extrapolants that agree best (of three levels or more) win.
     """
     q = 0.05
     rho = 2.0 ** (-(2.0 - 2.0 * sigma))
-
-    def g(t: float) -> float:
-        du = (U(t * (1 + q)) - U(t * (1 - q))) / (2 * q * t)
-        return -t ** (1.0 - 2.0 * sigma) * du
-
-    ladder = [g(t_top * 2.0 ** (-k)) for k in ks]
+    ts = [t_top * 2.0 ** (-k) for k in ks]
+    if len(ts) < 3:
+        raise ValueError(f"conormal_limit needs at least three levels, got {len(ts)}")
+    vals = U([t * (1 + q) for t in ts] + [t * (1 - q) for t in ts])
+    ladder = [-t ** (1.0 - 2.0 * sigma) * ((up - um) / (2 * q * t))
+              for t, up, um in zip(ts, vals[:len(ts)], vals[len(ts):])]
     extrap = [(ladder[i + 1] - rho * ladder[i]) / (1.0 - rho)
               for i in range(len(ladder) - 1)]
     diffs = [abs(extrap[i + 1] - extrap[i]) for i in range(len(extrap) - 1)]
@@ -76,7 +76,7 @@ def conormal_derivative(field: ScalarField, y: Array, params: Params,
                         spec: QuadratureSpec = QuadratureSpec(),
                         t_scale: float = 1.0) -> float:
     """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = t_scale / 8 down."""
-    return conormal_limit(lambda t: extend(field, y, t, params, spec),
+    return conormal_limit(lambda ts: [extend(field, y, t, params, spec) for t in ts],
                           t_scale, range(3, 13), params.sigma)
 
 

@@ -9,7 +9,8 @@ radius lam.  The potential of a continuous density q on an annulus E - B_lam,
 
     Phi(Y) = int G(Y, eta) q(eta) d eta,
 
-vanishes on |Y| = lam and recovers q as its conormal derivative.
+vanishes on |Y| = lam and recovers q as its conormal derivative.  All heights
+of its ladder share one annulus grid; the G3 scan is one array per radius.
 """
 
 from __future__ import annotations
@@ -47,21 +48,25 @@ def _split(Y: Array, n: int) -> Tuple[Array, float]:
     return Y[:n], float(Y[n])
 
 
-def _direct_and_image(ctx: GreenContext, y: Array, t: float,
-                      etas: Array) -> Tuple[Array, Array]:
-    """|Y - eta|^{2s-n} and (lam/|eta|)^{n-2s} |Y - eta^lam|^{2s-n} per row eta."""
+def _sq_dists(ctx: GreenContext, y: Array, etas: Array) -> Tuple[Array, Array, Array]:
+    """|y - eta|^2, |y - eta^lam|^2 and (lam/|eta|)^{n-2s} per eta; y is (n,) or (m, 1, n)."""
     kelvin = KelvinMap(ctx.params, lam=ctx.lam)
+    return (np.sum((etas - y) ** 2, axis=-1),
+            np.sum((kelvin.point(etas) - y) ** 2, axis=-1), kelvin.weight(etas))
+
+
+def _direct_and_image(ctx: GreenContext, sq: Tuple[Array, Array, Array], t2):
+    """|Y - eta|^{2s-n} and (lam/|eta|)^{n-2s} |Y - eta^lam|^{2s-n}, given t^2."""
     s2n = (2.0 * ctx.params.sigma - ctx.params.n) / 2.0
-    d1sq = np.sum((etas - y) ** 2, axis=1) + t * t
-    d2sq = np.sum((kelvin.point(etas) - y) ** 2, axis=1) + t * t
-    return d1sq ** s2n, kelvin.weight(etas) * d2sq ** s2n
+    d1sq, d2sq, weight = sq
+    return (d1sq + t2) ** s2n, weight * (d2sq + t2) ** s2n
 
 
 def green_kernel(ctx: GreenContext, Y: Array, etas: Array) -> Array:
     """G(Y, eta) for one half-space point against many boundary points."""
     y, t = _split(Y, ctx.params.n)
-    direct, image = _direct_and_image(
-        ctx, y, t, np.atleast_2d(np.asarray(etas, dtype=float)))
+    sq = _sq_dists(ctx, y, np.atleast_2d(np.asarray(etas, dtype=float)))
+    direct, image = _direct_and_image(ctx, sq, t * t)
     return constants.constant_set(ctx.params).n_green * (direct - image)
 
 
@@ -172,6 +177,31 @@ def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float,
         breaks)
 
 
+def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array,
+                 ts, radial_per_panel: int = 8) -> list:
+    """Phi(y, t) at each height t; the t-free grid, q and distances are built once."""
+    lam, outer = ctx.lam, q.outer_radius
+    if outer <= lam:
+        raise ValueError(f"empty annulus: outer_radius {outer} <= lam {lam}")
+    d = float(np.linalg.norm(y))
+    cset = constants.constant_set(ctx.params)
+    qy = float(q(y[None, :])[0]) if lam < d < outer else 0.0
+    pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None,
+                             radial_per_panel=radial_per_panel)
+    qv = q(pts)
+    sq = _sq_dists(ctx, y, pts)
+    del pts     # hold no more memory at once than one height needs
+    q_rest = qv - qy
+    vals = []
+    for t in ts:
+        direct, image = _direct_and_image(ctx, sq, t * t)
+        val = cset.n_green * float(np.dot(direct * q_rest - image * qv, wts))
+        if qy != 0.0:
+            val += cset.n_green * qy * _cap_integral(ctx, d, t, outer)
+        vals.append(val)
+    return vals
+
+
 def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
                   radial_per_panel: int = 8) -> float:
     """Potential Phi(Y) of the density q against the Green function.
@@ -182,23 +212,7 @@ def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
     handled by a graded product grid.
     """
     y, t = _split(Y, ctx.params.n)
-    d = float(np.linalg.norm(y))
-    outer = q.outer_radius
-    cset = constants.constant_set(ctx.params)
-
-    qy = 0.0
-    if ctx.lam < d < outer:
-        qy = float(q(y[None, :])[0])
-
-    pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None,
-                             radial_per_panel=radial_per_panel)
-    qv = q(pts)
-    direct, image = _direct_and_image(ctx, y, t, pts)
-    rest = cset.n_green * float(np.dot(direct * (qv - qy) - image * qv, wts))
-
-    if qy != 0.0:
-        rest += cset.n_green * qy * _cap_integral(ctx, d, t, outer)
-    return rest
+    return _phi_heights(ctx, q, y, [t], radial_per_panel)[0]
 
 
 def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array,
@@ -206,7 +220,7 @@ def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array,
     """-lim t^{1-2s} d Phi/dt at the boundary point y, via Richardson."""
     y = np.asarray(y, dtype=float).reshape(-1)
     return extension.conormal_limit(
-        lambda t: phi_potential(ctx, q, np.append(y, t), radial_per_panel),
+        lambda ts: _phi_heights(ctx, q, y, ts, radial_per_panel),
         ctx.lam, range(4, 12), ctx.params.sigma)
 
 
@@ -316,18 +330,18 @@ def check_g3_bound(ctx: GreenContext, n_side: int = 8, seed: int = 11) -> dict:
         dirs_y /= np.linalg.norm(dirs_y, axis=1, keepdims=True)
         dirs_e = rng.normal(size=(m, n))
         dirs_e /= np.linalg.norm(dirs_e, axis=1, keepdims=True)
+        etas = (re[:, None] * dirs_e[None, :, :]).reshape(-1, n)
+        gap_eta = np.linalg.norm(etas, axis=1) ** 2 - lam ** 2
         worst = 0.0
         for a in ry:
-            for dy in dirs_y:
-                Y = a * dy
-                etas = (re[:, None] * dirs_e[None, :, :]).reshape(-1, n)
-                g = green_kernel(ctx, Y, etas)
-                y, t = Y[:n], Y[n]
-                dist2 = np.sum((etas - y) ** 2, axis=1) + t * t
-                r_eta = np.linalg.norm(etas, axis=1)
-                ratio = (g * lam * dist2 ** ((n - 2 * ctx.params.sigma + 2) / 2.0)
-                         / ((a - lam) * (r_eta ** 2 - lam ** 2)))
-                worst = max(worst, float(np.max(ratio)))
+            Ys = a * dirs_y
+            t2 = Ys[:, n:] * Ys[:, n:]
+            sq = _sq_dists(ctx, Ys[:, None, :n], etas)
+            direct, image = _direct_and_image(ctx, sq, t2)
+            g = constants.constant_set(ctx.params).n_green * (direct - image)
+            ratio = (g * lam * (sq[0] + t2) ** ((n - 2 * ctx.params.sigma + 2) / 2.0)
+                     / ((a - lam) * gap_eta))
+            worst = max(worst, float(np.max(ratio)))
         return worst
 
     coarse = sup_on(n_side)

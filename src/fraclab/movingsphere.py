@@ -4,7 +4,8 @@ Everything revolves around the Kelvin difference W - W^lam of an extended
 profile, the coefficients b and q of the boundary identity it satisfies,
 and a correction term A built from a Green potential.  The sweep locates
 the largest inversion radius at which the corrected difference stays
-nonnegative on a sample set.
+nonnegative on a sample set.  The difference and the correction take one
+point or rows; the sample minimum calls only W (and Phi) row by row.
 """
 
 from __future__ import annotations
@@ -54,14 +55,19 @@ class ComparisonState:
             self.exponent = 2.0 * self.params.sigma - self.params.n
 
 
-def kelvin_difference(state: ComparisonState, Y: Array) -> float:
-    """W(Y) - (lam/|Y|)^{n-2s} W(lam^2 Y / |Y|^2); domain error inside B_lam."""
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    lam = state.kelvin_radius
-    if np.linalg.norm(Y) < lam * (1.0 - 1e-12):
+def kelvin_difference(state: ComparisonState, Y: Array):
+    """W(Y) - (lam/|Y|)^{n-2s} W(lam^2 Y/|Y|^2) at Y (n+1,) or rows (m, n+1) outside B_lam."""
+    Y = np.asarray(Y, dtype=float)
+    rows = Y.reshape(-1, Y.shape[-1])
+    lam, ke = state.kelvin_radius, state.params.kelvin_exp
+    r = np.linalg.norm(rows, axis=-1)
+    if np.any(r < lam * (1.0 - 1e-12)):
         raise ValueError("Y must lie outside B_lam")
-    k = KelvinMap(state.params, lam=lam)
-    return state.extension(Y) - float(k.weight(Y)) * state.extension(k.point(Y))
+    images = KelvinMap(state.params, lam=lam).point(rows)
+    # weights by the scalar power: numpy's vector power can differ in the last bit
+    vals = np.array([state.extension(Z) - (lam / rZ) ** ke * state.extension(Z_lam)
+                     for Z, rZ, Z_lam in zip(rows, r.tolist(), images)])
+    return float(vals[0]) if Y.ndim == 1 else vals
 
 
 def b_from_values(k_val: float, w_val: float, w_lam_val: float, p: float) -> float:
@@ -99,30 +105,29 @@ def q_coefficient(state: ComparisonState, y: Array) -> float:
     return (state.k_field.at(y_im) - state.k_field.at(y)) * w_lam ** state.params.p
 
 
-def a_correction(state: ComparisonState, Y: Array) -> float:
-    """-c4 L^{-1} (lam^e - |Y|^e) + Phi(Y), the comparison correction."""
-    Y = np.asarray(Y, dtype=float).reshape(-1)
-    r = float(np.linalg.norm(Y))
-    lam = state.kelvin_radius
-    e = state.exponent
-    val = -state.c4 / state.L * (lam ** e - r ** e)
+def a_correction(state: ComparisonState, Y: Array):
+    """-c4 L^{-1} (lam^e - |Y|^e) + Phi(Y), the correction at Y (n+1,) or rows (m, n+1)."""
+    Y = np.asarray(Y, dtype=float)
+    rows = Y.reshape(-1, Y.shape[-1])
+    # |Y| by a dot product and |Y|^e by the scalar power, as for one point
+    r = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+    lam, e = state.kelvin_radius, state.exponent
+    val = -state.c4 / state.L * (lam ** e - np.array([x ** e for x in r.tolist()]))
     if state.phi is not None:
-        val += state.phi(Y)
-    return val
+        val += np.array([state.phi(Z) for Z in rows])
+    return float(val[0]) if Y.ndim == 1 else val
 
 
 def comparison_min(state: ComparisonState, samples: Array,
                    excluded: Optional[Array] = None) -> float:
     """min over samples of W_lam + A_lam, skipping B_lam and the excluded point."""
-    lam = state.kelvin_radius
-    worst = math.inf
-    for Y in np.atleast_2d(samples):
-        if np.linalg.norm(Y) < lam * (1.0 + 1e-12):
-            continue
-        if excluded is not None and np.linalg.norm(Y[:-1] - excluded) < 1e-2:
-            continue
-        worst = min(worst, kelvin_difference(state, Y) + a_correction(state, Y))
-    return worst
+    samples = np.atleast_2d(samples)
+    keep = np.linalg.norm(samples, axis=1) >= state.kelvin_radius * (1.0 + 1e-12)
+    if excluded is not None:
+        keep &= np.linalg.norm(samples[:, :-1] - excluded, axis=1) >= 1e-2
+    rows = samples[keep]
+    return float(np.min(kelvin_difference(state, rows) + a_correction(state, rows),
+                        initial=math.inf))
 
 
 def lambda_star_sweep(state_factory: Callable[[float], ComparisonState],

@@ -52,3 +52,44 @@ def test_degenerate_equation_residual():
     w = bubbles.model_bubble(pr)
     res = extension.degenerate_residual(w, np.array([0.4, 0.1]), 0.6, pr)
     assert abs(res) < 1e-3
+
+
+def _ladder_reference(U, t_top, ks, sigma):
+    """The Richardson ladder with U taken one height at a time."""
+    q = 0.05
+    rho = 2.0 ** (-(2.0 - 2.0 * sigma))
+    ladder = []
+    for k in ks:
+        t = t_top * 2.0 ** (-k)
+        du = (U(t * (1 + q)) - U(t * (1 - q))) / (2 * q * t)
+        ladder.append(-t ** (1.0 - 2.0 * sigma) * du)
+    extrap = [(ladder[i + 1] - rho * ladder[i]) / (1.0 - rho)
+              for i in range(len(ladder) - 1)]
+    diffs = [abs(extrap[i + 1] - extrap[i]) for i in range(len(extrap) - 1)]
+    return extrap[int(np.argmin(diffs)) + 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_conormal_limit_takes_every_height_in_one_call(n):
+    pr = Params(n, 0.5)
+    y = 0.7 * np.eye(n)[0]
+
+    def one(t):
+        return extension.model_bubble_extension_halforder(y, t, pr)
+
+    calls = []
+
+    def batched(ts):
+        calls.append(list(ts))
+        return [one(t) for t in ts]
+
+    ks = range(3, 13)
+    got = extension.conormal_limit(batched, 1.0, ks, pr.sigma)
+    assert len(calls) == 1 and len(calls[0]) == 2 * len(ks)
+    assert got == _ladder_reference(one, 1.0, ks, pr.sigma)
+
+
+@pytest.mark.parametrize("ks", [range(3, 5), range(3, 4), range(0)])
+def test_conormal_limit_needs_three_levels(ks):
+    with pytest.raises(ValueError, match="at least three levels"):
+        extension.conormal_limit(lambda ts: [1.0] * len(ts), 1.0, ks, 0.5)

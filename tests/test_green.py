@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fraclab import green
+from fraclab import constants, green
+from fraclab.bubbles import KelvinMap
 from fraclab.params import Params
 
 
@@ -67,3 +68,98 @@ def test_g3_ratio_stable_under_doubling(ctx3):
     rep = green.check_g3_bound(ctx3)
     assert rep["stable"]
     assert rep["ratio"] < 1.5
+
+
+def _density():
+    return green.AnnulusDensity(4.0, lambda y: 1.0 / (
+        1.0 + np.linalg.norm(np.atleast_2d(y), axis=1) ** 2))
+
+
+def _phi_reference(ctx, q, y, t):
+    """Phi(y, t) with the grid, the distances and the weights built for this height."""
+    n = ctx.params.n
+    d = float(np.linalg.norm(y))
+    qy = float(q(y[None, :])[0]) if ctx.lam < d < q.outer_radius else 0.0
+    pts, wts = green._annulus_grid(ctx, q.outer_radius, y if qy != 0.0 else None)
+    qv = q(pts)
+    kelvin = KelvinMap(ctx.params, lam=ctx.lam)
+    s2n = (2.0 * ctx.params.sigma - n) / 2.0
+    direct = (np.sum((pts - y) ** 2, axis=1) + t * t) ** s2n
+    image = kelvin.weight(pts) * (
+        np.sum((kelvin.point(pts) - y) ** 2, axis=1) + t * t) ** s2n
+    n_green = constants.constant_set(ctx.params).n_green
+    val = n_green * float(np.dot(direct * (qv - qy) - image * qv, wts))
+    if qy != 0.0:
+        val += n_green * qy * green._cap_integral(ctx, d, t, q.outer_radius)
+    return val
+
+
+@pytest.mark.parametrize("n,s", [(2, 0.5), (2, 0.25), (3, 0.5), (3, 0.75)])
+@pytest.mark.parametrize("d", [1.6, 0.5, 4.5])   # annulus, B_lam, beyond it
+def test_phi_heights_match_one_height_at_a_time(n, s, d):
+    ctx = green.GreenContext(1.0, Params(n, s))
+    q = _density()
+    y = d * np.eye(n)[0]
+    ts = [1e-3, 0.01, 0.3, 1.0, 2.5]
+    want = [_phi_reference(ctx, q, y, t) for t in ts]
+    assert green._phi_heights(ctx, q, y, ts) == want
+    assert [green.phi_potential(ctx, q, np.append(y, t)) for t in ts] == want
+
+
+def test_phi_conormal_builds_the_grid_once(monkeypatch):
+    ctx = green.GreenContext(1.0, Params(2, 0.5))
+    q = _density()
+    y = np.array([1.6, 0.0])
+    calls = []
+    heights = green._phi_heights
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return heights(*args)
+    monkeypatch.setattr(green, "_phi_heights", counted)
+    green.phi_conormal(ctx, q, y)
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("outer", [0.8, 1.0])
+def test_degenerate_annulus_rejected(ctx3, outer):
+    q = green.AnnulusDensity(outer, lambda y: np.ones(np.atleast_2d(y).shape[0]))
+    with pytest.raises(ValueError, match="outer_radius .* lam"):
+        green.phi_potential(ctx3, q, np.array([2.0, 0.0, 0.0, 0.1]))
+    with pytest.raises(ValueError, match="outer_radius .* lam"):
+        green.phi_conormal(ctx3, q, np.array([2.0, 0.0, 0.0]))
+
+
+def _g3_reference(ctx, m, seed):
+    """The G3 supremum with one green_kernel call per Y."""
+    rng = np.random.default_rng(seed)
+    lam = ctx.lam
+    n = ctx.params.n
+    ry = lam * (1.0 + np.concatenate([10.0 ** np.linspace(-4, 0, m), [9.0]]))
+    re = lam * (1.0 + np.concatenate([10.0 ** np.linspace(-4, 1, m)]))
+    dirs_y = rng.normal(size=(m, n + 1))
+    dirs_y[:, n] = np.abs(dirs_y[:, n])
+    dirs_y /= np.linalg.norm(dirs_y, axis=1, keepdims=True)
+    dirs_e = rng.normal(size=(m, n))
+    dirs_e /= np.linalg.norm(dirs_e, axis=1, keepdims=True)
+    worst = 0.0
+    for a in ry:
+        for dy in dirs_y:
+            Y = a * dy
+            etas = (re[:, None] * dirs_e[None, :, :]).reshape(-1, n)
+            g = green.green_kernel(ctx, Y, etas)
+            y, t = Y[:n], Y[n]
+            dist2 = np.sum((etas - y) ** 2, axis=1) + t * t
+            r_eta = np.linalg.norm(etas, axis=1)
+            ratio = (g * lam * dist2 ** ((n - 2 * ctx.params.sigma + 2) / 2.0)
+                     / ((a - lam) * (r_eta ** 2 - lam ** 2)))
+            worst = max(worst, float(np.max(ratio)))
+    return worst
+
+
+@pytest.mark.parametrize("n,s,lam", [(2, 0.25, 1.0), (3, 0.5, 1.0), (3, 0.75, 0.7)])
+def test_g3_scan_matches_one_kernel_call_per_point(n, s, lam):
+    ctx = green.GreenContext(lam, Params(n, s))
+    rep = green.check_g3_bound(ctx, n_side=6, seed=3)
+    assert rep["sup_coarse"] == _g3_reference(ctx, 6, 3)
+    assert rep["sup_fine"] == _g3_reference(ctx, 12, 3)

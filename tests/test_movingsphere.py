@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,3 +100,73 @@ def test_sweep_rejects_unsorted_grid():
     with pytest.raises(ValueError):
         movingsphere.lambda_star_sweep(lambda lam: None, [1.0, 0.9],
                                        np.zeros((1, 4)))
+
+
+def _min_reference(state, samples, excluded=None):
+    """The comparison minimum taken one sample at a time."""
+    lam = state.kelvin_radius
+    worst = math.inf
+    for Y in samples:
+        if np.linalg.norm(Y) < lam * (1.0 + 1e-12):
+            continue
+        if excluded is not None and np.linalg.norm(Y[:-1] - excluded) < 1e-2:
+            continue
+        worst = min(worst, movingsphere.kelvin_difference(state, Y)
+                    + movingsphere.a_correction(state, Y))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_comparison_min_matches_one_sample_at_a_time(n):
+    pr = Params(n, 0.5)
+    state = _bubble_state(pr, lam=0.9, c4=0.3, L=0.7,
+                          phi=lambda Y: 0.01 * Y[0] - 0.02 * Y[-1])
+    rng = np.random.default_rng(3)
+    samples = rng.normal(size=(300, n + 1))
+    samples[:, -1] = np.abs(samples[:, -1]) + 1e-3
+    samples[:, :n] *= 1.0 + 2.0 * rng.random((300, 1))
+    samples[:40] *= 0.5 / np.linalg.norm(samples[:40], axis=1, keepdims=True)
+    outside = samples[np.linalg.norm(samples, axis=1) > 0.95]
+    np.testing.assert_array_equal(
+        movingsphere.kelvin_difference(state, outside),
+        [movingsphere.kelvin_difference(state, Y) for Y in outside])
+    np.testing.assert_array_equal(
+        movingsphere.a_correction(state, outside),
+        [movingsphere.a_correction(state, Y) for Y in outside])
+
+    full = movingsphere.comparison_min(state, samples)
+    assert full == _min_reference(state, samples)
+    # excluding the minimising sample moves the minimum
+    vals = (movingsphere.kelvin_difference(state, outside)
+            + movingsphere.a_correction(state, outside))
+    excluded = outside[int(np.argmin(vals)), :-1]
+    got = movingsphere.comparison_min(state, samples, excluded)
+    assert got == _min_reference(state, samples, excluded)
+    assert got > full
+
+
+def test_comparison_min_inside_the_ball_is_inf():
+    pr = Params(3, 0.5)
+    state = _bubble_state(pr, lam=1.2, c4=0.3)
+    samples = np.random.default_rng(4).normal(size=(50, 4))
+    samples *= 1.1 / np.linalg.norm(samples, axis=1, keepdims=True)
+    assert movingsphere.comparison_min(state, samples) == math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_point_values_keep_the_scalar_formulas(n):
+    # numpy's vector power can differ from the scalar one in the last bit;
+    # at sigma = 1/4 neither exponent is an integer
+    pr = Params(n, 0.25)
+    state = _bubble_state(pr, lam=0.9, c4=0.3, L=0.7)
+    kelvin = bubbles.KelvinMap(pr, lam=0.9)
+    e = state.exponent
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        Y = rng.normal(size=n + 1)
+        Y *= (1.0 + 3.0 * rng.random()) / np.linalg.norm(Y)
+        Y[-1] = abs(Y[-1])
+        assert movingsphere.kelvin_difference(state, Y) == state.extension(Y) \
+            - float(kelvin.weight(Y)) * state.extension(kelvin.point(Y))
+        assert movingsphere.a_correction(state, Y) == \
+            -0.3 / 0.7 * (0.9 ** e - float(np.linalg.norm(Y)) ** e)
