@@ -13,7 +13,6 @@ origin with that scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,12 +94,10 @@ def bubble_identity_residuals(params: Params, lam: float = 1.0,
     check detects a miscalibrated constant.
     """
     w = standard_bubble(params, lam=lam, amplitude=amplitude)
-    out = np.empty(len(radii))
-    for i, d in enumerate(radii):
-        lhs = fracops.frac_lap_radial(w, float(d), params, spec).value
-        rhs = w.radial_profile(np.array([float(d)]))[0] ** params.p
-        out[i] = abs(lhs - rhs) / abs(rhs)
-    return out
+    d = np.asarray(radii, dtype=float)
+    lhs = fracops.frac_lap_radial(w, d, params, spec).value
+    rhs = w.radial_profile(d) ** params.p
+    return np.abs(lhs - rhs) / np.abs(rhs)
 
 
 def kelvin_fixes_bubble(params: Params, lam: float = 1.0,

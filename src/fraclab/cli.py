@@ -3,10 +3,9 @@
 ``green-verify`` and ``msphere`` are ``verify`` with the suite preset.
 Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
-report files.  FRACLAP_THREADS caps suite concurrency (default 1).  A
-configuration no suite can run (n <= 2 sigma, a malformed
-FRACLAP_THREADS) exits with status 2 and the reason on stderr; a
-``construct`` whose plan is infeasible exits with status 1 and the reason.
+report files.  A configuration no suite can run (n <= 2 sigma) exits
+with status 2 and the reason on stderr; a ``construct`` whose plan is
+infeasible exits with status 1 and the reason.
 """
 
 from __future__ import annotations
@@ -86,11 +85,10 @@ def cmd_fraclap(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     pr = Params(max(cfg.n, 2), cfg.sigma)
     w = bubbles.model_bubble(pr)
-    rows = []
-    for r in np.linspace(0.0, 3.0, 13):
-        res = fracops.frac_lap_radial(w, float(r), pr)
-        rows.append((float(r), res.value, res.error,
-                     constants.bubble_eigenvalue(pr) * w.radial_profile(r) ** pr.p))
+    r = np.linspace(0.0, 3.0, 13)
+    res = fracops.frac_lap_radial(w, r, pr)
+    rhs = constants.bubble_eigenvalue(pr) * w.radial_profile(r) ** pr.p
+    rows = zip(r.tolist(), res.value.tolist(), res.error.tolist(), rhs.tolist())
     _write_csv(cfg.out, "fraclap_bubble.csv",
                ["radius", "frac_lap", "quadrature_error", "eigenvalue_times_power"],
                rows)

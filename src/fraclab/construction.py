@@ -91,18 +91,6 @@ def f_val(z1: float, z2: float, z3: float, params: Params) -> float:
     return sign * math.exp(lg)
 
 
-def m_val(z2: float, z3: float, params: Params,
-          one_minus_z2: Optional[float] = None) -> float:
-    """Envelope maximum z2 z3^p / (1 - z2^{(n-2s)/4s})^{4s/(n-2s)}."""
-    return math.exp(_envelope(z2, z3, params, one_minus_z2)[1])
-
-
-def z_val(z2: float, z3: float, params: Params,
-          one_minus_z2: Optional[float] = None) -> float:
-    """Envelope argmax z3 z2^{(n-2s)/4s} / (1 - z2^{(n-2s)/4s})."""
-    return math.exp(_envelope(z2, z3, params, one_minus_z2)[0])
-
-
 def big_f_val(z1: float, z2: float, z3: float, params: Params,
               one_minus_z2: Optional[float] = None) -> float:
     """Monotone envelope F: f below the argmax, frozen at the max beyond it."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,12 +90,3 @@ class QuadratureSpec:
     outer_radius: float = 1e3
     panels_per_decade: int = 4
     angular_points: int = 32
-
-    def scaled(self, factor: float) -> "QuadratureSpec":
-        """Refined copy: more panels and angles, wider radial window."""
-        return QuadratureSpec(
-            inner_radius=self.inner_radius / factor,
-            outer_radius=self.outer_radius * factor,
-            panels_per_decade=int(round(self.panels_per_decade * factor)),
-            angular_points=int(round(self.angular_points * factor)),
-        )

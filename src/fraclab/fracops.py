@@ -7,22 +7,25 @@ Writing S(s) for the mean of f over the sphere of radius s about x,
   which is the symmetric-difference form, and
 * I_{2s} f(x)   = r * omega * int_0^inf s^{2s-1} S(s) ds,
 
-with omega the area of the unit sphere.  The composite panel rules carry
-an embedded lower-order estimate, so every value ships with an error bar.
+with omega the area of the unit sphere: int_0^inf s^e g(s) ds with
+e = -1 - 2 sigma, g = f(x) - S(s) and e = 2 sigma - 1, g = S(s) (Kwaśnicki,
+FCAA 20(1), 2017).  One core sums both, with composite panel rules that
+carry an embedded lower-order estimate, so every value has an error bar.
 
-Near s = 0 the sphere mean is a smooth even function of s, so both
-operators integrate the stretch below a small radius s_lo in closed form
-from a two-term even Taylor fit, S(s) = S(0) + a (s/s_lo)^2 + b (s/s_lo)^4,
-and charge half the quartic term to the error bar.
+Near s = 0 the sphere mean is a smooth even function of s, so the core
+integrates the stretch below a small radius s_lo in closed form from a
+two-term even Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, and
+charges half the quartic term to the error bar.
 
-:func:`riesz_potential` takes one point (n,) or a batch (m, n) through one
-code path.  For a radial field it evaluates each distinct distance once,
-with distances merged to 43 significant bits (a relative move of at most
-2^-44), and it hands the sphere-mean nodes of ``BLOCK`` distances to the
-field's profile in one call.  Outside twice the support of a radial
-compact field the potential is a convergent series in (a/d)^2 whose
-coefficients are moments of the profile (Landkof, *Foundations of Modern
-Potential Theory*, 1972, §I.1), summed exactly with a truncation bound.
+:func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
+or a batch (m, n) through that core.  For a radial field it evaluates
+each distinct distance once, with distances merged to 43 significant
+bits (a relative move of at most 2^-44), and it hands the sphere-mean
+nodes of ``BLOCK`` distances to the field's profile in one call.  Outside
+twice the support of a radial compact field the potential is a
+convergent series in (a/d)^2 whose coefficients are moments of the
+profile (Landkof, *Foundations of Modern Potential Theory*, 1972, §I.1),
+summed exactly with a truncation bound.
 
 :func:`riesz_field` tabulates the potential of such a field once: one
 batched call at Chebyshev nodes inside twice the support, the exterior
@@ -57,7 +60,7 @@ class OpResult:
 
 
 #: Distances (for a radial field) or points whose sphere-mean nodes go to
-#: the field in one call in :func:`riesz_potential`, at the default 32
+#: the field in one call in either operator, at the default 32
 #: angular points of :class:`QuadratureSpec`.  Each takes about 300 nodes
 #: times the angular points, so a block is ~1.5e5 profile points and a
 #: large batch needs no more memory than a small one; a finer angular rule
@@ -123,7 +126,9 @@ def _sphere_means(field: ScalarField, x: Array, radii: Array,
     pts, wts = geometry.sphere_rule(n, angular_points)
     pts_all = x[..., None, :] + radii[:, None, None] * pts[None, :, :]
     vals = field(pts_all.reshape(-1, n)).reshape(radii.size, -1)
-    return vals @ wts
+    # row by row (a BLAS product may sum a row differently by its place in
+    # the block), so a point gets the same means in any batch
+    return np.einsum("ij,j->i", vals, wts)
 
 
 def _kink_edges(field: ScalarField, d: Array) -> Array:
@@ -162,109 +167,73 @@ def _panel_breaks(edges: Array, outer: Array, per_decade: int,
 
 def frac_lap_at(field: ScalarField, x: Array, params: Params,
                 spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
-    """(-Lap)^sigma of the field at the point x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != field.n:
-        raise ValueError("point dimension does not match field")
+    """(-Lap)^sigma at one point (n,) or a batch (m, n), by
+    :func:`_radial_integral`."""
     cset = constants.constant_set(params)
-    s2 = 2.0 * params.sigma
-    fx = field.at(x)
-    d = float(np.linalg.norm(x))
-
-    outer = spec.outer_radius
-    if field.decay == "compact_support":
-        outer = max(outer, d + field.support_radius * 1.001)
-
-    # Below s_lo the difference f(x) - S(s) = a (s/s_lo)^2 + b (s/s_lo)^4 + ...
-    # drowns in float cancellation, so that stretch is integrated from a
-    # two-term even Taylor fit instead of raw quadrature.
-    # The fit needs S smooth on [0, s_lo], so s_lo stays below half the
-    # nearest kink edge, as in :func:`riesz_potential`.
-    edges = _kink_edges(field, np.array([d]))
-    s_lo = min(spec.inner_radius * max(1.0, d),
-               0.5 * float(np.min(edges, initial=np.inf)))
-    d_lo = fx - _sphere_means(field, x, np.array([s_lo, 0.5 * s_lo]),
-                              spec.angular_points)
-    a = (16.0 * d_lo[1] - d_lo[0]) / 3.0
-    b = d_lo[0] - a
-    inner = s_lo ** (-s2) * (a / (2.0 - s2) + b / (4.0 - s2))
-    inner_err = abs(b) * s_lo ** (-s2) / (4.0 - s2) * 0.5
-
-    breaks = _panel_breaks(edges, np.array([outer]), spec.panels_per_decade,
-                           np.array([s_lo]))[0]
-    breaks = breaks[np.isfinite(breaks)]
-    body, err = geometry.panel_quad(
-        lambda s: (fx - _sphere_means(field, x, s, spec.angular_points))
-        * s ** (-1.0 - s2), breaks, estimate=True)
-    fine = inner + body
-    err += inner_err
-
-    # tail beyond the last panel
-    tail = fx * outer ** (-s2) / s2
-    s_tail = _sphere_means(field, x, np.array([outer]), spec.angular_points)[0]
-    if field.decay == "compact_support":
-        tail_err = 0.0
-    elif field.decay == "power_decay":
-        alpha = field.decay_rate
-        amp = s_tail * outer ** alpha
-        tail -= amp * outer ** (-(alpha + s2)) / (alpha + s2)
-        tail_err = abs(amp) * outer ** (-(alpha + s2)) / (alpha + s2) * 0.1
-    else:
-        tail_err = 2.0 * max(abs(fx), abs(s_tail)) * outer ** (-s2) / s2
-    fine += tail
-    err += tail_err
-
-    front = cset.c_frac * cset.sphere_area
-    return OpResult(front * fine, front * err)
+    return _radial_integral(field, x, -1.0 - 2.0 * params.sigma,
+                            cset.c_frac * cset.sphere_area, spec)
 
 
-def frac_lap_radial(field: ScalarField, d: float, params: Params,
+def frac_lap_radial(field: ScalarField, d, params: Params,
                     spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
-    """Fractional Laplacian of a radial field at distance d from the origin."""
+    """Fractional Laplacian of a radial field at one distance d from the
+    origin (float fields) or at a 1-D array of them (arrays)."""
     if not field.is_radial:
         raise ValueError("frac_lap_radial needs a radial field")
-    x = np.zeros(field.n)
-    x[0] = d
+    d = np.asarray(d, dtype=float)
+    x = np.zeros(d.shape + (field.n,))
+    x[..., 0] = d
     return frac_lap_at(field, x, params, spec)
 
 
 def riesz_potential(field: ScalarField, x: Array, params: Params,
                     spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
-    """Riesz potential I_{2 sigma} of the field at one point or a batch.
-
-    ``x`` is one point (n,), giving float fields, or a batch (m, n), giving
-    arrays of shape (m,).  A single point is a batch of one.
-
-    The potential of a radial field depends only on |x|, so a batch is
-    reduced to its distinct distances first: each distance is rounded to
-    ``MERGE_BITS`` = 43 significant bits (about 13 digits), which moves it
-    by at most 2^-44 ~ 5.7e-14 of itself, so a merged value is off by at
-    most that share of d |dI/dd|.  A single point is rounded the same way,
-    so batch and single calls agree.  The sphere-mean nodes of ``BLOCK``
-    distances (points, for other fields) go to the field in one call.
-
-    Below s_lo = min(inner_radius * max(1, d), nearest kink edge / 2) the
-    sphere mean is a smooth even function of s, so that stretch is the
-    closed-form integral of the two-term fit S(0) + a (s/s_lo)^2 +
-    b (s/s_lo)^4 through S(s_lo) and S(s_lo/2), with S(0) the field at x.
-    The error bar is |GL8 - GL4| on the panels above s_lo, plus the
-    rounding bound k eps sum |terms| of the k-node GL8 sum, plus half the
-    quartic term's share, |b| s_lo^{2 sigma} / (2 (2 sigma + 4)), for the
-    neglected higher terms of the head, plus the tail charge.
-
-    A radial field supported in B_a takes the exact exterior series of
-    :func:`_exterior_series` at distances d > 2a, where each sphere meets
-    the support in a thin cap that the angular rule above cannot resolve.
-    """
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
-        raise ValueError("points must have shape (n,) or (m, n)")
+    """Riesz potential I_{2 sigma} at one point (n,) or a batch (m, n), by
+    :func:`_radial_integral`."""
     s2 = 2.0 * params.sigma
     if params.n <= s2:
         raise ValueError(f"Riesz potential diverges: n = {params.n} <= "
                          f"2 sigma = {s2:g}")
     if field.decay == "power_decay" and field.decay_rate <= s2:
         raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
+    return _radial_integral(field, x, s2 - 1.0, _riesz_front(params), spec)
+
+
+def _riesz_front(params: Params) -> float:
+    cset = constants.constant_set(params)
+    return cset.riesz_constant * cset.sphere_area
+
+
+def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
+                     spec: QuadratureSpec) -> OpResult:
+    """front * int_0^inf s^e g(s) ds and its error bar, where g = f(x) - S(s)
+    for e < -1, the fractional Laplacian, and g = S(s) for e > -1, the
+    Riesz potential.
+
+    ``x`` is one point (n,), giving float fields, or a batch (m, n), giving
+    arrays of shape (m,).  A single point is a batch of one.  The integral
+    of a radial field depends only on |x|, so a batch is reduced to its
+    distinct distances first: each is rounded to ``MERGE_BITS`` = 43
+    significant bits, which moves it by at most 2^-44 ~ 5.7e-14 of itself,
+    and a single point is rounded the same way.  The sphere-mean nodes of
+    ``BLOCK`` centres go to the field in one call.
+
+    Below s_lo = min(inner_radius * max(1, d), nearest kink edge / 2) the
+    sphere mean is a smooth even function of s, so that stretch is the
+    closed-form integral of the fit g(0) + a (s/s_lo)^2 + b (s/s_lo)^4
+    through g(s_lo) and g(s_lo/2); there f(x) - S(s) would drown in float
+    cancellation under raw quadrature.  The error bar is |GL8 - GL4| on the
+    panels above s_lo, plus the rounding bound k eps sum |terms| of the
+    k-node GL8 sum, plus half the quartic term's share, plus the tail
+    charge.  A compact field is summed out to d + 1.001 a (the Laplacian:
+    at least ``outer_radius``); the potential of a radial field supported
+    in B_a is the exact exterior series of :func:`_exterior_series` at
+    d > 2a, where each sphere meets the support in a thin cap that the
+    angular rule cannot resolve.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
+        raise ValueError("points must have shape (n,) or (m, n)")
     batch = pts.reshape(-1, field.n)
     dist = np.linalg.norm(batch, axis=1)
     if field.is_radial:
@@ -279,18 +248,18 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
     value = np.empty(dist.size)
     error = np.empty(dist.size)
     near = np.arange(dist.size)
-    if field.is_radial and field.decay == "compact_support":
+    if e > -1.0 and field.is_radial and field.decay == "compact_support":
         far = dist > 2.0 * field.support_radius
         if far.any():
-            value[far], error[far] = _exterior_series(field, s2)(dist[far])
+            value[far], error[far] = _exterior_series(field, e + 1.0)(
+                dist[far])
             near = near[~far]
     step = max(1, BLOCK * QuadratureSpec.angular_points // spec.angular_points)
     for lo in range(0, near.size, step):
         blk = near[lo:lo + step]
-        value[blk], error[blk] = _riesz_block(
-            field, centres[blk], dist[blk], at_centre[blk], s2, spec)
+        value[blk], error[blk] = _block(
+            field, centres[blk], dist[blk], at_centre[blk], e, spec)
 
-    front = _riesz_front(params)
     value = front * value[inverse]
     error = front * error[inverse]
     if pts.ndim == 1:
@@ -298,16 +267,22 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
     return OpResult(value, error)
 
 
-def _riesz_block(field: ScalarField, centres: Array, d: Array, f0: Array,
-                 s2: float, spec: QuadratureSpec) -> Tuple[Array, Array]:
-    """int_0^inf s^{2 sigma - 1} S(s) ds and its error bar for one block.
+def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
+           e: float, spec: QuadratureSpec) -> Tuple[Array, Array]:
+    """int_0^inf s^e g(s) ds and its error bar for one block of centres.
 
-    ``centres`` are distances for a radial field and points otherwise.
+    ``centres`` are distances for a radial field and points otherwise, f0
+    the field there.  g = c + sign * S, with (c, sign) = (f0, -1) for
+    e < -1 and (0, 1) otherwise.
     """
     m = d.size
+    lap = e < -1.0
+    c, sign = (f0, -1.0) if lap else (np.zeros(m), 1.0)
     compact = field.decay == "compact_support"
     outer = (d + field.support_radius * 1.001 if compact
              else np.full(m, spec.outer_radius))
+    if compact and lap:
+        outer = np.maximum(outer, spec.outer_radius)
     edges = _kink_edges(field, d)
     s_lo = np.minimum(spec.inner_radius * np.maximum(1.0, d),
                       0.5 * np.min(edges, axis=1, initial=np.inf))
@@ -324,37 +299,37 @@ def _riesz_block(field: ScalarField, centres: Array, d: Array, f0: Array,
         means = _radial_means(field, centres[who], radii, spec.angular_points)
     else:
         means = _sphere_means(field, centres[who], radii, spec.angular_points)
-    s8, s4, s_one, s_half, s_tail = np.split(
-        means, np.cumsum([n8.size, n4.size, m, m]))
-    terms = s8 * n8 ** (s2 - 1.0) * w8
+    g8, g4, g_one, g_half, _ = np.split(
+        c[who] + sign * means, np.cumsum([n8.size, n4.size, m, m]))
+    terms = g8 * n8 ** e * w8
     fine = np.bincount(o8, terms, minlength=m)
-    coarse = np.bincount(o4, s4 * n4 ** (s2 - 1.0) * w4, minlength=m)
+    coarse = np.bincount(o4, g4 * n4 ** e * w4, minlength=m)
     # |GL8 - GL4|, plus the rounding bound k eps sum |terms| of a k-term sum
     err = np.abs(fine - coarse) + (
         np.bincount(o8, minlength=m) * np.finfo(float).eps
         * np.bincount(o8, np.abs(terms), minlength=m))
 
-    # head: S(s) = S(0) + a (s/s_lo)^2 + b (s/s_lo)^4 on [0, s_lo]
-    a = (16.0 * (s_half - f0) - (s_one - f0)) / 3.0
-    b = s_one - f0 - a
-    head = s_lo ** s2
-    fine += head * (f0 / s2 + a / (s2 + 2.0) + b / (s2 + 4.0))
-    err += 0.5 * np.abs(b) * head / (s2 + 4.0)
+    # head: g(s) = g0 + a (s/s_lo)^2 + b (s/s_lo)^4 on [0, s_lo]
+    g0 = c + sign * f0
+    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
+    b = g_one - g0 - a
+    head = s_lo ** (e + 1.0)
+    fine += head * (g0 / (e + 1.0) + a / (e + 3.0) + b / (e + 5.0))
+    err += 0.5 * np.abs(b) * head / (e + 5.0)
 
+    # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
+    far = outer ** (e + 1.0)
+    fine -= c * far / (e + 1.0)
+    s_tail = means[-m:]  # S(outer); read only for non-compact fields
     if field.decay == "power_decay":
-        # S(s) ~ amp * s^{-alpha}; the tail converges because alpha > 2 sigma
-        alpha = field.decay_rate
-        tail = s_tail * outer ** alpha * outer ** (s2 - alpha) / (alpha - s2)
-        fine += tail
-        err += np.abs(tail) * 0.1
+        # S(s) ~ S(outer) (outer / s)^alpha, integrable as alpha > e + 1
+        tail = s_tail * far / (field.decay_rate - e - 1.0)
+        fine += sign * tail
+        err += 0.1 * np.abs(tail)
     elif not compact:
-        err += np.abs(s_tail) * outer ** s2  # crude: undecayed tail is unbounded-ish
+        # S is only known to stay bounded: charge twice its size so far
+        err += 2.0 * np.maximum(np.abs(c), np.abs(s_tail)) * far / abs(e + 1.0)
     return fine, err
-
-
-def _riesz_front(params: Params) -> float:
-    cset = constants.constant_set(params)
-    return cset.riesz_constant * cset.sphere_area
 
 
 def _exterior_series(field: ScalarField, s2: float
@@ -401,8 +376,8 @@ def _exterior_series(field: ScalarField, s2: float
 
     def evaluate(d: Array) -> Tuple[Array, Array]:
         x = (a / d) ** 2
-        value, quad, rounded = (
-            np.vander(x, SERIES_TERMS, increasing=True) @ coeffs).T
+        # Horner, as a Vandermonde matrix would be SERIES_TERMS times larger
+        value, quad, rounded = np.polynomial.polynomial.polyval(x, coeffs)
         tail = c_next * x ** SERIES_TERMS * abs8[0] / (1.0 - x)
         lead = d ** -q
         return lead * value, lead * (quad + rounded + tail)

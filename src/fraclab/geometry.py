@@ -1,10 +1,12 @@
 """Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
 
-Everything here is plain geometry on spheres in R^n.  Every radial
-singular integral in the package (:mod:`fraclab.fracops`,
-:mod:`fraclab.extension`, :mod:`fraclab.green`, :mod:`fraclab.constants`)
-is summed by :func:`panel_quad` on geometric panels, graded about the
-integrand's kinks by :func:`graded_breaks` where it has any.
+Everything here is plain geometry on spheres in R^n.  The radial
+singular integrals of :mod:`fraclab.extension`, :mod:`fraclab.green`,
+:mod:`fraclab.constants` and the ball indicator of :mod:`fraclab.fracops`
+are summed by :func:`panel_quad` on geometric panels, graded about the
+integrand's kinks by :func:`graded_breaks` where it has any; the two
+operators of :mod:`fraclab.fracops` sum :func:`gauss_nodes` on their own
+panel rows, a block of points at a time.
 """
 
 from __future__ import annotations
@@ -149,17 +151,7 @@ def gauss_panels(breaks: Array, order: int) -> Tuple[Array, Array]:
     return gauss_nodes(breaks[:-1], breaks[1:], order)
 
 
-def panel_quad(g: Callable[[Array], Array], breaks: Array,
-               estimate: bool = False):
-    """Integral of g over the panels by composite Gauss-Legendre(8).
-
-    With ``estimate`` the result is (value, |GL8 - GL4|), the embedded
-    lower-order rule giving the error bar; otherwise just the value.
-    """
+def panel_quad(g: Callable[[Array], Array], breaks: Array) -> float:
+    """Integral of g over the panels by composite Gauss-Legendre(8)."""
     nodes, weights = gauss_panels(breaks, 8)
-    fine = float(np.dot(np.asarray(g(nodes), dtype=float), weights))
-    if not estimate:
-        return fine
-    nodes_c, weights_c = gauss_panels(breaks, 4)
-    coarse = float(np.dot(np.asarray(g(nodes_c), dtype=float), weights_c))
-    return fine, abs(fine - coarse)
+    return float(np.dot(np.asarray(g(nodes), dtype=float), weights))

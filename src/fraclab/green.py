@@ -16,14 +16,14 @@ of its ladder share one annulus grid; the G3 scan is one array per radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import constants, extension, geometry
 from .bubbles import KelvinMap, model_bubble
-from .fields import QuadratureSpec, ScalarField
+from .fields import QuadratureSpec
 from .params import Params
 
 Array = np.ndarray
@@ -95,7 +95,7 @@ class AnnulusDensity:
 
 
 def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
-                  radial_per_panel: int = 8, n_ang: int = 48) -> Tuple[Array, Array]:
+                  radial_per_panel: int = 8) -> Tuple[Array, Array]:
     """Product quadrature nodes and weights over the boundary annulus.
 
     The radial panels are graded toward |focus| and the angular panels

@@ -11,7 +11,7 @@ point or rows; the sample minimum calls only W (and Phi) row by row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np

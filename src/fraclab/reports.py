@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dc_fields
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, fields as dc_fields
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -133,11 +131,10 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
         prof = lambda r: np.where(r < 1.0, np.exp(
             -np.clip(r, 0, 0.999999) ** 2 / np.clip(1 - r ** 2, 1e-12, None)), 0.0)
         bump = radial_field(prof, n, decay="compact_support", support_radius=1.0)
-        pot_field = fracops.riesz_field(bump, pr)
-        for d in (0.0, 0.3, 0.5):
-            back = fracops.frac_lap_at(pot_field, d * np.eye(n)[0], pr)
-            rel = abs(back.value - bump.at(d * np.eye(n)[0])) / bump.at(np.zeros(n))
-            worst = max(worst, rel)
+        pts = np.outer((0.0, 0.3, 0.5), np.eye(n)[0])
+        back = fracops.frac_lap_at(fracops.riesz_field(bump, pr), pts, pr)
+        rel = np.abs(back.value - bump(pts)) / bump.at(np.zeros(n))
+        worst = max(worst, float(np.max(rel)))
     out.append(gate("riesz-inversion", "fractional Laplacian of the Riesz "
                     "potential recovers a smooth compact bump",
                     worst, 1e-3, cfg))
@@ -368,14 +365,6 @@ SUITE_FUNCS = {
 }
 
 
-def _thread_count() -> int:
-    """Suite concurrency from FRACLAP_THREADS: an integer >= 1, default 1."""
-    raw = os.environ.get("FRACLAP_THREADS", "") or "1"
-    if not re.fullmatch(r"\s*[0-9]+\s*", raw) or int(raw) < 1:
-        raise ConfigError(f"FRACLAP_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def run_suite(cfg: RunConfig) -> Dict:
     """Run the selected suites; returns the full deterministic report.
 
@@ -388,20 +377,9 @@ def run_suite(cfg: RunConfig) -> Dict:
     if cfg.n <= 2 * cfg.sigma:
         raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: the suites need "
                           "n > 2*sigma, where the critical exponent exists")
-    workers = _thread_count()
-    results: Dict[str, List[Dict]] = {}
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(SUITE_FUNCS[name], cfg)
-                       for name in names}
-            for name in names:
-                results[name] = futures[name].result()
-    else:
-        for name in names:
-            results[name] = SUITE_FUNCS[name](cfg)
     checks = []
     for name in names:
-        for c in results[name]:
+        for c in SUITE_FUNCS[name](cfg):
             c = dict(c)
             c["suite"] = name
             checks.append(c)

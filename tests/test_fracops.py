@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from fraclab import constants, fracops, geometry
+from fraclab import bubbles, constants, fracops, geometry
 from fraclab.fields import QuadratureSpec, ScalarField, radial_field
 from fraclab.gammafn import gamma_fn
 from fraclab.params import Params
@@ -75,8 +75,7 @@ def test_error_estimate_is_conservative_for_gaussian():
     pr = Params(3, 0.5)
     f = radial_field(lambda r: np.exp(-np.asarray(r, dtype=float) ** 2), 3,
                      decay="integrable_against_kernel")
-    coarse = fracops.frac_lap_radial(f, 0.5, pr,
-                                     QuadratureSpec().scaled(1.0))
+    coarse = fracops.frac_lap_radial(f, 0.5, pr, QuadratureSpec())
     assert coarse.error >= 0.0
     assert coarse.error < 1e-2 * abs(coarse.value)
 
@@ -251,6 +250,69 @@ def test_riesz_rejects_bad_point_shapes():
         fracops.riesz_potential(field, np.zeros(3), pr)
     with pytest.raises(ValueError):
         fracops.riesz_potential(field, np.zeros((2, 2, 2)), pr)
+
+
+# --- frac_lap_at: the batched path -----------------------------------------------
+
+@pytest.mark.parametrize("name", ["bump", "power"])
+def test_frac_lap_batch_matches_single_points(name):
+    field, pr = BATCH_FIELDS[name]
+    n = field.n
+    kink = field.kink_radii[0]
+    dists = np.array([0.0, 0.3, kink - 1e-7, kink + 1e-7, 1.5, 3.0])
+    dirs = np.random.default_rng(11).normal(size=(dists.size, n))
+    pts = dists[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    pts = np.vstack([pts, pts[1:2] * (1.0 + 3e-14), pts[1:2, ::-1]])
+    batch = fracops.frac_lap_at(field, pts, pr)
+    assert batch.value.shape == batch.error.shape == (len(pts),)
+    for j, x in enumerate(pts):
+        one = fracops.frac_lap_at(field, x, pr)
+        assert isinstance(one.value, float) and isinstance(one.error, float)
+        # merged distances move by at most 2^-44 of themselves
+        tol = 1e-12 * max(1.0, abs(one.value))
+        assert abs(batch.value[j] - one.value) <= tol
+        assert abs(batch.error[j] - one.error) <= tol
+
+
+def test_frac_lap_batch_is_exact_for_an_off_centre_bubble():
+    # a non-radial field is not merged: each point is its own row, and the
+    # 20 points span two blocks
+    pr = Params(3, 0.5)
+    centre = np.array([0.3, -0.2, 0.1])
+    sb = bubbles.standard_bubble(pr, lam=0.8, center=centre)
+    rng = np.random.default_rng(5)
+    dirs = rng.normal(size=(20, 3))
+    pts = centre + (0.8 * rng.uniform(0.0, 1.0, 20)[:, None] * dirs
+                    / np.linalg.norm(dirs, axis=1)[:, None])
+    batch = fracops.frac_lap_at(sb, pts, pr)
+    for j, x in enumerate(pts):
+        one = fracops.frac_lap_at(sb, x, pr)
+        assert batch.value[j] == one.value and batch.error[j] == one.error
+    # within one scale length the bubble solves (-Lap)^s u = u^p
+    np.testing.assert_allclose(batch.value, sb(pts) ** pr.p, rtol=1e-3)
+
+
+def test_frac_lap_radial_takes_an_array_of_distances():
+    pr = Params(2, 0.5)
+    w = bubbles.model_bubble(pr)
+    d = np.array([0.0, 0.5, 2.0, 0.5])
+    res = fracops.frac_lap_radial(w, d, pr)
+    assert res.value.shape == res.error.shape == (4,)
+    assert res.value[1] == res.value[3]
+    for j, dj in enumerate(d):
+        one = fracops.frac_lap_radial(w, dj, pr)
+        assert abs(res.value[j] - one.value) <= 1e-12 * abs(one.value)
+    np.testing.assert_allclose(
+        res.value, constants.bubble_eigenvalue(pr) * w.radial_profile(d) ** pr.p,
+        rtol=1e-3)
+
+
+def test_frac_lap_rejects_bad_point_shapes():
+    field, pr = BATCH_FIELDS["bump"]
+    with pytest.raises(ValueError):
+        fracops.frac_lap_at(field, np.zeros(3), pr)
+    with pytest.raises(ValueError):
+        fracops.frac_lap_at(field, np.zeros((2, 2, 2)), pr)
 
 
 # --- the exterior series and the tabulated potential -------------------------
