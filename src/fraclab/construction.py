@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -103,27 +103,6 @@ def big_f_val(z1: float, z2: float, z3: float, params: Params,
     return math.exp(log_m)
 
 
-def talia_ratio(a_list: Sequence[float], p: float) -> Tuple[float, float]:
-    """Power-sum ratio and its two-term bound: ratio <= bound < 1.
-
-    The first entry must be maximal; the bound uses the second entry.
-    """
-    a = np.asarray(a_list, dtype=float)
-    if a.size < 2 or np.any(a <= 0):
-        raise ValueError("need >= 2 positive entries")
-    if np.any(a[1:] > a[0]):
-        raise ValueError("first entry must be maximal")
-    if p <= 1.0:
-        raise ValueError("need p > 1")
-    scaled = a / a[0]
-    ratio = float(np.sum(scaled ** p) / np.sum(scaled) ** p)
-    t = a[1] / a[0]
-    bound = (1.0 + t) / (1.0 + p * t)
-    if not ratio <= bound < 1.0:
-        raise AssertionError("power-sum bound violated")
-    return ratio, bound
-
-
 # --- smooth cutoff ---------------------------------------------------------
 
 def _phi_bump(s: float) -> float:
@@ -138,21 +117,6 @@ def eta_cutoff(t: float) -> float:
         return 0.0
     s = (1.5 - t) / 0.5
     return _phi_bump(s) / (_phi_bump(s) + _phi_bump(1.0 - s))
-
-
-def eta_cutoff_prime(t: float) -> float:
-    """Derivative of the cutoff, by the quotient rule on the bump ratio."""
-    if t <= 1.0 or t >= 1.5:
-        return 0.0
-    s = (1.5 - t) / 0.5
-    a, b = _phi_bump(s), _phi_bump(1.0 - s)
-    da = a / s ** 2
-    db = -b / (1.0 - s) ** 2
-    g_prime = (da * (a + b) - a * (da + db)) / (a + b) ** 2
-    return -2.0 * g_prime
-
-
-ETA_PRIME_SUP = max(abs(eta_cutoff_prime(1.0 + 0.5 * i / 400)) for i in range(401))
 
 
 # --- the sequence plan -----------------------------------------------------
@@ -681,19 +645,6 @@ def _absolute(plan: SequencePlan, pt: Point) -> Array:
     return np.asarray(pt, dtype=float)
 
 
-def grad_kappa(plan: SequencePlan, pt: Point) -> Array:
-    """Gradient of kappa inside the core ball (where k == 1)."""
-    dists, _ = plan.distances_to_centers(pt)
-    out = np.zeros(plan.params.n)
-    for i in range(plan.n_mat):
-        t = dists[i] / plan.rho[i]
-        if 1.0 < t < 1.5 and dists[i] > 0.0:
-            direction = plan.offset_from_center(pt, i) / dists[i]
-            out += (-plan.one_minus_k[i] / plan.rho[i]) \
-                * eta_cutoff_prime(t) * direction
-    return out
-
-
 def vbar_eval(plan: SequencePlan, pt: Point, tent_nodes: int = 24) -> float:
     """Barrier w/(2b) + Riesz potential of the tent profile over the balls."""
     dists, radius = plan.distances_to_centers(pt)
@@ -709,19 +660,13 @@ def vbar_eval(plan: SequencePlan, pt: Point, tent_nodes: int = 24) -> float:
 def _tent_riesz(d: float, rho: float, params: Params, nodes: int) -> float:
     """Riesz potential at distance d of the unit tent on B_rho .. B_{2 rho}.
 
-    The tent is an average of ball indicators: tent = int_rho^{2rho}
-    indicator(B_s) ds / rho.
+    The tent is an average of ball indicators, int_rho^{2rho} indicator(B_s)
+    ds / rho, summed by Gauss-Legendre in s.
     """
-    if d > 2e3 * rho:
-        return 0.0 if d == math.inf else fracops.riesz_ball_indicator(
-            d, 2.0 * rho, params)
     x, w = np.polynomial.legendre.leggauss(nodes)
-    ss = rho * (1.5 + 0.5 * x)
-    ww = 0.5 * w  # d s / rho
-    total = fracops.riesz_ball_indicator(d, rho, params)
-    for sv, wv in zip(ss, ww):
-        total += wv * fracops.riesz_ball_indicator(d, sv, params)
-    return total
+    return sum(0.5 * wv * fracops.riesz_ball_indicator(d, rho * (1.5 + 0.5 * xv),
+                                                       params)
+               for xv, wv in zip(x, w))
 
 
 def u_tilde_terms(plan: SequencePlan, pt: Point,
@@ -837,15 +782,6 @@ def k_assemble(plan: SequencePlan, u0_mode, pt: Point,
                                        if log_src - p * base > -700 else 0.0)
     den_rel = (math.exp(log_u0 - base) if u0 > 0.0 else 0.0) + float(np.sum(r))
     return math.exp(math.log(num_rel) - p * math.log(den_rel))
-
-
-def grad_k_bound(plan: SequencePlan, j: int, constant: float = 1.0) -> float:
-    """Pinned-constant bound C (M_j^{-e_M} + lambda_j^{e_lam}) on |grad K|."""
-    n, s = plan.params.n, plan.params.sigma
-    e_m = (3.0 * (n - 2 * s - 1.0) - 2.0 * s * (n - 2 * s - 6.0)) \
-        / (12.0 * s * (s + 1.0) * (n - 2 * s - 1.0))
-    e_l = (n - 2 * s - 3.0) / 6.0
-    return constant * (plan.m_big[j] ** (-e_m) + plan.lam[j] ** e_l)
 
 
 # --- standalone validator ----------------------------------------------------

@@ -80,33 +80,6 @@ def conormal_derivative(field: ScalarField, y: Array, params: Params,
                           t_scale, range(3, 13), params.sigma)
 
 
-def degenerate_residual(field: ScalarField, y: Array, t: float, params: Params,
-                        h: float = None,
-                        spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """t^{1-2s} * (Lap_y U + U_tt + (1-2s)/t * U_t) by central differences.
-
-    Zero (up to quadrature and stencil error) exactly when U solves the
-    degenerate extension equation.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    s = params.sigma
-    if h is None:
-        h = 0.02 * t
-
-    u0 = extend(field, y, t, params, spec)
-    lap = 0.0
-    for i in range(params.n):
-        e_i = np.zeros(params.n)
-        e_i[i] = h
-        lap += (extend(field, y + e_i, t, params, spec)
-                + extend(field, y - e_i, t, params, spec) - 2.0 * u0) / h ** 2
-    up = extend(field, y, t + h, params, spec)
-    um = extend(field, y, t - h, params, spec)
-    u_tt = (up + um - 2.0 * u0) / h ** 2
-    u_t = (up - um) / (2.0 * h)
-    return t ** (1.0 - 2.0 * s) * (lap + u_tt + (1.0 - 2.0 * s) / t * u_t)
-
-
 def model_bubble_extension_halforder(y: Array, t: float, params: Params) -> float:
     """Closed-form extension of (1+|y|^2)^{-(n-1)/2} at sigma = 1/2.
 

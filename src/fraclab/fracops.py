@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from . import constants, geometry
 from .fields import QuadratureSpec, ScalarField, radial_field
@@ -190,16 +191,18 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
                     spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
     """Riesz potential I_{2 sigma} at one point (n,) or a batch (m, n), by
     :func:`_radial_integral`."""
+    front = _riesz_front(params)
     s2 = 2.0 * params.sigma
-    if params.n <= s2:
-        raise ValueError(f"Riesz potential diverges: n = {params.n} <= "
-                         f"2 sigma = {s2:g}")
     if field.decay == "power_decay" and field.decay_rate <= s2:
         raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
-    return _radial_integral(field, x, s2 - 1.0, _riesz_front(params), spec)
+    return _radial_integral(field, x, s2 - 1.0, front, spec)
 
 
 def _riesz_front(params: Params) -> float:
+    """r omega, the front of every Riesz potential; n <= 2 sigma raises."""
+    if params.n <= 2.0 * params.sigma:
+        raise ValueError(f"Riesz potential diverges: n = {params.n} <= "
+                         f"2 sigma = {2.0 * params.sigma:g}")
     cset = constants.constant_set(params)
     return cset.riesz_constant * cset.sphere_area
 
@@ -437,34 +440,27 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
                         kink_radii=(a, 2.0 * a), error_bound=bound)
 
 
-def riesz_ball_indicator(d: float, radius: float, params: Params,
-                         per_decade: int = 8) -> float:
+def riesz_ball_indicator(d: float, radius: float, params: Params) -> float:
     """Riesz potential of the indicator of the ball B_radius, at distance d.
 
-    Works in scaled variables tau = s / radius so that tiny radii (down to
-    the underflow floor) lose no accuracy: the result is
-    r * omega * radius^{2s} * J(d / radius).
+    In closed form (Dyda, FCAA 15(4), 2012), with delta = d / radius,
+    F = 2F1 and r omega the front of :func:`riesz_potential`:
+
+    * delta <= 1: r omega radius^{2s} / (2s) F(n/2 - s, -s; n/2; delta^2),
+    * delta > 1:  r omega radius^{2s} delta^{2s-n} / n
+      F(n/2 - s, 1 - s; n/2 + 1; (radius / d)^2),
+
+    the point mass r |B_radius| d^{2s-n} times a series in (radius / d)^2.
+    The powers of radius and delta stay apart, so tiny radii do not
+    underflow, and the argument is not formed as delta^-2, which overflows.
     """
-    cset = constants.constant_set(params)
-    s2 = 2.0 * params.sigma
-    n = params.n
+    if radius <= 0.0:
+        raise ValueError(f"ball radius must be positive, got {radius:g}")
+    n, s = params.n, params.sigma
     delta = d / radius
-    front = cset.riesz_constant * cset.sphere_area
-
-    if delta > 1e3:
-        # point-mass far field: I(x) ~ r * |B_radius| * d^{2s - n},
-        # grouped as radius^{2s} * delta^{2s - n} to dodge underflow
-        return front / n * radius ** s2 * delta ** (s2 - n)
-
-    # refine around the cap-transition radius |delta - 1|
-    edge = abs(delta - 1.0)
-    breaks = geometry.graded_breaks(
-        1e-12, delta + 1.0, per_decade,
-        [edge] if delta > 0.0 and edge > 1e-10 else [],
-        (0.9, 0.99, 1.0, 1.01, 1.1))
-    val = geometry.panel_quad(
-        lambda t: geometry.cap_fraction(delta, t, 1.0, n) * t ** (s2 - 1.0), breaks)
-    if delta < 1.0 - breaks[0]:
-        # analytic head below the first panel, where the cap fraction is 1
-        val += breaks[0] ** s2 / s2
-    return front * radius ** s2 * val
+    scale = _riesz_front(params) * radius ** (2.0 * s)
+    if delta <= 1.0:
+        return float(scale / (2.0 * s)
+                     * hyp2f1(n / 2 - s, -s, n / 2, delta * delta))
+    return float(scale / n * delta ** (2.0 * s - n)
+                 * hyp2f1(n / 2 - s, 1.0 - s, n / 2 + 1, (radius / d) ** 2))

@@ -1,12 +1,11 @@
 """Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
 
 Everything here is plain geometry on spheres in R^n.  The radial
-singular integrals of :mod:`fraclab.extension`, :mod:`fraclab.green`,
-:mod:`fraclab.constants` and the ball indicator of :mod:`fraclab.fracops`
-are summed by :func:`panel_quad` on geometric panels, graded about the
-integrand's kinks by :func:`graded_breaks` where it has any; the two
-operators of :mod:`fraclab.fracops` sum :func:`gauss_nodes` on their own
-panel rows, a block of points at a time.
+singular integrals of :mod:`fraclab.extension`, :mod:`fraclab.green` and
+:mod:`fraclab.constants` are summed by :func:`panel_quad` on geometric
+panels, graded about the integrand's kinks by :func:`graded_breaks` where
+it has any; the two operators of :mod:`fraclab.fracops` sum
+:func:`gauss_nodes` on their own panel rows, a block of points at a time.
 """
 
 from __future__ import annotations

