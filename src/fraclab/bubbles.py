@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import constants, fracops
-from .fields import QuadratureSpec, ScalarField, radial_field
+from .fields import ScalarField, radial_field
 from .params import Params
 
 Array = np.ndarray
@@ -85,8 +85,7 @@ class KelvinMap:
 
 def bubble_identity_residuals(params: Params, lam: float = 1.0,
                               radii: Sequence[float] = (0.0, 0.5, 1.0, 2.0, 5.0),
-                              amplitude: float = None,
-                              spec: QuadratureSpec = QuadratureSpec()) -> Array:
+                              amplitude: float = None) -> Array:
     """Relative residual |(-Lap)^s w - w^p| / w^p at the given distances.
 
     With the standard amplitude these vanish up to quadrature error; any
@@ -95,7 +94,7 @@ def bubble_identity_residuals(params: Params, lam: float = 1.0,
     """
     w = standard_bubble(params, lam=lam, amplitude=amplitude)
     d = np.asarray(radii, dtype=float)
-    lhs = fracops.frac_lap_radial(w, d, params, spec).value
+    lhs = fracops.frac_lap_radial(w, d, params).value
     rhs = w.radial_profile(d) ** params.p
     return np.abs(lhs - rhs) / np.abs(rhs)
 

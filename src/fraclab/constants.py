@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import geometry
 from .gammafn import gamma_fn
 from .params import Params
 
@@ -87,20 +88,20 @@ def riesz_constant(params: Params) -> float:
 
 # --- reference radial quadrature (the independent oracle) ---------------
 
-def radial_integral(g: Callable[[np.ndarray], np.ndarray], n: int,
-                    per_decade: int = 6) -> float:
+#: Geometric panels a decade of :func:`radial_integral`.
+RADIAL_PER_DECADE = 6
+
+
+def radial_integral(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     """omega_{n-1} * integral_0^inf r^{n-1} g(r) dr for decaying g.
 
-    Composite Gauss-Legendre on geometrically graded panels spanning
-    [1e-30, 1e30]; power-law endpoint behaviour is resolved to roughly
-    machine precision for the algebraic kernels used in the
-    normalization checks.
+    Composite Gauss-Legendre on the geometric panels of [1e-30, 1e30],
+    which resolve power-law ends to about machine precision for the
+    algebraic kernels of the normalization checks.
     """
-    from . import geometry
-
     total = geometry.panel_quad(
         lambda r: np.asarray(g(r), dtype=float) * r ** (n - 1),
-        geometry.geometric_panels(1e-30, 1e30, per_decade))
+        geometry.panel_breaks(1e-30, 1e30, RADIAL_PER_DECADE))
     return sphere_area(n) * total
 
 

@@ -27,8 +27,12 @@ from .params import Params
 Array = np.ndarray
 
 
-def extend(field: ScalarField, y: Array, t: float, params: Params,
-           spec: QuadratureSpec = QuadratureSpec()) -> float:
+#: Panels out to OUTER at the default resolution, made once for every call.
+SPEC, OUTER = QuadratureSpec(), 1e4
+BREAKS = geometry.panel_breaks(1e-8, OUTER, SPEC.panels_per_decade)
+
+
+def extend(field: ScalarField, y: Array, t: float, params: Params) -> float:
     """Value of the extension U(y, t) for t > 0."""
     if t <= 0.0:
         raise ValueError("the extension is evaluated at t > 0")
@@ -36,15 +40,13 @@ def extend(field: ScalarField, y: Array, t: float, params: Params,
     cset = constants.constant_set(params)
     n, s2 = params.n, 2.0 * params.sigma
 
-    outer = 1e4
     val = geometry.panel_quad(
-        lambda r: _sphere_means(field, y, t * r, spec.angular_points)
-        * (r ** (n - 1) * (1.0 + r ** 2) ** (-(n + s2) / 2.0)),
-        geometry.geometric_panels(1e-8, outer, spec.panels_per_decade))
+        lambda r: _sphere_means(field, y, t * r, SPEC.angular_points)
+        * (r ** (n - 1) * (1.0 + r ** 2) ** (-(n + s2) / 2.0)), BREAKS)
 
-    # tail: the kernel decays like r^{-1-2s}; treat u as frozen past outer
-    s_tail = _sphere_means(field, y, np.array([t * outer]), spec.angular_points)[0]
-    val += s_tail * outer ** (-s2) / s2
+    # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
+    s_tail = _sphere_means(field, y, np.array([t * OUTER]), SPEC.angular_points)[0]
+    val += s_tail * OUTER ** (-s2) / s2
     return cset.gamma_poisson * cset.sphere_area * val
 
 
@@ -72,12 +74,10 @@ def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,
     return extrap[best + 1]
 
 
-def conormal_derivative(field: ScalarField, y: Array, params: Params,
-                        spec: QuadratureSpec = QuadratureSpec(),
-                        t_scale: float = 1.0) -> float:
-    """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = t_scale / 8 down."""
-    return conormal_limit(lambda ts: [extend(field, y, t, params, spec) for t in ts],
-                          t_scale, range(3, 13), params.sigma)
+def conormal_derivative(field: ScalarField, y: Array, params: Params) -> float:
+    """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = 1/8 down."""
+    return conormal_limit(lambda ts: [extend(field, y, t, params) for t in ts],
+                          1.0, range(3, 13), params.sigma)
 
 
 def model_bubble_extension_halforder(y: Array, t: float, params: Params) -> float:

@@ -86,7 +86,5 @@ def radial_field(profile: Callable[[Array], Array], n: int, **kwargs) -> ScalarF
 class QuadratureSpec:
     """Resolution knobs for the singular-integral quadratures."""
 
-    inner_radius: float = 1e-3
-    outer_radius: float = 1e3
     panels_per_decade: int = 4
     angular_points: int = 32

@@ -91,7 +91,10 @@ TRAILING = 4
 #: interpolation error; 128 points bring it below 1e-8.
 TABLE_SPEC = QuadratureSpec(angular_points=128)
 
-_GRADING = (0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1)
+#: Panels start at INNER_RADIUS * max(1, d) or below; a field without
+#: compact support is summed out to OUTER_RADIUS, with a tail model beyond.
+INNER_RADIUS = 1e-3
+OUTER_RADIUS = 1e3
 
 
 def _radial_means(field: ScalarField, d, radii: Array,
@@ -132,40 +135,6 @@ def _sphere_means(field: ScalarField, x: Array, radii: Array,
     return np.einsum("ij,j->i", vals, wts)
 
 
-def _kink_edges(field: ScalarField, d: Array) -> Array:
-    """(m, 2k) radii s where sphere means about |x| = d lose smoothness.
-
-    A kink of the profile at radius k shows up in the sphere mean about x
-    at s = |k - d| and s = k + d; edges at or below 1e-11 are inf.
-    """
-    kinks = np.asarray(field.kink_radii, dtype=float)[None, :]
-    d = d[:, None]
-    edges = np.concatenate([np.abs(kinks - d), kinks + d], axis=1)
-    return np.where(edges > 1e-11, edges, np.inf)
-
-
-def _panel_breaks(edges: Array, outer: Array, per_decade: int,
-                  s_lo: Array) -> Array:
-    """Rows of radial panel breaks from s_lo[j] to about outer[j], inf-padded.
-
-    Row j is the geometric grid from 1e-12 to outer[j] plus the breaks
-    edge * grading about each kink edge of ``edges[j]``, cut below s_lo[j]
-    and started at s_lo[j]: one row of :func:`geometry.graded_breaks` each.
-    """
-    s_min = 1e-12
-    counts = np.array([geometry.panel_count(s_min, o, per_decade) for o in outer])
-    steps = np.arange(counts.max() + 1)[None, :]
-    geo = s_min * (outer / s_min)[:, None] ** (steps / counts[:, None])
-    geo[steps > counts[:, None]] = np.inf
-    graded = (edges[:, :, None] * np.asarray(_GRADING)).reshape(len(outer), -1)
-    graded[~((graded > s_min) & (graded < outer[:, None]))] = np.inf
-    rows = np.concatenate([geo, graded], axis=1)
-    rows[rows <= s_lo[:, None]] = np.inf
-    rows = np.sort(np.concatenate([s_lo[:, None], rows], axis=1), axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
-    return np.sort(rows, axis=1)
-
-
 def frac_lap_at(field: ScalarField, x: Array, params: Params,
                 spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
     """(-Lap)^sigma at one point (n,) or a batch (m, n), by
@@ -190,9 +159,13 @@ def frac_lap_radial(field: ScalarField, d, params: Params,
 def riesz_potential(field: ScalarField, x: Array, params: Params,
                     spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
     """Riesz potential I_{2 sigma} at one point (n,) or a batch (m, n), by
-    :func:`_radial_integral`."""
+    :func:`_radial_integral`, of a field with compact support or power
+    decay faster than r^{-2 sigma}."""
     front = _riesz_front(params)
     s2 = 2.0 * params.sigma
+    if field.decay == "integrable_against_kernel":
+        raise ValueError("Riesz potential needs compact support or power "
+                         f"decay, got decay {field.decay!r}")
     if field.decay == "power_decay" and field.decay_rate <= s2:
         raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
     return _radial_integral(field, x, s2 - 1.0, front, spec)
@@ -221,7 +194,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
     and a single point is rounded the same way.  The sphere-mean nodes of
     ``BLOCK`` centres go to the field in one call.
 
-    Below s_lo = min(inner_radius * max(1, d), nearest kink edge / 2) the
+    Below s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2) the
     sphere mean is a smooth even function of s, so that stretch is the
     closed-form integral of the fit g(0) + a (s/s_lo)^2 + b (s/s_lo)^4
     through g(s_lo) and g(s_lo/2); there f(x) - S(s) would drown in float
@@ -229,7 +202,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
     panels above s_lo, plus the rounding bound k eps sum |terms| of the
     k-node GL8 sum, plus half the quartic term's share, plus the tail
     charge.  A compact field is summed out to d + 1.001 a (the Laplacian:
-    at least ``outer_radius``); the potential of a radial field supported
+    at least ``OUTER_RADIUS``); the potential of a radial field supported
     in B_a is the exact exterior series of :func:`_exterior_series` at
     d > 2a, where each sphere meets the support in a thin cap that the
     angular rule cannot resolve.
@@ -283,13 +256,14 @@ def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
     c, sign = (f0, -1.0) if lap else (np.zeros(m), 1.0)
     compact = field.decay == "compact_support"
     outer = (d + field.support_radius * 1.001 if compact
-             else np.full(m, spec.outer_radius))
+             else np.full(m, OUTER_RADIUS))
     if compact and lap:
-        outer = np.maximum(outer, spec.outer_radius)
-    edges = _kink_edges(field, d)
-    s_lo = np.minimum(spec.inner_radius * np.maximum(1.0, d),
+        outer = np.maximum(outer, OUTER_RADIUS)
+    edges = geometry.kink_edges(field.kink_radii, d)
+    s_lo = np.minimum(INNER_RADIUS * np.maximum(1.0, d),
                       0.5 * np.min(edges, axis=1, initial=np.inf))
-    rows = _panel_breaks(edges, outer, spec.panels_per_decade, s_lo)
+    rows = geometry.panel_rows(1e-12, s_lo, outer, spec.panels_per_decade,
+                               edges)
     live = np.isfinite(rows[:, 1:])
     owner = np.nonzero(live)[0]
     n8, w8 = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 8)

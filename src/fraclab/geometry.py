@@ -1,11 +1,11 @@
 """Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
 
-Everything here is plain geometry on spheres in R^n.  The radial
-singular integrals of :mod:`fraclab.extension`, :mod:`fraclab.green` and
-:mod:`fraclab.constants` are summed by :func:`panel_quad` on geometric
-panels, graded about the integrand's kinks by :func:`graded_breaks` where
-it has any; the two operators of :mod:`fraclab.fracops` sum
-:func:`gauss_nodes` on their own panel rows, a block of points at a time.
+Everything here is plain geometry on spheres in R^n.  Every radial
+integral of the package is summed on the panels of :func:`panel_rows`:
+geometric panels plus breaks at edge * ``GRADING`` about each edge of
+:func:`kink_edges`.  :mod:`fraclab.fracops` and :mod:`fraclab.solver` take
+a block of rows at once; the other modules take one row from
+:func:`panel_breaks` and sum it by :func:`panel_quad`.
 """
 
 from __future__ import annotations
@@ -98,33 +98,55 @@ def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
 
 # --- composite radial panels ----------------------------------------------
 
-def panel_count(s_min: float, s_max: float, per_decade: int) -> int:
-    """Number of geometric panels from s_min to s_max at per_decade a decade."""
+#: Breaks at edge * g about each kink edge, so that panels shrink toward it.
+GRADING = (0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1)
+
+
+def kink_edges(kinks: Sequence[float], d: Array) -> Array:
+    """(m, 2k) radii s where sphere means about |x| = d[j] lose smoothness.
+
+    A kink of a radial profile at radius k shows up in the sphere mean about
+    x at s = |k - d| and s = k + d; edges at or below 1e-11 are inf.
+    """
+    kinks = np.asarray(kinks, dtype=float)[None, :]
+    d = np.asarray(d, dtype=float)[:, None]
+    edges = np.concatenate([np.abs(kinks - d), kinks + d], axis=1)
+    return np.where(edges > 1e-11, edges, np.inf)
+
+
+def panel_rows(start: float, s_lo: Array, outer: Array, per_decade: int,
+               edges: Array) -> Array:
+    """Rows of radial panel breaks from s_lo[j] to about outer[j], inf-padded.
+
+    Row j is the geometric grid from ``start`` to outer[j] plus the breaks
+    edge * ``GRADING`` in (start, outer[j]) about each kink edge of
+    edges[j], cut at s_lo[j] and started there: an integrand that loses
+    smoothness at s = edge gets panels that shrink toward it.
+    """
+    s_lo = np.asarray(s_lo, dtype=float)
+    outer = np.asarray(outer, dtype=float)
+    counts = np.array([max(1, math.ceil(math.log10(o / start) * per_decade))
+                       for o in outer])
+    steps = np.arange(counts.max() + 1)[None, :]
+    geo = start * (outer / start)[:, None] ** (steps / counts[:, None])
+    geo[steps > counts[:, None]] = np.inf
+    graded = (edges[:, :, None] * np.asarray(GRADING)).reshape(len(outer), -1)
+    graded[~((graded > start) & (graded < outer[:, None]))] = np.inf
+    rows = np.concatenate([geo, graded], axis=1)
+    rows[rows <= s_lo[:, None]] = np.inf
+    rows = np.sort(np.concatenate([s_lo[:, None], rows], axis=1), axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
+    return np.sort(rows, axis=1)
+
+
+def panel_breaks(s_min: float, s_max: float, per_decade: int,
+                 edges: Sequence[float] = ()) -> Array:
+    """One row of :func:`panel_rows` from s_min to s_max, without its padding."""
     if not (0.0 < s_min < s_max):
         raise ValueError("need 0 < s_min < s_max")
-    return max(1, int(math.ceil(math.log10(s_max / s_min) * per_decade)))
-
-
-def geometric_panels(s_min: float, s_max: float, per_decade: int = 4) -> Array:
-    """Panel breakpoints growing geometrically from s_min to s_max."""
-    k = panel_count(s_min, s_max, per_decade)
-    return s_min * (s_max / s_min) ** (np.arange(k + 1) / k)
-
-
-def graded_breaks(s_min: float, s_max: float, per_decade: int,
-                  edges: Sequence[float], grading: Sequence[float]) -> Array:
-    """Geometric panels plus breaks at edge * grading about each kink edge.
-
-    An integrand that loses smoothness at s = edge is resolved by panels
-    that shrink toward it; graded points outside (s_min, s_max) are dropped.
-    """
-    breaks = geometric_panels(s_min, s_max, per_decade)
-    if len(edges):
-        pts = (np.asarray(edges, dtype=float)[:, None]
-               * np.asarray(grading, dtype=float)[None, :]).ravel()
-        breaks = np.unique(np.concatenate(
-            [breaks, pts[(pts > s_min) & (pts < s_max)]]))
-    return breaks
+    row = panel_rows(s_min, [s_min], [s_max], per_decade,
+                     np.asarray(edges, dtype=float).reshape(1, -1))[0]
+    return row[np.isfinite(row)]
 
 
 @lru_cache(maxsize=None)

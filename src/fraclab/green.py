@@ -23,7 +23,6 @@ import numpy as np
 
 from . import constants, extension, geometry
 from .bubbles import KelvinMap, model_bubble
-from .fields import QuadratureSpec
 from .params import Params
 
 Array = np.ndarray
@@ -94,8 +93,8 @@ class AnnulusDensity:
                           dtype=float)
 
 
-def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
-                  radial_per_panel: int = 8) -> Tuple[Array, Array]:
+def _annulus_grid(ctx: GreenContext, outer: float,
+                  focus: Optional[Array]) -> Tuple[Array, Array]:
     """Product quadrature nodes and weights over the boundary annulus.
 
     The radial panels are graded toward |focus| and the angular panels
@@ -110,7 +109,7 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
         if lam < df < outer:
             extra = df + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
             rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
-    r, wr = geometry.gauss_panels(rbreaks, radial_per_panel)
+    r, wr = geometry.gauss_panels(rbreaks, 8)
     wr = wr * r ** (n - 1)
 
     if n == 2:
@@ -155,30 +154,28 @@ def _annulus_grid(ctx: GreenContext, outer: float, focus: Optional[Array],
     return pts, np.outer(wr, wang).ravel()
 
 
-def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float,
-                  per_decade: int = 6) -> float:
+#: Geometric panels a decade of the spherical-cap integral.
+CAP_PER_DECADE = 6
+
+
+def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float) -> float:
     """int over the annulus of (|y - eta|^2 + t^2)^{(2s-n)/2} d eta.
 
     Reduced to 1D through spherical caps about y (|y| = d): the annulus
     fraction of the sphere of radius s is a difference of cap fractions.
     """
-    n = ctx.params.n
-    lam = ctx.lam
+    n, lam = ctx.params.n, ctx.lam
     s2n = (2.0 * ctx.params.sigma - n) / 2.0
-    hi = d + outer
-    edges = [e for k in (lam, outer) for e in (abs(k - d), k + d) if 0 < e < hi]
-    breaks = geometry.graded_breaks(max(1e-8 * lam, 1e-3 * max(t, 1e-30)), hi,
-                                    per_decade, edges,
-                                    (0.99, 0.999, 1.0, 1.001, 1.01))
-    cset = constants.constant_set(ctx.params)
-    return cset.sphere_area * geometry.panel_quad(
+    breaks = geometry.panel_breaks(
+        max(1e-8 * lam, 1e-3 * max(t, 1e-30)), d + outer, CAP_PER_DECADE,
+        geometry.kink_edges((lam, outer), [d])[0])
+    return constants.constant_set(ctx.params).sphere_area * geometry.panel_quad(
         lambda s: s ** (n - 1) * (s ** 2 + t * t) ** s2n
         * (geometry.cap_fraction(d, s, outer, n) - geometry.cap_fraction(d, s, lam, n)),
         breaks)
 
 
-def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array,
-                 ts, radial_per_panel: int = 8) -> list:
+def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
     """Phi(y, t) at each height t; the t-free grid, q and distances are built once."""
     lam, outer = ctx.lam, q.outer_radius
     if outer <= lam:
@@ -186,8 +183,7 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array,
     d = float(np.linalg.norm(y))
     cset = constants.constant_set(ctx.params)
     qy = float(q(y[None, :])[0]) if lam < d < outer else 0.0
-    pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None,
-                             radial_per_panel=radial_per_panel)
+    pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None)
     qv = q(pts)
     sq = _sq_dists(ctx, y, pts)
     del pts     # hold no more memory at once than one height needs
@@ -202,8 +198,7 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array,
     return vals
 
 
-def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
-                  radial_per_panel: int = 8) -> float:
+def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array) -> float:
     """Potential Phi(Y) of the density q against the Green function.
 
     The on-boundary singularity |Y - eta|^{2s-n} at eta = y is removed by
@@ -212,37 +207,34 @@ def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array,
     handled by a graded product grid.
     """
     y, t = _split(Y, ctx.params.n)
-    return _phi_heights(ctx, q, y, [t], radial_per_panel)[0]
+    return _phi_heights(ctx, q, y, [t])[0]
 
 
-def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array,
-                 radial_per_panel: int = 8) -> float:
+def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array) -> float:
     """-lim t^{1-2s} d Phi/dt at the boundary point y, via Richardson."""
     y = np.asarray(y, dtype=float).reshape(-1)
     return extension.conormal_limit(
-        lambda ts: _phi_heights(ctx, q, y, ts, radial_per_panel),
+        lambda ts: _phi_heights(ctx, q, y, ts),
         ctx.lam, range(4, 12), ctx.params.sigma)
 
 
 # --- comparison inequalities for the extended model bubble ---------------
 
-def wtilde_extension(Y: Array, params: Params,
-                     spec: QuadratureSpec = QuadratureSpec()) -> float:
+def wtilde_extension(Y: Array, params: Params) -> float:
     """Extension of the model bubble, with the sigma = 1/2 closed form fast path."""
     y, t = _split(Y, params.n)
     if abs(params.sigma - 0.5) < 1e-12:
         return extension.model_bubble_extension_halforder(y, t, params)
     if t == 0.0:
         return float((1.0 + np.dot(y, y)) ** (-params.half_exp))
-    return extension.extend(model_bubble(params), y, t, params, spec)
+    return extension.extend(model_bubble(params), y, t, params)
 
 
-def wtilde_kelvin(Y: Array, lam: float, params: Params,
-                  spec: QuadratureSpec = QuadratureSpec()) -> float:
+def wtilde_kelvin(Y: Array, lam: float, params: Params) -> float:
     """Half-space Kelvin transform of the extended model bubble."""
     Y = np.asarray(Y, dtype=float).reshape(-1)
     k = KelvinMap(params, lam=lam)
-    return float(k.weight(Y)) * wtilde_extension(k.point(Y), params, spec)
+    return float(k.weight(Y)) * wtilde_extension(k.point(Y), params)
 
 
 def _halfspace_samples(rng: np.random.Generator, count: int, n: int,
@@ -256,8 +248,7 @@ def _halfspace_samples(rng: np.random.Generator, count: int, n: int,
 
 
 def check_bbl_inequalities(params: Params, grid_points: int = 1000,
-                           seed: int = 7,
-                           spec: QuadratureSpec = QuadratureSpec()) -> dict:
+                           seed: int = 7) -> dict:
     """Comparison facts for the extended bubble against its Kelvin images.
 
     Checks, on a random half-space grid outside B_{1/2}: the difference
@@ -271,7 +262,7 @@ def check_bbl_inequalities(params: Params, grid_points: int = 1000,
     ne = params.kelvin_exp
 
     def gap(Y: Array, lam: float) -> float:
-        return wtilde_extension(Y, params, spec) - wtilde_kelvin(Y, lam, params, spec)
+        return wtilde_extension(Y, params) - wtilde_kelvin(Y, lam, params)
 
     samples = _halfspace_samples(rng, grid_points, n, 0.5 + 1e-3, 50.0)
     cs = []

@@ -2,27 +2,26 @@
 
 The nonlocal operator is discretized by quadrature-collocation of the
 symmetric-difference integral: at each node the sphere means of the
-piecewise-linear basis are integrated against s^{-1-2s} over graded
-geometric panels, the exterior (zero extension) contributes an exact
-tail, and the innermost region uses a quadratic second-difference model.
-All off-diagonal entries are nonpositive and rows act nonnegatively on
-the exterior-extended constant, so the discrete maximum principle and
-the monotone Picard scheme both hold.
+piecewise-linear basis are integrated against s^{-1-2s} on its row of one
+:func:`geometry.panel_rows` call, graded where the sphere meets lo or hi;
+the exterior contributes an exact tail, and the innermost region uses a
+quadratic second-difference model.  All off-diagonal entries are
+nonpositive and rows act nonnegatively on the exterior-extended constant,
+so the discrete maximum principle and the monotone Picard scheme hold.
 
 A hat function is nonzero on two cells only, so each sphere-mean radius
 r in (lo, hi) touches exactly two basis functions: with u = (r - lo)/h
 and m = floor(u), its weight goes to node m - 1 as (1 - frac) and to
 node m as frac, frac = u - m (each evaluated as 1 - |r - x_j|/h).  Each
-row scatters those two values with one ``bincount``, O(R + N) per row
-for R radii, where a dense (R x N) basis table cost O(R N); the rows are
-assembled one at a time.  The assembled matrix is read-only and its LU
+row scatters those two values with one ``bincount``, O(R + N) for R
+radii.  Rows are scattered one at a time: a 96-node annulus has 1.7
+million sphere-mean radii in all.  The assembled matrix is read-only and its LU
 factorization is computed once, on first use, and shared by
 ``solve_linear`` and ``monotone_iterate``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, List, Optional, Tuple
@@ -119,9 +118,13 @@ def _mean_radii_weights(d: float, s_nodes: Array, dim: int,
     return radii, np.broadcast_to(w, radii.shape)
 
 
+#: Angular points of the sphere means and geometric panels a decade per row.
+ANGULAR_POINTS = 48
+PER_DECADE = 6
+
+
 def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
-                  dimension: int = 1, angular: int = 48,
-                  per_decade: int = 6,
+                  dimension: int = 1,
                   rhs_map: Optional[Callable] = None) -> FractionalDirichletProblem:
     """Assemble the dense collocation matrix on an interval or radial annulus.
 
@@ -148,22 +151,14 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
     s_min = 0.5 * h
     near_coef = front * s_min ** (2.0 - s2) / ((2.0 - s2) * 2.0 * dimension) / h ** 2
 
+    # the basis means lose smoothness where the sphere about d meets lo or hi
     s_max = 2.0 * (hi - lo) + abs(lo) + abs(hi) + 1.0
-    for i, d in enumerate(grid):
-        kinks = sorted({abs(d - lo), abs(d - hi), d + abs(lo), d + hi})
-        breaks = [s_min]
-        for panel in np.geomspace(s_min, s_max, max(
-                8, int(per_decade * math.log10(s_max / s_min)) + 1))[1:]:
-            breaks.append(float(panel))
-        for kk in kinks:
-            if s_min < kk < s_max:
-                for g in (0.9, 0.99, 1.0, 1.01, 1.1):
-                    val = kk * g
-                    if s_min < val < s_max:
-                        breaks.append(val)
-        s_nodes, s_weights = geometry.gauss_panels(np.unique(np.asarray(breaks)), 8)
+    rows = geometry.panel_rows(s_min, np.full(nodes, s_min), np.full(nodes, s_max),
+                               PER_DECADE, geometry.kink_edges((abs(lo), hi), grid))
+    for i, (d, row) in enumerate(zip(grid, rows)):
+        s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
         kern = s_nodes ** (-1.0 - s2)
-        radii, wts = _mean_radii_weights(d, s_nodes, dimension, angular)
+        radii, wts = _mean_radii_weights(d, s_nodes, dimension, ANGULAR_POINTS)
         w = (s_weights * kern)[:, None] * wts
         # f(x) sum(kernel) minus the basis means; exact exterior tail
         a[i, i] += front * s_min ** (-s2) / s2

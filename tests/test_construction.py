@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.integrate import quad
 
 from fraclab import construction as cn, fracops
 from fraclab.fields import QuadratureSpec, ScalarField, radial_field
@@ -242,9 +243,24 @@ def test_tent_potential_matches_the_tent_field():
     x[:, 0] = d
     want = fracops.riesz_potential(tent, x, PR,
                                    QuadratureSpec(angular_points=128)).value
-    got = [cn._tent_riesz(di, rho, PR, 24) for di in d]
+    got = [cn._tent_riesz(di, rho, PR) for di in d]
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=0.0)
-    assert cn._tent_riesz(math.inf, rho, PR, 24) == 0.0
+    assert cn._tent_riesz(math.inf, rho, PR) == 0.0
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in (2, 3, 5)
+                                 for s in (0.25, 0.5, 0.75)])
+def test_tent_potential_is_graded_at_the_kink(n, s):
+    # the potential of B_r at d is not smooth in r at r = d: adaptive
+    # quadrature split there is the reference
+    pr, rho = Params(n, s), 0.5
+    for ratio in (0.5, 1.2, 1.5, 1.9, 1.999, 3.0):
+        d = ratio * rho
+        knots = sorted({rho, min(max(d, rho), 2.0 * rho), 2.0 * rho})
+        want = sum(quad(lambda r: fracops.riesz_ball_indicator(d, r, pr),
+                        a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                   for a, b in zip(knots[:-1], knots[1:])) / rho
+        assert cn._tent_riesz(d, rho, pr) == pytest.approx(want, rel=1e-6)
 
 
 def test_vbar_sandwich(plan):

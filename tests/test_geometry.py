@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -41,21 +43,34 @@ def test_cap_fraction_exact_on_empty_and_full_branches(i, j, k, n):
 
 
 @given(st.floats(min_value=1e-12, max_value=1e-2),
-       st.floats(min_value=0.5, max_value=12.0),
        st.integers(min_value=1, max_value=8),
-       st.lists(st.floats(min_value=1e-13, max_value=1e12), max_size=6),
-       st.sampled_from([(0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1),
-                        (0.9, 0.99, 1.0, 1.01, 1.1),
-                        (0.99, 0.999, 1.0, 1.001, 1.01)]))
+       st.lists(st.tuples(st.floats(min_value=0.5, max_value=12.0),
+                          st.floats(min_value=0.0, max_value=0.999),
+                          st.lists(st.one_of(
+                              st.floats(min_value=1e-13, max_value=1e12),
+                              st.just(np.inf)), max_size=6)),
+                min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_graded_breaks_increasing_and_complete(s_min, decades, per_decade,
-                                               edges, grading):
-    s_max = s_min * 10.0 ** decades
-    breaks = geometry.graded_breaks(s_min, s_max, per_decade, edges, grading)
-    assert breaks[0] == s_min
-    assert np.all(np.diff(breaks) > 0.0)
-    assert np.all(np.isin(geometry.geometric_panels(s_min, s_max, per_decade),
-                          breaks))
-    graded = np.array([e * g for e in edges for g in grading])
-    inside = graded[(graded > s_min) & (graded < s_max)]
-    assert np.all(np.isin(inside, breaks))
+def test_panel_rows_start_increase_and_hold_every_break(start, per_decade,
+                                                        specs):
+    # row j: s_lo[j] = start (outer/start)^u, with inf-padded kink edges
+    outer = np.array([start * 10.0 ** dec for dec, _, _ in specs])
+    s_lo = np.array([start * (o / start) ** u
+                     for o, (_, u, _) in zip(outer, specs)])
+    width = max(len(e) for _, _, e in specs)
+    edges = np.array([e + [np.inf] * (width - len(e)) for _, _, e in specs])
+    rows = geometry.panel_rows(start, s_lo, outer, per_decade, edges)
+    for j, row in enumerate(rows):
+        finite = row[np.isfinite(row)]
+        assert np.all(np.isinf(row[finite.size:]))
+        assert finite[0] == s_lo[j]
+        assert np.all(np.diff(finite) > 0.0)
+        k = max(1, math.ceil(math.log10(outer[j] / start) * per_decade))
+        geo = start * (outer[j] / start) ** (np.arange(k + 1) / k)
+        graded = (edges[j][:, None] * np.asarray(geometry.GRADING)).ravel()
+        graded = graded[(graded > s_lo[j]) & (graded < outer[j])]
+        want = np.concatenate([[s_lo[j]], geo[geo > s_lo[j]], graded])
+        assert np.array_equal(finite, np.unique(want))
+        alone = geometry.panel_rows(start, s_lo[j:j + 1], outer[j:j + 1],
+                                    per_decade, edges[j:j + 1])[0]
+        assert np.array_equal(alone[np.isfinite(alone)], finite)

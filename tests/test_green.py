@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fraclab import constants, green
+from fraclab import constants, geometry, green
 from fraclab.bubbles import KelvinMap
 from fraclab.params import Params
 
@@ -43,17 +44,44 @@ def test_phi_vanishes_on_sphere(ctx3):
     assert abs(green.phi_potential(ctx3, q, Y)) < 1e-12
 
 
-@pytest.mark.parametrize("n,target_scale", [(2, None), (3, None)])
-def test_conormal_recovers_density(n, target_scale):
-    pr = Params(n, 0.5)
-    ctx = green.GreenContext(1.0, pr)
-    q = green.AnnulusDensity(4.0, lambda y: 1.0 / (
-        1.0 + np.linalg.norm(np.atleast_2d(y), axis=1) ** 2))
+#: The (n, sigma) cases of the Green potential checks.
+SWEEP = [(n, s) for n in (2, 3) for s in (0.25, 0.5, 0.75)]
+
+
+@pytest.mark.parametrize("n,s", SWEEP)
+def test_conormal_recovers_density(n, s):
+    ctx = green.GreenContext(1.0, Params(n, s))
     y = np.zeros(n)
     y[0] = 1.6
-    got = green.phi_conormal(ctx, q, y)
+    got = green.phi_conormal(ctx, _density(), y)
     want = 1.0 / (1.0 + 1.6 ** 2)
-    assert got == pytest.approx(want, rel=5e-2)
+    assert got == pytest.approx(want, rel=1e-3)
+
+
+def _cap_reference(ctx, d, t, outer):
+    """_cap_integral by adaptive quadrature, split at every kink edge below d + outer."""
+    n, lam = ctx.params.n, ctx.lam
+    s2n = (2.0 * ctx.params.sigma - n) / 2.0
+
+    def f(s):
+        shell = np.array([s])
+        return s ** (n - 1) * (s * s + t * t) ** s2n * float(
+            geometry.cap_fraction(d, shell, outer, n)[0]
+            - geometry.cap_fraction(d, shell, lam, n)[0])
+    knots = sorted({0.0, abs(lam - d), lam + d, abs(outer - d), t, d + outer})
+    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+                for a, b in zip(knots[:-1], knots[1:]))
+    return constants.constant_set(ctx.params).sphere_area * total
+
+
+@pytest.mark.parametrize("n,s", SWEEP)
+def test_cap_integral_matches_adaptive_quadrature(n, s):
+    # the top edge d + outer is graded as well as the inner ones
+    ctx = green.GreenContext(1.0, Params(n, s))
+    for d in (1.5, 1.6, 3.0):
+        for t in (1e-3, 0.05, 1.0):
+            assert green._cap_integral(ctx, d, t, 4.0) == pytest.approx(
+                _cap_reference(ctx, d, t, 4.0), rel=1e-6)
 
 
 def test_bbl_inequalities():
