@@ -15,8 +15,14 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
-from .gammafn import gamma_fn
 from .params import Params
+
+
+def gamma_fn(x: float) -> float:
+    """Stdlib Gamma(x), independent of scipy; x <= 0 raises, so such constants are NaN."""
+    if not x > 0.0:
+        raise ValueError(f"gamma_fn requires x > 0, got {x}")
+    return math.gamma(x)
 
 
 def sphere_area(n: int) -> float:

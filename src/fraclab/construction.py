@@ -14,7 +14,9 @@ resolve the local geometry.
 
 The log-space core is written once: :func:`log_envelope`, :func:`log_f`,
 :func:`bubble_log_profile` and :func:`_sum_exp`.  The envelope values, the
-plan step, the ring checks, the bubble sums and H all use it.
+plan step, the ring checks, the bubble sums, the paper's H
+(:func:`log_h`) and the barrier's closed-form source
+(:func:`log_barrier_source`) all use it.
 :func:`validate_plan` deliberately stays outside it: it re-derives the
 invariants directly, so it remains an independent reference.
 """
@@ -72,16 +74,6 @@ def log_f(log_z1: float, lz2: float, log_z3: float,
     return p * log_z1 + math.log(abs(term)), math.copysign(1.0, term)
 
 
-def _envelope(z2: float, z3: float, params: Params,
-              one_minus_z2: Optional[float]) -> Tuple[float, float]:
-    """log_envelope from z2, or from 1 - z2 when given (1 - z2 ~ 1e-131 survives)."""
-    if one_minus_z2 is not None:
-        return log_envelope(math.log1p(-one_minus_z2), math.log(z3), params)
-    if not 0.0 < z2 < 1.0:
-        raise ValueError("the envelope requires z2 in (0, 1)")
-    return log_envelope(math.log(z2), math.log(z3), params)
-
-
 def f_val(z1: float, z2: float, z3: float, params: Params) -> float:
     """z2 (z1 + z3)^p - z1^p, evaluated stably for very large z1."""
     if z1 < 0 or z2 <= 0 or z3 <= 0:
@@ -91,13 +83,13 @@ def f_val(z1: float, z2: float, z3: float, params: Params) -> float:
     return sign * math.exp(lg)
 
 
-def big_f_val(z1: float, z2: float, z3: float, params: Params,
-              one_minus_z2: Optional[float] = None) -> float:
+def big_f_val(z1: float, z2: float, z3: float, params: Params) -> float:
     """Monotone envelope F: f below the argmax, frozen at the max beyond it."""
-    at_one = z2 >= 1.0 if one_minus_z2 is None else one_minus_z2 <= 0.0
-    if at_one:
+    if z2 >= 1.0:
         return f_val(z1, z2, z3, params)
-    log_z, log_m = _envelope(z2, z3, params, one_minus_z2)
+    if not z2 > 0.0:
+        raise ValueError("the envelope requires z2 in (0, 1)")
+    log_z, log_m = log_envelope(math.log(z2), math.log(z3), params)
     if z1 <= math.exp(log_z):
         return f_val(z1, z2, z3, params)
     return math.exp(log_m)
@@ -404,19 +396,15 @@ def lambda_from_constraint(plan_like: dict, i: int, params: Params) -> float:
         * math.log(2.0 * plan_like["b"])
     log_eps_aw = math.log(eps) + q * math.log(a) + w_pref
 
-    def log_rhs(dist: float) -> float:
-        r_far = d_center + dist
-        return log_eps_aw - he * math.log1p(r_far ** 2)
+    dists = np.geomspace(rho, 1e3, 32)
+    log_rhs = log_eps_aw - he * np.log1p((d_center + dists) ** 2)
 
     def feasible(log_lam: float) -> bool:
         lam = math.exp(log_lam)
         if lam >= rho:
             return False
-        for dist in np.geomspace(rho, 1e3, 32):
-            log_psi = (math.log(amp)
-                       + he * (log_lam - math.log(lam * lam + dist * dist)))
-            if log_psi > log_rhs(dist):
-                return False
+        if np.any(bubble_log_profile(lam, dists, amp, params) > log_rhs):
+            return False
         # far field coefficient: amp lam^{he} vs eps a^q amp (2b)^{-n/2s}
         return math.log(amp) + he * log_lam <= log_eps_aw
 
@@ -668,112 +656,80 @@ def _tent_riesz(d: float, rho: float, params: Params) -> float:
         geometry.panel_breaks(rho, 2.0 * rho, 4, [d])) / rho
 
 
-def u_tilde_terms(plan: SequencePlan, pt: Point,
-                  v: float) -> Tuple[float, float, float]:
-    """(log max bubble, u_tilde / u_max, p(x, v) i.e. v + sum u - u_tilde).
+def u_tilde_terms(plan: SequencePlan, pt: Point, v: float) -> Tuple[float, float]:
+    """(log u_tilde, log p(x, v)) with p(x, v) = v + sum u - u_tilde.
 
     The cancellation in sum - u_tilde is computed from the subdominant
-    terms only, so it survives a dominant bubble of size 1e267.
+    terms only, so it survives a dominant bubble of size 1e267; nothing
+    is exponentiated, so a bubble past the float range stays finite.
     """
     logs = bubble_logs(plan, pt)
-    top = float(np.max(logs))
-    r = np.exp(logs - top)
     jmax = int(np.argmax(logs))
+    top = float(logs[jmax])
+    r = np.exp(np.delete(logs, jmax) - top)
     p = plan.params.p
-    e1 = float(np.sum(np.delete(r, jmax)))
-    ep = float(np.sum(np.delete(r, jmax) ** p))
-    t = math.expm1(math.log1p(ep) / p)
-    _in_range(pt, top, "the largest bubble")
-    u_max = math.exp(top) if top > -700 else 0.0
-    return top, math.exp(math.log1p(ep) / p), v + u_max * (e1 - t)
+    log_ut_rel = math.log1p(float(np.sum(r ** p))) / p
+    gap = float(np.sum(r)) - math.expm1(log_ut_rel)
+    log_v = math.log(v) if v > 0.0 else -math.inf
+    log_gap = top + math.log(gap) if gap > 0.0 else -math.inf
+    return top + log_ut_rel, float(np.logaddexp(log_v, log_gap))
 
 
-def _h_signed_log(plan: SequencePlan, pt: Point, v: float, envelope: str,
-                  k: Optional[ScalarField]) -> Tuple[float, float]:
-    top, ut_rel, p0 = u_tilde_terms(plan, pt, v)
-    if p0 <= 0.0:
-        p0 = max(p0, 1e-300)
-    omk = None
-    if envelope == "upper":
-        kap = 1.0 if k is None else k.at(_absolute(plan, pt))
-    else:
-        kap = kappa_eval(plan, pt, k)
-        # inside a cutoff plateau kappa = k_i, with 1 - k_i stored exactly
-        dists, _ = plan.distances_to_centers(pt)
-        for i in range(plan.n_mat):
-            if dists[i] <= plan.rho[i]:
-                omk = plan.one_minus_k[i]
-                break
-    log_ut = top + math.log(ut_rel) if top > -745 else -math.inf
-    # z2 = kappa, capped at 1
-    lz2 = math.log1p(-omk) if omk is not None else math.log(min(kap, 1.0))
-    log_p0 = math.log(p0)
-    if envelope in ("middle", "upper") and lz2 < 0.0:
+def log_h(plan: SequencePlan, pt: Point, v: float,
+          k: Optional[ScalarField] = None) -> Tuple[float, float]:
+    """(log |H(x, v)|, sign H) for H = F(kappa, p(x, v), u_tilde), in log space."""
+    log_ut, log_p0 = u_tilde_terms(plan, pt, v)
+    # inside a cutoff plateau kappa = k_i, with 1 - k_i stored exactly
+    dists, _ = plan.distances_to_centers(pt)
+    inside = np.flatnonzero(dists <= plan.rho)
+    lz2 = (math.log1p(-plan.one_minus_k[inside[0]]) if inside.size
+           else math.log(min(kappa_eval(plan, pt, k), 1.0)))
+    if lz2 < 0.0:
         log_z, log_m = log_envelope(lz2, log_p0, plan.params)
         if log_ut > log_z:
             return log_m, 1.0
     return log_f(log_ut, lz2, log_p0, plan.params.p)
 
 
-def _signed_exp(lg: float, sign: float) -> float:
-    return sign * math.exp(min(lg, 709.0)) if lg > -745 else 0.0
+def log_barrier_source(plan: SequencePlan, pt: Point) -> float:
+    """log (-Lap)^s vbar = log[(2b)^p w^p + sum (2 w0)^p M_i tent_i], closed form."""
+    p = plan.params.p
+    dists, radius = plan.distances_to_centers(pt)
+    t = dists / plan.rho
+    near = t < 2.0
+    logs = np.append(p * math.log(2.0 * plan.b * float(plan.w_profile(radius))),
+                     p * math.log(2.0 * plan.w0) + np.log(plan.m_big[near])
+                     + np.log(np.minimum(1.0, 2.0 - t[near])))
+    top, total = _sum_exp(logs)
+    return top + math.log(total)
 
 
-def h_eval(plan: SequencePlan, pt: Point, v: float,
-           k: Optional[ScalarField] = None) -> float:
-    return _signed_exp(*_h_signed_log(plan, pt, v, "middle", k))
-
-
-def h_under(plan: SequencePlan, pt: Point, v: float,
-            k: Optional[ScalarField] = None) -> float:
-    return _signed_exp(*_h_signed_log(plan, pt, v, "lower", k))
-
-
-def h_over(plan: SequencePlan, pt: Point, v: float,
-           k: Optional[ScalarField] = None) -> float:
-    return _signed_exp(*_h_signed_log(plan, pt, v, "upper", k))
-
-
-def _u0(plan: SequencePlan, u0_mode, pt: Point) -> float:
-    """u0 at pt per mode {zero, supersolution, callable}."""
+def _u0(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
+    """u0 at pt per mode {zero, supersolution}."""
     if u0_mode == "zero":
         return 0.0
     if u0_mode == "supersolution":
         return vbar_eval(plan, pt)
-    if callable(u0_mode):
-        return float(u0_mode(_absolute(plan, pt)))
-    raise ValueError("u0_mode must be 'zero', 'supersolution', or callable")
+    raise ValueError("u0_mode must be 'zero' or 'supersolution'")
 
 
-def assemble_u(plan: SequencePlan, u0_mode, pt: Point) -> float:
-    """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution, callable}."""
+def assemble_u(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
+    """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution}."""
     return _u0(plan, u0_mode, pt) + bubble_sum(plan, pt)
 
 
-def k_assemble(plan: SequencePlan, u0_mode, pt: Point,
-               k: Optional[ScalarField] = None) -> float:
+def k_assemble(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
     """K = (source term + sum u_i^p) / (u0 + sum u_i)^p, in log space.
 
     With u0 == 0 the source term is zero (u0 solves the trivial
     equation), giving the pure power-sum quotient; with the
-    supersolution mode the source is its closed-form fractional
-    Laplacian (2b)^p w^p + tent profile.
+    supersolution mode the source is :func:`log_barrier_source`.
     """
-    if callable(u0_mode):  # a callable u0 has no closed-form source term
-        raise ValueError("u0_mode must be 'zero' or 'supersolution'")
     p = plan.params.p
     logs = bubble_logs(plan, pt)
     u0 = _u0(plan, u0_mode, pt)
-    log_src = -math.inf
-    if u0_mode == "supersolution":
-        dists, radius = plan.distances_to_centers(pt)
-        src = (2.0 * plan.b) ** p * float(plan.w_profile(radius)) ** p
-        for i in range(plan.n_mat):
-            t = dists[i] / plan.rho[i]
-            if t < 2.0:
-                src += (2.0 * plan.w0) ** p * plan.m_big[i] * min(1.0, 2.0 - t)
-        log_src = math.log(src)
-
+    log_src = (log_barrier_source(plan, pt) if u0_mode == "supersolution"
+               else -math.inf)
     log_u0 = math.log(u0) if u0 > 0.0 else -math.inf
     base = max(float(np.max(logs)), log_u0)
     r = np.exp(logs - base)

@@ -150,8 +150,8 @@ def suite_bubble(cfg: RunConfig) -> List[Dict]:
     bad = float(np.min(res_bad))
     out.append(check("amplitude-detection", "a 10 percent amplitude "
                      "perturbation is detected", bad - 1e-2, bad > 1e-2))
-    out.append(check("kelvin-invariance", "the Kelvin transform fixes the "
-                     "unit bubble", None, bubbles.kelvin_fixes_bubble(pr)))
+    out.append(gate("kelvin-invariance", "the Kelvin transform fixes the "
+                    "unit bubble", bubbles.kelvin_fixes_bubble(pr), 1e-12, cfg))
     return out
 
 
@@ -314,6 +314,21 @@ def suite_construct(cfg: RunConfig) -> List[Dict]:
     out.append(check("coefficient-bound", "the assembled coefficient with "
                      "zero correction stays at or below one",
                      1.0 + 1e-6 - worst_k, worst_k <= 1.0 + 1e-6))
+    # (-Lap)^s vbar >= H(x, vbar) on every core ring and at seeded samples
+    e1 = np.eye(5)[0]
+    pts = [(i, t * plan.rho[i] * e1) for i in range(plan.n_mat)
+           for t in (0.0, 0.5, 1.0, 1.5)]
+    for _ in range(32):
+        x = rng.normal(size=5)
+        pts.append(x * 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x))
+    worst_s = math.inf
+    for x in pts:
+        log_h, sign = construction.log_h(plan, x, construction.vbar_eval(plan, x))
+        if sign > 0.0:  # a negative H is below any positive source
+            worst_s = min(worst_s, construction.log_barrier_source(plan, x) - log_h)
+    out.append(check("supersolution", "the barrier's closed-form source "
+                     "dominates H(x, vbar) on the core rings and off them",
+                     worst_s, worst_s > 0.0))
     return out
 
 

@@ -183,10 +183,9 @@ def getoor_profile(x: Array, params: Params) -> Array:
     is a ratio of gamma functions and is oracle-checked against the
     quadrature operator in the tests.
     """
-    from .gammafn import gamma_fn
     n, s = params.n, params.sigma
-    scale = gamma_fn(n / 2.0) / (2.0 ** (2 * s) * gamma_fn((n + 2 * s) / 2.0)
-                                 * gamma_fn(1.0 + s))
+    g = constants.gamma_fn
+    scale = g(n / 2.0) / (2.0 ** (2 * s) * g((n + 2 * s) / 2.0) * g(1.0 + s))
     return scale * np.clip(1.0 - np.asarray(x, dtype=float) ** 2, 0.0, None) ** s
 
 

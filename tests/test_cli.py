@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from fraclab import cli, movingsphere, reports
+from fraclab import bubbles, cli, movingsphere, reports
 
 
 def test_parse_phi():
@@ -141,6 +141,16 @@ def test_sweep_without_sign_change_fails_its_check(monkeypatch):
     assert first["name"] == "critical-radius-bracket"
     assert not first["passed"]
     assert first["margin"] is None
+
+
+@pytest.mark.parametrize("deviation,passed", [(0.0, True), (0.5, False)])
+def test_kelvin_invariance_fails_on_a_deviation(monkeypatch, deviation, passed):
+    monkeypatch.setattr(bubbles, "kelvin_fixes_bubble",
+                        lambda *args, **kwargs: deviation)
+    c = next(c for c in reports.suite_bubble(reports.RunConfig(suite="bubble"))
+             if c["name"] == "kelvin-invariance")
+    assert c["passed"] == passed
+    assert (c["margin"] > 0.0) == passed
 
 
 @pytest.mark.parametrize("suite", ["constants", "bubble", "extend"])

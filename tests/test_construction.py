@@ -14,8 +14,8 @@ from fraclab.params import Params
 PR = Params(5, 0.5)
 
 
-def _unit_k():
-    return ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=5,
+def _unit_k(n=5):
+    return ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=n,
                        decay="integrable_against_kernel")
 
 
@@ -279,33 +279,48 @@ def test_vbar_sandwich(plan):
         assert w / (2.0 * plan.b) < cn.vbar_eval(plan, pt) < w
 
 
-def test_h_ordering(plan):
+def test_log_h_off_the_cores_is_the_power_gap(plan):
+    # off every cutoff kappa = k = 1, where H(x, v) = (v + sum u)^p - sum u^p
     rng = np.random.default_rng(9)
+    p = PR.p
     for _ in range(300):
         x = rng.normal(size=5)
         x *= 10.0 ** rng.uniform(-2, 1) / np.linalg.norm(x)
         v = 10.0 ** rng.uniform(-6, 0)
-        hl = cn.h_under(plan, x, v)
-        hm = cn.h_eval(plan, x, v)
-        ho = cn.h_over(plan, x, v)
-        assert hl <= hm * (1.0 + 1e-12) + 1e-300
-        assert hm <= ho * (1.0 + 1e-12) + 1e-300
-    # anchored at a bubble core, where the scales are ~1e270
-    deep = (0, np.zeros(5))
-    assert cn.h_under(plan, deep, 0.1) <= cn.h_eval(plan, deep, 0.1) \
-        <= cn.h_over(plan, deep, 0.1)
+        u = np.exp(cn.bubble_logs(plan, x))
+        lg, sign = cn.log_h(plan, x, v)
+        assert sign == 1.0
+        assert lg == pytest.approx(math.log((v + u.sum()) ** p
+                                            - np.sum(u ** p)), rel=1e-9)
+    # midway between ring neighbours the second bubble is not negligible
+    # against v, so p(x, v) = v + sum u - u_tilde carries the gap
+    for i in range(plan.n_mat - 1):
+        pt = (i, 0.5 * plan.center_difference(i + 1, i))
+        u = np.exp(cn.bubble_logs(plan, pt))
+        lg, sign = cn.log_h(plan, pt, 1e-9)
+        assert sign == 1.0
+        assert lg == pytest.approx(math.log((1e-9 + u.sum()) ** p
+                                            - np.sum(u ** p)), rel=1e-9)
 
 
 def test_h_below_barrier_source(plan):
-    # H(x, v) <= (-lap)^s vbar for 0 <= v <= w(x), off the cores
+    # H(x, v) <= (2b)^p w^p <= (-lap)^s vbar for 0 <= v <= w(x), off the cores
     rng = np.random.default_rng(21)
     p = PR.p
     for _ in range(200):
         x = rng.normal(size=5)
         x *= 10.0 ** rng.uniform(-2, 1) / np.linalg.norm(x)
         w = float(plan.w_profile(np.linalg.norm(x)))
-        v = w * rng.random()
-        assert cn.h_eval(plan, x, v) <= (2.0 * plan.b) ** p * w ** p * (1 + 1e-10)
+        lg, sign = cn.log_h(plan, x, w * rng.random())
+        log_w_part = p * math.log(2.0 * plan.b * w)
+        assert sign == 1.0 and lg <= log_w_part + 1e-10
+        assert log_w_part <= cn.log_barrier_source(plan, x) + 1e-12
+    # at v = vbar on the core rings, where the bubbles make H largest
+    for i in range(plan.n_mat):
+        for t in (0.0, 0.5, 1.0, 1.5):
+            pt = (i, np.array([t * plan.rho[i], 0.0, 0.0, 0.0, 0.0]))
+            lg, _ = cn.log_h(plan, pt, cn.vbar_eval(plan, pt))
+            assert lg < cn.log_barrier_source(plan, pt)
 
 
 def test_k_assemble_bounds(plan):
@@ -323,15 +338,23 @@ def test_assemble_u_modes(plan):
     zero = cn.assemble_u(plan, "zero", pt)
     sup = cn.assemble_u(plan, "supersolution", pt)
     assert sup > zero
-    custom = cn.assemble_u(plan, lambda x: 0.5, pt)
-    assert custom == pytest.approx(zero + 0.5)
-    with pytest.raises(ValueError):
-        cn.assemble_u(plan, "bogus", pt)
+    for bogus in ("bogus", lambda x: 0.5):
+        with pytest.raises(ValueError):
+            cn.assemble_u(plan, bogus, pt)
 
 
 def test_infeasible_plan_reporting():
     with pytest.raises(cn.InfeasiblePlanError):
         cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=0)
+
+
+def test_underflowing_lambda_is_a_named_refusal():
+    # at (4, 1/4) lambda^2 + dist^2 underflows in the lambda search; the
+    # plan is refused by name instead of a math domain error
+    with pytest.raises(cn.InfeasiblePlanError,
+                       match="lambda_8 falls below the float floor"):
+        cn.plan_sequences(Params(4, 0.25), _unit_k(4), lambda r: r ** -10.0,
+                          N=8, seed=7)
 
 
 # --- deep bubble centres -------------------------------------------------------
@@ -354,16 +377,15 @@ def test_every_centre_is_finite_or_named(deep_plan):
         assert logs[i] == pytest.approx(own, rel=1e-14)
         k = cn.k_assemble(plan, "zero", pt)
         assert math.isfinite(k) and 0.0 < k <= 1.0 + 1e-12
-        for fn in (lambda: cn.bubble_sum(plan, pt),
-                   lambda: cn.h_eval(plan, pt, 1.0),
-                   lambda: cn.h_under(plan, pt, 1.0),
-                   lambda: cn.h_over(plan, pt, 1.0)):
-            if logs[i] <= cn.LOG_MAX:
-                assert math.isfinite(fn())
-            else:
-                with pytest.raises(cn.BubbleRangeError,
-                                   match=rf"anchor {i} .*log value {logs[i]:.6g}"):
-                    fn()
+        # H stays in logs, so it is finite past the float range too
+        lg, sign = cn.log_h(plan, pt, 1.0)
+        assert math.isfinite(lg) and sign == 1.0
+        if logs[i] <= cn.LOG_MAX:
+            assert math.isfinite(cn.bubble_sum(plan, pt))
+        else:
+            with pytest.raises(cn.BubbleRangeError,
+                               match=rf"anchor {i} .*log value {logs[i]:.6g}"):
+                cn.bubble_sum(plan, pt)
 
 
 @given(st.floats(min_value=-720.0, max_value=-1.0),

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fraclab import bubbles, constants, fracops, geometry
+from fraclab.constants import gamma_fn
 from fraclab.fields import QuadratureSpec, ScalarField, radial_field
-from fraclab.gammafn import gamma_fn
 from fraclab.params import Params
 
 
