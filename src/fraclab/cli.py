@@ -111,11 +111,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     pr = Params(max(cfg.n, 2), cfg.sigma)
     w = bubbles.model_bubble(pr)
-    rows = []
-    for d in (0.0, 0.5, 1.0):
-        for t in (0.25, 1.0, 4.0):
-            y = d * np.eye(pr.n)[0]
-            rows.append((d, t, extension.extend(w, y, t, pr)))
+    d, t = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], [0.25, 1.0, 4.0],
+                                           indexing="ij"))
+    vals = extension.extend(w, d[:, None] * np.eye(pr.n)[0], t, pr)
+    rows = zip(d.tolist(), t.tolist(), vals.tolist())
     _write_csv(cfg.out, "extension_samples.csv",
                ["base_radius", "height", "extension_value"], rows)
     return 0

@@ -347,10 +347,10 @@ def rho_from_constraint(plan_like: dict, i: int, params: Params) -> float:
     log_budget_const = (-(i + 2) * LOG2 - params.p * math.log(2.0 * w0)
                         - math.log(m_i))
 
-    def log_rhs(dist: float) -> float:
-        # smallest w on the sphere of radius dist about x_i
+    def log_rhs(dist):
+        # smallest w on the spheres of radii dist about x_i
         r_far = d_center + dist
-        return w_pref - params.half_exp * math.log1p(r_far ** 2) + log_budget_const \
+        return w_pref - params.half_exp * np.log1p(r_far ** 2) + log_budget_const \
             + LOG2  # budget uses 2^{i+1}; log_budget_const carries 2^{i+2}
 
     def feasible(log_rho: float) -> bool:
@@ -360,13 +360,12 @@ def rho_from_constraint(plan_like: dict, i: int, params: Params) -> float:
                     + s2 * (log_rho + LOG2))
         if log_lhs0 > log_rhs(0.0):
             return False
-        # radial ladder out to 10^3
-        for dist in np.geomspace(rho, 1e3, 24):
-            lhs = fracops.riesz_ball_indicator(dist, 2.0 * rho, params)
-            if lhs <= 0.0:
-                continue
-            if math.log(lhs) > log_rhs(dist):
-                return False
+        # radial ladder out to 10^3, in one call; an underflowed rung holds
+        dist = np.geomspace(rho, 1e3, 24)
+        lhs = fracops.riesz_ball_indicator(dist, 2.0 * rho, params)
+        live = lhs > 0.0
+        if (np.log(lhs[live]) > log_rhs(dist[live])).any():
+            return False
         # far field: r vol(B_{2rho}) dist^{2s-n} vs coefficient of w-side
         log_far_lhs = (math.log(cset.riesz_constant * cset.sphere_area / n)
                        + n * (log_rho + LOG2))
@@ -652,7 +651,7 @@ def _tent_riesz(d: float, rho: float, params: Params) -> float:
     panels in s are graded toward it.
     """
     return geometry.panel_quad(
-        lambda s: [fracops.riesz_ball_indicator(d, sv, params) for sv in s],
+        lambda s: fracops.riesz_ball_indicator(d, s, params),
         geometry.panel_breaks(rho, 2.0 * rho, 4, [d])) / rho
 
 

@@ -11,43 +11,121 @@ integral of sphere means:
 
 U solves div(t^{1-2s} grad U) = 0 for t > 0 with trace u, and its conormal
 derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
+
+:func:`extend` takes one point (y, t) or rows of them in one call.  Each
+row is summed on the fixed panels ``BREAKS`` above a head radius r_lo;
+below it the sphere mean is a smooth even function of t r, and the head
+is integrated in closed form against the kernel, as in
+:mod:`fraclab.fracops`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
+from scipy.special import hyp2f1
 
-from . import constants, geometry
+from . import constants, fracops, geometry
 from .fields import QuadratureSpec, ScalarField
-from .fracops import _sphere_means
+from .fracops import _radial_means, _sphere_means
 from .params import Params
 
 Array = np.ndarray
 
 
-#: Panels out to OUTER at the default resolution, made once for every call.
+#: Panels out to OUTER at the default resolution, with their GL8 nodes and
+#: weights, made once for every call.
 SPEC, OUTER = QuadratureSpec(), 1e4
 BREAKS = geometry.panel_breaks(1e-8, OUTER, SPEC.panels_per_decade)
+NODES, WEIGHTS = geometry.gauss_panels(BREAKS, 8)
 
 
-def extend(field: ScalarField, y: Array, t: float, params: Params) -> float:
-    """Value of the extension U(y, t) for t > 0."""
-    if t <= 0.0:
+def extend(field: ScalarField, y: Array, t, params: Params):
+    """Value of the extension U(y, t) for t > 0.
+
+    ``y`` (n,) with a float t gives a float; ``y`` (m, n) with t (m,)
+    gives an (m,) array.  A single point is a batch of one, and the
+    sphere-mean nodes of ``fracops.BLOCK`` rows go to the field in one call.
+
+    Row j starts its panels at r_lo, the largest break of ``BREAKS`` (at
+    most 1) with t r_lo <= ``fracops.INNER_RADIUS`` max(1, |y|) and below
+    half the nearest kink edge, so every node above r_lo is a node of the
+    full rule.  On [0, r_lo] the sphere mean is the even fit
+    S(0) + a x^2 + b x^4, x = r / r_lo, through S(t r_lo) and S(t r_lo / 2),
+    and its integral against r^{n-1} (1+r^2)^{-c}, c = (n+2s)/2, takes the
+    moments r_lo^{n+2k} / (n+2k) 2F1(c, n/2+k; n/2+k+1; -r_lo^2).
+    """
+    single = np.ndim(y) == 1
+    ys = np.atleast_2d(np.asarray(y, dtype=float))
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    if ys.ndim != 2 or ys.shape[1] != field.n or ts.size != len(ys):
+        raise ValueError("points must be y (n,) with one t or y (m, n) "
+                         "with t (m,)")
+    if (ts <= 0.0).any():
         raise ValueError("the extension is evaluated at t > 0")
-    y = np.asarray(y, dtype=float).reshape(-1)
+    dist = np.linalg.norm(ys, axis=1)
+    smooth = np.minimum(
+        fracops.INNER_RADIUS * np.maximum(1.0, dist),
+        0.5 * np.min(geometry.kink_edges(field.kink_radii, dist), axis=1,
+                     initial=np.inf))
+    inside = (ts[:, None] * BREAKS <= smooth[:, None]) & (BREAKS <= 1.0)
+    first = np.maximum(np.count_nonzero(inside, axis=1) - 1, 0)
+    value = np.empty(ts.size)
+    for lo in range(0, ts.size, fracops.BLOCK):
+        blk = slice(lo, lo + fracops.BLOCK)
+        value[blk] = _block(field, ys[blk], dist[blk], ts[blk], first[blk],
+                            params)
     cset = constants.constant_set(params)
-    n, s2 = params.n, 2.0 * params.sigma
+    value *= cset.gamma_poisson * cset.sphere_area
+    return float(value[0]) if single else value
 
-    val = geometry.panel_quad(
-        lambda r: _sphere_means(field, y, t * r, SPEC.angular_points)
-        * (r ** (n - 1) * (1.0 + r ** 2) ** (-(n + s2) / 2.0)), BREAKS)
+
+def _block(field: ScalarField, y: Array, d: Array, t: Array, first: Array,
+           params: Params) -> Array:
+    """The radial integral of :func:`extend`, without its front, for one
+    block of rows whose panels start at ``BREAKS[first]``."""
+    m = t.size
+    n, s2 = params.n, 2.0 * params.sigma
+    idx = np.concatenate([np.arange(8 * f, NODES.size) for f in first])
+    own = np.arange(m)
+    owner = np.repeat(own, NODES.size - 8 * first)
+    r_lo = BREAKS[first]
+    radii = np.concatenate([NODES[idx], r_lo, 0.5 * r_lo, np.full(m, OUTER)])
+    who = np.concatenate([owner, own, own, own])
+    if field.is_radial:
+        means = _radial_means(field, d[who], t[who] * radii,
+                              SPEC.angular_points)
+        g0 = field.radial_profile(d)
+    else:
+        means = _sphere_means(field, y[who], t[who] * radii,
+                              SPEC.angular_points)
+        g0 = field(y)
+    body, g_one, g_half, s_tail = np.split(means, np.cumsum([idx.size, m, m]))
+    kernel, moments = _rule(n, params.sigma)
+    val = np.bincount(owner, body * kernel[idx], minlength=m)
+
+    # head: S = g0 + a x^2 + b x^4, x = r / r_lo, integrated exactly
+    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
+    b = g_one - g0 - a
+    moments = moments[first]
+    val += moments[:, 0] * g0 + moments[:, 1] * a + moments[:, 2] * b
 
     # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
-    s_tail = _sphere_means(field, y, np.array([t * OUTER]), SPEC.angular_points)[0]
-    val += s_tail * OUTER ** (-s2) / s2
-    return cset.gamma_poisson * cset.sphere_area * val
+    return val + s_tail * OUTER ** (-s2) / s2
+
+
+@lru_cache(maxsize=None)
+def _rule(n: int, sigma: float) -> Tuple[Array, Array]:
+    """The kernel r^{n-1} (1+r^2)^{-c}, c = (n+2s)/2, times the weight at each
+    of ``NODES``; and the head moments int_0^{r_lo} (r / r_lo)^{2k} r^{n-1}
+    (1+r^2)^{-c} dr, k = 0, 1, 2 (columns), at each break r_lo <= 1 (rows)."""
+    c = (n + 2.0 * sigma) / 2.0
+    kernel = NODES ** (n - 1) * (1.0 + NODES ** 2) ** (-c) * WEIGHTS
+    k = n + 2.0 * np.arange(3)
+    r_lo = BREAKS[BREAKS <= 1.0][:, None]
+    return kernel, r_lo ** n * hyp2f1(c, k / 2.0, k / 2.0 + 1.0, -r_lo ** 2) / k
 
 
 def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,
@@ -75,20 +153,27 @@ def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,
 
 
 def conormal_derivative(field: ScalarField, y: Array, params: Params) -> float:
-    """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = 1/8 down."""
-    return conormal_limit(lambda ts: [extend(field, y, t, params) for t in ts],
-                          1.0, range(3, 13), params.sigma)
+    """-lim_{t->0} t^{1-2s} dU/dt of the extension, from t = 1/8 down; the
+    20 heights of the ladder are one :func:`extend` call."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    return float(conormal_limit(
+        lambda ts: extend(field, np.tile(y, (len(ts), 1)), ts, params),
+        1.0, range(3, 13), params.sigma))
 
 
-def model_bubble_extension_halforder(y: Array, t: float, params: Params) -> float:
+def model_bubble_extension_halforder(y: Array, t, params: Params):
     """Closed-form extension of (1+|y|^2)^{-(n-1)/2} at sigma = 1/2.
 
     For sigma = 1/2 the extension operator is the classical harmonic
     Poisson kernel of the half space, and the model bubble extends to
-    ((1+t)^2 + |y|^2)^{-(n-1)/2}.
+    ((1+t)^2 + |y|^2)^{-(n-1)/2}.  Takes y (n,) with a float t, giving a
+    float, or y (m, n) with t (m,), giving an (m,) array.
     """
     if abs(params.sigma - 0.5) > 1e-12:
         raise ValueError("closed form only at sigma = 1/2")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    r2 = float(np.dot(y, y))
-    return ((1.0 + t) ** 2 + r2) ** (-params.half_exp)
+    y = np.asarray(y, dtype=float)
+    # a row sum costs a point more than the rest; the moving-sphere
+    # comparison calls one point at a time
+    r2 = np.dot(y, y) if y.ndim == 1 else np.sum(y * y, axis=1)
+    val = ((1.0 + t) ** 2 + r2) ** (-params.half_exp)
+    return float(val) if y.ndim == 1 else val

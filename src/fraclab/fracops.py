@@ -414,7 +414,7 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
                         kink_radii=(a, 2.0 * a), error_bound=bound)
 
 
-def riesz_ball_indicator(d: float, radius: float, params: Params) -> float:
+def riesz_ball_indicator(d, radius, params: Params):
     """Riesz potential of the indicator of the ball B_radius, at distance d.
 
     In closed form (Dyda, FCAA 15(4), 2012), with delta = d / radius,
@@ -427,14 +427,24 @@ def riesz_ball_indicator(d: float, radius: float, params: Params) -> float:
     the point mass r |B_radius| d^{2s-n} times a series in (radius / d)^2.
     The powers of radius and delta stay apart, so tiny radii do not
     underflow, and the argument is not formed as delta^-2, which overflows.
+    Floats give a float; arrays of distances or radii, broadcast against
+    each other, give an array, with one 2F1 call per branch.
     """
-    if radius <= 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius:g}")
+    d, radius = np.broadcast_arrays(np.asarray(d, dtype=float),
+                                    np.asarray(radius, dtype=float))
+    if (radius <= 0.0).any():
+        raise ValueError("ball radius must be positive, got "
+                         f"{float(radius.min()):g}")
     n, s = params.n, params.sigma
-    delta = d / radius
-    scale = _riesz_front(params) * radius ** (2.0 * s)
-    if delta <= 1.0:
-        return float(scale / (2.0 * s)
-                     * hyp2f1(n / 2 - s, -s, n / 2, delta * delta))
-    return float(scale / n * delta ** (2.0 * s - n)
-                 * hyp2f1(n / 2 - s, 1.0 - s, n / 2 + 1, (radius / d) ** 2))
+    front = _riesz_front(params)
+    out = np.empty(d.shape)
+    near = d / radius <= 1.0
+    dn, rn = d[near], radius[near]
+    delta = dn / rn
+    out[near] = (front * rn ** (2.0 * s) / (2.0 * s)
+                 * hyp2f1(n / 2 - s, -s, n / 2, delta * delta))
+    far = ~near
+    df, rf = d[far], radius[far]
+    out[far] = (front * rf ** (2.0 * s) / n * (df / rf) ** (2.0 * s - n)
+                * hyp2f1(n / 2 - s, 1.0 - s, n / 2 + 1, (rf / df) ** 2))
+    return float(out) if out.ndim == 0 else out

@@ -4,7 +4,8 @@ Everything here is plain geometry on spheres in R^n.  Every radial
 integral of the package is summed on the panels of :func:`panel_rows`:
 geometric panels plus breaks at edge * ``GRADING`` about each edge of
 :func:`kink_edges`.  :mod:`fraclab.fracops` and :mod:`fraclab.solver` take
-a block of rows at once; the other modules take one row from
+a block of rows at once, and :mod:`fraclab.extension` takes the nodes of
+one fixed row for every point; the other modules take one row from
 :func:`panel_breaks` and sum it by :func:`panel_quad`.
 """
 

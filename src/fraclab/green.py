@@ -220,21 +220,36 @@ def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array) -> float:
 
 # --- comparison inequalities for the extended model bubble ---------------
 
-def wtilde_extension(Y: Array, params: Params) -> float:
-    """Extension of the model bubble, with the sigma = 1/2 closed form fast path."""
-    y, t = _split(Y, params.n)
+def wtilde_extension(Y: Array, params: Params):
+    """Extension of the model bubble at one half-space point (n+1,), giving
+    a float, or at rows of them (m, n+1), giving an (m,) array.
+
+    At sigma = 1/2 it is the closed form; elsewhere rows with t = 0 take the
+    trace and the rest go to :func:`extension.extend` in one call.
+    """
+    n = params.n
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim not in (1, 2) or Y.shape[-1] != n + 1:
+        raise ValueError(f"expected half-space points with {n + 1} coordinates")
     if abs(params.sigma - 0.5) < 1e-12:
-        return extension.model_bubble_extension_halforder(y, t, params)
-    if t == 0.0:
-        return float((1.0 + np.dot(y, y)) ** (-params.half_exp))
-    return extension.extend(model_bubble(params), y, t, params)
+        return extension.model_bubble_extension_halforder(Y[..., :n],
+                                                          Y[..., n], params)
+    rows = Y.reshape(-1, n + 1)
+    y, t = rows[:, :n], rows[:, n]
+    out = (1.0 + np.sum(y * y, axis=1)) ** (-params.half_exp)
+    up = t != 0.0
+    if up.any():
+        out[up] = extension.extend(model_bubble(params), y[up], t[up], params)
+    return float(out[0]) if Y.ndim == 1 else out
 
 
-def wtilde_kelvin(Y: Array, lam: float, params: Params) -> float:
-    """Half-space Kelvin transform of the extended model bubble."""
-    Y = np.asarray(Y, dtype=float).reshape(-1)
+def wtilde_kelvin(Y: Array, lam: float, params: Params):
+    """Half-space Kelvin transform of the extended model bubble, at one
+    point (n+1,) or rows of them (m, n+1), like :func:`wtilde_extension`."""
     k = KelvinMap(params, lam=lam)
-    return float(k.weight(Y)) * wtilde_extension(k.point(Y), params)
+    Y = np.asarray(Y, dtype=float)
+    out = k.weight(Y) * wtilde_extension(k.point(Y), params)
+    return float(out) if Y.ndim == 1 else out
 
 
 def _halfspace_samples(rng: np.random.Generator, count: int, n: int,
@@ -261,29 +276,24 @@ def check_bbl_inequalities(params: Params, grid_points: int = 1000,
     n = params.n
     ne = params.kelvin_exp
 
-    def gap(Y: Array, lam: float) -> float:
-        return wtilde_extension(Y, params) - wtilde_kelvin(Y, lam, params)
+    def gap(Ys: Array, lam: float) -> Array:
+        return wtilde_extension(Ys, params) - wtilde_kelvin(Ys, lam, params)
 
     samples = _halfspace_samples(rng, grid_points, n, 0.5 + 1e-3, 50.0)
-    cs = []
-    for Y in samples:
-        diff = gap(Y, 0.5)
-        r = float(np.linalg.norm(Y))
-        cs.append(diff / ((r - 0.5) * r ** (2 * params.sigma - n - 1)))
-    c_report = float(np.min(cs))
+    r = np.linalg.norm(samples, axis=1)
+    c_report = float(np.min(gap(samples, 0.5) / (
+        (r - 0.5) * r ** (2 * params.sigma - n - 1))))
 
     # radial derivative on |Y| = 1/2 by central differences along rays
     sphere = _halfspace_samples(rng, 64, n, 1.0, 1.0) * 0.5
     h = 1e-4
-    deriv_min = math.inf
-    for Y in sphere:
-        u = Y / np.linalg.norm(Y)
-        deriv_min = min(deriv_min, (gap(Y + h * u, 0.5) - gap(Y - h * u, 0.5)) / (2 * h))
+    step = h * (sphere / np.linalg.norm(sphere, axis=1, keepdims=True))
+    up, down = np.split(gap(np.concatenate([sphere + step, sphere - step]),
+                            0.5), 2)
+    deriv_min = float(np.min((up - down) / (2 * h)))
 
     outside = _halfspace_samples(rng, 200, n, 2.0 + 1e-3, 30.0)
-    neg_max = -math.inf
-    for Y in outside:
-        neg_max = max(neg_max, gap(Y, 2.0))
+    neg_max = float(np.max(gap(outside, 2.0)))
 
     far = np.zeros(n + 1)
     far[0] = 1e3

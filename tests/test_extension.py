@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclab import bubbles, constants, extension
+from fraclab import bubbles, constants, extension, fracops
 from fraclab.fields import ScalarField
 from fraclab.params import Params
 
@@ -27,6 +27,62 @@ def test_half_order_closed_form_matches_quadrature(n):
         direct = extension.model_bubble_extension_halforder(y, t, pr)
         quad = extension.extend(w, y, t, pr)
         assert quad == pytest.approx(direct, rel=1e-3)
+
+
+def _half_order_worst(n, radii):
+    """Worst relative gap between extend and the sigma = 1/2 closed form
+    over |Y| in radii and nine directions from the boundary to the axis."""
+    pr = Params(n, 0.5)
+    w = bubbles.model_bubble(pr)
+    ang = np.linspace(0.02, np.pi / 2 - 0.02, 9)
+    rows = np.array([(r * np.cos(a), r * np.sin(a)) for r in radii for a in ang])
+    y = rows[:, :1] * np.eye(n)[0]
+    quad = extension.extend(w, y, rows[:, 1], pr)
+    direct = extension.model_bubble_extension_halforder(y, rows[:, 1], pr)
+    return float(np.max(np.abs(quad - direct) / direct))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_half_order_closed_form_near_the_bubble(n):
+    assert _half_order_worst(n, (0.5, 1.0, 2.0, 5.0)) < 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES.md FOUND: extend at sigma = 1/2 misses the closed form far "
+    "out; the 32-point angular rule under-resolves the sphere through the "
+    "bubble's peak"))
+@pytest.mark.parametrize("n", [2, 3])
+def test_half_order_closed_form_far_out(n):
+    assert _half_order_worst(n, (20.0, 50.0)) < 1e-3
+
+
+def _off_centre_bubble(n):
+    centre = 0.3 * np.ones(n)
+    return ScalarField(lambda x: 1.0 / (1.0 + np.sum((x - centre) ** 2, axis=1)),
+                       n=n, decay="power_decay", decay_rate=2.0)
+
+
+@pytest.mark.parametrize("n,s", [(2, 0.25), (3, 0.75), (3, 0.5)])
+@pytest.mark.parametrize("radial", [True, False])
+def test_extend_batch_equals_single(n, s, radial):
+    pr = Params(n, s)
+    field = bubbles.model_bubble(pr) if radial else _off_centre_bubble(n)
+    rng = np.random.default_rng(3)
+    m = 2 * fracops.BLOCK + 3
+    ys = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-2, 1.5, size=(m, 1))
+    ts = 10.0 ** rng.uniform(-3, 2, size=m)
+    ts[:2] = 2.0 ** -12 * np.array([0.95, 1.05])
+    batch = extension.extend(field, ys, ts, pr)
+    single = [extension.extend(field, y, t, pr) for y, t in zip(ys, ts)]
+    assert batch.shape == (m,) and all(isinstance(v, float) for v in single)
+    np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+
+
+def test_extend_rejects_the_boundary():
+    w = bubbles.model_bubble(Params(2, 0.25))
+    with pytest.raises(ValueError, match="t > 0"):
+        extension.extend(w, np.zeros((2, 2)), np.array([0.5, 0.0]),
+                         Params(2, 0.25))
 
 
 def test_half_order_closed_form_guard():

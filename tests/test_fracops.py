@@ -209,6 +209,19 @@ def test_riesz_ball_indicator_far_out_gives_no_warning(n, s):
     assert got == got_np == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n,s", [(2, 0.25), (5, 0.5)])
+def test_riesz_ball_indicator_takes_arrays(n, s):
+    pr = Params(n, s)
+    d = np.array([0.0, 0.3, 1.0, 1.7, 40.0])
+    radii = np.array([0.5, 1.0, 2.0])
+    got = fracops.riesz_ball_indicator(d[:, None], radii, pr)
+    assert got.shape == (5, 3)
+    want = [[fracops.riesz_ball_indicator(float(a), float(r), pr)
+             for r in radii] for a in d]
+    assert isinstance(want[0][0], float)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_riesz_ball_indicator_degenerate_input():
     with pytest.raises(ValueError, match="n = 1 <= 2 sigma = 1"):
         fracops.riesz_ball_indicator(0.5, 1.0, Params(1, 0.5))

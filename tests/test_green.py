@@ -92,6 +92,30 @@ def test_bbl_inequalities():
     assert rep["far_field_pass"]
 
 
+@pytest.mark.parametrize("n,s,c_ref", [(2, 0.25, 0.08324963201546227),
+                                       (3, 0.75, 0.16007546823959815)])
+def test_bbl_inequalities_by_quadrature(n, s, c_ref):
+    # sigma != 1/2 takes the gap from extend, not from the closed form
+    rep = green.check_bbl_inequalities(Params(n, s), grid_points=100, seed=7)
+    assert rep["bbl1_pass"] and rep["bbl2_pass"] and rep["bbl3_pass"]
+    assert rep["far_field_pass"]
+    assert rep["bbl1_c"] == pytest.approx(c_ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_wtilde_rows_equal_points(s):
+    pr = Params(2, s)
+    rng = np.random.default_rng(4)
+    Y = np.abs(rng.normal(size=(20, 3)))
+    Y[:3, 2] = 0.0     # trace rows
+    for f in (lambda Z: green.wtilde_extension(Z, pr),
+              lambda Z: green.wtilde_kelvin(Z, 0.5, pr)):
+        rows = f(Y)
+        assert rows.shape == (20,)
+        np.testing.assert_allclose(rows, [f(Z) for Z in Y], rtol=1e-14,
+                                   atol=0.0)
+
+
 def test_g3_ratio_stable_under_doubling(ctx3):
     rep = green.check_g3_bound(ctx3)
     assert rep["stable"]
