@@ -172,8 +172,8 @@ def model_bubble_extension_halforder(y: Array, t, params: Params):
     if abs(params.sigma - 0.5) > 1e-12:
         raise ValueError("closed form only at sigma = 1/2")
     y = np.asarray(y, dtype=float)
-    # a row sum costs a point more than the rest; the moving-sphere
-    # comparison calls one point at a time
-    r2 = np.dot(y, y) if y.ndim == 1 else np.sum(y * y, axis=1)
-    val = ((1.0 + t) ** 2 + r2) ** (-params.half_exp)
-    return float(val) if y.ndim == 1 else val
+    # one point is a batch of one, so both take numpy's vector power
+    rows = y.reshape(-1, y.shape[-1])
+    val = ((1.0 + np.reshape(t, -1)) ** 2
+           + np.sum(rows * rows, axis=1)) ** (-params.half_exp)
+    return float(val[0]) if y.ndim == 1 else val

@@ -10,14 +10,17 @@ radius lam.  The potential of a continuous density q on an annulus E - B_lam,
     Phi(Y) = int G(Y, eta) q(eta) d eta,
 
 vanishes on |Y| = lam and recovers q as its conormal derivative.  All heights
-of its ladder share one annulus grid; the G3 scan is one array per radius.
+of its ladder share one annulus grid.  At n = 3 the grid's polar axis lies
+along y, so the kernel does not depend on the azimuth: q and the weights are
+summed over the azimuth once, and each height costs one node per (r, cos).
+The G3 scan is one array per radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -93,30 +96,31 @@ class AnnulusDensity:
                           dtype=float)
 
 
-def _annulus_grid(ctx: GreenContext, outer: float,
-                  focus: Optional[Array]) -> Tuple[Array, Array]:
+#: Azimuth nodes of the n = 3 annulus grid, all of one weight.
+AZIMUTHS = 24
+
+
+def _annulus_grid(ctx: GreenContext, outer: float, y: Array,
+                  focus: bool) -> Tuple[Array, Array]:
     """Product quadrature nodes and weights over the boundary annulus.
 
-    The radial panels are graded toward |focus| and the angular panels
-    toward the direction of focus, since the subtracted integrand still
-    peaks there.
+    At n = 3 the polar axis points along y (when y != 0) and the azimuth
+    runs fastest, in blocks of ``AZIMUTHS`` nodes.  With ``focus`` the
+    radial panels are graded toward |y| and the angular panels toward the
+    direction of y, since the subtracted integrand still peaks there.
     """
     n = ctx.params.n
     lam = ctx.lam
     rbreaks = np.linspace(lam, outer, 13)
-    if focus is not None:
-        df = float(np.linalg.norm(focus))
-        if lam < df < outer:
-            extra = df + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
-            rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
+    if focus:
+        extra = float(np.linalg.norm(y)) + (outer - lam) * np.array(
+            [-0.05, -0.01, 0.0, 0.01, 0.05])
+        rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
     r, wr = geometry.gauss_panels(rbreaks, 8)
     wr = wr * r ** (n - 1)
 
     if n == 2:
-        if focus is not None and np.linalg.norm(focus) > 0:
-            th0 = math.atan2(focus[1], focus[0])
-        else:
-            th0 = 0.0
+        th0 = math.atan2(y[1], y[0]) if focus else 0.0
         offs = np.concatenate([
             np.array([0.0]),
             0.02 * 1.8 ** np.arange(12),
@@ -127,26 +131,23 @@ def _annulus_grid(ctx: GreenContext, outer: float,
         th = th0 + th
         dirs = np.column_stack([np.cos(th), np.sin(th)])
     elif n == 3:
-        # frame with first axis along the focus direction
-        if focus is not None and np.linalg.norm(focus) > 0:
-            e1 = np.asarray(focus, dtype=float) / np.linalg.norm(focus)
-        else:
-            e1 = np.array([1.0, 0.0, 0.0])
+        # frame with first axis along y
+        d = np.linalg.norm(y)
+        e1 = y / d if d > 0 else np.array([1.0, 0.0, 0.0])
         helper = np.array([0.0, 0.0, 1.0]) if abs(e1[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
         e2 = np.cross(e1, helper)
         e2 /= np.linalg.norm(e2)
         e3 = np.cross(e1, e2)
-        # polar cosine panels graded toward +1 (the focus direction)
+        # polar cosine panels graded toward +1 (the direction of y)
         cb = 1.0 - np.concatenate([[0.0], 0.004 * 2.0 ** np.arange(10)])
         cbreaks = np.unique(np.clip(np.concatenate([cb, [-1.0]]), -1.0, 1.0))
         ct, wct = geometry.gauss_panels(cbreaks, 4)
-        m_az = 24
-        phi = 2.0 * math.pi * (np.arange(m_az) + 0.5) / m_az
+        phi = 2.0 * math.pi * (np.arange(AZIMUTHS) + 0.5) / AZIMUTHS
         st = np.sqrt(np.maximum(1.0 - ct ** 2, 0.0))
         dirs = (ct[:, None, None] * e1[None, None, :]
                 + st[:, None, None] * (np.cos(phi)[None, :, None] * e2[None, None, :]
                                        + np.sin(phi)[None, :, None] * e3[None, None, :]))
-        wang = np.repeat(wct * (2.0 * math.pi / m_az), m_az)
+        wang = np.repeat(wct * (2.0 * math.pi / AZIMUTHS), AZIMUTHS)
         dirs = dirs.reshape(-1, 3)
     else:
         raise ValueError("phi_potential supports n in {2, 3}")
@@ -183,11 +184,16 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
     d = float(np.linalg.norm(y))
     cset = constants.constant_set(ctx.params)
     qy = float(q(y[None, :])[0]) if lam < d < outer else 0.0
-    pts, wts = _annulus_grid(ctx, outer, y if qy != 0.0 else None)
-    qv = q(pts)
-    sq = _sq_dists(ctx, y, pts)
+    pts, wts = _annulus_grid(ctx, outer, y, qy != 0.0)
+    # the kernel is the same on each block of equal-weight azimuths, so each
+    # block becomes one node: its weight sum, and the means of q and q - q(y)
+    fold = AZIMUTHS if ctx.params.n == 3 else 1
+    qv = q(pts).reshape(-1, fold)
+    q_rest = (qv - qy).mean(axis=1)
+    qv = qv.mean(axis=1)
+    wts = wts.reshape(-1, fold).sum(axis=1)
+    sq = _sq_dists(ctx, y, pts[::fold])
     del pts     # hold no more memory at once than one height needs
-    q_rest = qv - qy
     vals = []
     for t in ts:
         direct, image = _direct_and_image(ctx, sq, t * t)

@@ -5,7 +5,8 @@ profile, the coefficients b and q of the boundary identity it satisfies,
 and a correction term A built from a Green potential.  The sweep locates
 the largest inversion radius at which the corrected difference stays
 nonnegative on a sample set.  The difference and the correction take one
-point or rows; the sample minimum calls only W (and Phi) row by row.
+point or rows; W is called once on the rows and once on their Kelvin
+images, and Phi once on the rows.
 """
 
 from __future__ import annotations
@@ -27,21 +28,23 @@ Array = np.ndarray
 class ComparisonState:
     """One inversion radius worth of comparison data.
 
-    ``extension`` evaluates W at half-space points (n+1 coordinates);
-    ``trace`` is its boundary trace w; ``k_field`` the curvature factor K;
-    ``L`` the peak scale; ``c4`` the correction amplitude; ``phi`` an
-    optional Green potential entering the correction; ``exponent`` the
-    power used in the algebraic part of the correction (default 2s - n).
+    ``extension`` evaluates W on rows of half-space points (m, n+1),
+    giving an (m,) array; ``trace`` is its boundary trace w; ``k_field``
+    the curvature factor K; ``L`` the peak scale; ``c4`` the correction
+    amplitude; ``phi`` an optional Green potential entering the
+    correction, with the same rows contract as ``extension``;
+    ``exponent`` the power used in the algebraic part of the correction
+    (default 2s - n).
     """
 
     params: Params
     trace: ScalarField
-    extension: Callable[[Array], float]
+    extension: Callable[[Array], Array]
     kelvin_radius: float
     k_field: ScalarField
     L: float = 1.0
     c4: float = 0.0
-    phi: Optional[Callable[[Array], float]] = None
+    phi: Optional[Callable[[Array], Array]] = None
     exponent: Optional[float] = None
 
     def __post_init__(self):
@@ -65,8 +68,8 @@ def kelvin_difference(state: ComparisonState, Y: Array):
         raise ValueError("Y must lie outside B_lam")
     images = KelvinMap(state.params, lam=lam).point(rows)
     # weights by the scalar power: numpy's vector power can differ in the last bit
-    vals = np.array([state.extension(Z) - (lam / rZ) ** ke * state.extension(Z_lam)
-                     for Z, rZ, Z_lam in zip(rows, r.tolist(), images)])
+    weights = np.array([(lam / rZ) ** ke for rZ in r.tolist()])
+    vals = state.extension(rows) - weights * state.extension(images)
     return float(vals[0]) if Y.ndim == 1 else vals
 
 
@@ -114,7 +117,7 @@ def a_correction(state: ComparisonState, Y: Array):
     lam, e = state.kelvin_radius, state.exponent
     val = -state.c4 / state.L * (lam ** e - np.array([x ** e for x in r.tolist()]))
     if state.phi is not None:
-        val += np.array([state.phi(Z) for Z in rows])
+        val += state.phi(rows)
     return float(val[0]) if Y.ndim == 1 else val
 
 

@@ -221,7 +221,7 @@ def suite_green(cfg: RunConfig) -> List[Dict]:
     ref = float(q(y0[None, :])[0])
     rel = abs(der - ref) / abs(ref)
     out.append(gate("conormal-recovery", "the conormal derivative of the "
-                    "potential recovers the density", rel, 5e-2, cfg))
+                    "potential recovers the density", rel, 1e-3, cfg))
     g3 = green.check_g3_bound(ctx, seed=cfg.seed)
     out.append(check("kernel-ratio-stable", "the kernel ratio supremum is "
                      "stable under grid doubling", 1.5 - g3["ratio"],
@@ -234,8 +234,8 @@ def _bubble_state(pr: Params, lam: float) -> movingsphere.ComparisonState:
     kf = ScalarField(lambda x: np.full(np.atleast_2d(x).shape[0],
                                        constants.bubble_eigenvalue(pr)),
                      n=pr.n, decay="integrable_against_kernel")
-    ext = lambda y: extension.model_bubble_extension_halforder(
-        y[:pr.n], y[pr.n], Params(pr.n, 0.5))
+    ext = lambda Y: extension.model_bubble_extension_halforder(
+        Y[..., :pr.n], Y[..., pr.n], Params(pr.n, 0.5))
     return movingsphere.ComparisonState(params=pr, trace=w, extension=ext,
                                         kelvin_radius=lam, k_field=kf)
 

@@ -162,7 +162,7 @@ def test_criterion_08_moving_sphere():
                                            constants.bubble_eigenvalue(pr)),
                          n=3, decay="integrable_against_kernel")
         ext = lambda Y: extension.model_bubble_extension_halforder(
-            Y[:3], Y[3], pr)
+            Y[..., :3], Y[..., 3], pr)
         return movingsphere.ComparisonState(params=pr, trace=w, extension=ext,
                                             kelvin_radius=lam, k_field=kf)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclab import bubbles, constants, extension, movingsphere
+from fraclab import bubbles, constants, extension, green, movingsphere
 from fraclab.fields import ScalarField
 from fraclab.params import Params
 
@@ -15,7 +15,7 @@ def _bubble_state(pr, lam=1.0, **kwargs):
                                        constants.bubble_eigenvalue(pr)),
                      n=pr.n, decay="integrable_against_kernel")
     ext = lambda Y: extension.model_bubble_extension_halforder(
-        Y[:pr.n], Y[pr.n], Params(pr.n, 0.5))
+        Y[..., :pr.n], Y[..., pr.n], Params(pr.n, 0.5))
     return movingsphere.ComparisonState(params=pr, trace=w, extension=ext,
                                         kelvin_radius=lam, k_field=kf,
                                         **kwargs)
@@ -120,7 +120,7 @@ def _min_reference(state, samples, excluded=None):
 def test_comparison_min_matches_one_sample_at_a_time(n):
     pr = Params(n, 0.5)
     state = _bubble_state(pr, lam=0.9, c4=0.3, L=0.7,
-                          phi=lambda Y: 0.01 * Y[0] - 0.02 * Y[-1])
+                          phi=lambda Y: 0.01 * Y[..., 0] - 0.02 * Y[..., -1])
     rng = np.random.default_rng(3)
     samples = rng.normal(size=(300, n + 1))
     samples[:, -1] = np.abs(samples[:, -1]) + 1e-3
@@ -146,11 +146,38 @@ def test_comparison_min_matches_one_sample_at_a_time(n):
 
 
 def test_comparison_min_inside_the_ball_is_inf():
-    pr = Params(3, 0.5)
-    state = _bubble_state(pr, lam=1.2, c4=0.3)
     samples = np.random.default_rng(4).normal(size=(50, 4))
     samples *= 1.1 / np.linalg.norm(samples, axis=1, keepdims=True)
-    assert movingsphere.comparison_min(state, samples) == math.inf
+    for s in (0.5, 0.25):
+        pr = Params(3, s)
+        state = _bubble_state(pr, lam=1.2, c4=0.3)
+        if s != 0.5:    # W by quadrature, called on an empty batch
+            state.extension = lambda Y: green.wtilde_extension(Y, pr)
+        assert movingsphere.comparison_min(state, samples) == math.inf
+
+
+@pytest.mark.parametrize("m", [1, 300])
+def test_one_callback_call_per_batch(m):
+    pr = Params(3, 0.5)
+    state = _bubble_state(pr, lam=0.9, c4=0.3,
+                          phi=lambda Y: 0.01 * Y[..., 0])
+    calls = {"extension": [], "phi": []}
+
+    def counted(name, func):
+        def wrapped(Y):
+            calls[name].append(Y.shape)
+            return func(Y)
+        return wrapped
+    state.extension = counted("extension", state.extension)
+    state.phi = counted("phi", state.phi)
+    rng = np.random.default_rng(6)
+    Y = rng.normal(size=(m, 4))
+    Y[:, -1] = np.abs(Y[:, -1])
+    Y *= 1.5 / np.linalg.norm(Y, axis=1, keepdims=True)
+    pts = Y[0] if m == 1 else Y     # one point is a batch of one
+    movingsphere.kelvin_difference(state, pts)
+    movingsphere.a_correction(state, pts)
+    assert calls == {"extension": [(m, 4), (m, 4)], "phi": [(m, 4)]}
 
 
 @pytest.mark.parametrize("n", [2, 3])
