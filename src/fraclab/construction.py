@@ -12,6 +12,13 @@ center (``(anchor_index, offset)``): the centers are separated by ~1e-66
 while sitting on a sphere of radius ~1e-2, so absolute coordinates cannot
 resolve the local geometry.
 
+Every constraint that picks a scale is monotone in the distance, so one
+point binds and each scale is a closed form: 1 - k_i inverts the envelope
+M, rho_i puts the ball potential at the center on its budget, lambda_i is
+a root on the sphere |x - x_i| = rho_i, and delta1, delta2 are halved
+until the worst two-center ratio is below 2.  A scale below the float
+floor e^-740 is refused by name.
+
 The log-space core is written once: :func:`log_envelope`, :func:`log_f`,
 :func:`bubble_log_profile` and :func:`_sum_exp`.  The envelope values, the
 plan step, the ring checks, the bubble sums, the paper's H
@@ -38,6 +45,7 @@ Point = Union[Array, Tuple[int, Array]]
 
 LOG2 = math.log(2.0)
 LOG_MAX = math.log(np.finfo(float).max)
+LOG_FLOOR = -740.0  # the plan refuses a scale below e^LOG_FLOOR
 
 
 # --- log-space core --------------------------------------------------------
@@ -254,164 +262,99 @@ def m_from_one_minus_k(m1k: float, params: Params) -> float:
         return math.inf
 
 
-def _bisect(pred: Callable[[float], bool], lo: float, hi: float,
-            steps: int) -> Tuple[float, float]:
-    """Halve [lo, hi] ``steps`` times about where pred turns from true to false."""
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def one_minus_k_for_m(m_target: float, params: Params) -> float:
-    """Invert m_from_one_minus_k by bisection in log(1 - k)."""
-    lo, hi = _bisect(lambda mid: m_from_one_minus_k(math.exp(mid), params) > m_target,
-                     -740.0, math.log(0.5), 200)
-    return math.exp(0.5 * (lo + hi))
-
-
-def _ratio_cond_ok(delta: float, delta1: float, delta2: float, params: Params,
-                   rng: np.random.Generator, samples: int = 1000) -> bool:
-    """Sampled check of the two-center comparability condition.
-
-    For |x| <= delta2 or |x| >= delta, any centers on the sphere of radius
-    delta1 and any lam <= delta2, the two shifted bubbles must agree
-    within a factor 2.
-    """
-    n, he = params.n, params.half_exp
-    for trial in range(samples):
-        lam = delta2 * rng.random()
-        x1 = rng.normal(size=n)
-        x1 *= delta1 / np.linalg.norm(x1)
-        x2 = rng.normal(size=n)
-        x2 *= delta1 / np.linalg.norm(x2)
-        inner = trial % 2 == 0
-        x = rng.normal(size=n)
-        if inner:
-            x *= delta2 * rng.random() / np.linalg.norm(x)
-        else:
-            x *= delta * (1.0 + 3.0 * rng.random()) / np.linalg.norm(x)
-        s1 = np.linalg.norm(x - x1)
-        s2 = np.linalg.norm(x - x2)
-        ratio = ((lam ** 2 + s2 ** 2) / (lam ** 2 + s1 ** 2)) ** he
-        if not 0.5 < ratio < 2.0:
-            return "inner" if inner else "outer"
-    return ""
-
-
-def choose_deltas(params: Params, delta: float, seed: int = 5) -> Tuple[float, float]:
-    """delta1, delta2 from the documented defaults, shrunk until feasible.
-
-    The nominal delta1 = delta/4.01 fails the comparability sweep for
-    n = 5, sigma = 1/2 (far-sample ratios reach ~7.7), so both radii are
-    shrunk geometrically until the sweep passes.
-    """
-    rng = np.random.default_rng(seed)
-    delta1 = delta / 4.01
-    delta2 = delta1 / 2.01
-    for _ in range(60):
-        bad = _ratio_cond_ok(delta, delta1, delta2, params, rng)
-        if not bad:
-            return delta1, delta2
-        if bad == "outer":
-            delta1 *= 0.5
-        delta2 = min(delta2 * 0.5, delta1 / 2.01)
-    raise RuntimeError("could not satisfy the two-center ratio condition")
-
-
 class InfeasiblePlanError(RuntimeError):
-    """Raised when the search budget cannot satisfy a named constraint."""
+    """Raised when no plan can satisfy a named constraint."""
 
 
 class _Escalate(InfeasiblePlanError):
     """A per-index check that a larger target M_i cures (smaller 1 - k_i, rho_i)."""
 
 
-def rho_from_constraint(plan_like: dict, i: int, params: Params) -> float:
-    """Largest rho with I_{2s}(indicator of B_{2 rho}(x_i)) under its budget.
+def one_minus_k_for_m(m_target: float, params: Params) -> float:
+    """Invert m_from_one_minus_k in closed form, capped at 1/2.
 
-    Feasibility of the pointwise bound is certified at the center, on a
-    radial ladder, and by far-field coefficient comparison in logs; the
-    bisection runs in log rho.
+    M = k / (1 - k^q)^{1/q}, q = (n-2s)/4s, inverts to 1 - k =
+    -expm1(-log1p(M^{-q}) / q).  Below the float floor e^-740, where
+    log(1 - k) = -q log M - log q, it refuses: no larger M can help.
     """
-    n, s2 = params.n, 2.0 * params.sigma
-    cset = constants.constant_set(params)
-    d_center = plan_like["center_radius"]
-    m_i = plan_like["m_big"]
-    w0 = plan_like["w0"]
-    w_pref = math.log(plan_like["amplitude"]) \
-        - (n / s2) * math.log(2.0 * plan_like["b"])
-    log_budget_const = (-(i + 2) * LOG2 - params.p * math.log(2.0 * w0)
-                        - math.log(m_i))
-
-    def log_rhs(dist):
-        # smallest w on the spheres of radii dist about x_i
-        r_far = d_center + dist
-        return w_pref - params.half_exp * np.log1p(r_far ** 2) + log_budget_const \
-            + LOG2  # budget uses 2^{i+1}; log_budget_const carries 2^{i+2}
-
-    def feasible(log_rho: float) -> bool:
-        rho = math.exp(log_rho)
-        # center: I(0) = r omega (2 rho)^{2s} / (2s)
-        log_lhs0 = (math.log(cset.riesz_constant * cset.sphere_area / s2)
-                    + s2 * (log_rho + LOG2))
-        if log_lhs0 > log_rhs(0.0):
-            return False
-        # radial ladder out to 10^3, in one call; an underflowed rung holds
-        dist = np.geomspace(rho, 1e3, 24)
-        lhs = fracops.riesz_ball_indicator(dist, 2.0 * rho, params)
-        live = lhs > 0.0
-        if (np.log(lhs[live]) > log_rhs(dist[live])).any():
-            return False
-        # far field: r vol(B_{2rho}) dist^{2s-n} vs coefficient of w-side
-        log_far_lhs = (math.log(cset.riesz_constant * cset.sphere_area / n)
-                       + n * (log_rho + LOG2))
-        log_far_rhs = w_pref + log_budget_const + LOG2
-        return log_far_lhs <= log_far_rhs
-
-    lo, hi = -740.0, math.log(plan_like["r_small"])
-    if feasible(hi):
-        return math.exp(hi)
-    return math.exp(_bisect(feasible, lo, hi, 120)[0])
-
-
-def lambda_from_constraint(plan_like: dict, i: int, params: Params) -> float:
-    """Largest lam with psi_lam <= eps a^{(n-2s)/4s} w outside B_rho(x_i).
-
-    Certified on the binding sphere |x - x_i| = rho, a radial ladder, and
-    the far-field coefficient comparison; bisection in log lam.
-    """
-    he = params.half_exp
-    rho = plan_like["rho"]
-    eps = plan_like["eps"]
-    a = plan_like["a"]
-    d_center = plan_like["center_radius"]
-    amp = plan_like["amplitude"]
     q = params.kelvin_exp / (4.0 * params.sigma)
-    w_pref = math.log(amp) - (params.n / (2.0 * params.sigma)) \
-        * math.log(2.0 * plan_like["b"])
-    log_eps_aw = math.log(eps) + q * math.log(a) + w_pref
+    log_x = -q * math.log(m_target)  # log M^{-q}
+    _above_floor(log_x - math.log(q), f"1 - k for M = {m_target:.6g}")
+    return min(-math.expm1(-math.log1p(math.exp(log_x)) / q), 0.5)
 
-    dists = np.geomspace(rho, 1e3, 32)
-    log_rhs = log_eps_aw - he * np.log1p((d_center + dists) ** 2)
 
-    def feasible(log_lam: float) -> bool:
-        lam = math.exp(log_lam)
-        if lam >= rho:
-            return False
-        if np.any(bubble_log_profile(lam, dists, amp, params) > log_rhs):
-            return False
-        # far field coefficient: amp lam^{he} vs eps a^q amp (2b)^{-n/2s}
-        return math.log(amp) + he * log_lam <= log_eps_aw
+def choose_deltas(params: Params, delta: float) -> Tuple[float, float]:
+    """delta1, delta2 from the documented defaults, halved until feasible.
 
-    lo, hi = -740.0, math.log(rho) - 1e-9
-    if not feasible(lo + 1.0):
-        raise InfeasiblePlanError(f"lambda_{i} falls below the float floor "
-                                  "e^-740: its constraint fails even there")
-    return math.exp(_bisect(feasible, lo, hi, 120)[0])
+    For |x| <= delta2 or |x| >= delta, centers on the sphere of radius
+    delta1 and lam <= delta2, two shifted bubbles must agree within a
+    factor 2.  Their ratio is largest as lam -> 0 with antipodal centers in
+    line with x: ((delta + delta1)/(delta - delta1))^{n-2s} outside and
+    ((delta1 + delta2)/(delta1 - delta2))^{n-2s} inside.
+    """
+    def worst(r, r1):
+        return ((r + r1) / (r - r1)) ** params.kelvin_exp
+
+    delta1, delta2 = delta / 4.01, delta / 4.01 / 2.01
+    while max(worst(delta, delta1), worst(delta1, delta2)) >= 2.0:
+        if worst(delta, delta1) >= 2.0:
+            delta1 *= 0.5
+        delta2 = min(delta2 * 0.5, delta1 / 2.01)
+    return delta1, delta2
+
+
+def _above_floor(log_value: float, what: str) -> float:
+    """exp(log_value), or a refusal naming the float floor e^-740."""
+    if log_value < LOG_FLOOR:
+        raise InfeasiblePlanError(f"{what} falls below the float floor e^-740 "
+                                  f"(its log is {log_value:.1f})")
+    return math.exp(log_value)
+
+
+def rho_from_constraint(i: int, m_i: float, center_radius: float, r_i: float,
+                        w0: float, params: Params) -> float:
+    """Largest rho <= r_i with I_{2s}(1_{B_{2 rho}(x_i)}) <= w / 2^{i+1} (2 w0)^p M_i.
+
+    The ball potential peaks at the center, and beyond dist = 2 rho its
+    log-derivative, below (2s - n)/dist, is below that of w(|x_i| + dist),
+    so the center binds: r omega (2 rho)^{2s} / 2s meets the bound.  Inside
+    the ball w falls by at most its value at dist = 2 rho, which is taken
+    at the larger rho that w(|x_i|) gives (capped at r_i).
+    """
+    he, s2 = params.half_exp, 2.0 * params.sigma
+    cset = constants.constant_set(params)
+    log_b = (math.log(w0 / m_i) - (i + 1) * LOG2 - params.p * math.log(2.0 * w0)
+             - math.log(cset.riesz_constant * cset.sphere_area / s2))
+
+    def log_rho(dist: float) -> float:
+        return (log_b - he * math.log1p((center_radius + dist) ** 2)) / s2 - LOG2
+
+    ball = 2.0 * math.exp(min(log_rho(0.0), math.log(r_i)))
+    return min(_above_floor(log_rho(ball), f"rho_{i}"), r_i)
+
+
+def lambda_from_constraint(i: int, rho: float, eps_i: float,
+                           center_radius: float, a: float, w0: float,
+                           params: Params) -> float:
+    """Largest lam < rho with psi_lam <= eps a^{(n-2s)/4s} w outside B_rho(x_i).
+
+    psi_lam(s) / w(|x_i| + s) is a power of lam (1 + (|x_i| + s)^2) /
+    (lam^2 + s^2), which falls in s wherever lam^2 <= s |x_i|: for every
+    s >= rho, as lam < rho < r_i < |x_i|.  So the sphere s = rho binds, the
+    far field follows, and lam is the smaller root of lam / (lam^2 + rho^2)
+    = K: lam = 2 K rho^2 / (1 + sqrt(1 - (2 K rho)^2)), capped at
+    rho e^{-1e-9}.
+    """
+    q = params.kelvin_exp / (4.0 * params.sigma)
+    amp = constants.constant_set(params).bubble_constant
+    log_k = ((math.log(eps_i) + q * math.log(a) + math.log(w0) - math.log(amp))
+             / params.half_exp - math.log1p((center_radius + rho) ** 2))
+    log_2k_rho = LOG2 + log_k + math.log(rho)
+    log_lam = math.log(rho) - 1e-9
+    if log_2k_rho < 0.0:
+        log_lam = min(log_lam, log_2k_rho + math.log(rho) - math.log1p(
+            math.sqrt(-math.expm1(2.0 * log_2k_rho))))
+    return _above_floor(log_lam, f"lambda_{i}")
 
 
 def plan_sequences(params: Params, k: ScalarField,
@@ -449,7 +392,7 @@ def plan_sequences(params: Params, k: ScalarField,
     reduced = N < i0
     if N < 1:
         raise InfeasiblePlanError("N must be >= 1")
-    delta1, delta2 = choose_deltas(params, delta, seed=seed)
+    delta1, delta2 = choose_deltas(params, delta)
     w0 = amp * (2.0 * b) ** (-n / (2.0 * s))
 
     ring = min(N, i0)
@@ -470,13 +413,11 @@ def plan_sequences(params: Params, k: ScalarField,
         if 1.0 - m1k <= max(0.5 + 1e-9, k_floor):
             raise _Escalate(f"k_i floor violated at index {i}")
         m_i = m_from_one_minus_k(m1k, params)
-        part = {"center_radius": center_radius, "m_big": m_i, "w0": w0,
-                "amplitude": amp, "b": b, "r_small": r_i}
-        rho_i = rho_from_constraint(part, i, params)
+        rho_i = rho_from_constraint(i, m_i, center_radius, r_i, w0, params)
         if not rho_i < r_i:
             raise _Escalate(f"rho_i < r_i failed at index {i}")
-        part.update({"rho": rho_i, "eps": eps_i, "a": a})
-        return m1k, m_i, rho_i, lambda_from_constraint(part, i, params)
+        return m1k, m_i, rho_i, lambda_from_constraint(
+            i, rho_i, eps_i, center_radius, a, w0, params)
 
     # worst ring index i = ring first: escalate M until every ring check passes
     m_target = m_formula(ring, eps_ring)
@@ -595,11 +536,10 @@ def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
 
 
 def _min_bj_margin(plan: SequencePlan) -> float:
-    """Reported margin of the neighbor-ratio condition on the ring.
+    """Margin of the neighbor-ratio condition on the ring.
 
-    The analytic margin is ~ lambda^2 / rho^2 ~ 1e-137 for the reference
-    plan — positive but far below float resolution, so it is reported
-    rather than asserted.
+    The ratio of psi_2 across B_{2 rho_2} about its neighbor center, less
+    3^{-(n-2s)}; it is of order one (0.594 at n = 5, sigma = 1/2).
     """
     if min(plan.n_mat, plan.i0) < 3:
         return math.inf
@@ -743,9 +683,7 @@ def k_assemble(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
 def validate_plan(plan: SequencePlan, seed: int = 13) -> dict:
     """Re-check every plan invariant with no access to the builder.
 
-    Returns {check name: (pass, margin-or-note)}; the neighbor-ratio
-    margin is reported without being asserted (it is positive
-    analytically but below float resolution for extreme plans).
+    Returns {check name: (pass, margin-or-note)}.
     """
     p = plan.params
     rng = np.random.default_rng(seed)
@@ -813,6 +751,7 @@ def validate_plan(plan: SequencePlan, seed: int = 13) -> dict:
             + math.log(plan.w_profile(np.linalg.norm(plan.centers[i]) + dist))
         ok_lam = ok_lam and log_psi <= rhs + 1e-9
     rep["lambda defining inequality"] = (ok_lam, None)
-    rep["neighbor ratio margin (reported)"] = (True, _min_bj_margin(plan))
+    bj = _min_bj_margin(plan)
+    rep["neighbor ratio margin"] = (bool(bj > 0.0), bj)
     rep["all_pass"] = (all(v[0] for kk, v in rep.items()), None)
     return rep

@@ -29,7 +29,7 @@ from scipy.special import hyp2f1
 
 from . import constants, fracops, geometry
 from .fields import QuadratureSpec, ScalarField
-from .fracops import _radial_means, _sphere_means
+from .fracops import _sphere_means
 from .params import Params
 
 Array = np.ndarray
@@ -94,14 +94,10 @@ def _block(field: ScalarField, y: Array, d: Array, t: Array, first: Array,
     r_lo = BREAKS[first]
     radii = np.concatenate([NODES[idx], r_lo, 0.5 * r_lo, np.full(m, OUTER)])
     who = np.concatenate([owner, own, own, own])
-    if field.is_radial:
-        means = _radial_means(field, d[who], t[who] * radii,
-                              SPEC.angular_points)
-        g0 = field.radial_profile(d)
-    else:
-        means = _sphere_means(field, y[who], t[who] * radii,
-                              SPEC.angular_points)
-        g0 = field(y)
+    centres, g0 = ((d, field.radial_profile(d)) if field.is_radial
+                   else (y, field(y)))
+    means = _sphere_means(field, centres[who], t[who] * radii,
+                          SPEC.angular_points)
     body, g_one, g_half, s_tail = np.split(means, np.cumsum([idx.size, m, m]))
     kernel, moments = _rule(n, params.sigma)
     val = np.bincount(owner, body * kernel[idx], minlength=m)

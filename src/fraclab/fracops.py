@@ -97,38 +97,28 @@ INNER_RADIUS = 1e-3
 OUTER_RADIUS = 1e3
 
 
-def _radial_means(field: ScalarField, d, radii: Array,
+def _sphere_means(field: ScalarField, centres: Array, radii: Array,
                   angular_points: int) -> Array:
-    """Sphere means of a radial field about a point at distance d from the
-    origin; d is one distance or one per radius."""
-    d = np.asarray(d, dtype=float)
-    if field.n == 1:
-        lo = np.abs(d - radii)
-        hi = d + radii
-        vals = field.radial_profile(np.concatenate([lo, hi]))
-        return 0.5 * (vals[: radii.size] + vals[radii.size:])
-    t, w = geometry.radial_sphere_rule(field.n, angular_points)
-    d = d[..., None]
-    # in place: a block of many radii is the largest array of a batch
-    rr = 2.0 * d * radii[:, None] * t[None, :]
-    rr += d * d + radii[:, None] ** 2
-    rr = np.sqrt(np.maximum(rr, 0.0, out=rr), out=rr)
-    return field.radial_profile(rr.ravel()).reshape(rr.shape) @ w
+    """Sphere means of the field, one per radius, each about its own centre.
 
-
-def _sphere_means(field: ScalarField, x: Array, radii: Array,
-                  angular_points: int) -> Array:
-    """Sphere means of the field about x at each radius, vectorized.
-
-    x is one point (n,); a field without a radial profile also takes one
-    point per radius (k, n).
+    A centre is a distance from the origin for a radial field, whose means
+    depend on nothing else, and a point (n,) otherwise.
     """
     if field.is_radial:
-        return _radial_means(field, float(np.linalg.norm(x)), radii,
-                             angular_points)
+        if field.n == 1:
+            vals = field.radial_profile(np.concatenate(
+                [np.abs(centres - radii), centres + radii]))
+            return 0.5 * (vals[: radii.size] + vals[radii.size:])
+        t, w = geometry.radial_sphere_rule(field.n, angular_points)
+        d = centres[:, None]
+        # in place: a block of many radii is the largest array of a batch
+        rr = 2.0 * d * radii[:, None] * t[None, :]
+        rr += d * d + radii[:, None] ** 2
+        rr = np.sqrt(np.maximum(rr, 0.0, out=rr), out=rr)
+        return field.radial_profile(rr.ravel()).reshape(rr.shape) @ w
     n = field.n
     pts, wts = geometry.sphere_rule(n, angular_points)
-    pts_all = x[..., None, :] + radii[:, None, None] * pts[None, :, :]
+    pts_all = centres[:, None, :] + radii[:, None, None] * pts[None, :, :]
     vals = field(pts_all.reshape(-1, n)).reshape(radii.size, -1)
     # row by row (a BLAS product may sum a row differently by its place in
     # the block), so a point gets the same means in any batch
@@ -272,10 +262,7 @@ def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
     tail = [] if compact else [outer]
     radii = np.concatenate([n8, n4, s_lo, 0.5 * s_lo] + tail)
     who = np.concatenate([o8, o4, own, own] + [own] * len(tail))
-    if field.is_radial:
-        means = _radial_means(field, centres[who], radii, spec.angular_points)
-    else:
-        means = _sphere_means(field, centres[who], radii, spec.angular_points)
+    means = _sphere_means(field, centres[who], radii, spec.angular_points)
     g8, g4, g_one, g_half, _ = np.split(
         c[who] + sign * means, np.cumsum([n8.size, n4.size, m, m]))
     terms = g8 * n8 ** e * w8

@@ -348,13 +348,188 @@ def test_infeasible_plan_reporting():
         cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=0)
 
 
-def test_underflowing_lambda_is_a_named_refusal():
-    # at (4, 1/4) lambda^2 + dist^2 underflows in the lambda search; the
-    # plan is refused by name instead of a math domain error
-    with pytest.raises(cn.InfeasiblePlanError,
-                       match="lambda_8 falls below the float floor"):
-        cn.plan_sequences(Params(4, 0.25), _unit_k(4), lambda r: r ** -10.0,
-                          N=8, seed=7)
+def test_sigma_quarter_refused_at_the_float_floor():
+    # at sigma = 1/4 the first target already needs log(1 - k_8) below -740,
+    # so no larger M can help: the plan is refused at once, by name
+    for n in (4, 5, 7):
+        with pytest.raises(cn.InfeasiblePlanError,
+                           match=r"1 - k for M = .* falls below the float floor"):
+            cn.plan_sequences(Params(n, 0.25), _unit_k(n), lambda r: r ** -10.0,
+                              N=8, seed=7)
+
+
+# --- the closed forms against the bisection searches they replaced ---------------
+
+def _bisect(pred, lo, hi, steps):
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _bisected_one_minus_k(m_target, pr):
+    lo, hi = _bisect(lambda mid: cn.m_from_one_minus_k(math.exp(mid), pr) > m_target,
+                     -740.0, math.log(0.5), 200)
+    return math.exp(0.5 * (lo + hi))
+
+
+def _log_budget_w(i, m_i, c, w0, pr, dist):
+    """log of w(|x_i| + dist) / (2^{i+1} (2 w0)^p M_i), the rho budget."""
+    return (math.log(w0) - pr.half_exp * np.log1p((c + dist) ** 2)
+            - (i + 1) * math.log(2.0) - pr.p * math.log(2.0 * w0) - math.log(m_i))
+
+
+def _bisected_rho(i, m_i, c, r_i, w0, pr):
+    # the center, a ladder from dist = rho out, the far-field coefficient
+    n, s2 = pr.n, 2.0 * pr.sigma
+    cset = cn.constants.constant_set(pr)
+
+    def feasible(log_rho):
+        rho = math.exp(log_rho)
+        log_lhs0 = (math.log(cset.riesz_constant * cset.sphere_area / s2)
+                    + s2 * (log_rho + math.log(2.0)))
+        if log_lhs0 > _log_budget_w(i, m_i, c, w0, pr, 0.0):
+            return False
+        dist = np.geomspace(rho, 1e3, 24)
+        lhs = fracops.riesz_ball_indicator(dist, 2.0 * rho, pr)
+        live = lhs > 0.0
+        if (np.log(lhs[live]) > _log_budget_w(i, m_i, c, w0, pr, dist[live])).any():
+            return False
+        log_far = (math.log(cset.riesz_constant * cset.sphere_area / n)
+                   + n * (log_rho + math.log(2.0)))
+        return log_far <= _log_budget_w(i, m_i, c, w0, pr, 0.0) \
+            + pr.half_exp * math.log1p(c * c)
+
+    hi = math.log(r_i)
+    if feasible(hi):
+        return r_i
+    return math.exp(_bisect(feasible, -740.0, hi, 120)[0])
+
+
+def _log_lambda_bound(eps, a, c, w0, pr, dist):
+    """log of eps a^{(n-2s)/4s} w(|x_i| + dist), the lambda bound."""
+    q = pr.kelvin_exp / (4.0 * pr.sigma)
+    return (math.log(eps) + q * math.log(a) + math.log(w0)
+            - pr.half_exp * np.log1p((c + dist) ** 2))
+
+
+def _bisected_lambda(rho, eps, c, a, w0, pr):
+    # a ladder from the sphere dist = rho out, the far-field coefficient
+    amp = cn.constants.constant_set(pr).bubble_constant
+    dists = np.geomspace(rho, 1e3, 32)
+    log_rhs = _log_lambda_bound(eps, a, c, w0, pr, dists)
+
+    def feasible(log_lam):
+        lam = math.exp(log_lam)
+        if lam >= rho:
+            return False
+        if np.any(cn.bubble_log_profile(lam, dists, amp, pr) > log_rhs):
+            return False
+        log_far = _log_lambda_bound(eps, a, c, w0, pr, 0.0) \
+            + pr.half_exp * math.log1p(c * c)
+        return math.log(amp) + pr.half_exp * log_lam <= log_far
+
+    return math.exp(_bisect(feasible, -740.0, math.log(rho) - 1e-9, 120)[0])
+
+
+PLAN_PARAMS = [Params(4, 0.25), Params(5, 0.25), Params(5, 0.5), Params(5, 0.75),
+               Params(7, 0.25), Params(7, 0.5), Params(7, 0.75)]
+
+
+@st.composite
+def index_inputs(draw):
+    """(params, i, |x_i|, r_i, w0) as a plan step sees them."""
+    pr = draw(st.sampled_from(PLAN_PARAMS))
+    c = math.exp(draw(st.floats(min_value=math.log(1e-3), max_value=math.log(0.1))))
+    b = draw(st.floats(min_value=0.5, max_value=2.0))
+    w0 = cn.constants.constant_set(pr).bubble_constant \
+        * (2.0 * b) ** (-pr.n / (2.0 * pr.sigma))
+    return pr, draw(st.integers(min_value=1, max_value=20)), c, c / 8.0, w0
+
+
+@given(st.sampled_from(CORE_PARAMS), st.floats(min_value=1e-3, max_value=1 - 1e-3))
+@settings(max_examples=200, deadline=None)
+def test_one_minus_k_matches_the_bisection(pr, u):
+    # wherever 1 - k is a normal float
+    lo = cn.log_envelope(math.log(0.5), 0.0, pr)[1]
+    hi = min(cn.log_envelope(-sys.float_info.min, 0.0, pr)[1], 700.0)
+    m = math.exp(lo + u * (hi - lo))
+    assert cn.one_minus_k_for_m(m, pr) == pytest.approx(
+        _bisected_one_minus_k(m, pr), rel=1e-12)
+
+
+def test_one_minus_k_below_the_float_floor_is_refused():
+    for pr in PLAN_PARAMS:  # log(1 - k) = -q log M - log q for large M
+        q = pr.kelvin_exp / (4.0 * pr.sigma)
+        assert cn.one_minus_k_for_m(math.exp((739.0 - math.log(q)) / q), pr) > 0.0
+        with pytest.raises(cn.InfeasiblePlanError, match="float floor e\\^-740"):
+            cn.one_minus_k_for_m(math.exp((741.0 - math.log(q)) / q), pr)
+    assert cn.one_minus_k_for_m(0.1, PR) == 0.5  # below M(1 - k = 1/2)
+
+
+@given(index_inputs(), st.floats(min_value=80.0, max_value=250.0))
+@settings(max_examples=60, deadline=None)
+def test_rho_is_the_binding_centre(inputs, log_m):
+    pr, i, c, r_i, w0 = inputs
+    m_i = math.exp(log_m)
+    try:
+        rho = cn.rho_from_constraint(i, m_i, c, r_i, w0, pr)
+    except cn.InfeasiblePlanError:
+        assume(False)
+    assert rho < r_i
+    # the ball potential stays under its budget at the centre, inside the
+    # ball and out to 1e3, and breaks it at the centre for a larger rho
+    dist = np.concatenate([[0.0], np.geomspace(1e-3 * rho, 1e3, 199)])
+    lhs = fracops.riesz_ball_indicator(dist, 2.0 * rho, pr)
+    assert np.all(lhs <= np.exp(_log_budget_w(i, m_i, c, w0, pr, dist))
+                  * (1.0 + 1e-12))
+    big = fracops.riesz_ball_indicator(0.0, 2.0 * rho * (1.0 + 1e-9), pr)
+    assert big > math.exp(_log_budget_w(i, m_i, c, w0, pr, 0.0))
+    assert rho == pytest.approx(_bisected_rho(i, m_i, c, r_i, w0, pr), rel=1e-12)
+
+
+@given(index_inputs(), st.floats(min_value=-300.0, max_value=0.0),
+       st.floats(min_value=0.25, max_value=0.5),
+       st.floats(min_value=0.01, max_value=1.0))
+@settings(max_examples=200, deadline=None)
+def test_lambda_is_the_binding_sphere(inputs, log_rho, a, eps_scale):
+    pr, i, c, r_i, w0 = inputs
+    rho = 0.5 * r_i * math.exp(log_rho)
+    eps = eps_scale * 2.0 ** -i
+    try:
+        lam = cn.lambda_from_constraint(i, rho, eps, c, a, w0, pr)
+    except cn.InfeasiblePlanError:
+        assume(False)
+    amp = cn.constants.constant_set(pr).bubble_constant
+    # psi_lam stays under eps a^q w from the sphere dist = rho out to 1e3,
+    # and a larger lam breaks it on the sphere (unless lam is at its cap)
+    dist = np.geomspace(rho, 1e3, 200)
+    assert np.all(cn.bubble_log_profile(lam, dist, amp, pr)
+                  <= _log_lambda_bound(eps, a, c, w0, pr, dist) + 1e-12)
+    if lam < rho * math.exp(-1e-9) * (1.0 - 1e-12):
+        assert cn.bubble_log_profile(lam * (1.0 + 1e-9), rho, amp, pr) \
+            > _log_lambda_bound(eps, a, c, w0, pr, rho)
+    assert lam == pytest.approx(_bisected_lambda(rho, eps, c, a, w0, pr), rel=1e-12)
+
+
+def test_two_centre_ratio_at_its_worst():
+    # lam -> 0 with antipodal centres on |x| = delta1, in line with x at
+    # |x| = delta (outside) or |x| = delta2 (inside): the ratio stays below 2
+    plan = cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=8, seed=7)
+    e1 = np.eye(5)[0]
+    for x in (plan.delta * e1, plan.delta2 * e1):
+        s1 = np.linalg.norm(x - plan.delta1 * e1)
+        s2 = np.linalg.norm(x + plan.delta1 * e1)
+        log_ratio = (cn.bubble_log_profile(1e-9, s1, plan.amplitude, PR)
+                     - cn.bubble_log_profile(1e-9, s2, plan.amplitude, PR))
+        assert math.exp(log_ratio) < 2.0
+    # the radii do not depend on the seed
+    assert (plan.delta1, plan.delta2) == cn.choose_deltas(PR, plan.delta)
+    assert plan.delta1 == pytest.approx(0.0312, abs=1e-4)
+    assert plan.delta2 == pytest.approx(0.00194, abs=1e-5)
 
 
 # --- deep bubble centres -------------------------------------------------------
