@@ -8,7 +8,7 @@ multi-bubble construction, and a monotone fractional Dirichlet solver.
 """
 
 from .params import Params
-from .fields import ScalarField, QuadratureSpec, radial_field
+from .fields import ScalarField, radial_field
 from .constants import ConstantSet, constant_set
 from .fracops import (OpResult, frac_lap_at, frac_lap_radial, riesz_field,
                       riesz_potential)
@@ -24,7 +24,7 @@ from .reports import RunConfig, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Params", "ScalarField", "QuadratureSpec", "radial_field",
+    "Params", "ScalarField", "radial_field",
     "ConstantSet", "constant_set", "OpResult", "frac_lap_at",
     "frac_lap_radial", "riesz_field", "riesz_potential", "KelvinMap",
     "model_bubble", "standard_bubble", "extend", "conormal_derivative",

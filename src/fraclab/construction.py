@@ -729,11 +729,12 @@ def validate_plan(plan: SequencePlan, seed: int = 13) -> dict:
     rep["beta formula"] = (abs(plan.beta - beta_from_formula(p)) < 1e-15,
                            plan.beta)
     rep["i0 formula"] = (plan.i0 == i0_from_formula(p, plan.a), plan.i0)
-    # defining feasibility spot checks (anchored near a ball + global)
+    # defining feasibility spot checks: every centre, where the inequality
+    # binds, then seeded distances from inside the ball to far out
     ok_rho = True
-    for _ in range(64):
-        i = int(rng.integers(plan.n_mat))
-        dist = plan.rho[i] * 10.0 ** rng.uniform(0, 3)
+    for i, dist in [(i, 0.0) for i in range(plan.n_mat)] + [
+            (i, plan.rho[i] * 10.0 ** rng.uniform(-3, 3))
+            for i in (int(rng.integers(plan.n_mat)) for _ in range(64))]:
         lhs = fracops.riesz_ball_indicator(dist, 2.0 * plan.rho[i], p)
         budget = 2.0 ** (min(i + 1, ring) + 1) * (2.0 * plan.w0) ** p.p \
             * plan.m_big[i]

@@ -28,17 +28,15 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from . import constants, fracops, geometry
-from .fields import QuadratureSpec, ScalarField
-from .fracops import _sphere_means
+from .fields import ScalarField
 from .params import Params
 
 Array = np.ndarray
 
 
-#: Panels out to OUTER at the default resolution, with their GL8 nodes and
-#: weights, made once for every call.
-SPEC, OUTER = QuadratureSpec(), 1e4
-BREAKS = geometry.panel_breaks(1e-8, OUTER, SPEC.panels_per_decade)
+#: Panels out to OUTER, with their GL8 nodes and weights, made once.
+OUTER = 1e4
+BREAKS = geometry.panel_breaks(1e-8, OUTER, fracops.PANELS_PER_DECADE)
 NODES, WEIGHTS = geometry.gauss_panels(BREAKS, 8)
 
 
@@ -96,8 +94,7 @@ def _block(field: ScalarField, y: Array, d: Array, t: Array, first: Array,
     who = np.concatenate([owner, own, own, own])
     centres, g0 = ((d, field.radial_profile(d)) if field.is_radial
                    else (y, field(y)))
-    means = _sphere_means(field, centres[who], t[who] * radii,
-                          SPEC.angular_points)
+    means = fracops._sphere_means(field, centres[who], t[who] * radii)
     body, g_one, g_half, s_tail = np.split(means, np.cumsum([idx.size, m, m]))
     kernel, moments = _rule(n, params.sigma)
     val = np.bincount(owner, body * kernel[idx], minlength=m)

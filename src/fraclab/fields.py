@@ -33,8 +33,8 @@ class ScalarField:
     support_radius : float, optional
         Support bound for ``compact_support``.
     radial_profile : callable, optional
-        If the field is radial, its profile g(r) vectorized over radii;
-        enables the Gauss-Jacobi sphere-mean fast path in any dimension.
+        If the field is radial, its profile g(r) vectorized over radii; its
+        sphere means are then split at ``kink_radii``, in any dimension.
     kink_radii : tuple of float
         Radii |x| where the field is not smooth (e.g. a support boundary);
         the singular-integral quadratures place panel breaks there.
@@ -80,11 +80,3 @@ def radial_field(profile: Callable[[Array], Array], n: int, **kwargs) -> ScalarF
     def func(x: Array) -> Array:
         return profile(np.linalg.norm(x, axis=-1))
     return ScalarField(func=func, n=n, radial_profile=profile, **kwargs)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution knobs for the singular-integral quadratures."""
-
-    panels_per_decade: int = 4
-    angular_points: int = 32

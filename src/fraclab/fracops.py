@@ -11,6 +11,8 @@ with omega the area of the unit sphere: int_0^inf s^e g(s) ds with
 e = -1 - 2 sigma, g = f(x) - S(s) and e = 2 sigma - 1, g = S(s) (Kwaśnicki,
 FCAA 20(1), 2017).  One core sums both, with composite panel rules that
 carry an embedded lower-order estimate, so every value has an error bar.
+A radial field's sphere means are split at the kinks of its profile
+(:func:`geometry.radial_mean_rule`); other fields take a product rule.
 
 Near s = 0 the sphere mean is a smooth even function of s, so the core
 integrates the stretch below a small radius s_lo in closed form from a
@@ -43,7 +45,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from . import constants, geometry
-from .fields import QuadratureSpec, ScalarField, radial_field
+from .fields import ScalarField, radial_field
 from .params import Params
 
 Array = np.ndarray
@@ -61,12 +63,13 @@ class OpResult:
 
 
 #: Distances (for a radial field) or points whose sphere-mean nodes go to
-#: the field in one call in either operator, at the default 32
-#: angular points of :class:`QuadratureSpec`.  Each takes about 300 nodes
-#: times the angular points, so a block is ~1.5e5 profile points and a
-#: large batch needs no more memory than a small one; a finer angular rule
-#: takes proportionally fewer.
+#: the field in one call: about 300 radii each, times 24 polar nodes a
+#: piece or ``PRODUCT_POINTS``, so a batch needs no more memory than one.
 BLOCK = 16
+
+#: Radial panels a decade, and points of the product rule for other fields.
+PANELS_PER_DECADE = 4
+PRODUCT_POINTS = 32
 
 #: Significant bits kept when distances are merged (about 13 digits).
 MERGE_BITS = 43
@@ -84,40 +87,24 @@ MOMENT_PANELS = 16
 TABLE_NODES = 48
 TRAILING = 4
 
-#: The rule the table is sampled with.  An interpolant hands each node's
-#: error on to its neighbours, scaled by up to the Lebesgue constant (about
-#: 3.4 at 48 nodes).  With the default 32 angular points the angular error
-#: of a smooth bump's potential, ~1e-7 of its peak, sits above the
-#: interpolation error; 128 points bring it below 1e-8.
-TABLE_SPEC = QuadratureSpec(angular_points=128)
-
 #: Panels start at INNER_RADIUS * max(1, d) or below; a field without
 #: compact support is summed out to OUTER_RADIUS, with a tail model beyond.
 INNER_RADIUS = 1e-3
 OUTER_RADIUS = 1e3
 
 
-def _sphere_means(field: ScalarField, centres: Array, radii: Array,
-                  angular_points: int) -> Array:
-    """Sphere means of the field, one per radius, each about its own centre.
-
-    A centre is a distance from the origin for a radial field, whose means
-    depend on nothing else, and a point (n,) otherwise.
-    """
+def _sphere_means(field: ScalarField, centres: Array, radii: Array) -> Array:
+    """Sphere means of the field, one per radius, each about its own centre:
+    a distance for a radial field, split at its kinks by
+    :func:`geometry.radial_mean_rule`, and a point (n,) otherwise."""
     if field.is_radial:
-        if field.n == 1:
-            vals = field.radial_profile(np.concatenate(
-                [np.abs(centres - radii), centres + radii]))
-            return 0.5 * (vals[: radii.size] + vals[radii.size:])
-        t, w = geometry.radial_sphere_rule(field.n, angular_points)
-        d = centres[:, None]
-        # in place: a block of many radii is the largest array of a batch
-        rr = 2.0 * d * radii[:, None] * t[None, :]
-        rr += d * d + radii[:, None] ** 2
-        rr = np.sqrt(np.maximum(rr, 0.0, out=rr), out=rr)
-        return field.radial_profile(rr.ravel()).reshape(rr.shape) @ w
+        r, w, row = geometry.radial_mean_rule(field.n, centres, radii,
+                                              field.kink_radii)
+        vals = field.radial_profile(np.abs(r, out=r).ravel())
+        return np.bincount(row, np.einsum("ij,ij->i", vals.reshape(r.shape),
+                                          w), minlength=radii.size)
     n = field.n
-    pts, wts = geometry.sphere_rule(n, angular_points)
+    pts, wts = geometry.sphere_rule(n, PRODUCT_POINTS)
     pts_all = centres[:, None, :] + radii[:, None, None] * pts[None, :, :]
     vals = field(pts_all.reshape(-1, n)).reshape(radii.size, -1)
     # row by row (a BLAS product may sum a row differently by its place in
@@ -125,29 +112,24 @@ def _sphere_means(field: ScalarField, centres: Array, radii: Array,
     return np.einsum("ij,j->i", vals, wts)
 
 
-def frac_lap_at(field: ScalarField, x: Array, params: Params,
-                spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
+def frac_lap_at(field: ScalarField, x: Array, params: Params) -> OpResult:
     """(-Lap)^sigma at one point (n,) or a batch (m, n), by
     :func:`_radial_integral`."""
     cset = constants.constant_set(params)
     return _radial_integral(field, x, -1.0 - 2.0 * params.sigma,
-                            cset.c_frac * cset.sphere_area, spec)
+                            cset.c_frac * cset.sphere_area)
 
 
-def frac_lap_radial(field: ScalarField, d, params: Params,
-                    spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
+def frac_lap_radial(field: ScalarField, d, params: Params) -> OpResult:
     """Fractional Laplacian of a radial field at one distance d from the
     origin (float fields) or at a 1-D array of them (arrays)."""
     if not field.is_radial:
         raise ValueError("frac_lap_radial needs a radial field")
-    d = np.asarray(d, dtype=float)
-    x = np.zeros(d.shape + (field.n,))
-    x[..., 0] = d
-    return frac_lap_at(field, x, params, spec)
+    return frac_lap_at(field, np.asarray(d, dtype=float)[..., None]
+                       * np.eye(field.n)[0], params)
 
 
-def riesz_potential(field: ScalarField, x: Array, params: Params,
-                    spec: QuadratureSpec = QuadratureSpec()) -> OpResult:
+def riesz_potential(field: ScalarField, x: Array, params: Params) -> OpResult:
     """Riesz potential I_{2 sigma} at one point (n,) or a batch (m, n), by
     :func:`_radial_integral`, of a field with compact support or power
     decay faster than r^{-2 sigma}."""
@@ -158,7 +140,7 @@ def riesz_potential(field: ScalarField, x: Array, params: Params,
                          f"decay, got decay {field.decay!r}")
     if field.decay == "power_decay" and field.decay_rate <= s2:
         raise ValueError("Riesz potential diverges: decay rate <= 2 sigma")
-    return _radial_integral(field, x, s2 - 1.0, front, spec)
+    return _radial_integral(field, x, s2 - 1.0, front)
 
 
 def _riesz_front(params: Params) -> float:
@@ -170,32 +152,28 @@ def _riesz_front(params: Params) -> float:
     return cset.riesz_constant * cset.sphere_area
 
 
-def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
-                     spec: QuadratureSpec) -> OpResult:
+def _radial_integral(field: ScalarField, x: Array, e: float,
+                     front: float) -> OpResult:
     """front * int_0^inf s^e g(s) ds and its error bar, where g = f(x) - S(s)
     for e < -1, the fractional Laplacian, and g = S(s) for e > -1, the
     Riesz potential.
 
-    ``x`` is one point (n,), giving float fields, or a batch (m, n), giving
-    arrays of shape (m,).  A single point is a batch of one.  The integral
-    of a radial field depends only on |x|, so a batch is reduced to its
-    distinct distances first: each is rounded to ``MERGE_BITS`` = 43
-    significant bits, which moves it by at most 2^-44 ~ 5.7e-14 of itself,
-    and a single point is rounded the same way.  The sphere-mean nodes of
-    ``BLOCK`` centres go to the field in one call.
+    ``x`` is one point (n,), giving floats, or a batch (m, n), giving
+    arrays (m,); a single point is a batch of one.  A radial field is
+    reduced to its distinct distances, each rounded to ``MERGE_BITS``
+    significant bits (a move of at most 2^-44 ~ 5.7e-14 of itself).
 
-    Below s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2) the
-    sphere mean is a smooth even function of s, so that stretch is the
-    closed-form integral of the fit g(0) + a (s/s_lo)^2 + b (s/s_lo)^4
-    through g(s_lo) and g(s_lo/2); there f(x) - S(s) would drown in float
-    cancellation under raw quadrature.  The error bar is |GL8 - GL4| on the
-    panels above s_lo, plus the rounding bound k eps sum |terms| of the
-    k-node GL8 sum, plus half the quartic term's share, plus the tail
-    charge.  A compact field is summed out to d + 1.001 a (the Laplacian:
-    at least ``OUTER_RADIUS``); the potential of a radial field supported
-    in B_a is the exact exterior series of :func:`_exterior_series` at
-    d > 2a, where each sphere meets the support in a thin cap that the
-    angular rule cannot resolve.
+    Below s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2),
+    where f(x) - S(s) would drown in float cancellation, the head fit of
+    the module notes is integrated through g(s_lo) and g(s_lo/2).  The bar
+    is |GL8 - GL4| on the panels above s_lo, plus the rounding bound
+    k eps sum |terms| of the k-node GL8 sum, plus half the quartic term's
+    share, plus the tail charge.  A compact field is summed out to
+    d + 1.001 a (the Laplacian: at least ``OUTER_RADIUS``).  Beyond 2a the
+    potential of a radial field supported in B_a is the exterior series
+    of :func:`_exterior_series`: every sphere that meets the support lies
+    in the shell |d - s| < a, which the radial panels resolve to only
+    1e-4 to 1e-3 far out, while the series is exact to rounding.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
@@ -204,9 +182,9 @@ def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
     dist = np.linalg.norm(batch, axis=1)
     if field.is_radial:
         mant, expo = np.frexp(dist)
-        dist, inverse = np.unique(
-            np.ldexp(np.round(np.ldexp(mant, MERGE_BITS)), expo - MERGE_BITS),
-            return_inverse=True)
+        dist = np.ldexp(np.round(np.ldexp(mant, MERGE_BITS)), expo - MERGE_BITS)
+        dist, inverse = (np.unique(dist, return_inverse=True) if dist.size > 1
+                         else (dist, np.zeros(1, dtype=int)))
         centres, at_centre = dist, field.radial_profile(dist)
     else:
         inverse = np.arange(dist.size)
@@ -220,11 +198,10 @@ def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
             value[far], error[far] = _exterior_series(field, e + 1.0)(
                 dist[far])
             near = near[~far]
-    step = max(1, BLOCK * QuadratureSpec.angular_points // spec.angular_points)
-    for lo in range(0, near.size, step):
-        blk = near[lo:lo + step]
+    for lo in range(0, near.size, BLOCK):
+        blk = near[lo:lo + BLOCK]
         value[blk], error[blk] = _block(
-            field, centres[blk], dist[blk], at_centre[blk], e, spec)
+            field, centres[blk], dist[blk], at_centre[blk], e)
 
     value = front * value[inverse]
     error = front * error[inverse]
@@ -234,7 +211,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float, front: float,
 
 
 def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
-           e: float, spec: QuadratureSpec) -> Tuple[Array, Array]:
+           e: float) -> Tuple[Array, Array]:
     """int_0^inf s^e g(s) ds and its error bar for one block of centres.
 
     ``centres`` are distances for a radial field and points otherwise, f0
@@ -252,8 +229,7 @@ def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
     edges = geometry.kink_edges(field.kink_radii, d)
     s_lo = np.minimum(INNER_RADIUS * np.maximum(1.0, d),
                       0.5 * np.min(edges, axis=1, initial=np.inf))
-    rows = geometry.panel_rows(1e-12, s_lo, outer, spec.panels_per_decade,
-                               edges)
+    rows = geometry.panel_rows(1e-12, s_lo, outer, PANELS_PER_DECADE, edges)
     live = np.isfinite(rows[:, 1:])
     owner = np.nonzero(live)[0]
     n8, w8 = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 8)
@@ -262,9 +238,9 @@ def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
     tail = [] if compact else [outer]
     radii = np.concatenate([n8, n4, s_lo, 0.5 * s_lo] + tail)
     who = np.concatenate([o8, o4, own, own] + [own] * len(tail))
-    means = _sphere_means(field, centres[who], radii, spec.angular_points)
-    g8, g4, g_one, g_half, _ = np.split(
-        c[who] + sign * means, np.cumsum([n8.size, n4.size, m, m]))
+    means = _sphere_means(field, centres[who], radii)
+    g, k8, k4 = c[who] + sign * means, n8.size, n8.size + n4.size
+    g8, g4, g_one, g_half = g[:k8], g[k8:k4], g[k4:k4 + m], g[k4 + m:k4 + 2 * m]
     terms = g8 * n8 ** e * w8
     fine = np.bincount(o8, terms, minlength=m)
     coarse = np.bincount(o4, g4 * n4 ** e * w4, minlength=m)
@@ -352,18 +328,16 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     """The Riesz potential of a radial compact field, tabulated once.
 
     The potential I(d) is even in d and smooth on each of [0, a] and
-    [a, 2a], a = ``support_radius``.  It is sampled by one batched
-    :func:`riesz_potential` call, with ``TABLE_SPEC``, at ``TABLE_NODES``
-    Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a],
-    and interpolated there; beyond 2a the profile is the exact exterior
+    [a, 2a], a = ``support_radius``.  One batched :func:`riesz_potential`
+    call, its sphere means split at the support, samples it at
+    ``TABLE_NODES`` Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in
+    d on [a, 2a] for interpolation; beyond 2a the profile is the exterior
     series of :func:`_exterior_series`.  The result is a radial field
     decaying like d^{2 sigma - n}, with kinks where the pieces join.  Its
-    ``error_bound`` is the interpolation bound read from the
-    trailing Chebyshev coefficients: the interpolation error is at most
-    2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
-    Approximation Practice*, ch. 7-8), and the sum of the last
-    ``TRAILING`` computed |c_k| stands in for that tail.  The sampled
-    values carry the bars of :func:`riesz_potential` besides.
+    ``error_bound`` is the interpolation bound 2 sum_{k >= N} |c_k|
+    (Trefethen, *Approximation Theory and Approximation Practice*,
+    ch. 7-8), the last ``TRAILING`` computed |c_k| standing in for that
+    tail; the sampled values carry the bars of :func:`riesz_potential`.
     """
     if not field.is_radial or field.decay != "compact_support":
         raise ValueError("riesz_field needs a radial, compactly supported "
@@ -373,9 +347,7 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     theta = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
     t = np.cos(theta)
     d = np.concatenate([a * np.sqrt(0.5 * (t + 1.0)), a * (0.5 * t + 1.5)])
-    nodes = np.zeros((d.size, n))
-    nodes[:, 0] = d
-    sampled = riesz_potential(field, nodes, params, TABLE_SPEC)
+    sampled = riesz_potential(field, d[:, None] * np.eye(n)[0], params)
     # values at first-kind nodes -> Chebyshev coefficients (a DCT-II)
     to_coeffs = (2.0 / TABLE_NODES) * np.cos(
         np.outer(np.arange(TABLE_NODES), theta))

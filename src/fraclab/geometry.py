@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc, roots_jacobi
+from scipy.special import betainc
 
 Array = np.ndarray
 
@@ -32,43 +32,93 @@ def sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
     Gauss-Legendre grid in the polar cosine crossed with uniform azimuths.
     """
     if n == 1:
-        pts = np.array([[1.0], [-1.0]])
-        wts = np.array([0.5, 0.5])
+        pts, wts = np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     elif n == 2:
         theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        wts = np.full(m, 1.0 / m)
+        pts, wts = np.column_stack([np.cos(theta), np.sin(theta)]), np.full(m, 1.0 / m)
     elif n == 3:
         m_pol = max(2, int(round(math.sqrt(m / 2.0))))
         m_az = max(4, 2 * m_pol)
         ct, cw = np.polynomial.legendre.leggauss(m_pol)
         phi = 2.0 * math.pi * (np.arange(m_az) + 0.5) / m_az
         st = np.sqrt(1.0 - ct ** 2)
-        pts = np.empty((m_pol * m_az, 3))
-        wts = np.empty(m_pol * m_az)
-        k = 0
-        for i in range(m_pol):
-            for j in range(m_az):
-                pts[k] = (st[i] * math.cos(phi[j]), st[i] * math.sin(phi[j]), ct[i])
-                wts[k] = cw[i] / (2.0 * m_az)
-                k += 1
+        pts = np.stack([np.outer(st, np.cos(phi)), np.outer(st, np.sin(phi)),
+                        np.repeat(ct[:, None], m_az, axis=1)],
+                       axis=-1).reshape(-1, 3)
+        wts = np.repeat(cw / (2.0 * m_az), m_az)
     else:
         raise ValueError(f"sphere_rule supports n <= 3, got n={n}")
     return pts, wts
 
 
-@lru_cache(maxsize=None)
-def radial_sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
-    """Gauss-Jacobi rule for sphere means of radial functions, any n >= 2.
+#: Gauss-Legendre nodes on each piece of the polar angle.
+POLAR_NODES = 24
 
-    For radial g, the mean of g(|x0 + s theta|) over theta in S^{n-1}
-    equals the integral of g(sqrt(d^2 + s^2 + 2 d s t)) against the
-    normalized weight (1-t^2)^{(n-3)/2} on t in (-1, 1), d = |x0|.
-    Returns (t_nodes, weights) with weights summing to one.
+
+@lru_cache(maxsize=None)
+def _polar_rule(n: int) -> Tuple[Array, Array, Array, Array]:
+    """Gauss-Legendre offsets u in (0, 1) and weights W per unit width of a
+    piece of theta/2, for sin^{n-2} theta d theta normalised on (0, pi);
+    then cos^2(theta/2) and the weights of the whole sphere (width pi/2)."""
+    x, w = _legendre(POLAR_NODES)
+    u = 0.5 * (x + 1.0)
+    # d theta = 2 d(theta/2), and sin theta = 2 cos(theta/2) sin(theta/2)
+    big_w = w * 2.0 ** (n - 2) * math.gamma(n / 2.0) / (
+        math.sqrt(math.pi) * math.gamma((n - 1) / 2.0))
+    c2 = np.cos(0.5 * math.pi * u) ** 2
+    return u, big_w, c2, 0.5 * math.pi * big_w * (c2 - c2 * c2) ** (0.5 * (n - 2))
+
+
+def radial_mean_rule(n: int, d: Array, s: Array, kinks: Sequence[float]
+                     ) -> Tuple[Array, Array, Array]:
+    """Nodes of the means of a radial g over the spheres |x - x0| = s[j],
+    |x0| = d[j] (float arrays of one shape (m,)): radii and weights (p, q)
+    and the row (p,) of p pieces of q nodes, so that the mean over sphere j
+    is the sum of w g(radii) over the pieces of row j.
+
+    In the polar angle theta about x0 the sphere meets the radius
+    r = sqrt((d - s)^2 + 4 d s cos^2(theta/2)), and the mean is the
+    normalised integral of g(r) sin^{n-2} theta on (0, pi), as smooth in
+    theta as g is in r.  A sphere that crosses a kink k (|d - s| < k < d + s)
+    is split at tan^2(theta_k/2) = ((d + s)^2 - k^2) / (k^2 - (d - s)^2),
+    each piece taking ``POLAR_NODES`` Gauss-Legendre nodes; a sphere that
+    crosses none takes nodes computed once.  A g constant on each piece,
+    such as an indicator, is integrated exactly.  n = 1 is the two-point
+    mean over d - s and d + s (d may be signed; a radial g takes moduli).
     """
-    alpha = (n - 3) / 2.0
-    t, w = roots_jacobi(m, alpha, alpha)
-    return t, w / w.sum()
+    if n == 1:
+        return (np.stack([d - s, d + s], axis=1), np.full((d.size, 2), 0.5),
+                np.arange(d.size))
+    u, big_w, c2_whole, w_whole = _polar_rule(n)
+    k = np.asarray(kinks, dtype=float)
+    near, far = np.abs(d - s)[:, None], (d + s)[:, None]
+    cross = (near < k) & (k < far)
+    split = cross.any(axis=1)
+    gap, four_ds = near * near, 4.0 * (d * s)[:, None]
+    whole, rows = np.nonzero(~split)[0], np.nonzero(split)[0]
+    # breaks in theta/2: 0, pi/2, and theta_k/2 of each kink crossed or
+    # pi/2 (a piece of length 0) of each kink missed
+    half = np.where(cross, np.arctan2(
+        np.sqrt(np.abs((far - k) * (far + k))),
+        np.sqrt(np.abs((k - near) * (k + near)))), 0.5 * math.pi)
+    breaks = np.zeros((rows.size, k.size + 2))
+    breaks[:, 1:-1], breaks[:, -1] = np.sort(half[rows], axis=1), 0.5 * math.pi
+    width = breaks[:, 1:] - breaks[:, :-1]
+    live = width > 0.0
+    lo, width = breaks[:, :-1][live][:, None], width[live][:, None]
+    pieces = rows[np.nonzero(live)[0]]
+    # the whole spheres first, then the pieces, written in place
+    row, m = np.concatenate([whole, pieces]), whole.size
+    r, w = np.empty((2, row.size, POLAR_NODES))
+    np.multiply(four_ds[whole], c2_whole, out=r[:m])
+    w[:m] = w_whole
+    c2 = np.cos(lo + width * u) ** 2
+    np.multiply(four_ds[pieces], c2, out=r[m:])
+    np.multiply(width, big_w, out=w[m:])
+    if n > 2:
+        w[m:] *= (c2 - c2 * c2) ** (0.5 * (n - 2))
+    r += gap[row]
+    return np.sqrt(r, out=r), w, row
 
 
 # --- spherical caps -------------------------------------------------------

@@ -105,21 +105,7 @@ def _hat_scatter(r: Array, w: Array, lo: float, hi: float, h: float,
                        minlength=nodes)
 
 
-def _mean_radii_weights(d: float, s_nodes: Array, dim: int,
-                        angular: int) -> Tuple[Array, Array]:
-    """Radii and weights of the sphere means about radius d (radial data)."""
-    if dim == 1:
-        radii = np.stack([d - s_nodes, d + s_nodes], axis=1)
-        wts = np.full((len(s_nodes), 2), 0.5)
-        return radii, wts
-    t, w = geometry.radial_sphere_rule(dim, angular)
-    radii = np.sqrt(d * d + s_nodes[:, None] ** 2
-                    + 2.0 * d * s_nodes[:, None] * t[None, :])
-    return radii, np.broadcast_to(w, radii.shape)
-
-
-#: Angular points of the sphere means and geometric panels a decade per row.
-ANGULAR_POINTS = 48
+#: Geometric panels a decade per row.
 PER_DECADE = 6
 
 
@@ -158,12 +144,14 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
     for i, (d, row) in enumerate(zip(grid, rows)):
         s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
         kern = s_nodes ** (-1.0 - s2)
-        radii, wts = _mean_radii_weights(d, s_nodes, dimension, ANGULAR_POINTS)
-        w = (s_weights * kern)[:, None] * wts
+        # sphere means about d, unsplit: the basis has a kink at every node
+        radii, wts, which = geometry.radial_mean_rule(
+            dimension, np.full_like(s_nodes, d), s_nodes, ())
         # f(x) sum(kernel) minus the basis means; exact exterior tail
         a[i, i] += front * s_min ** (-s2) / s2
-        a[i, :] -= front * _hat_scatter(radii.ravel(), w.ravel(), lo, hi, h,
-                                        nodes)
+        a[i, :] -= front * _hat_scatter(
+            radii.ravel(), ((s_weights * kern)[which, None] * wts).ravel(),
+            lo, hi, h, nodes)
         # near field: quadratic second-difference model on (0, h/2)
         a[i, i] += 2.0 * near_coef
         if i > 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from fraclab import construction as cn, fracops
-from fraclab.fields import QuadratureSpec, ScalarField, radial_field
+from fraclab.fields import ScalarField, radial_field
 from fraclab.params import Params
 
 PR = Params(5, 0.5)
@@ -166,6 +167,18 @@ def test_plan_validator(plan):
     assert rep["all_pass"][0]
 
 
+@pytest.mark.parametrize("which", ["plan", "deep_plan"])
+def test_plan_validator_checks_rho_at_the_centres(which, request):
+    # the rho inequality binds at dist = 0, which the spot checks now draw:
+    # the true plan meets it there, a 0.1% larger rho breaks it by ~1e-3
+    plan = request.getfixturevalue(which)
+    raised = dataclasses.replace(plan, rho=plan.rho * 1.001)
+    for seed in range(20):
+        assert cn.validate_plan(plan, seed)["rho defining inequality"][0]
+        assert not cn.validate_plan(raised,
+                                    seed)["rho defining inequality"][0]
+
+
 def test_plan_reduced_mode_shape(plan):
     assert plan.reduced and plan.n_mat == 8
     assert plan.i0 == 257
@@ -241,8 +254,7 @@ def test_tent_potential_matches_the_tent_field():
     d = rho * np.array([0.0, 0.5, 1.5, 3.0, 10.0, 1999.0, 2001.0])
     x = np.zeros((d.size, 5))
     x[:, 0] = d
-    want = fracops.riesz_potential(tent, x, PR,
-                                   QuadratureSpec(angular_points=128)).value
+    want = fracops.riesz_potential(tent, x, PR).value
     got = [cn._tent_riesz(di, rho, PR) for di in d]
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=0.0)
     assert cn._tent_riesz(math.inf, rho, PR) == 0.0

@@ -49,8 +49,8 @@ def test_half_order_closed_form_near_the_bubble(n):
 
 @pytest.mark.xfail(strict=True, reason=(
     "CHANGES.md FOUND: extend at sigma = 1/2 misses the closed form far "
-    "out; the 32-point angular rule under-resolves the sphere through the "
-    "bubble's peak"))
+    "out; its fixed radial panels, 4 a decade, under-resolve r ~ |y| / t, "
+    "where the sphere sweeps the bubble's peak"))
 @pytest.mark.parametrize("n", [2, 3])
 def test_half_order_closed_form_far_out(n):
     assert _half_order_worst(n, (20.0, 50.0)) < 1e-3

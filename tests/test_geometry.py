@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fraclab import geometry
@@ -74,3 +75,22 @@ def test_panel_rows_start_increase_and_hold_every_break(start, per_decade,
         alone = geometry.panel_rows(start, s_lo[j:j + 1], outer[j:j + 1],
                                     per_decade, edges[j:j + 1])[0]
         assert np.array_equal(alone[np.isfinite(alone)], finite)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_radial_mean_rule_is_exact_on_an_annulus_indicator(n):
+    # the indicator of lam < |x| < outer is constant on each polar piece, so
+    # the split rule gives the difference of two cap fractions
+    lam, outer = 0.7, 1.6
+    rng = np.random.default_rng(n)
+    d = np.concatenate([[0.0, 0.7, 1.6, 1.0], rng.uniform(0.0, 3.0, 60)])
+    s = np.concatenate([[1.0, 0.7, 0.1, 1e-9], rng.uniform(0.0, 3.0, 60)])
+    r, w, row = geometry.radial_mean_rule(n, d, s, (lam, outer))
+    g = ((r > lam) & (r < outer)).astype(float)
+    got = np.bincount(row, np.einsum("ij,ij->i", g, w), minlength=d.size)
+    want = [geometry.cap_fraction(dj, np.array([sj]), outer, n)[0]
+            - geometry.cap_fraction(dj, np.array([sj]), lam, n)[0]
+            for dj, sj in zip(d, s)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.bincount(row, w.sum(axis=1)), 1.0,
+                               rtol=0.0, atol=1e-13)
