@@ -122,8 +122,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(5, 0.5)
-    kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=5,
+    pr = Params(5 if args.n is None else args.n, 0.5 if args.sigma is None else args.sigma)
+    kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=pr.n,
                      decay="integrable_against_kernel")
     try:
         plan = construction.plan_sequences(pr, kf, reports.parse_phi(cfg.phi),

@@ -7,10 +7,12 @@ extreme (M_1 ~ 2^217 forces 1 - k_1 ~ 1e-131 and lambda_1 ~ 1e-135 in the
 reference run), so the plan stores 1 - k_i instead of k_i and all bubble
 powers are evaluated in log space.
 
-Points near the ring of bubble centers must be described relative to a
-center (``(anchor_index, offset)``): the centers are separated by ~1e-66
-while sitting on a sphere of radius ~1e-2, so absolute coordinates cannot
-resolve the local geometry.
+The point evaluators take a batch: absolute points ``(m, n)`` or anchored
+rows ``(anchors (m,), offsets (m, n))``, x = x_anchor + offset, where
+anchor -1 marks an absolute row.  One point, ``(n,)`` or ``(i, offset)``,
+is a batch of one and gives floats.  Points near the ring of centers
+must be anchored: the centers are ~1e-66 apart on a sphere of radius
+~1e-2, so only the exact ring differences x_anchor - x_j resolve them.
 
 Every constraint that picks a scale is monotone in the distance, so one
 point binds and each scale is a closed form: 1 - k_i inverts the envelope
@@ -19,19 +21,19 @@ a root on the sphere |x - x_i| = rho_i, and delta1, delta2 are halved
 until the worst two-center ratio is below 2.  A scale below the float
 floor e^-740 is refused by name.
 
-The log-space core is written once: :func:`log_envelope`, :func:`log_f`,
-:func:`bubble_log_profile` and :func:`_sum_exp`.  The envelope values, the
-plan step, the ring checks, the bubble sums, the paper's H
-(:func:`log_h`) and the barrier's closed-form source
-(:func:`log_barrier_source`) all use it.
-:func:`validate_plan` deliberately stays outside it: it re-derives the
-invariants directly, so it remains an independent reference.
+The log-space core is written once (:func:`log_envelope`, :func:`log_f`,
+:func:`bubble_log_profile`, :func:`_sum_exp`); the envelope values, the
+plan step, the ring checks, the bubble sums, the paper's H (:func:`log_h`)
+and the barrier's closed-form source (:func:`log_barrier_source`) use it.
+:func:`validate_plan` re-derives the invariants from direct formulas and
+uses none of that core, so it is an independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -41,17 +43,17 @@ from .fields import ScalarField
 from .params import Params
 
 Array = np.ndarray
-Point = Union[Array, Tuple[int, Array]]
+Point = Union[Array, Tuple[int, Array], Tuple[Array, Array]]
 
 LOG2 = math.log(2.0)
 LOG_MAX = math.log(np.finfo(float).max)
 LOG_FLOOR = -740.0  # the plan refuses a scale below e^LOG_FLOOR
+TINY = np.finfo(float).tiny
 
 
 # --- log-space core --------------------------------------------------------
 
-def log_envelope(lz2: float, log_z3: float,
-                 params: Params) -> Tuple[float, float]:
+def log_envelope(lz2: float, log_z3: float, params: Params) -> Tuple[float, float]:
     """(log Z, log M): argmax and maximum of z1 -> z2 (z1 + z3)^p - z1^p.
 
     Z = z3 z2^q / (1 - z2^q) and M = z2 z3^p / (1 - z2^q)^{1/q}, q = (n-2s)/4s,
@@ -62,8 +64,7 @@ def log_envelope(lz2: float, log_z3: float,
     return log_z3 + q * lz2 - log_gap, lz2 + params.p * log_z3 - log_gap / q
 
 
-def log_f(log_z1: float, lz2: float, log_z3: float,
-          p: float) -> Tuple[float, float]:
+def log_f(log_z1: float, lz2: float, log_z3: float, p: float) -> Tuple[float, float]:
     """(log |f|, sign f) for f = z2 (z1 + z3)^p - z1^p, from logs.
 
     For z1 large the two terms nearly cancel against the scale z1^p, so
@@ -167,20 +168,56 @@ class SequencePlan:
             return out
         return self.centers[i] - self.centers[j]
 
-    def offset_from_center(self, pt: Point, i: int) -> Array:
-        """x - x_i for an absolute or anchored point (exact near the ring)."""
-        if isinstance(pt, tuple):
-            return np.asarray(pt[1], dtype=float) + self.center_difference(pt[0], i)
-        return np.asarray(pt, dtype=float) - self.centers[i]
+    @cached_property
+    def _anchor_table(self) -> Tuple[Array, Array]:
+        """(x_a - x_j for every j, x_a) per anchor a; anchor -1 gives (-x_j, 0)."""
+        return (np.array([[self.center_difference(a, j) for j in range(self.n_mat)]
+                          for a in range(self.n_mat)] + [-self.centers]),
+                np.vstack([self.centers, np.zeros(self.params.n)]))
 
-    def distances_to_centers(self, pt: Point) -> Tuple[Array, float]:
-        """(|x - x_i| for all materialized i, |x|) for absolute or anchored points."""
-        if isinstance(pt, tuple):
-            dists = np.array([np.linalg.norm(self.offset_from_center(pt, j))
-                              for j in range(self.n_mat)])
+    def distances_to_centers(self, pt: Point):
+        """(|x - x_i| for every i, |x|): (m, N), (m,); one point: (N,), a float."""
+        rows = _Rows(self, pt)
+        return rows.out(rows.dists), rows.out(rows.radius())
+
+
+class _Rows:
+    """A point layout as rows: ``anchors`` (m,) or None and offsets (m, n)."""
+
+    def __init__(self, plan: SequencePlan, pt: Point):
+        anchors, x = pt if isinstance(pt, tuple) else (None, pt)
+        x = np.asarray(x, dtype=float)
+        self.single, self.x = x.ndim == 1, x.reshape(-1, x.shape[-1])
+        if anchors is None:
+            self.anchors, self.absolute = None, self.x
+            diff = self.x[:, None, :] - plan.centers
         else:
-            dists = np.linalg.norm(np.asarray(pt, dtype=float) - self.centers, axis=1)
-        return dists, float(np.linalg.norm(_absolute(self, pt)))
+            a = self.anchors = np.asarray(anchors).reshape(-1)
+            if a.shape != self.x.shape[:1] or not -1 <= a.min() <= a.max() < plan.n_mat:
+                raise ValueError(f"anchors must be {len(self.x)} ints in [-1, {plan.n_mat})")
+            self.absolute = plan._anchor_table[1][self.anchors] + self.x
+            diff = self.x[:, None, :] + plan._anchor_table[0][self.anchors]
+        self.dists = np.sqrt((diff * diff).sum(axis=-1))
+
+    def radius(self) -> Array:
+        """|x| per row, bit for bit the np.linalg.norm of that row alone."""
+        return np.sqrt((self.absolute[:, None, :] @ self.absolute[:, :, None])[:, 0, 0])
+
+    def out(self, val: Array):
+        """val for a batch; for one point its row, a float if it is a scalar."""
+        return val if not self.single else float(val[0]) if val.ndim == 1 else val[0]
+
+
+def _batched(func):
+    """Public form of a row function: any layout in, floats for one point; _Rows stay rows."""
+    @wraps(func)
+    def evaluator(plan, pt, *args, **kwargs):
+        if isinstance(pt, _Rows):
+            return func(plan, pt, *args, **kwargs)
+        rows = _Rows(plan, pt)
+        val = func(plan, rows, *args, **kwargs)
+        return tuple(map(rows.out, val)) if isinstance(val, tuple) else rows.out(val)
+    return evaluator
 
 
 # --- bubble evaluation in log space ---------------------------------------
@@ -194,43 +231,49 @@ def bubble_log_profile(lam, s, amplitude: float, params: Params):
     """
     s = np.asarray(s, dtype=float)
     den = lam * lam + s * s
-    with np.errstate(divide="ignore"):
+    if den.min() >= TINY:
         log_den = np.log(den)
-        deep = den < np.finfo(float).tiny
-        if np.any(deep):
-            log_den = np.where(deep, np.logaddexp(2.0 * np.log(lam),
-                                                  2.0 * np.log(s)), log_den)
+    else:
+        with np.errstate(divide="ignore"):
+            log_den = np.where(den < TINY, np.logaddexp(
+                2.0 * np.log(lam), 2.0 * np.log(s)), np.log(den))
     return math.log(amplitude) + params.half_exp * (np.log(lam) - log_den)
 
 
-def bubble_logs(plan: SequencePlan, pt: Point) -> Array:
-    """log u_i(x) for every materialized bubble."""
-    dists, _ = plan.distances_to_centers(pt)
-    return bubble_log_profile(plan.lam, dists, plan.amplitude, plan.params)
+@_batched
+def bubble_logs(plan: SequencePlan, rows: _Rows) -> Array:
+    """log u_i(x) for every materialized bubble: (N,) or (m, N)."""
+    return bubble_log_profile(plan.lam, rows.dists, plan.amplitude, plan.params)
 
 
-def _sum_exp(logs: Array) -> Tuple[float, float]:
-    """(log of max term, sum of exp(logs - max))."""
-    top = float(np.max(logs))
-    return top, float(np.sum(np.exp(logs - top)))
+def _sum_exp(logs: Array) -> Tuple[Array, Array]:
+    """(log of max term, sum of exp(logs - max)) along the last axis."""
+    top = logs.max(axis=-1)
+    return top, np.exp(logs - top[..., None]).sum(axis=-1)
+
+
+def _log_pos(x) -> Array:
+    """log x where x > 0, -inf elsewhere."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(x, 0.0))
 
 
 class BubbleRangeError(OverflowError):
     """A bubble value past the float range, near the center of a deep bubble."""
 
 
-def _in_range(pt: Point, log_u: float, what: str) -> None:
-    if log_u > LOG_MAX:
-        where = (f"anchor {pt[0]}" if isinstance(pt, tuple)
-                 else "an absolute point")
-        raise BubbleRangeError(f"{what} at {where} exceeds the float range: "
-                               f"log value {log_u:.6g} > {LOG_MAX:.6g}")
-
-
-def bubble_sum(plan: SequencePlan, pt: Point) -> float:
-    top, s = _sum_exp(bubble_logs(plan, pt))
-    _in_range(pt, top + math.log(s), "the bubble sum")
-    return math.exp(top) * s if top > -700 else 0.0
+@_batched
+def bubble_sum(plan: SequencePlan, rows: _Rows) -> Array:
+    """sum_i u_i(x); a row past the float range raises BubbleRangeError."""
+    top, s = _sum_exp(bubble_logs(plan, rows))
+    log_u = top + np.log(s)
+    if (over := log_u > LOG_MAX).any():
+        r = int(np.argmax(over))
+        a = -1 if rows.anchors is None else rows.anchors[r]
+        raise BubbleRangeError(
+            f"the bubble sum at {f'anchor {a}' if a >= 0 else 'an absolute point'} "
+            f"exceeds the float range: log value {log_u[r]:.6g} > {LOG_MAX:.6g}")
+    return np.where(top > -700, np.exp(top) * s, 0.0)  # exp(top) is finite here
 
 
 # --- plan construction -----------------------------------------------------
@@ -400,8 +443,11 @@ def plan_sequences(params: Params, k: ScalarField,
     r_ring = delta2 / 2.0
 
     def m_formula(i: int, eps_i: float) -> float:
-        return max(9.0 ** i, max(eps_i ** (-4 * s / params.kelvin_exp),
-                                 2.0 ** i) ** (1.0 / beta)) * 2.0
+        try:
+            return max(9.0 ** i, max(eps_i ** (-4 * s / params.kelvin_exp),
+                                     2.0 ** i) ** (1.0 / beta)) * 2.0
+        except OverflowError:  # a target past the float range: no plan
+            raise InfeasiblePlanError(f"the target M_{i} exceeds the float range") from None
 
     k_floor = ((1.0 + 3.0 ** (-params.kelvin_exp))
                / (1.0 + params.p * 3.0 ** (-params.kelvin_exp))) ** (4 * s / (n + 2 * s))
@@ -497,8 +543,7 @@ def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
     n, s = params.n, params.sigma
     out = []
     log_m = math.log(m_big)
-    out.append(("M_i > 9^i", log_m > ring * math.log(9.0),
-                log_m - ring * math.log(9.0)))
+    out.append(("M_i > 9^i", log_m > ring * math.log(9.0), log_m - ring * math.log(9.0)))
     need = math.log(max(eps_ring ** (-4 * s / params.kelvin_exp), 2.0 ** ring))
     out.append(("M_i^beta > max(eps^{-4s/(n-2s)}, 2^i)", beta * log_m > need,
                 beta * log_m - need))
@@ -514,8 +559,7 @@ def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
     # blow-up at the center: u_i(x_i) = amp lam^{-he} > i phi(delta1)
     log_peak = math.log(amp) - params.half_exp * math.log(lam)
     log_need = math.log(ring * phi(delta1))
-    out.append(("u_i(x_i) > i phi(|x_i|)", log_peak > log_need,
-                log_peak - log_need))
+    out.append(("u_i(x_i) > i phi(|x_i|)", log_peak > log_need, log_peak - log_need))
     # cross smallness off B_{2 r_i}: psi_lam at distance delta2 plus gradient
     s_out = delta2
     u_out = math.exp(bubble_log_profile(lam, s_out, amp, params))
@@ -552,130 +596,131 @@ def _min_bj_margin(plan: SequencePlan) -> float:
 
 # --- assembled fields -------------------------------------------------------
 
-def kappa_eval(plan: SequencePlan, pt: Point,
-               k: Optional[ScalarField] = None) -> float:
+@_batched
+def kappa_eval(plan: SequencePlan, rows: _Rows, k: Optional[ScalarField] = None) -> Array:
     """kappa(x) = k(x) + sum (k_i - k(x)) eta(|x - x_i| / rho_i)."""
-    dists, radius = plan.distances_to_centers(pt)
-    kx = 1.0 if k is None else (
-        k.at(_absolute(plan, pt)) if radius > plan.delta else 1.0)
-    val = kx
-    for i in range(plan.n_mat):
-        t = dists[i] / plan.rho[i]
-        if t < 1.5:
-            val += ((1.0 - plan.one_minus_k[i]) - kx) * eta_cutoff(t)
+    kx = np.ones(len(rows.x))
+    if k is not None and (far := rows.radius() > plan.delta).any():
+        kx[far] = k(rows.absolute[far])
+    val = kx.copy()
+    t = rows.dists / plan.rho
+    for r, i in zip(*np.nonzero(t < 1.5)):
+        val[r] += ((1.0 - plan.one_minus_k[i]) - kx[r]) * eta_cutoff(t[r, i])
     return val
 
 
-def _absolute(plan: SequencePlan, pt: Point) -> Array:
-    if isinstance(pt, tuple):
-        return plan.centers[pt[0]] + np.asarray(pt[1], dtype=float)
-    return np.asarray(pt, dtype=float)
-
-
-def vbar_eval(plan: SequencePlan, pt: Point) -> float:
+@_batched
+def vbar_eval(plan: SequencePlan, rows: _Rows) -> Array:
     """Barrier w/(2b) + Riesz potential of the tent profile over the balls."""
-    dists, radius = plan.distances_to_centers(pt)
-    val = float(plan.w_profile(radius)) / (2.0 * plan.b)
-    p = plan.params.p
-    for i in range(plan.n_mat):
-        amp_i = (2.0 * plan.w0) ** p * plan.m_big[i]
-        val += amp_i * _tent_riesz(dists[i], plan.rho[i], plan.params)
-    return val
+    tents = (2.0 * plan.w0) ** plan.params.p * plan.m_big * _tent_riesz(
+        rows.dists, plan.rho, plan.params)
+    return plan.w_profile(rows.radius()) / (2.0 * plan.b) + tents.sum(axis=-1)
 
 
-def _tent_riesz(d: float, rho: float, params: Params) -> float:
+def _tent_riesz(d, rho, params: Params):
     """Riesz potential at distance d of the unit tent on B_rho .. B_{2 rho}.
 
-    The tent is an average of ball indicators, int_rho^{2rho} indicator(B_s)
-    ds / rho.  The potential of B_s at d loses smoothness at s = d, so the
-    panels in s are graded toward it.
+    The tent is int_1^2 indicator(B_{u rho}) du, whose integrand loses
+    smoothness at u = d / rho.  Each broadcast (d, rho) pair is one row of
+    :func:`geometry.panel_rows` in u: breaks 2^{k/2} on [1, 2], graded
+    toward d / rho.  All GL8 nodes take one riesz_ball_indicator call.
     """
-    return geometry.panel_quad(
-        lambda s: fracops.riesz_ball_indicator(d, s, params),
-        geometry.panel_breaks(rho, 2.0 * rho, 4, [d])) / rho
+    d, rho = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(d, rho))
+    shape, d, rho = d.shape, d.ravel(), rho.ravel()
+    rows = geometry.panel_rows(1.0, np.ones(d.size), np.full(d.size, 2.0), 4,
+                               (d / rho)[:, None])
+    live = np.isfinite(rows[:, 1:])
+    nodes, weights = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 8)
+    owner = np.repeat(np.nonzero(live)[0], 8)
+    vals = fracops.riesz_ball_indicator(d[owner], rho[owner] * nodes, params)
+    out = np.bincount(owner, vals * weights, d.size).reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def u_tilde_terms(plan: SequencePlan, pt: Point, v: float) -> Tuple[float, float]:
+@_batched
+def u_tilde_terms(plan: SequencePlan, rows: _Rows, v) -> Tuple[Array, Array]:
     """(log u_tilde, log p(x, v)) with p(x, v) = v + sum u - u_tilde.
 
     The cancellation in sum - u_tilde is computed from the subdominant
     terms only, so it survives a dominant bubble of size 1e267; nothing
     is exponentiated, so a bubble past the float range stays finite.
     """
-    logs = bubble_logs(plan, pt)
-    jmax = int(np.argmax(logs))
-    top = float(logs[jmax])
-    r = np.exp(np.delete(logs, jmax) - top)
+    logs = bubble_logs(plan, rows)
+    top = logs.max(axis=-1)
+    r = np.exp(logs - top[:, None])
+    r[np.arange(len(r)), logs.argmax(axis=-1)] = 0.0
     p = plan.params.p
-    log_ut_rel = math.log1p(float(np.sum(r ** p))) / p
-    gap = float(np.sum(r)) - math.expm1(log_ut_rel)
-    log_v = math.log(v) if v > 0.0 else -math.inf
-    log_gap = top + math.log(gap) if gap > 0.0 else -math.inf
-    return top + log_ut_rel, float(np.logaddexp(log_v, log_gap))
+    log_ut_rel = np.log1p((r ** p).sum(axis=-1)) / p
+    gap = r.sum(axis=-1) - np.expm1(log_ut_rel)
+    return top + log_ut_rel, np.logaddexp(_log_pos(v), top + _log_pos(gap))
 
 
-def log_h(plan: SequencePlan, pt: Point, v: float,
-          k: Optional[ScalarField] = None) -> Tuple[float, float]:
+@_batched
+def log_h(plan: SequencePlan, rows: _Rows, v,
+          k: Optional[ScalarField] = None) -> Tuple[Array, Array]:
     """(log |H(x, v)|, sign H) for H = F(kappa, p(x, v), u_tilde), in log space."""
-    log_ut, log_p0 = u_tilde_terms(plan, pt, v)
+    log_ut, log_p0 = u_tilde_terms(plan, rows, v)
     # inside a cutoff plateau kappa = k_i, with 1 - k_i stored exactly
-    dists, _ = plan.distances_to_centers(pt)
-    inside = np.flatnonzero(dists <= plan.rho)
-    lz2 = (math.log1p(-plan.one_minus_k[inside[0]]) if inside.size
-           else math.log(min(kappa_eval(plan, pt, k), 1.0)))
-    if lz2 < 0.0:
-        log_z, log_m = log_envelope(lz2, log_p0, plan.params)
-        if log_ut > log_z:
-            return log_m, 1.0
-    return log_f(log_ut, lz2, log_p0, plan.params.p)
+    inside = rows.dists <= plan.rho
+    first = np.where(inside.any(axis=-1), inside.argmax(axis=-1), -1)
+    kappa = kappa_eval(plan, rows, k)
+    out = np.empty((2, len(first)))
+    for r, i in enumerate(first):
+        lz2 = (math.log1p(-plan.one_minus_k[i]) if i >= 0
+               else math.log(min(kappa[r], 1.0)))
+        if lz2 < 0.0:
+            log_z, log_m = log_envelope(lz2, log_p0[r], plan.params)
+            if log_ut[r] > log_z:
+                out[:, r] = log_m, 1.0
+                continue
+        out[:, r] = log_f(log_ut[r], lz2, log_p0[r], plan.params.p)
+    return out[0], out[1]
 
 
-def log_barrier_source(plan: SequencePlan, pt: Point) -> float:
+@_batched
+def log_barrier_source(plan: SequencePlan, rows: _Rows) -> Array:
     """log (-Lap)^s vbar = log[(2b)^p w^p + sum (2 w0)^p M_i tent_i], closed form."""
     p = plan.params.p
-    dists, radius = plan.distances_to_centers(pt)
-    t = dists / plan.rho
-    near = t < 2.0
-    logs = np.append(p * math.log(2.0 * plan.b * float(plan.w_profile(radius))),
-                     p * math.log(2.0 * plan.w0) + np.log(plan.m_big[near])
-                     + np.log(np.minimum(1.0, 2.0 - t[near])))
-    top, total = _sum_exp(logs)
-    return top + math.log(total)
+    tents = _log_pos(np.minimum(1.0, 2.0 - rows.dists / plan.rho))  # -inf off 2 rho_i
+    top, total = _sum_exp(np.concatenate([
+        p * np.log(2.0 * plan.b * plan.w_profile(rows.radius()))[:, None],
+        p * math.log(2.0 * plan.w0) + np.log(plan.m_big) + tents], axis=1))
+    return top + np.log(total)
 
 
-def _u0(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
-    """u0 at pt per mode {zero, supersolution}."""
-    if u0_mode == "zero":
-        return 0.0
-    if u0_mode == "supersolution":
-        return vbar_eval(plan, pt)
-    raise ValueError("u0_mode must be 'zero' or 'supersolution'")
+def _u0(plan: SequencePlan, u0_mode: str, rows: _Rows) -> Array:
+    """u0 on the rows per mode {zero, supersolution}."""
+    if u0_mode not in ("zero", "supersolution"):
+        raise ValueError("u0_mode must be 'zero' or 'supersolution'")
+    return vbar_eval(plan, rows) if u0_mode == "supersolution" else np.zeros(len(rows.x))
 
 
-def assemble_u(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
+def assemble_u(plan: SequencePlan, u0_mode: str, pt: Point):
     """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution}."""
-    return _u0(plan, u0_mode, pt) + bubble_sum(plan, pt)
+    rows = _Rows(plan, pt)
+    return rows.out(_u0(plan, u0_mode, rows) + bubble_sum(plan, rows))
 
 
-def k_assemble(plan: SequencePlan, u0_mode: str, pt: Point) -> float:
+def k_assemble(plan: SequencePlan, u0_mode: str, pt: Point):
     """K = (source term + sum u_i^p) / (u0 + sum u_i)^p, in log space.
 
     With u0 == 0 the source term is zero (u0 solves the trivial
     equation), giving the pure power-sum quotient; with the
     supersolution mode the source is :func:`log_barrier_source`.
     """
-    p = plan.params.p
-    logs = bubble_logs(plan, pt)
-    u0 = _u0(plan, u0_mode, pt)
-    log_src = (log_barrier_source(plan, pt) if u0_mode == "supersolution"
-               else -math.inf)
-    log_u0 = math.log(u0) if u0 > 0.0 else -math.inf
-    base = max(float(np.max(logs)), log_u0)
-    r = np.exp(logs - base)
-    num_rel = float(np.sum(r ** p)) + (math.exp(log_src - p * base)
-                                       if log_src - p * base > -700 else 0.0)
-    den_rel = (math.exp(log_u0 - base) if u0 > 0.0 else 0.0) + float(np.sum(r))
-    return math.exp(math.log(num_rel) - p * math.log(den_rel))
+    rows, p = _Rows(plan, pt), plan.params.p
+    logs = bubble_logs(plan, rows)
+    u0 = _u0(plan, u0_mode, rows)
+    base, num_rel, den_rel = logs.max(axis=-1), 0.0, 0.0
+    if u0_mode == "supersolution":
+        log_u0 = _log_pos(u0)
+        base = np.maximum(base, log_u0)
+        src = log_barrier_source(plan, rows) - p * base
+        num_rel = np.where(src > -700, np.exp(src), 0.0)
+        den_rel = np.exp(log_u0 - base)
+    r = np.exp(logs - base[:, None])
+    return rows.out(np.exp(np.log((r ** p).sum(axis=-1) + num_rel)
+                           - p * np.log(den_rel + r.sum(axis=-1))))
 
 
 # --- standalone validator ----------------------------------------------------
@@ -691,67 +736,56 @@ def validate_plan(plan: SequencePlan, seed: int = 13) -> dict:
     rep["delta ordering"] = (0.0 < plan.delta2 < plan.delta1 / 2.0 < plan.delta / 4.0,
                              plan.delta / 4.0 - plan.delta1 / 2.0)
     ring = min(plan.n_mat, plan.i0)
-    eps_ok = all(plan.eps[i] <= 2.0 ** (-(i + 1)) or i + 1 <= ring
-                 for i in range(plan.n_mat))
-    eps_ok = eps_ok and all(plan.eps[i] == plan.eps[0] for i in range(ring))
-    eps_ok = eps_ok and all(plan.eps[i] <= 2.0 ** (-min(i + 1, ring))
-                            for i in range(plan.n_mat))
-    rep["eps rules"] = (eps_ok, None)
-    k_ok = all(0.0 < plan.one_minus_k[i] < 0.5 for i in range(plan.n_mat))
-    rep["k_i in (1/2, 1)"] = (k_ok, float(np.max(plan.one_minus_k)))
-    m_ok = all(abs(plan.m_big[i] - m_from_one_minus_k(plan.one_minus_k[i], p))
-               <= 1e-12 * plan.m_big[i] for i in range(plan.n_mat))
-    rep["M_i from k_i exactly"] = (m_ok, None)
-    rep["M_i > 9^i"] = (all(math.log(plan.m_big[i]) > (i + 1) * math.log(9.0)
-                            for i in range(plan.n_mat)), None)
+    index = np.arange(1, plan.n_mat + 1)  # the paper's i
+    rep["eps rules"] = (bool(np.all(plan.eps[:ring] == plan.eps[0])
+                             and np.all(plan.eps <= np.ldexp(1.0, -index))), None)
+    omk, q = plan.one_minus_k, p.kelvin_exp / (4.0 * p.sigma)
+    rep["k_i in (1/2, 1)"] = (bool(np.all((0.0 < omk) & (omk < 0.5))), float(np.max(omk)))
+    log_k = np.log1p(-omk)  # M = k / (1 - k^q)^{1/q}, q = (n-2s)/4s
+    m_k = np.exp(log_k - np.log(-np.expm1(q * log_k)) / q)
+    rep["M_i from k_i exactly"] = (bool(np.all(abs(plan.m_big - m_k) <= 1e-12 * plan.m_big)),
+                                   None)
+    rep["M_i > 9^i"] = (bool(np.all(np.log(plan.m_big) > index * math.log(9.0))), None)
     rep["rho_i < r_i"] = (bool(np.all(plan.rho < plan.r_small)), None)
     rep["lambda_i < delta_2"] = (bool(np.all(plan.lam < plan.delta2)), None)
-    radii = np.linalg.norm(plan.centers[:ring], axis=1)
-    rep["|x_i| = delta_1 on ring"] = (
-        bool(np.all(np.abs(radii - plan.delta1) < 1e-12 * plan.delta1)),
-        float(np.max(np.abs(radii - plan.delta1))))
-    # regular polygon with side 4 rho_1
-    side_ok = True
-    worst = 0.0
-    for i in range(ring - 1):
-        side = float(np.linalg.norm(plan.center_difference(i + 1, i)))
-        worst = max(worst, abs(side - 4.0 * plan.rho[0]) / (4.0 * plan.rho[0]))
-        side_ok = side_ok and worst < 1e-9
-    rep["polygon side = 4 rho_1"] = (side_ok, worst)
-    # separation: dist(B_rho_i, B_rho_j) >= rho_i + rho_j
-    sep_ok = True
-    for i in range(plan.n_mat):
-        for j in range(i + 1, plan.n_mat):
-            gap = float(np.linalg.norm(plan.center_difference(i, j))) \
-                - plan.rho[i] - plan.rho[j]
-            sep_ok = sep_ok and gap >= plan.rho[i] + plan.rho[j] - 1e-12 * plan.rho[i]
-    rep["ball separation"] = (sep_ok, None)
-    rep["beta formula"] = (abs(plan.beta - beta_from_formula(p)) < 1e-15,
-                           plan.beta)
+    norms = np.linalg.norm(plan.centers, axis=1)
+    off = np.abs(norms[:ring] - plan.delta1)
+    rep["|x_i| = delta_1 on ring"] = (bool(np.all(off < 1e-12 * plan.delta1)),
+                                      float(np.max(off)))
+    # regular polygon with side 4 rho_1; separation dist(B_rho_i, B_rho_j)
+    # >= rho_i + rho_j, from the exact differences x_i - x_j
+    diffs = plan._anchor_table[0][:-1]
+    worst = max([abs(np.linalg.norm(diffs[j + 1, j]) - 4.0 * plan.rho[0])
+                 / (4.0 * plan.rho[0]) for j in range(ring - 1)], default=0.0)
+    rep["polygon side = 4 rho_1"] = (bool(worst < 1e-9), worst)
+    gap = np.linalg.norm(diffs, axis=-1) - plan.rho[:, None] - plan.rho
+    sep = gap >= plan.rho[:, None] + plan.rho - 1e-12 * plan.rho[:, None]
+    rep["ball separation"] = (bool(np.all(sep[np.triu_indices(plan.n_mat, 1)])), None)
+    rep["beta formula"] = (abs(plan.beta - beta_from_formula(p)) < 1e-15, plan.beta)
     rep["i0 formula"] = (plan.i0 == i0_from_formula(p, plan.a), plan.i0)
     # defining feasibility spot checks: every centre, where the inequality
-    # binds, then seeded distances from inside the ball to far out
-    ok_rho = True
-    for i, dist in [(i, 0.0) for i in range(plan.n_mat)] + [
-            (i, plan.rho[i] * 10.0 ** rng.uniform(-3, 3))
-            for i in (int(rng.integers(plan.n_mat)) for _ in range(64))]:
-        lhs = fracops.riesz_ball_indicator(dist, 2.0 * plan.rho[i], p)
-        budget = 2.0 ** (min(i + 1, ring) + 1) * (2.0 * plan.w0) ** p.p \
-            * plan.m_big[i]
-        rhs = float(plan.w_profile(np.linalg.norm(plan.centers[i]) + dist)) \
-            / budget
-        ok_rho = ok_rho and lhs <= rhs * (1.0 + 1e-9)
-    rep["rho defining inequality"] = (ok_rho, None)
-    ok_lam = True
-    for _ in range(64):
-        i = int(rng.integers(plan.n_mat))
-        dist = plan.rho[i] * 10.0 ** rng.uniform(0, 3)
-        log_psi = bubble_log_profile(plan.lam[i], dist, plan.amplitude, p)
-        rhs = math.log(plan.eps[i]) \
-            + (p.kelvin_exp / (4 * p.sigma)) * math.log(plan.a) \
-            + math.log(plan.w_profile(np.linalg.norm(plan.centers[i]) + dist))
-        ok_lam = ok_lam and log_psi <= rhs + 1e-9
-    rep["lambda defining inequality"] = (ok_lam, None)
+    # binds, then seeded distances from inside the ball to far out; each
+    # check draws its samples one by one, then takes one array call
+    def draw(lo, hi):
+        idx, scale = np.array([(rng.integers(plan.n_mat), 10.0 ** rng.uniform(lo, hi))
+                               for _ in range(64)]).T
+        return idx.astype(int), plan.rho[idx.astype(int)] * scale
+
+    idx, dist = draw(-3, 3)
+    idx = np.concatenate([np.arange(plan.n_mat), idx])
+    dist = np.concatenate([np.zeros(plan.n_mat), dist])
+    lhs = fracops.riesz_ball_indicator(dist, 2.0 * plan.rho[idx], p)
+    budget = np.ldexp((2.0 * plan.w0) ** p.p, np.minimum(idx + 1, ring) + 1) \
+        * plan.m_big[idx]
+    rhs = plan.w_profile(norms[idx] + dist) / budget
+    rep["rho defining inequality"] = (bool(np.all(lhs <= rhs * (1.0 + 1e-9))), None)
+    idx, dist = draw(0, 3)
+    log_lam = np.log(plan.lam[idx])  # psi = c lam^{h} / (lam^2 + s^2)^{h}, h = (n-2s)/2
+    log_psi = math.log(plan.amplitude) + p.half_exp * (
+        log_lam - np.logaddexp(2.0 * log_lam, 2.0 * np.log(dist)))
+    rhs = np.log(plan.eps[idx]) + q * math.log(plan.a) \
+        + np.log(plan.w_profile(norms[idx] + dist))
+    rep["lambda defining inequality"] = (bool(np.all(log_psi <= rhs + 1e-9)), None)
     bj = _min_bj_margin(plan)
     rep["neighbor ratio margin"] = (bool(bj > 0.0), bj)
     rep["all_pass"] = (all(v[0] for kk, v in rep.items()), None)

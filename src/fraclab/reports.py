@@ -296,36 +296,32 @@ def suite_construct(cfg: RunConfig) -> List[Dict]:
                          "standalone validator",
                          margin if isinstance(margin, float) else None, ok))
     rng = np.random.default_rng(cfg.seed)
-    worst = -math.inf
+
+    def draws(count):  # one point at a time, in the order the checks always drew
+        return [(rng.normal(size=5), 10.0 ** rng.uniform(-2, 2)) for _ in range(count)]
+
     qe = pr.kelvin_exp / (4.0 * pr.sigma)
-    for _ in range(2000):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x)
-        gap = construction.bubble_sum(plan, x) \
-            - plan.a ** qe * float(plan.w_profile(np.linalg.norm(x)))
-        worst = max(worst, gap)
+    pts = np.array([x * (f / np.linalg.norm(x)) for x, f in draws(2000)])
+    worst = float(np.max(construction.bubble_sum(plan, pts) - plan.a ** qe
+                         * plan.w_profile(np.linalg.norm(pts, axis=1))))
     out.append(check("off-ball-sum", "the bubble sum stays below its share "
                      "of the model profile off the cores", -worst, worst <= 0.0))
-    worst_k = 0.0
-    for _ in range(500):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x)
-        worst_k = max(worst_k, construction.k_assemble(plan, "zero", x))
+    pts = np.array([x * (f / np.linalg.norm(x)) for x, f in draws(500)])
+    worst_k = max(0.0, float(np.max(construction.k_assemble(plan, "zero", pts))))
     out.append(check("coefficient-bound", "the assembled coefficient with "
                      "zero correction stays at or below one",
                      1.0 + 1e-6 - worst_k, worst_k <= 1.0 + 1e-6))
-    # (-Lap)^s vbar >= H(x, vbar) on every core ring and at seeded samples
-    e1 = np.eye(5)[0]
-    pts = [(i, t * plan.rho[i] * e1) for i in range(plan.n_mat)
-           for t in (0.0, 0.5, 1.0, 1.5)]
-    for _ in range(32):
-        x = rng.normal(size=5)
-        pts.append(x * 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x))
-    worst_s = math.inf
-    for x in pts:
-        log_h, sign = construction.log_h(plan, x, construction.vbar_eval(plan, x))
-        if sign > 0.0:  # a negative H is below any positive source
-            worst_s = min(worst_s, construction.log_barrier_source(plan, x) - log_h)
+    # (-Lap)^s vbar >= H(x, vbar) on every core ring and at seeded samples,
+    # one batch: rows anchored at each centre, then 32 absolute rows (-1)
+    anchors = np.repeat(np.arange(plan.n_mat), 4)
+    offsets = np.zeros((anchors.size + 32, 5))
+    offsets[:anchors.size, 0] = np.tile([0.0, 0.5, 1.0, 1.5], plan.n_mat) * plan.rho[anchors]
+    offsets[anchors.size:] = [x * f / np.linalg.norm(x) for x, f in draws(32)]
+    rows = (np.append(anchors, np.full(32, -1)), offsets)
+    log_h, sign = construction.log_h(plan, rows, construction.vbar_eval(plan, rows))
+    # a negative H is below any positive source
+    gaps = construction.log_barrier_source(plan, rows) - log_h
+    worst_s = float(np.min(gaps[sign > 0.0], initial=math.inf))
     out.append(check("supersolution", "the barrier's closed-form source "
                      "dominates H(x, vbar) on the core rings and off them",
                      worst_s, worst_s > 0.0))

@@ -71,6 +71,19 @@ def test_construct_infeasible_plan_is_reported(tmp_path, capsys):
     assert not (tmp_path / "plan.json").exists()
 
 
+def test_construct_honours_n_and_sigma(tmp_path, capsys):
+    rc = cli.main(["construct", "--n", "6", "--sigma", "0.5", "--N", "8",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert (plan["n"], plan["sigma"], plan["N"]) == (6, 0.5, 8)
+    capsys.readouterr()
+    rc = cli.main(["construct", "--n", "4", "--sigma", "0.25", "--N", "16"])
+    assert rc == 1
+    assert ("no plan for N=16: the target M_16 exceeds the float range"
+            in capsys.readouterr().err)
+
+
 def test_iterate_getoor_writes_csv(tmp_path, capsys):
     rc = cli.main(["iterate", "--demo", "getoor", "--out", str(tmp_path)])
     assert rc == 0

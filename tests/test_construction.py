@@ -25,6 +25,17 @@ def plan():
     return cn.plan_sequences(PR, _unit_k(), lambda r: r ** -10.0, N=8)
 
 
+def _draw(rng, count, lo, hi):
+    """count seeded points, drawn one by one: a normal direction scaled to
+    length 10^U(lo, hi)."""
+    pts = np.empty((count, 5))
+    for j in range(count):
+        x = rng.normal(size=5)
+        x *= 10.0 ** rng.uniform(lo, hi) / np.linalg.norm(x)
+        pts[j] = x
+    return pts
+
+
 # --- envelopes ---------------------------------------------------------------
 
 def test_envelope_worked_example():
@@ -211,13 +222,10 @@ def test_blowup_beats_prescribed_rate(plan):
 
 
 def test_off_ball_sum_bound(plan):
-    rng = np.random.default_rng(11)
+    pts = _draw(np.random.default_rng(11), 2000, -2, 2)
     qe = PR.kelvin_exp / (4.0 * PR.sigma)
-    for _ in range(2000):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x)
-        assert cn.bubble_sum(plan, x) <= plan.a ** qe * float(
-            plan.w_profile(np.linalg.norm(x)))
+    assert np.all(cn.bubble_sum(plan, pts) <= plan.a ** qe
+                  * plan.w_profile(np.linalg.norm(pts, axis=1)))
 
 
 def test_center_difference_precision(plan):
@@ -276,34 +284,35 @@ def test_tent_potential_is_graded_at_the_kink(n, s):
 
 
 def test_vbar_sandwich(plan):
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 1.5) / np.linalg.norm(x)
-        w = float(plan.w_profile(np.linalg.norm(x)))
-        v = cn.vbar_eval(plan, x)
-        assert w / (2.0 * plan.b) <= v < w
-        assert v < plan.amplitude
-    for t in (0.0, 1.0, 3.0):
-        pt = (0, np.array([t * plan.rho[0], 0.0, 0.0, 0.0, 0.0]))
-        _, rad = plan.distances_to_centers(pt)
-        w = float(plan.w_profile(rad))
-        assert w / (2.0 * plan.b) < cn.vbar_eval(plan, pt) < w
+    # far out the tents add less than an ulp, so vbar is w / 2b to the last
+    # bit; w takes each radius from its own norm and the array power
+    pts = _draw(np.random.default_rng(5), 200, -2, 1.5)
+    radius = np.array([np.linalg.norm(x) for x in pts])
+    assert np.array_equal(plan.distances_to_centers(pts)[1], radius)
+    w = plan.w_profile(radius)
+    v = cn.vbar_eval(plan, pts)
+    assert np.all((w / (2.0 * plan.b) <= v) & (v < w) & (v < plan.amplitude))
+    ring = (np.zeros(3, dtype=int), np.outer([0.0, 1.0, 3.0], np.eye(5)[0]) * plan.rho[0])
+    radius = np.array([np.linalg.norm(plan.centers[0] + x) for x in ring[1]])
+    assert np.array_equal(plan.distances_to_centers(ring)[1], radius)
+    w = plan.w_profile(radius)
+    v = cn.vbar_eval(plan, ring)
+    assert np.all((w / (2.0 * plan.b) < v) & (v < w))
 
 
 def test_log_h_off_the_cores_is_the_power_gap(plan):
     # off every cutoff kappa = k = 1, where H(x, v) = (v + sum u)^p - sum u^p
     rng = np.random.default_rng(9)
     p = PR.p
-    for _ in range(300):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 1) / np.linalg.norm(x)
-        v = 10.0 ** rng.uniform(-6, 0)
-        u = np.exp(cn.bubble_logs(plan, x))
-        lg, sign = cn.log_h(plan, x, v)
-        assert sign == 1.0
-        assert lg == pytest.approx(math.log((v + u.sum()) ** p
-                                            - np.sum(u ** p)), rel=1e-9)
+    pts, v = np.empty((300, 5)), np.empty(300)
+    for j in range(300):
+        pts[j] = _draw(rng, 1, -2, 1)[0]
+        v[j] = 10.0 ** rng.uniform(-6, 0)
+    u = np.exp(cn.bubble_logs(plan, pts))
+    lg, sign = cn.log_h(plan, pts, v)
+    assert np.all(sign == 1.0)
+    np.testing.assert_allclose(lg, np.log((v + u.sum(axis=1)) ** p
+                                          - np.sum(u ** p, axis=1)), rtol=1e-9)
     # midway between ring neighbours the second bubble is not negligible
     # against v, so p(x, v) = v + sum u - u_tilde carries the gap
     for i in range(plan.n_mat - 1):
@@ -336,12 +345,8 @@ def test_h_below_barrier_source(plan):
 
 
 def test_k_assemble_bounds(plan):
-    rng = np.random.default_rng(17)
-    for _ in range(500):
-        x = rng.normal(size=5)
-        x *= 10.0 ** rng.uniform(-2, 2) / np.linalg.norm(x)
-        k0 = cn.k_assemble(plan, "zero", x)
-        assert 0.0 < k0 <= 1.0 + 1e-6
+    k0 = cn.k_assemble(plan, "zero", _draw(np.random.default_rng(17), 500, -2, 2))
+    assert np.all((0.0 < k0) & (k0 <= 1.0 + 1e-6))
     assert cn.k_assemble(plan, "zero", (2, np.zeros(5))) <= 1.0 + 1e-12
 
 
@@ -590,3 +595,139 @@ def test_bubble_log_profile_direct_where_normal(log_lam, log_s):
             mpmath.log(lam) - mpmath.log(mpmath.mpf(lam) ** 2 + mpmath.mpf(s) ** 2)))
         assert got == pytest.approx(float(want), rel=1e-13)
 
+
+
+# --- batches against their rows, one by one --------------------------------------
+
+def _mixed_rows(plan, deepest):
+    """Absolute rows (anchor -1), ring midpoints, core rings and the deep
+    centres 7 (lambda^2 normal) and ``deepest`` (lambda^2 subnormal)."""
+    rng = np.random.default_rng(3)
+    absolute = _draw(rng, 6, -2, 1)
+    mids = [(i, 0.5 * plan.center_difference(i + 1, i)) for i in (0, 6, 14)]
+    rings = [(i, t * plan.rho[i] * np.eye(5)[0]) for i in (1, 9) for t in (0.5, 1.0, 1.5)]
+    anchored = mids + rings + [(7, np.zeros(5)), (deepest, np.zeros(5))]
+    return (np.array([-1] * 6 + [i for i, _ in anchored]),
+            np.vstack([absolute] + [x for _, x in anchored]))
+
+
+def _single(rows, r):
+    anchor, x = int(rows[0][r]), rows[1][r]
+    return x if anchor < 0 else (anchor, x)
+
+
+def _bent_k():
+    return ScalarField(lambda x: 1.0 + 0.5 * np.tanh(np.sum(x * x, axis=-1)), n=5)
+
+
+EVALUATORS = {
+    "bubble_logs": lambda plan, pt, v: cn.bubble_logs(plan, pt),
+    "bubble_sum": lambda plan, pt, v: cn.bubble_sum(plan, pt),
+    "kappa_eval": lambda plan, pt, v: cn.kappa_eval(plan, pt),
+    "kappa_eval k": lambda plan, pt, v: cn.kappa_eval(plan, pt, _bent_k()),
+    "u_tilde_terms": lambda plan, pt, v: cn.u_tilde_terms(plan, pt, v),
+    "log_h": lambda plan, pt, v: cn.log_h(plan, pt, v),
+    "log_h k": lambda plan, pt, v: cn.log_h(plan, pt, v, k=_bent_k()),
+    "log_barrier_source": lambda plan, pt, v: cn.log_barrier_source(plan, pt),
+    "vbar_eval": lambda plan, pt, v: cn.vbar_eval(plan, pt),
+    "assemble_u zero": lambda plan, pt, v: cn.assemble_u(plan, "zero", pt),
+    "assemble_u supersolution":
+        lambda plan, pt, v: cn.assemble_u(plan, "supersolution", pt),
+    "k_assemble zero": lambda plan, pt, v: cn.k_assemble(plan, "zero", pt),
+    "k_assemble supersolution":
+        lambda plan, pt, v: cn.k_assemble(plan, "supersolution", pt),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_batch_rows_equal_single_calls(deep_plan, name):
+    # the bubble sum of centre 12 is past the float range, so the sums take
+    # the deepest centre in range
+    in_range = name.startswith(("bubble_sum", "assemble_u"))
+    rows = _mixed_rows(deep_plan, 7 if in_range else 12)
+    v = 10.0 ** np.linspace(-6.0, 0.0, len(rows[0]))
+    got = EVALUATORS[name](deep_plan, rows, v)
+    for r in range(len(rows[0])):
+        one = EVALUATORS[name](deep_plan, _single(rows, r), float(v[r]))
+        if name == "bubble_logs":
+            assert np.array_equal(got[r], one)
+        elif isinstance(one, tuple):
+            assert all(type(o) is float for o in one)
+            assert tuple(g[r] for g in got) == one
+        else:
+            assert type(one) is float and got[r] == one
+
+
+def test_batch_distances_equal_single_calls(deep_plan):
+    rows = _mixed_rows(deep_plan, 12)
+    dists, radius = deep_plan.distances_to_centers(rows)
+    assert dists.shape == (len(rows[0]), deep_plan.n_mat)
+    for r in range(len(rows[0])):
+        one, rad = deep_plan.distances_to_centers(_single(rows, r))
+        assert np.array_equal(dists[r], one)
+        assert type(rad) is float and radius[r] == rad
+    # an absolute row reads the same as that point given alone, unanchored
+    absolute = rows[1][rows[0] < 0]
+    assert np.array_equal(dists[rows[0] < 0],
+                          deep_plan.distances_to_centers(absolute)[0])
+
+
+def test_batch_names_the_row_past_the_float_range(deep_plan):
+    rows = _mixed_rows(deep_plan, 12)
+    log_12 = cn.bubble_logs(deep_plan, (12, np.zeros(5)))[12]
+    with pytest.raises(cn.BubbleRangeError,
+                       match=rf"anchor 12 .*log value {log_12:.6g}"):
+        cn.bubble_sum(deep_plan, rows)
+    with pytest.raises(cn.BubbleRangeError, match="anchor 12 "):
+        cn.assemble_u(deep_plan, "zero", rows)
+
+
+def test_bubble_sum_past_every_bubble_is_zero(deep_plan):
+    # at |x| = 1e160 every lambda^2 + s^2 overflows and every bubble log is -inf
+    far = np.full(5, 1e160 / math.sqrt(5.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cn.bubble_sum(deep_plan, far) == 0.0
+        with pytest.raises(cn.BubbleRangeError, match="anchor 12 "):
+            cn.bubble_sum(deep_plan, (np.array([-1, 12]), np.vstack([far, np.zeros(5)])))
+
+
+@pytest.mark.parametrize("anchors", [[0, 16], [-2, 0], [0]])
+def test_anchors_out_of_range_are_refused(deep_plan, anchors):
+    # the anchor table of the 16 centres has a 17th row, for -1, so anchor 16
+    # would read as an absolute point and -2 as centre 15
+    assert deep_plan.n_mat == 16
+    with pytest.raises(ValueError, match=r"anchors must be 2 ints in \[-1, 16\)"):
+        deep_plan.distances_to_centers((np.array(anchors), np.zeros((2, 5))))
+
+
+def test_tent_potential_batches_its_pairs():
+    d = np.array([[0.0, 0.6, 1.0], [1.5, 3.0, math.inf]])
+    rho = np.array([0.5, 1.0, 2.0])
+    got = cn._tent_riesz(d, rho, PR)
+    assert got.shape == (2, 3)
+    for r in range(2):
+        for c in range(3):
+            assert got[r, c] == cn._tent_riesz(float(d[r, c]), float(rho[c]), PR)
+
+
+# --- every grid point plans or refuses by name ----------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 9])
+def test_plan_or_named_refusal(n):
+    # any other exception fails the test
+    for s in (0.25, 0.5, 0.75):
+        for N in (8, 16, 19):
+            try:
+                cn.plan_sequences(Params(n, s), _unit_k(n), lambda r: r ** -10.0,
+                                  N=N, seed=7)
+            except cn.InfeasiblePlanError:
+                pass
+
+
+@pytest.mark.parametrize("N", [16, 19])
+def test_m_target_past_the_float_range_is_refused(N):
+    # at (4, 1/4) the target max(eps^{-4s/(n-2s)}, 2^N)^{1/beta} overflows
+    with pytest.raises(cn.InfeasiblePlanError,
+                       match=f"the target M_{N} exceeds the float range"):
+        cn.plan_sequences(Params(4, 0.25), _unit_k(4), lambda r: r ** -10.0,
+                          N=N, seed=7)
