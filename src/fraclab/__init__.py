@@ -7,6 +7,12 @@ comparison machinery, a moving-spheres lab, the constraint-driven
 multi-bubble construction, and a monotone fractional Dirichlet solver.
 """
 
+# numpy 2 loads numpy.random (the seeded generators of the suites) and
+# numpy.ma (which np.unique reads) on first use; they load with the
+# package, so that a command pays all of its imports here.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .params import Params
 from .fields import ScalarField, radial_field
 from .constants import ConstantSet, constant_set

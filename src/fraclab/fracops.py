@@ -34,15 +34,21 @@ batched call at Chebyshev nodes inside twice the support, the exterior
 series beyond it, and an interpolation bound read from the trailing
 Chebyshev coefficients.  A nested operator such as (-Lap)^s I_{2s} f then
 costs one table, not one potential per outer quadrature node.
+
+:func:`riesz_ball_indicator` is Dyda's closed form, a 2F1 with
+c - a - b = 2 sigma, summed by :func:`_hyp2f1`: the Maclaurin series near
+z = 0 and the connection formula of Abramowitz & Stegun 15.3.6 near
+z = 1, whose log limit at sigma = 1/2 (A&S 15.3.11) needs no case of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from . import constants, geometry
 from .fields import ScalarField, radial_field
@@ -384,10 +390,13 @@ def riesz_ball_indicator(d, radius, params: Params):
       F(n/2 - s, 1 - s; n/2 + 1; (radius / d)^2),
 
     the point mass r |B_radius| d^{2s-n} times a series in (radius / d)^2.
-    The powers of radius and delta stay apart, so tiny radii do not
-    underflow, and the argument is not formed as delta^-2, which overflows.
-    Floats give a float; arrays of distances or radii, broadcast against
-    each other, give an array, with one 2F1 call per branch.
+    Both F have c - a - b = 2s and are summed by :func:`_hyp2f1`, which
+    takes w = 1 - z.  With g = (hi - lo) / hi, lo and hi the smaller and
+    the larger of d and radius, w = g (2 - g) keeps its relative accuracy
+    at the ball edge, where 1 - delta^2 would lose it.  The powers of
+    radius and delta stay apart, so tiny radii do not underflow, and
+    delta^-2, which overflows, is not formed.  Floats give a float; arrays
+    of distances or radii, broadcast against each other, give an array.
     """
     d, radius = np.broadcast_arrays(np.asarray(d, dtype=float),
                                     np.asarray(radius, dtype=float))
@@ -396,14 +405,119 @@ def riesz_ball_indicator(d, radius, params: Params):
                          f"{float(radius.min()):g}")
     n, s = params.n, params.sigma
     front = _riesz_front(params)
+    lo, hi = np.minimum(d, radius), np.maximum(d, radius)
+    # 1 - lo / hi, exact at the ball edge, and 1 at d = inf
+    gap = np.divide(hi - lo, hi, out=np.ones(d.shape), where=hi < np.inf)
+    w = gap * (2.0 - gap)
     out = np.empty(d.shape)
     near = d / radius <= 1.0
-    dn, rn = d[near], radius[near]
-    delta = dn / rn
+    rn = radius[near]
     out[near] = (front * rn ** (2.0 * s) / (2.0 * s)
-                 * hyp2f1(n / 2 - s, -s, n / 2, delta * delta))
+                 * _hyp2f1(n / 2 - s, -s, 2.0 * s - 1.0, w[near]))
     far = ~near
     df, rf = d[far], radius[far]
     out[far] = (front * rf ** (2.0 * s) / n * (df / rf) ** (2.0 * s - n)
-                * hyp2f1(n / 2 - s, 1.0 - s, n / 2 + 1, (rf / df) ** 2))
+                * _hyp2f1(n / 2 - s, 1.0 - s, 2.0 * s - 1.0, w[far]))
     return float(out) if out.ndim == 0 else out
+
+
+#: Terms of each series of :func:`_hyp2f1`, and the w = 1 - z from which
+#: on it sums the Maclaurin series.  Each series then runs in a variable
+#: below 0.7, and 0.7^90 ~ 1e-14 outweighs the growth of the coefficients
+#: (against 40-digit mpmath up to n = 9, the worst error is 4e-14).
+HYP_TERMS = 90
+HYP_SWITCH = 0.3
+
+#: B_2k / (2k (2k - 1)), the Stirling series of lgamma.
+STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+
+
+def _hyp2f1(a: float, b: float, eps: float, w: Array) -> Array:
+    """2F1(a, b; c; 1 - w) with c = a + b + 1 + eps, for |eps| < 1 and an
+    array w in [0, 1], from the coefficients of :func:`_hyp2f1_rule`.
+
+    For w >= ``HYP_SWITCH`` it is the Maclaurin series in z = 1 - w.
+    Below, A&S 15.3.6 gives
+    F = lead + sum_j C pi / sin(pi eps) w^{j+1} [P_j w^eps - Q_j], term
+    j + 1 of its first series paired with term j of its second.  With
+    p_j = C P_j pi eps / sin(pi eps) and L_j = ln(P_j / Q_j), that is
+    lead + w [E(ln w) p(w) - q(w)], where E(y) = expm1(eps y) / eps,
+    p and q are polynomials in w and q_j = p_j E(-L_j / eps).  Every
+    quotient by eps has its limit at eps = 0, so sigma = 1/2, the log case
+    of A&S 15.3.11, takes the same path.
+    """
+    mac, lead, p, q = _hyp2f1_rule(a, b, eps)
+    out = np.empty(w.shape)
+    series = w >= HYP_SWITCH
+    # sums row by row, as in _sphere_means, so a point gets the same value
+    # in any batch
+    if series.any():
+        out[series] = np.einsum("ij,j->i", np.vander(
+            1.0 - w[series], HYP_TERMS, increasing=True), mac)
+    if not series.all():
+        w = w[~series]
+        # the w = 0 rows carry lead alone; ln 1 stands in for ln 0 there
+        log_w = np.log(np.where(w > 0.0, w, 1.0))
+        powers = np.vander(w, HYP_TERMS, increasing=True)
+        p_w, q_w = (np.einsum("ij,j->i", powers, c) for c in (p, q))
+        out[~series] = lead + w * (_over(np.expm1, eps, log_w) * p_w - q_w)
+    return out
+
+
+def _over(fn: Callable, eps: float, y):
+    """fn(eps y) / eps, with its limit y at eps = 0, for fn = expm1 or log1p."""
+    return fn(eps * y) / eps if eps else y
+
+
+@lru_cache(maxsize=None)
+def _hyp2f1_rule(a: float, b: float, eps: float
+                 ) -> Tuple[Array, float, Array, Array]:
+    """The coefficients of :func:`_hyp2f1`, made once per (a, b, eps), that
+    is per (n, sigma, branch) of :func:`riesz_ball_indicator`.
+
+    Returns the Maclaurin coefficients (a)_k (b)_k / ((c)_k k!), the lead
+    Gamma(c) Gamma(1 + eps) / (Gamma(a + 1 + eps) Gamma(b + 1 + eps)), and
+    p_j and q_j.  Here p_j follows from p_0 = Gamma(c) /
+    (Gamma(a) Gamma(b) Gamma(2 + eps) sinc(eps)) by the ratio
+    (a + 1 + eps + j) (b + 1 + eps + j) / ((j + 2 + eps) (j + 1)), and
+    L_j / eps = D(b + 1 + j, eps) + D(a + 1 + j, eps) - D(j + 2, eps)
+    - D(j + 1, -eps), with D the lgamma quotients of :func:`_lgamma_quotients`.
+    """
+    c = a + b + 1.0 + eps
+    j = np.arange(HYP_TERMS - 1)
+    mac = np.cumprod(np.concatenate(
+        [[1.0], (a + j) * (b + j) / ((c + j) * (j + 1.0))]))
+    lead = math.gamma(c) * math.gamma(1.0 + eps) / (
+        math.gamma(a + 1.0 + eps) * math.gamma(b + 1.0 + eps))
+    p = (math.gamma(c) / (math.gamma(a) * math.gamma(b)
+                          * math.gamma(2.0 + eps) * np.sinc(eps))
+         * np.cumprod(np.concatenate([[1.0], (a + 1.0 + eps + j)
+                                      * (b + 1.0 + eps + j)
+                                      / ((j + 2.0 + eps) * (j + 1.0))])))
+    log_ratio = (_lgamma_quotients(b + 1.0, eps)
+                 + _lgamma_quotients(a + 1.0, eps)
+                 - _lgamma_quotients(2.0, eps) - _lgamma_quotients(1.0, -eps))
+    q = p * _over(np.expm1, eps, -log_ratio)
+    for arr in (mac, p, q):
+        arr.setflags(write=False)
+    return mac, lead, p, q
+
+
+def _lgamma_quotients(x0: float, eps: float) -> Array:
+    """D(x, eps) = (lgamma(x + eps) - lgamma(x)) / eps at x = x0 + j,
+    j < ``HYP_TERMS``, accurate for any small eps (D -> digamma at 0).
+
+    Stirling's series gives D at x0 + ``HYP_TERMS`` >= 90, where
+    ``STIRLING`` is exact to rounding: with u = log1p(eps / x) / eps,
+    D = (x - 1/2) u + ln x + eps u - 1
+      + sum_k B_2k / (2k (2k-1)) x^{1-2k} expm1((1 - 2k) eps u) / eps.
+    The recurrence D(x, eps) = D(x + 1, eps) - log1p(eps / x) / eps then
+    steps down, so no lgamma difference is ever formed.
+    """
+    x = x0 + HYP_TERMS
+    u = _over(math.log1p, eps, 1.0 / x)
+    top = (x - 0.5) * u + math.log(x) + eps * u - 1.0
+    for k, coef in enumerate(STIRLING, 1):
+        top += coef * x ** (1 - 2 * k) * _over(math.expm1, eps, (1 - 2 * k) * u)
+    steps = _over(np.log1p, eps, 1.0 / (x0 + np.arange(HYP_TERMS)))
+    return top - np.cumsum(steps[::-1])[::-1]

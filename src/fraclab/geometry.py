@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc
 
 Array = np.ndarray
 
@@ -129,9 +128,13 @@ def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
     ``d`` is |x0| and ``s`` an array of radii >= 0.  The boundary polar
     cosine is t0 = (radius^2 - d^2 - s^2) / (2 d s); where the sphere
     crosses the ball boundary the fraction is the normalized surface
-    measure of {theta : <x0/d, theta> <= t0}, computed through the
-    regularized incomplete beta function.  Spheres inside the ball give
-    exactly 1, spheres outside it (or enclosing it) exactly 0.
+    measure of {theta : <x0/d, theta> <= t0}, the regularized incomplete
+    beta function I_x(a, a), x = (1 + t0) / 2, a = (n - 1) / 2.  As a is a
+    whole or half-whole number, it starts from I_x(1, 1) = x or
+    I_x(1/2, 1/2) = (2 / pi) arcsin sqrt(x) and steps up by
+    I_x(k+1, k+1) = I_x(k, k) + (2x - 1) [x (1 - x)]^k / (k B(k, k)).
+    Spheres inside the ball give exactly 1, spheres outside it (or
+    enclosing it) exactly 0.
     """
     s = np.asarray(s, dtype=float)
     out = np.where(s > 0.0, d + s <= radius, d <= radius).astype(float)
@@ -142,8 +145,14 @@ def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
     else:
         sc = s[cross]
         t0 = np.clip((radius * radius - d * d - sc * sc) / (2.0 * d * sc), -1.0, 1.0)
-        a = (n - 1) / 2.0
-        out[cross] = betainc(a, a, (1.0 + t0) / 2.0)
+        x = (1.0 + t0) / 2.0
+        k = 1.0 if n % 2 else 0.5
+        share = x if n % 2 else (2.0 / math.pi) * np.arcsin(np.sqrt(x))
+        while k < (n - 1) / 2.0:
+            share = share + (2.0 * x - 1.0) * (x * (1.0 - x)) ** k * (
+                math.gamma(2.0 * k) / (k * math.gamma(k) ** 2))
+            k += 1.0
+        out[cross] = share
     return out
 
 

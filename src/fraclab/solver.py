@@ -15,9 +15,9 @@ and m = floor(u), its weight goes to node m - 1 as (1 - frac) and to
 node m as frac, frac = u - m (each evaluated as 1 - |r - x_j|/h).  Each
 row scatters those two values with one ``bincount``, O(R + N) for R
 radii.  Rows are scattered one at a time: a 96-node annulus has 1.7
-million sphere-mean radii in all.  The assembled matrix is read-only and its LU
-factorization is computed once, on first use, and shared by
-``solve_linear`` and ``monotone_iterate``.
+million sphere-mean radii in all.  The assembled matrix is read-only, and
+its inverse is computed once, on first use, read-only too, and shared by
+``solve_linear`` and ``monotone_iterate``: a solve is one mat-vec.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import constants, geometry
 from .params import Params
@@ -57,9 +56,11 @@ class FractionalDirichletProblem:
     rhs_map: Optional[Callable[[Array, Array], Array]] = None
 
     @cached_property
-    def lu(self) -> Tuple[Array, Array]:
-        """LU factorization of the operator matrix, computed once."""
-        return lu_factor(self.operator_matrix)
+    def inverse(self) -> Array:
+        """Inverse of the operator matrix, computed once and read-only."""
+        inv = np.linalg.inv(self.operator_matrix)
+        inv.flags.writeable = False
+        return inv
 
     def row_sum_check(self) -> Tuple[bool, float]:
         """Maximum-principle structure: A 1 >= 0, diag > 0, off-diag <= 0."""
@@ -199,7 +200,7 @@ def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
     for _ in range(max_iters):
         rhs = np.broadcast_to(np.asarray(prob.rhs_map(prob.grid, y),
                                          dtype=float), y.shape)
-        y_next = lu_solve(prob.lu, rhs)
+        y_next = prob.inverse @ rhs
         flag = bool(np.all(y_next >= y - 1e-12))
         trace.monotone_flags.append(flag)
         if not flag:
@@ -226,4 +227,4 @@ def solve_linear(prob: FractionalDirichletProblem, rhs: Array) -> Array:
     if b.shape[:1] != (nodes,):
         raise ValueError(f"rhs has shape {b.shape}, the problem has "
                          f"{nodes} nodes")
-    return lu_solve(prob.lu, b)
+    return prob.inverse @ b

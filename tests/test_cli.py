@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +177,15 @@ def test_margin_sign_matches_verdict(suite, scale):
     for c in reports.run_suite(cfg)["checks"]:
         if c["margin"] is not None:
             assert (c["margin"] > 0.0) == c["passed"], c["name"]
+
+
+def test_import_loads_no_scipy():
+    # the package and its command run on numpy and the standard library
+    code = ("import sys, fraclab, fraclab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

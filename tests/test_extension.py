@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -142,3 +143,21 @@ def test_conormal_limit_takes_every_height_in_one_call(n):
 def test_conormal_limit_needs_three_levels(ks):
     with pytest.raises(ValueError, match="at least three levels"):
         extension.conormal_limit(lambda ts: [1.0] * len(ts), 1.0, ks, 0.5)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (3, 0.75),
+                                 (5, 0.5)])
+def test_head_moments_match_mpmath(n, s):
+    # int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1 + r^2)^{-c} dr, in 30 digits
+    _, moments = extension._rule(n, s)
+    r_lo = extension.BREAKS[extension.BREAKS <= 1.0]
+    assert moments.shape == (r_lo.size, 3)
+    c = mp.mpf(n + 2 * s) / 2
+    for r, row in zip(r_lo, moments):
+        with mp.workdps(30):
+            r = mp.mpf(r)
+            want = [r ** n * mp.quad(lambda x: x ** (n - 1 + 2 * k)
+                                     * (1 + (r * x) ** 2) ** -c, [0, 1])
+                    for k in range(3)]
+        for got, ref in zip(row, want):
+            assert abs(got - ref) <= 1e-14 * ref, float(r)

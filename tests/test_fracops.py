@@ -193,8 +193,9 @@ def test_riesz_ball_indicator_monotone_in_distance(s, radius):
     assert all(a >= b - 1e-12 * abs(a) for a, b in zip(vals, vals[1:]))
 
 
-BALL_DELTAS = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0,
-               10.0, 100.0, 1e3, 1e4, 1e5)
+BALL_DELTAS = (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-8, 1.0 - 1e-14,
+               1.0 - 2.0 ** -52, 1.0, 1.001, 1.01, 1.1, 2.0, 10.0, 100.0, 1e3,
+               1e4, 1e5)
 
 
 def _mp_ball_indicator(n, s, delta):
@@ -218,6 +219,30 @@ def test_riesz_ball_indicator_matches_mpmath(n):
             want = front * float(_mp_ball_indicator(n, s, delta))
             got = fracops.riesz_ball_indicator(delta, 1.0, pr)
             assert got == pytest.approx(want, rel=1e-12), (s, delta)
+
+
+HYP_SIGMAS = (0.1, 0.25, 0.4, 0.49, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.51, 0.6,
+              0.75, 0.9)
+HYP_WS = np.concatenate([[0.0, 2.0 ** -53, 2.0 ** -52, 1e-14, 1e-8, 1e-4,
+                          0.3 - 1e-12, 0.3, 0.3 + 1e-12, 0.5, 1.0],
+                         np.linspace(0.0, 1.0, 41)[1:-1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("far", [False, True])
+def test_hyp2f1_matches_mpmath(n, far):
+    # both 2F1 of riesz_ball_indicator, across both series, down to z = 1;
+    # sigma = 1/2 is the log case, and 1/2 +- 1e-7 lie next to it
+    for s in HYP_SIGMAS:
+        if n <= 2 * s:
+            continue
+        a, b = n / 2 - s, (1.0 - s if far else -s)
+        got = fracops._hyp2f1(a, b, 2 * s - 1, HYP_WS)
+        with mp.workdps(40):
+            c = mp.mpf(a) + mp.mpf(b) + 2 * mp.mpf(s)
+            want = [mp.hyp2f1(a, b, c, 1 - mp.mpf(w)) for w in HYP_WS]
+        for w, g, ref in zip(HYP_WS, got, want):
+            assert abs(g - ref) <= 1e-12 * abs(ref), (s, w)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.75), (5, 0.1)])

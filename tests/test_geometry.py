@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +14,28 @@ from fraclab import geometry
        st.floats(min_value=0.1, max_value=4.0))
 @settings(max_examples=200, deadline=None)
 def test_cap_fraction_three_dimensional_closed_form(d, s, radius):
-    # at n = 3 the beta weight is uniform, betainc(1, 1, x) = x
+    # at n = 3 the beta weight is uniform, I_x(1, 1) = x
     s = np.array(s)
     t0 = (radius * radius - d * d - s * s) / (2.0 * d * s)
     want = np.clip((1.0 + t0) / 2.0, 0.0, 1.0)
     got = geometry.cap_fraction(d, s, radius, 3)
     assert got.shape == s.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cap_fraction_matches_mpmath_betainc(n):
+    # t0 from -1 to 1, near-tangent spheres included: radius^2 =
+    # d^2 + s^2 + 2 d s t0 with d = 1, s = 0.75
+    d, s = 1.0, 0.75
+    t0 = np.array([-1.0 + 1e-15, -1.0 + 1e-10, -0.99, -0.5, -0.1, 0.0, 0.3,
+                   0.7, 0.99, 1.0 - 1e-10, 1.0 - 1e-15])
+    for radius in np.sqrt(d * d + s * s + 2.0 * d * s * t0):
+        got = geometry.cap_fraction(d, np.array([s]), radius, n)[0]
+        x = (1.0 + (radius * radius - d * d - s * s) / (2.0 * d * s)) / 2.0
+        want = mp.betainc(mp.mpf(n - 1) / 2, mp.mpf(n - 1) / 2, 0, x,
+                          regularized=True)
+        assert abs(got - want) <= 1e-14, (n, radius)
 
 
 @given(st.integers(min_value=0, max_value=64),
