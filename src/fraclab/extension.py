@@ -12,17 +12,18 @@ integral of sphere means:
 U solves div(t^{1-2s} grad U) = 0 for t > 0 with trace u, and its conormal
 derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 
-:func:`extend` takes one point (y, t) or rows of them in one call.  Each
-row is summed on the fixed panels ``BREAKS`` above a head radius r_lo;
-below it the sphere mean is a smooth even function of t r, and the head
-is integrated exactly against the kernel, as in :mod:`fraclab.fracops`,
-its moments by Gauss-Legendre quadrature on [0, r_lo].
+:func:`extend` takes one point (y, t) or rows of them in one call, and
+sums each row by the radial core of :mod:`fraclab.fracops`, with the
+kernel r^{n-1} (1+r^2)^{-(n+2s)/2} and the scale t: GL8 on panels from a
+head radius r_lo, graded about the field's kink edges over t.  Below r_lo
+the sphere mean is a smooth even function of t r, and the head is
+integrated against the kernel's moments on [0, r_lo], made per row by
+Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
 
@@ -33,10 +34,8 @@ from .params import Params
 Array = np.ndarray
 
 
-#: Panels out to OUTER, with their GL8 nodes and weights, made once.
+#: Panels run out to OUTER, with a frozen-field tail beyond.
 OUTER = 1e4
-BREAKS = geometry.panel_breaks(1e-8, OUTER, fracops.PANELS_PER_DECADE)
-NODES, WEIGHTS = geometry.gauss_panels(BREAKS, 8)
 
 #: Gauss-Legendre nodes of the head moments on [0, r_lo].  Their integrand
 #: is analytic but for the branch points +-i of (1+r^2)^{-c}, so on
@@ -51,13 +50,10 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     gives an (m,) array.  A single point is a batch of one, and the
     sphere-mean nodes of ``fracops.BLOCK`` rows go to the field in one call.
 
-    Row j starts its panels at r_lo, the largest break of ``BREAKS`` (at
-    most 1) with t r_lo <= ``fracops.INNER_RADIUS`` max(1, |y|) and below
-    half the nearest kink edge, so every node above r_lo is a node of the
-    full rule.  On [0, r_lo] the sphere mean is the even fit
-    S(0) + a x^2 + b x^4, x = r / r_lo, through S(t r_lo) and S(t r_lo / 2),
-    and its integral against r^{n-1} (1+r^2)^{-c}, c = (n+2s)/2, takes the
-    head moments of :func:`_rule`.
+    Row j takes GL8 on panels from r_lo to ``OUTER``, graded about each
+    kink edge over t; t r_lo is the least of t, half the nearest kink edge
+    and ``fracops.INNER_RADIUS`` max(1, |y|).  Below r_lo the head fit of
+    the sphere mean meets the moments of :func:`_head_moments`.
     """
     single = np.ndim(y) == 1
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -67,67 +63,48 @@ def extend(field: ScalarField, y: Array, t, params: Params):
                          "with t (m,)")
     if (ts <= 0.0).any():
         raise ValueError("the extension is evaluated at t > 0")
+    n, s2 = params.n, 2.0 * params.sigma
     dist = np.linalg.norm(ys, axis=1)
-    smooth = np.minimum(
-        fracops.INNER_RADIUS * np.maximum(1.0, dist),
-        0.5 * np.min(geometry.kink_edges(field.kink_radii, dist), axis=1,
-                     initial=np.inf))
-    inside = (ts[:, None] * BREAKS <= smooth[:, None]) & (BREAKS <= 1.0)
-    first = np.maximum(np.count_nonzero(inside, axis=1) - 1, 0)
-    value = np.empty(ts.size)
+    edges = geometry.kink_edges(field.kink_radii, dist) / ts[:, None]
+    smooth = np.minimum(fracops.INNER_RADIUS * np.maximum(1.0, dist) / ts,
+                        0.5 * np.min(edges, axis=1, initial=np.inf))
+    r_lo = np.minimum(1.0, smooth)
+    centres, g0 = ((dist, field.radial_profile(dist)) if field.is_radial
+                   else (ys, field(ys)))
+
+    def kernel(r):
+        # exp and log1p, which numpy vectorises, cost a third of a power
+        return r ** (n - 1) * np.exp(-0.5 * (n + s2) * np.log1p(r * r))
+
+    rows = geometry.panel_rows(1e-8, r_lo, np.full(ts.size, OUTER),
+                               fracops.PANELS_PER_DECADE, edges)
+    moments = _head_moments(n, params.sigma, r_lo)
+    value, s_tail = np.empty((2, ts.size))
     for lo in range(0, ts.size, fracops.BLOCK):
         blk = slice(lo, lo + fracops.BLOCK)
-        value[blk] = _block(field, ys[blk], dist[blk], ts[blk], first[blk],
-                            params)
+        value[blk], _, s_tail[blk] = fracops._radial_sum(
+            field, centres[blk], g0[blk], False, rows[blk], ts[blk], kernel,
+            moments[blk], (8,), np.full(len(ts[blk]), OUTER))
+    # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
+    value += s_tail * OUTER ** (-s2) / s2
     cset = constants.constant_set(params)
     value *= cset.gamma_poisson * cset.sphere_area
     return float(value[0]) if single else value
 
 
-def _block(field: ScalarField, y: Array, d: Array, t: Array, first: Array,
-           params: Params) -> Array:
-    """The radial integral of :func:`extend`, without its front, for one
-    block of rows whose panels start at ``BREAKS[first]``."""
-    m = t.size
-    n, s2 = params.n, 2.0 * params.sigma
-    idx = np.concatenate([np.arange(8 * f, NODES.size) for f in first])
-    own = np.arange(m)
-    owner = np.repeat(own, NODES.size - 8 * first)
-    r_lo = BREAKS[first]
-    radii = np.concatenate([NODES[idx], r_lo, 0.5 * r_lo, np.full(m, OUTER)])
-    who = np.concatenate([owner, own, own, own])
-    centres, g0 = ((d, field.radial_profile(d)) if field.is_radial
-                   else (y, field(y)))
-    means = fracops._sphere_means(field, centres[who], t[who] * radii)
-    body, g_one, g_half, s_tail = np.split(means, np.cumsum([idx.size, m, m]))
-    kernel, moments = _rule(n, params.sigma)
-    val = np.bincount(owner, body * kernel[idx], minlength=m)
-
-    # head: S = g0 + a x^2 + b x^4, x = r / r_lo, integrated exactly
-    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
-    b = g_one - g0 - a
-    moments = moments[first]
-    val += moments[:, 0] * g0 + moments[:, 1] * a + moments[:, 2] * b
-
-    # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
-    return val + s_tail * OUTER ** (-s2) / s2
-
-
-@lru_cache(maxsize=None)
-def _rule(n: int, sigma: float) -> Tuple[Array, Array]:
-    """The kernel r^{n-1} (1+r^2)^{-c}, c = (n+2s)/2, times the weight at each
-    of ``NODES``; and the head moments int_0^{r_lo} (r / r_lo)^{2k} r^{n-1}
-    (1+r^2)^{-c} dr, k = 0, 1, 2 (columns), at each break r_lo <= 1 (rows).
+def _head_moments(n: int, sigma: float, r_lo: Array) -> Array:
+    """int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1+r^2)^{-c} dr, c = (n+2s)/2,
+    k = 0, 1, 2 (columns), at each r_lo <= 1 of an array r_lo (rows).
 
     A moment is r_lo^n int_0^1 x^{n-1+2k} (1 + r_lo^2 x^2)^{-c} dx, summed on
     ``HEAD_NODES`` Gauss-Legendre nodes x in (0, 1).
     """
     c = (n + 2.0 * sigma) / 2.0
-    kernel = NODES ** (n - 1) * (1.0 + NODES ** 2) ** (-c) * WEIGHTS
-    r_lo = BREAKS[BREAKS <= 1.0][:, None]
     x, w = geometry.gauss_nodes(np.zeros(1), np.ones(1), HEAD_NODES)
-    weights = w * x ** (n - 1) * (1.0 + (r_lo * x) ** 2) ** (-c)
-    return kernel, r_lo ** n * (weights @ x[:, None] ** (2 * np.arange(3)))
+    weights = w * x ** (n - 1) * (1.0 + (r_lo[:, None] * x) ** 2) ** (-c)
+    # row by row, so a row gets the same moments in any batch
+    return r_lo[:, None] ** n * np.einsum("ij,jk->ik", weights,
+                                          x[:, None] ** (2 * np.arange(3)))
 
 
 def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,

@@ -9,14 +9,16 @@ Writing S(s) for the mean of f over the sphere of radius s about x,
 
 with omega the area of the unit sphere: int_0^inf s^e g(s) ds with
 e = -1 - 2 sigma, g = f(x) - S(s) and e = 2 sigma - 1, g = S(s) (Kwaśnicki,
-FCAA 20(1), 2017).  One core sums both, with composite panel rules that
-carry an embedded lower-order estimate, so every value has an error bar.
-A radial field's sphere means are split at the kinks of its profile
+FCAA 20(1), 2017).  One radial core, :func:`_radial_sum`, sums both (and
+the extension of :mod:`fraclab.extension`) on rows of panels graded at
+the field's kinks, GL8 with an embedded GL4, so every value has an error
+bar.  A radial field's sphere means are split at the kinks of its profile
 (:func:`geometry.radial_mean_rule`); other fields take a product rule.
 
 Near s = 0 the sphere mean is a smooth even function of s, so the core
-integrates the stretch below a small radius s_lo in closed form from a
-two-term even Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, and
+integrates the stretch below a small radius s_lo from a two-term even
+Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, against the
+kernel's moments on [0, s_lo] (s_lo^{e+1} / (e + 1 + 2k) for s^e), and
 charges half the quartic term to the error bar.
 
 :func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -169,12 +171,10 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     reduced to its distinct distances, each rounded to ``MERGE_BITS``
     significant bits (a move of at most 2^-44 ~ 5.7e-14 of itself).
 
-    Below s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2),
-    where f(x) - S(s) would drown in float cancellation, the head fit of
-    the module notes is integrated through g(s_lo) and g(s_lo/2).  The bar
-    is |GL8 - GL4| on the panels above s_lo, plus the rounding bound
-    k eps sum |terms| of the k-node GL8 sum, plus half the quartic term's
-    share, plus the tail charge.  A compact field is summed out to
+    :func:`_radial_sum` takes GL8 and GL4 on the panels above
+    s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2), where
+    f(x) - S(s) would drown in float cancellation, and the head below; the
+    bar adds the tail charge.  A compact field is summed out to
     d + 1.001 a (the Laplacian: at least ``OUTER_RADIUS``).  Beyond 2a the
     potential of a radial field supported in B_a is the exterior series
     of :func:`_exterior_series`: every sphere that meets the support lies
@@ -198,75 +198,36 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     value = np.empty(dist.size)
     error = np.empty(dist.size)
     near = np.arange(dist.size)
-    if e > -1.0 and field.is_radial and field.decay == "compact_support":
+    compact = field.decay == "compact_support"
+    if e > -1.0 and field.is_radial and compact:
         far = dist > 2.0 * field.support_radius
         if far.any():
             value[far], error[far] = _exterior_series(field, e + 1.0)(
                 dist[far])
             near = near[~far]
-    for lo in range(0, near.size, BLOCK):
-        blk = near[lo:lo + BLOCK]
-        value[blk], error[blk] = _block(
-            field, centres[blk], dist[blk], at_centre[blk], e)
-
-    value = front * value[inverse]
-    error = front * error[inverse]
-    if pts.ndim == 1:
-        return OpResult(float(value[0]), float(error[0]))
-    return OpResult(value, error)
-
-
-def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
-           e: float) -> Tuple[Array, Array]:
-    """int_0^inf s^e g(s) ds and its error bar for one block of centres.
-
-    ``centres`` are distances for a radial field and points otherwise, f0
-    the field there.  g = c + sign * S, with (c, sign) = (f0, -1) for
-    e < -1 and (0, 1) otherwise.
-    """
-    m = d.size
-    lap = e < -1.0
-    c, sign = (f0, -1.0) if lap else (np.zeros(m), 1.0)
-    compact = field.decay == "compact_support"
+    d, f0, lap = dist[near], at_centre[near], e < -1.0
     outer = (d + field.support_radius * 1.001 if compact
-             else np.full(m, OUTER_RADIUS))
+             else np.full(d.size, OUTER_RADIUS))
     if compact and lap:
         outer = np.maximum(outer, OUTER_RADIUS)
     edges = geometry.kink_edges(field.kink_radii, d)
     s_lo = np.minimum(INNER_RADIUS * np.maximum(1.0, d),
                       0.5 * np.min(edges, axis=1, initial=np.inf))
     rows = geometry.panel_rows(1e-12, s_lo, outer, PANELS_PER_DECADE, edges)
-    live = np.isfinite(rows[:, 1:])
-    owner = np.nonzero(live)[0]
-    n8, w8 = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 8)
-    n4, w4 = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 4)
-    o8, o4, own = owner.repeat(8), owner.repeat(4), np.arange(m)
-    tail = [] if compact else [outer]
-    radii = np.concatenate([n8, n4, s_lo, 0.5 * s_lo] + tail)
-    who = np.concatenate([o8, o4, own, own] + [own] * len(tail))
-    means = _sphere_means(field, centres[who], radii)
-    g, k8, k4 = c[who] + sign * means, n8.size, n8.size + n4.size
-    g8, g4, g_one, g_half = g[:k8], g[k8:k4], g[k4:k4 + m], g[k4 + m:k4 + 2 * m]
-    terms = g8 * n8 ** e * w8
-    fine = np.bincount(o8, terms, minlength=m)
-    coarse = np.bincount(o4, g4 * n4 ** e * w4, minlength=m)
-    # |GL8 - GL4|, plus the rounding bound k eps sum |terms| of a k-term sum
-    err = np.abs(fine - coarse) + (
-        np.bincount(o8, minlength=m) * np.finfo(float).eps
-        * np.bincount(o8, np.abs(terms), minlength=m))
-
-    # head: g(s) = g0 + a (s/s_lo)^2 + b (s/s_lo)^4 on [0, s_lo]
-    g0 = c + sign * f0
-    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
-    b = g_one - g0 - a
-    head = s_lo ** (e + 1.0)
-    fine += head * (g0 / (e + 1.0) + a / (e + 3.0) + b / (e + 5.0))
-    err += 0.5 * np.abs(b) * head / (e + 5.0)
+    moments = s_lo[:, None] ** (e + 1.0) / (e + 1.0 + 2.0 * np.arange(3))
+    tail = outer[:0] if compact else outer  # S(outer) is not read if compact
+    fine, err, s_tail = np.empty(d.size), np.empty(d.size), np.empty(tail.size)
+    for lo in range(0, d.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        fine[blk], err[blk], s_tail[blk] = _radial_sum(
+            field, centres[near[blk]], f0[blk], lap, rows[blk],
+            np.ones(len(f0[blk])), lambda s: s ** e, moments[blk], (8, 4),
+            tail[blk])
 
     # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
+    c, sign = (f0, -1.0) if lap else (np.zeros(d.size), 1.0)
     far = outer ** (e + 1.0)
     fine -= c * far / (e + 1.0)
-    s_tail = means[-m:]  # S(outer); read only for non-compact fields
     if field.decay == "power_decay":
         # S(s) ~ S(outer) (outer / s)^alpha, integrable as alpha > e + 1
         tail = s_tail * far / (field.decay_rate - e - 1.0)
@@ -275,7 +236,63 @@ def _block(field: ScalarField, centres: Array, d: Array, f0: Array,
     elif not compact:
         # S is only known to stay bounded: charge twice its size so far
         err += 2.0 * np.maximum(np.abs(c), np.abs(s_tail)) * far / abs(e + 1.0)
-    return fine, err
+    value[near], error[near] = fine, err
+
+    value = front * value[inverse]
+    error = front * error[inverse]
+    if pts.ndim == 1:
+        return OpResult(float(value[0]), float(error[0]))
+    return OpResult(value, error)
+
+
+def _radial_sum(field: ScalarField, centres: Array, f0: Array, lap: bool,
+                rows: Array, scale: Array, kernel: Callable[[Array], Array],
+                moments: Array, orders: Tuple[int, ...], tail: Array
+                ) -> Tuple[Array, Optional[Array], Array]:
+    """The one radial core: per row j, int K(r) g_j(scale_j r) dr up to the
+    last break of rows[j], its error bar, and S_j(scale_j tail_j).
+
+    g_j is f0_j - S_j for ``lap`` and S_j otherwise, S_j the sphere mean
+    about centres[j] and f0_j the field there.  Row j holds panel breaks in
+    r from the head radius r_lo, each panel summed in the Gauss-Legendre
+    ``orders`` (the first gives the value).  Below r_lo the head fit of
+    the module notes meets ``moments`` (m, 3), the integrals of
+    (r / r_lo)^{2k} K(r) on [0, r_lo], k = 0, 1, 2.  With two orders the
+    bar is |first - second|, plus the rounding bound k eps sum |terms| of
+    the k-node sum, plus half the quartic term's share; with one it is
+    None.  ``tail`` holds one radius per row, or none when the caller
+    reads no S beyond the panels.
+    """
+    m = len(rows)
+    live = np.isfinite(rows[:, 1:])
+    owner = np.nonzero(live)[0]
+    rules = [geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], k)
+             for k in orders]
+    r_lo = rows[:, 0]
+    radii = np.concatenate([x for x, _ in rules] + [r_lo, 0.5 * r_lo, tail])
+    owners = [owner.repeat(k) for k in orders]
+    who = np.concatenate(owners + [np.arange(m)] * 2 + [np.arange(tail.size)])
+    means = _sphere_means(field, centres[who], scale[who] * radii)
+    g, g0 = (f0[who] - means, np.zeros(m)) if lap else (means, f0)
+    *parts, g_one, g_half, _ = np.split(
+        g, np.cumsum([x.size for x, _ in rules] + [m, m]))
+    terms = [gk * kernel(x) * w for gk, (x, w) in zip(parts, rules)]
+    sums = [np.bincount(o, t, minlength=m) for o, t in zip(owners, terms)]
+
+    # head: g(r) = g0 + a (r/r_lo)^2 + b (r/r_lo)^4 on [0, r_lo]
+    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
+    b = g_one - g0 - a
+    value = sums[0] + (moments[:, 0] * g0 + moments[:, 1] * a
+                       + moments[:, 2] * b)
+    s_tail = means[means.size - tail.size:]
+    if len(sums) == 1:
+        return value, None, s_tail
+    # |GL8 - GL4|, plus the rounding bound k eps sum |terms| of a k-term sum
+    err = np.abs(sums[0] - sums[1]) + (
+        np.bincount(owners[0], minlength=m) * np.finfo(float).eps
+        * np.bincount(owners[0], np.abs(terms[0]), minlength=m))
+    err += 0.5 * np.abs(b) * moments[:, 2]
+    return value, err, s_tail
 
 
 def _exterior_series(field: ScalarField, s2: float

@@ -3,9 +3,9 @@
 Everything here is plain geometry on spheres in R^n.  Every radial
 integral of the package is summed on the panels of :func:`panel_rows`:
 geometric panels plus breaks at edge * ``GRADING`` about each edge of
-:func:`kink_edges`.  :mod:`fraclab.fracops` and :mod:`fraclab.solver` take
-a block of rows at once, and :mod:`fraclab.extension` takes the nodes of
-one fixed row for every point; the other modules take one row from
+:func:`kink_edges`.  :mod:`fraclab.fracops`, :mod:`fraclab.extension` and
+:mod:`fraclab.solver` take a block of rows at once (the extension in r,
+its kink edges divided by t); the other modules take one row from
 :func:`panel_breaks` and sum it by :func:`panel_quad`.
 """
 
@@ -186,11 +186,11 @@ def panel_rows(start: float, s_lo: Array, outer: Array, per_decade: int,
     s_lo = np.asarray(s_lo, dtype=float)
     outer = np.asarray(outer, dtype=float)
     counts = np.array([max(1, math.ceil(math.log10(o / start) * per_decade))
-                       for o in outer])
-    steps = np.arange(counts.max() + 1)[None, :]
+                       for o in outer], dtype=int)
+    steps = np.arange(counts.max(initial=0) + 1)[None, :]
     geo = start * (outer / start)[:, None] ** (steps / counts[:, None])
     geo[steps > counts[:, None]] = np.inf
-    graded = (edges[:, :, None] * np.asarray(GRADING)).reshape(len(outer), -1)
+    graded = np.concatenate([edges * g for g in GRADING], axis=1)
     graded[~((graded > start) & (graded < outer[:, None]))] = np.inf
     rows = np.concatenate([geo, graded], axis=1)
     rows[rows <= s_lo[:, None]] = np.inf

@@ -84,27 +84,27 @@ def b_from_values(k_val: float, w_val: float, w_lam_val: float, p: float) -> flo
     return k_val * (w_val ** p - w_lam_val ** p) / diff
 
 
-def b_coefficient(state: ComparisonState, y: Array) -> float:
-    """The difference-quotient coefficient at a boundary point."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    lam = state.kelvin_radius
-    if np.linalg.norm(y) < lam * (1.0 - 1e-12):
-        raise ValueError("y must lie outside B_lam")
-    k = KelvinMap(state.params, lam=lam)
-    w_val = state.trace.at(y)
-    w_lam = float(k.weight(y[None, :])[0]) * state.trace.at(k.point(y[None, :])[0])
-    return b_from_values(state.k_field.at(y), w_val, w_lam, state.params.p)
-
-
-def q_coefficient(state: ComparisonState, y: Array) -> float:
-    """(K(y^lam) - K(y)) * (w^lam(y))^p at a boundary point."""
+def _kelvin_image(state: ComparisonState, y: Array):
+    """y as a flat point outside B_lam, its Kelvin image y^lam and w^lam(y)."""
     y = np.asarray(y, dtype=float).reshape(-1)
     lam = state.kelvin_radius
     if np.linalg.norm(y) < lam * (1.0 - 1e-12):
         raise ValueError("y must lie outside B_lam")
     k = KelvinMap(state.params, lam=lam)
     y_im = k.point(y[None, :])[0]
-    w_lam = float(k.weight(y[None, :])[0]) * state.trace.at(y_im)
+    return y, y_im, float(k.weight(y[None, :])[0]) * state.trace.at(y_im)
+
+
+def b_coefficient(state: ComparisonState, y: Array) -> float:
+    """The difference-quotient coefficient at a boundary point."""
+    y, _, w_lam = _kelvin_image(state, y)
+    return b_from_values(state.k_field.at(y), state.trace.at(y), w_lam,
+                         state.params.p)
+
+
+def q_coefficient(state: ComparisonState, y: Array) -> float:
+    """(K(y^lam) - K(y)) * (w^lam(y))^p at a boundary point."""
+    y, y_im, w_lam = _kelvin_image(state, y)
     return (state.k_field.at(y_im) - state.k_field.at(y)) * w_lam ** state.params.p
 
 

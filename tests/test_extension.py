@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fraclab import bubbles, constants, extension, fracops
-from fraclab.fields import ScalarField
+from fraclab.fields import ScalarField, radial_field
 from fraclab.params import Params
 
 
@@ -148,9 +148,11 @@ def test_conormal_limit_needs_three_levels(ks):
 @pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (3, 0.75),
                                  (5, 0.5)])
 def test_head_moments_match_mpmath(n, s):
-    # int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1 + r^2)^{-c} dr, in 30 digits
-    _, moments = extension._rule(n, s)
-    r_lo = extension.BREAKS[extension.BREAKS <= 1.0]
+    # int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1 + r^2)^{-c} dr, in 30 digits,
+    # at head radii that are not panel breaks
+    rng = np.random.default_rng(18)
+    r_lo = np.append(10.0 ** rng.uniform(-8.0, 0.0, size=12), 1.0)
+    moments = extension._head_moments(n, s, r_lo)
     assert moments.shape == (r_lo.size, 3)
     c = mp.mpf(n + 2 * s) / 2
     for r, row in zip(r_lo, moments):
@@ -161,3 +163,63 @@ def test_head_moments_match_mpmath(n, s):
                     for k in range(3)]
         for got, ref in zip(row, want):
             assert abs(got - ref) <= 1e-14 * ref, float(r)
+
+
+def _indicator(n):
+    """The indicator of the unit ball, radial with a kink at 1."""
+    return radial_field(lambda r: (np.abs(r) <= 1.0).astype(float), n,
+                        decay="compact_support", support_radius=1.0,
+                        kink_radii=(1.0,))
+
+
+SIGMAS = (0.25, 0.5, 0.75)
+HEIGHTS = (1e-3, 1e-2, 0.1, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("s", SIGMAS)
+def test_extend_of_the_interval_indicator_matches_mpmath(s):
+    # U(y, t) = gamma int_{(-1-y)/t}^{(1-y)/t} (1 + v^2)^{-(1+2s)/2} dv
+    pr = Params(1, s)
+    gamma = constants.constant_set(pr).gamma_poisson
+    ys = np.array([0.0, 0.5, 0.9, 0.99, 1.01, 1.5, 3.0])
+    rows = np.array([(y, t) for y in ys for t in HEIGHTS])
+    got = extension.extend(_indicator(1), rows[:, :1], rows[:, 1], pr)
+    for (y, t), value in zip(rows, got):
+        lo, hi = (-1.0 - y) / t, (1.0 - y) / t
+        # breaks at 0 and at every decade, where the integrand bends
+        cuts = [v for v in np.concatenate([[0.0], np.logspace(-2, 4, 7),
+                                           -np.logspace(-2, 4, 7)])
+                if lo < v < hi]
+        ref = gamma * mp.quad(lambda v: (1 + v * v) ** (-mp.mpf(1 + 2 * s) / 2),
+                              sorted([lo, hi] + cuts))
+        assert abs(value - ref) <= 1e-6 * ref, (y, t)
+
+
+@pytest.mark.parametrize("s", SIGMAS)
+def test_extend_of_the_disk_indicator_matches_its_angular_form(s):
+    # about y, the disk is rho_lo < rho < rho_hi along each angle theta, and
+    # U = gamma / (2s) int [(t^2/(rho_lo^2+t^2))^s - (t^2/(rho_hi^2+t^2))^s]
+    pr = Params(2, s)
+    gamma = constants.constant_set(pr).gamma_poisson
+    rows = np.array([(y, t) for y in (0.5, 0.9, 1.5) for t in HEIGHTS])
+    got = extension.extend(_indicator(2), rows[:, :1] * np.eye(2)[0],
+                           rows[:, 1], pr)
+    for (y, t), value in zip(rows, got):
+        def ray(theta):
+            # |y e1 + rho (cos, sin)| = 1: rho = -y cos +- sqrt(root)
+            b = y * mp.cos(theta)
+            root = b * b - y * y + 1
+            if root <= 0:
+                return mp.mpf(0)
+            lo, hi = max(-b - mp.sqrt(root), 0), -b + mp.sqrt(root)
+            if hi <= 0:
+                return mp.mpf(0)
+            return ((t * t / (lo * lo + t * t)) ** s
+                    - (t * t / (hi * hi + t * t)) ** s)
+        cuts = [0, mp.pi, 2 * mp.pi]
+        if y > 1:
+            # the tangent angles, where rho_lo and rho_hi meet
+            tangent = mp.asin(1 / mp.mpf(y))
+            cuts = sorted(cuts + [mp.pi - tangent, mp.pi + tangent])
+        ref = gamma / (2 * s) * mp.quad(ray, cuts)
+        assert abs(value - ref) <= 1e-6 * ref, (y, t)

@@ -61,6 +61,16 @@ def test_kelvin_difference_domain_guard():
         movingsphere.kelvin_difference(state, inside)
 
 
+@pytest.mark.parametrize("coefficient", [movingsphere.b_coefficient,
+                                         movingsphere.q_coefficient])
+def test_boundary_coefficients_domain_guard(coefficient):
+    state = _bubble_state(Params(3, 0.5), lam=1.5)
+    for y in (np.zeros(3), np.array([0.2, -0.5, 1.0]), [[1.4, 0.0, 0.0]]):
+        with pytest.raises(ValueError, match="outside B_lam"):
+            coefficient(state, y)
+    assert np.isfinite(coefficient(state, np.array([0.0, 1.5, 0.0])))
+
+
 def test_correction_with_zero_strength_reduces_to_phi():
     pr = Params(3, 0.5)
     state = _bubble_state(pr, phi=lambda Y: 0.25)
