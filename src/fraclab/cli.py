@@ -3,9 +3,10 @@
 ``green-verify`` and ``msphere`` are ``verify`` with the suite preset.
 Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
-report files.  A configuration no suite can run (n <= 2 sigma) exits
-with status 2 and the reason on stderr; a ``construct`` whose plan is
-infeasible exits with status 1 and the reason.
+report files.  A configuration no suite can run (an unknown or unreadable
+config key, sigma outside (0, 1), n <= 2 sigma) exits with status 2 and
+the reason on stderr; a ``construct`` whose plan is infeasible exits with
+status 1 and the reason.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ identity, Riesz inversion) with the reference quadrature in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -142,23 +142,13 @@ class ConstantSet:
     sphere_area: float
 
     def as_dict(self) -> dict:
-        sub = self.params.n > 2 * self.params.sigma
-        return {
-            "n": self.params.n,
-            "sigma": self.params.sigma,
-            "p": self.params.p if sub else math.nan,
-            "half_exp": self.params.half_exp if sub else math.nan,
-            "kelvin_exp": self.params.kelvin_exp if sub else math.nan,
-            "c_frac": self.c_frac,
-            "c_tilde": self.c_tilde,
-            "gamma_poisson": self.gamma_poisson,
-            "n_green": self.n_green,
-            "d_sigma": self.d_sigma,
-            "bubble_eigenvalue": self.bubble_eigenvalue,
-            "bubble_constant": self.bubble_constant,
-            "riesz_constant": self.riesz_constant,
-            "sphere_area": self.sphere_area,
-        }
+        pr = self.params
+        sub = pr.n > 2 * pr.sigma
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "params"}
+        out.update({name: getattr(pr, name) if sub else math.nan
+                    for name in ("p", "half_exp", "kelvin_exp")})
+        return dict(out, n=pr.n, sigma=pr.sigma)
 
 
 def _maybe(fn: Callable[[Params], float], params: Params) -> float:
@@ -169,21 +159,16 @@ def _maybe(fn: Callable[[Params], float], params: Params) -> float:
         return math.nan
 
 
+#: The constants of a :class:`ConstantSet`, each filling the field of its name.
+_TABLE = (c_frac, c_tilde, gamma_poisson, n_green, d_sigma, bubble_eigenvalue,
+          bubble_constant, riesz_constant)
+
+
 @lru_cache(maxsize=None)
 def _constant_set(n: int, sigma: float) -> ConstantSet:
     params = Params(n, sigma)
-    return ConstantSet(
-        params=params,
-        c_frac=c_frac(params),
-        c_tilde=_maybe(c_tilde, params),
-        gamma_poisson=gamma_poisson(params),
-        n_green=_maybe(n_green, params),
-        d_sigma=d_sigma(params),
-        bubble_eigenvalue=_maybe(bubble_eigenvalue, params),
-        bubble_constant=_maybe(bubble_constant, params),
-        riesz_constant=_maybe(riesz_constant, params),
-        sphere_area=sphere_area(params.n),
-    )
+    return ConstantSet(params=params, sphere_area=sphere_area(n),
+                       **{fn.__name__: _maybe(fn, params) for fn in _TABLE})
 
 
 def constant_set(params: Params) -> ConstantSet:

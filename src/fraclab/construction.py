@@ -50,6 +50,10 @@ LOG_MAX = math.log(np.finfo(float).max)
 LOG_FLOOR = -740.0  # the plan refuses a scale below e^LOG_FLOOR
 TINY = np.finfo(float).tiny
 
+#: Fourfold escalations of the target M at the worst ring index before
+#: :func:`plan_sequences` gives up.
+SEARCH_BUDGET = 60
+
 
 # --- log-space core --------------------------------------------------------
 
@@ -402,8 +406,7 @@ def lambda_from_constraint(i: int, rho: float, eps_i: float,
 
 def plan_sequences(params: Params, k: ScalarField,
                    phi: Callable[[float], float], N: int,
-                   delta: float = 0.5, search_budget: int = 60,
-                   seed: int = 5) -> SequencePlan:
+                   delta: float = 0.5, seed: int = 5) -> SequencePlan:
     """Select every sequence of the construction for N materialized bubbles.
 
     Reduced mode (N < i0) materializes N consecutive ring vertices of the
@@ -468,7 +471,7 @@ def plan_sequences(params: Params, k: ScalarField,
     # worst ring index i = ring first: escalate M until every ring check passes
     m_target = m_formula(ring, eps_ring)
     failure = "k escalation budget exhausted"
-    for _ in range(search_budget):
+    for _ in range(SEARCH_BUDGET):
         try:
             seq = step(ring, m_target, delta1, r_ring, eps_ring)
         except _Escalate as exc:

@@ -23,11 +23,10 @@ charges half the quartic term to the error bar.
 
 :func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
 or a batch (m, n) through that core.  For a radial field it evaluates
-each distinct distance once, with distances merged to 43 significant
-bits (a relative move of at most 2^-44), and it hands the sphere-mean
-nodes of ``BLOCK`` distances to the field's profile in one call.  Outside
-twice the support of a radial compact field the potential is a
-convergent series in (a/d)^2 whose coefficients are moments of the
+each point at its own distance from the origin, and it hands the
+sphere-mean nodes of ``BLOCK`` distances to the field's profile in one
+call.  Outside twice the support of a radial compact field the potential
+is a convergent series in (a/d)^2 whose coefficients are moments of the
 profile (Landkof, *Foundations of Modern Potential Theory*, 1972, §I.1),
 summed exactly with a truncation bound.
 
@@ -78,9 +77,6 @@ BLOCK = 16
 #: Radial panels a decade, and points of the product rule for other fields.
 PANELS_PER_DECADE = 4
 PRODUCT_POINTS = 32
-
-#: Significant bits kept when distances are merged (about 13 digits).
-MERGE_BITS = 43
 
 #: Terms of the exterior series of :func:`riesz_potential`; beyond 2a each
 #: term is under a quarter of the one before, so the rest is below 4^-40.
@@ -168,8 +164,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
 
     ``x`` is one point (n,), giving floats, or a batch (m, n), giving
     arrays (m,); a single point is a batch of one.  A radial field is
-    reduced to its distinct distances, each rounded to ``MERGE_BITS``
-    significant bits (a move of at most 2^-44 ~ 5.7e-14 of itself).
+    evaluated at each point's distance from the origin.
 
     :func:`_radial_sum` takes GL8 and GL4 on the panels above
     s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2), where
@@ -186,15 +181,8 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
         raise ValueError("points must have shape (n,) or (m, n)")
     batch = pts.reshape(-1, field.n)
     dist = np.linalg.norm(batch, axis=1)
-    if field.is_radial:
-        mant, expo = np.frexp(dist)
-        dist = np.ldexp(np.round(np.ldexp(mant, MERGE_BITS)), expo - MERGE_BITS)
-        dist, inverse = (np.unique(dist, return_inverse=True) if dist.size > 1
-                         else (dist, np.zeros(1, dtype=int)))
-        centres, at_centre = dist, field.radial_profile(dist)
-    else:
-        inverse = np.arange(dist.size)
-        centres, at_centre = batch, field(batch)
+    centres, at_centre = ((dist, field.radial_profile(dist)) if field.is_radial
+                          else (batch, field(batch)))
     value = np.empty(dist.size)
     error = np.empty(dist.size)
     near = np.arange(dist.size)
@@ -238,8 +226,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
         err += 2.0 * np.maximum(np.abs(c), np.abs(s_tail)) * far / abs(e + 1.0)
     value[near], error[near] = fine, err
 
-    value = front * value[inverse]
-    error = front * error[inverse]
+    value, error = front * value, front * error
     if pts.ndim == 1:
         return OpResult(float(value[0]), float(error[0]))
     return OpResult(value, error)

@@ -10,10 +10,10 @@ radius lam.  The potential of a continuous density q on an annulus E - B_lam,
     Phi(Y) = int G(Y, eta) q(eta) d eta,
 
 vanishes on |Y| = lam and recovers q as its conormal derivative.  All heights
-of its ladder share one annulus grid.  At n = 3 the grid's polar axis lies
-along y, so the kernel does not depend on the azimuth: q and the weights are
-summed over the azimuth once, and each height costs one node per (r, cos).
-The G3 scan is one array per radius.
+of its ladder share one annulus grid, built the same way at n = 2 and 3: its
+polar axis lies along y, so the kernel does not depend on the azimuth, and q
+and the weights are summed over the azimuth once; each height costs one node
+per (r, theta).  The G3 scan is one array per radius.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class AnnulusDensity:
                           dtype=float)
 
 
-#: Azimuth nodes of the n = 3 annulus grid, all of one weight.
+#: Azimuth nodes of the annulus grid at n = 3 (n = 2 has the two of S^0).
 AZIMUTHS = 24
 
 
@@ -104,53 +104,38 @@ def _annulus_grid(ctx: GreenContext, outer: float, y: Array,
                   focus: bool) -> Tuple[Array, Array]:
     """Product quadrature nodes and weights over the boundary annulus.
 
-    At n = 3 the polar axis points along y (when y != 0) and the azimuth
-    runs fastest, in blocks of ``AZIMUTHS`` nodes.  With ``focus`` the
-    radial panels are graded toward |y| and the angular panels toward the
-    direction of y, since the subtracted integrand still peaks there.
+    The polar angle is measured from y/|y| (e_1 when y = 0), on panels
+    graded toward 0, and crossed with the azimuths of
+    ``geometry.sphere_rule(n - 1, AZIMUTHS)``, which run fastest; one
+    Householder reflection turns the polar axis onto y/|y|.  With ``focus``
+    the radial panels are graded toward |y| too, since the subtracted
+    integrand still peaks there.
     """
     n = ctx.params.n
     lam = ctx.lam
+    d = float(np.linalg.norm(y))
     rbreaks = np.linspace(lam, outer, 13)
     if focus:
-        extra = float(np.linalg.norm(y)) + (outer - lam) * np.array(
-            [-0.05, -0.01, 0.0, 0.01, 0.05])
+        extra = d + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
         rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
     r, wr = geometry.gauss_panels(rbreaks, 8)
     wr = wr * r ** (n - 1)
 
-    if n == 2:
-        th0 = math.atan2(y[1], y[0]) if focus else 0.0
-        offs = np.concatenate([
-            np.array([0.0]),
-            0.02 * 1.8 ** np.arange(12),
-        ])
-        offs = offs[offs < math.pi]
-        tbreaks = np.unique(np.concatenate([-offs[::-1], offs, [math.pi, -math.pi]]))
-        th, wang = geometry.gauss_panels(tbreaks, 4)
-        th = th0 + th
-        dirs = np.column_stack([np.cos(th), np.sin(th)])
-    elif n == 3:
-        # frame with first axis along y
-        d = np.linalg.norm(y)
-        e1 = y / d if d > 0 else np.array([1.0, 0.0, 0.0])
-        helper = np.array([0.0, 0.0, 1.0]) if abs(e1[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        e2 = np.cross(e1, helper)
-        e2 /= np.linalg.norm(e2)
-        e3 = np.cross(e1, e2)
-        # polar cosine panels graded toward +1 (the direction of y)
-        cb = 1.0 - np.concatenate([[0.0], 0.004 * 2.0 ** np.arange(10)])
-        cbreaks = np.unique(np.clip(np.concatenate([cb, [-1.0]]), -1.0, 1.0))
-        ct, wct = geometry.gauss_panels(cbreaks, 4)
-        phi = 2.0 * math.pi * (np.arange(AZIMUTHS) + 0.5) / AZIMUTHS
-        st = np.sqrt(np.maximum(1.0 - ct ** 2, 0.0))
-        dirs = (ct[:, None, None] * e1[None, None, :]
-                + st[:, None, None] * (np.cos(phi)[None, :, None] * e2[None, None, :]
-                                       + np.sin(phi)[None, :, None] * e3[None, None, :]))
-        wang = np.repeat(wct * (2.0 * math.pi / AZIMUTHS), AZIMUTHS)
-        dirs = dirs.reshape(-1, 3)
-    else:
-        raise ValueError("phi_potential supports n in {2, 3}")
+    offs = np.concatenate([[0.0], 0.02 * 1.8 ** np.arange(12)])
+    th, wth = geometry.gauss_panels(np.append(offs[offs < math.pi], math.pi), 4)
+    az, waz = geometry.sphere_rule(n - 1, AZIMUTHS)
+    u = y / d if d > 0.0 else np.eye(n)[0]
+    # I - 2 v v^T / |v|^2 with v = e_1 + sgn u (|v|^2 >= 2, no cancellation)
+    # takes -sgn e_1 to u, so the polar axis is laid along -sgn e_1
+    sgn = 1.0 if u[0] >= 0.0 else -1.0
+    v = sgn * u
+    v[0] += 1.0
+    dirs = np.concatenate([
+        np.broadcast_to(-sgn * np.cos(th)[:, None, None], (th.size, waz.size, 1)),
+        np.sin(th)[:, None, None] * az[None, :, :]], axis=-1).reshape(-1, n)
+    dirs -= np.outer(dirs @ v, (2.0 / float(v @ v)) * v)
+    wang = np.outer(wth * np.sin(th) ** (n - 2) * constants.sphere_area(n - 1),
+                    waz).ravel()
     pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
     return pts, np.outer(wr, wang).ravel()
 
@@ -181,13 +166,16 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
     lam, outer = ctx.lam, q.outer_radius
     if outer <= lam:
         raise ValueError(f"empty annulus: outer_radius {outer} <= lam {lam}")
+    n = ctx.params.n
+    if n not in (2, 3):
+        raise ValueError("phi_potential supports n in {2, 3}")
     d = float(np.linalg.norm(y))
     cset = constants.constant_set(ctx.params)
     qy = float(q(y[None, :])[0]) if lam < d < outer else 0.0
     pts, wts = _annulus_grid(ctx, outer, y, qy != 0.0)
     # the kernel is the same on each block of equal-weight azimuths, so each
     # block becomes one node: its weight sum, and the means of q and q - q(y)
-    fold = AZIMUTHS if ctx.params.n == 3 else 1
+    fold = geometry.sphere_rule(n - 1, AZIMUTHS)[1].size
     qv = q(pts).reshape(-1, fold)
     q_rest = (qv - qy).mean(axis=1)
     qv = qv.mean(axis=1)

@@ -23,6 +23,9 @@ from .params import Params
 
 Array = np.ndarray
 
+#: Width to which :func:`lambda_star_sweep` bisects its bracket.
+REFINE_TO = 1e-3
+
 
 @dataclass
 class ComparisonState:
@@ -32,9 +35,7 @@ class ComparisonState:
     giving an (m,) array; ``trace`` is its boundary trace w; ``k_field``
     the curvature factor K; ``L`` the peak scale; ``c4`` the correction
     amplitude; ``phi`` an optional Green potential entering the
-    correction, with the same rows contract as ``extension``;
-    ``exponent`` the power used in the algebraic part of the correction
-    (default 2s - n).
+    correction, with the same rows contract as ``extension``.
     """
 
     params: Params
@@ -45,7 +46,6 @@ class ComparisonState:
     L: float = 1.0
     c4: float = 0.0
     phi: Optional[Callable[[Array], Array]] = None
-    exponent: Optional[float] = None
 
     def __post_init__(self):
         if not 0.5 <= self.kelvin_radius <= 2.0:
@@ -54,22 +54,18 @@ class ComparisonState:
             raise ValueError("L must be positive")
         if self.c4 < 0.0:
             raise ValueError("c4 must be nonnegative")
-        if self.exponent is None:
-            self.exponent = 2.0 * self.params.sigma - self.params.n
 
 
 def kelvin_difference(state: ComparisonState, Y: Array):
     """W(Y) - (lam/|Y|)^{n-2s} W(lam^2 Y/|Y|^2) at Y (n+1,) or rows (m, n+1) outside B_lam."""
     Y = np.asarray(Y, dtype=float)
     rows = Y.reshape(-1, Y.shape[-1])
-    lam, ke = state.kelvin_radius, state.params.kelvin_exp
-    r = np.linalg.norm(rows, axis=-1)
-    if np.any(r < lam * (1.0 - 1e-12)):
+    lam = state.kelvin_radius
+    if np.any(np.linalg.norm(rows, axis=-1) < lam * (1.0 - 1e-12)):
         raise ValueError("Y must lie outside B_lam")
-    images = KelvinMap(state.params, lam=lam).point(rows)
-    # weights by the scalar power: numpy's vector power can differ in the last bit
-    weights = np.array([(lam / rZ) ** ke for rZ in r.tolist()])
-    vals = state.extension(rows) - weights * state.extension(images)
+    kelvin = KelvinMap(state.params, lam=lam)
+    vals = state.extension(rows) - kelvin.weight(rows) * state.extension(
+        kelvin.point(rows))
     return float(vals[0]) if Y.ndim == 1 else vals
 
 
@@ -109,13 +105,12 @@ def q_coefficient(state: ComparisonState, y: Array) -> float:
 
 
 def a_correction(state: ComparisonState, Y: Array):
-    """-c4 L^{-1} (lam^e - |Y|^e) + Phi(Y), the correction at Y (n+1,) or rows (m, n+1)."""
+    """-c4 L^{-1} (lam^e - |Y|^e) + Phi(Y) with e = 2s - n, the correction at
+    Y (n+1,) or rows (m, n+1)."""
     Y = np.asarray(Y, dtype=float)
     rows = Y.reshape(-1, Y.shape[-1])
-    # |Y| by a dot product and |Y|^e by the scalar power, as for one point
-    r = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
-    lam, e = state.kelvin_radius, state.exponent
-    val = -state.c4 / state.L * (lam ** e - np.array([x ** e for x in r.tolist()]))
+    lam, e = state.kelvin_radius, -state.params.kelvin_exp
+    val = -state.c4 / state.L * (lam ** e - np.linalg.norm(rows, axis=-1) ** e)
     if state.phi is not None:
         val += state.phi(rows)
     return float(val[0]) if Y.ndim == 1 else val
@@ -135,12 +130,11 @@ def comparison_min(state: ComparisonState, samples: Array,
 
 def lambda_star_sweep(state_factory: Callable[[float], ComparisonState],
                       lambda_grid: Sequence[float], samples: Array,
-                      excluded: Optional[Array] = None,
-                      refine_to: float = 1e-3) -> dict:
+                      excluded: Optional[Array] = None) -> dict:
     """Bracket the largest lam with nonnegative corrected difference.
 
     Scans the ascending grid for the first sign change of the sample
-    minimum, then bisects the bracketing interval down to ``refine_to``.
+    minimum, then bisects the bracketing interval down to ``REFINE_TO``.
     Returns ``lambda_star = None`` when the minimum never goes negative.
     """
     grid = list(lambda_grid)
@@ -159,7 +153,7 @@ def lambda_star_sweep(state_factory: Callable[[float], ComparisonState],
                 "grid": grid, "minima": mins}
 
     lo, hi = grid[first_neg - 1], grid[first_neg]
-    while hi - lo > refine_to:
+    while hi - lo > REFINE_TO:
         mid = 0.5 * (lo + hi)
         if min_at(mid) < 0.0:
             hi = mid

@@ -55,8 +55,12 @@ class RunConfig:
                 key, _, val = line.partition("=")
                 key, val = key.strip(), val.strip()
                 if key not in types:
-                    raise ValueError(f"unknown config key: {key}")
-                kwargs[key] = casts[str(types[key])](val)
+                    raise ConfigError(f"unknown config key: {key}")
+                try:
+                    kwargs[key] = casts[str(types[key])](val)
+                except ValueError:
+                    raise ConfigError(f"config key {key}: cannot read "
+                                      f"{val!r} as {types[key]}") from None
         return cls(**kwargs)
 
 
@@ -122,7 +126,7 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
     # Riesz inversion on smooth compact bumps
     worst = 0.0
     for n in (2, 3):
-        pr = Params(n, cfg.sigma if 0 < cfg.sigma < 1 else 0.5)
+        pr = Params(n, cfg.sigma)
         prof = lambda r: np.where(r < 1.0, np.exp(
             -np.clip(r, 0, 0.999999) ** 2 / np.clip(1 - r ** 2, 1e-12, None)), 0.0)
         bump = radial_field(prof, n, decay="compact_support", support_radius=1.0)
@@ -380,9 +384,10 @@ def run_suite(cfg: RunConfig) -> Dict:
     for name in names:
         if name not in SUITE_FUNCS:
             raise ConfigError(f"unknown suite: {name}")
-    if cfg.n <= 2 * cfg.sigma:
-        raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: the suites need "
-                          "n > 2*sigma, where the critical exponent exists")
+    try:    # n >= 1, sigma in (0, 1), and n > 2 sigma for the exponents
+        Params(cfg.n, cfg.sigma).kelvin_exp
+    except ValueError as exc:
+        raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: {exc}") from None
     checks = []
     for name in names:
         for c in SUITE_FUNCS[name](cfg):

@@ -109,10 +109,14 @@ def _hat_scatter(r: Array, w: Array, lo: float, hi: float, h: float,
 #: Geometric panels a decade per row.
 PER_DECADE = 6
 
+#: Picard steps of :func:`monotone_iterate`, and the sup-norm step below
+#: which it has converged.
+MAX_ITERS = 200
+STEP_TOL = 1e-10
+
 
 def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
-                  dimension: int = 1,
-                  rhs_map: Optional[Callable] = None) -> FractionalDirichletProblem:
+                  dimension: int = 1) -> FractionalDirichletProblem:
     """Assemble the dense collocation matrix on an interval or radial annulus.
 
     ``domain`` is (lo, hi): an interval for dimension 1 (use lo = -hi for a
@@ -162,7 +166,7 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
     a.flags.writeable = False
     return FractionalDirichletProblem(params=params, domain=(lo, hi),
                                       dimension=dimension, grid=grid, h=h,
-                                      operator_matrix=a, rhs_map=rhs_map)
+                                      operator_matrix=a)
 
 
 def getoor_profile(x: Array, params: Params) -> Array:
@@ -178,8 +182,8 @@ def getoor_profile(x: Array, params: Params) -> Array:
     return scale * np.clip(1.0 - np.asarray(x, dtype=float) ** 2, 0.0, None) ** s
 
 
-def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
-                     max_iters: int = 200, tol: float = 1e-10) -> IterationTrace:
+def monotone_iterate(prob: FractionalDirichletProblem,
+                     supersolution: Array) -> IterationTrace:
     """Picard iteration y_{k+1} = A^{-1} rhs(x, y_k) from y_0 = 0.
 
     Requires rhs_map >= 0 and non-decreasing in v on [0, supersolution],
@@ -197,7 +201,7 @@ def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
     trace = IterationTrace()
     y = np.zeros(len(prob.grid))
     trace.iterates.append(y.copy())
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         rhs = np.broadcast_to(np.asarray(prob.rhs_map(prob.grid, y),
                                          dtype=float), y.shape)
         y_next = prob.inverse @ rhs
@@ -214,7 +218,7 @@ def monotone_iterate(prob: FractionalDirichletProblem, supersolution: Array,
         trace.iterates.append(y_next.copy())
         trace.residuals.append(resid)
         y = y_next
-        if diff < tol:
+        if diff < STEP_TOL:
             trace.converged = True
             break
     return trace

@@ -148,6 +148,27 @@ def test_subcritical_config_is_a_usage_error(capsys):
     assert "n=1 and sigma=0.5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--suite", "fraclap", "--n", "5", "--sigma", "1.5"],
+     "sigma must lie in (0, 1), got 1.5"),
+    (["--suite", "all", "--n", "5", "--sigma", "0"],
+     "sigma must lie in (0, 1), got 0.0"),
+    (["--config", "bogus = 1\n"], "unknown config key: bogus"),
+    (["--config", "n = three\n"], "config key n: cannot read 'three' as int"),
+], ids=["sigma-1.5", "sigma-0", "unknown-key", "unparsable-value"])
+def test_bad_run_config_is_a_usage_error(tmp_path, capsys, argv, reason):
+    # no silent fallback and no traceback: exit 2 with the reason
+    if argv[0] == "--config":
+        path = tmp_path / "run.cfg"
+        path.write_text(argv[1])
+        argv = ["--config", str(path), "--suite", "constants"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(reason)
+
+
 def test_sweep_without_sign_change_fails_its_check(monkeypatch):
     monkeypatch.setattr(movingsphere, "lambda_star_sweep",
                         lambda *args, **kwargs: {"lambda_star": None,

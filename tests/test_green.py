@@ -155,20 +155,23 @@ def test_phi_heights_match_one_height_at_a_time(n, s, d):
     ts = [1e-3, 0.01, 0.3, 1.0, 2.5]
     want = [_phi_reference(ctx, q, y, t) for t in ts]
     got = green._phi_heights(ctx, q, y, ts)
-    # at n = 3 the ladder sums the same grid in another order (azimuth first)
-    assert got == (pytest.approx(want, rel=1e-13) if n == 3 else want)
+    # the ladder sums the same grid in another order (azimuths first)
+    assert got == pytest.approx(want, rel=1e-13)
     assert [green.phi_potential(ctx, q, np.append(y, t)) for t in ts] == got
 
 
-@pytest.mark.parametrize("d", [0.5, 1.6])   # B_lam (no focus), annulus
-def test_phi_potential_is_rotation_invariant(d):
+@pytest.mark.parametrize("n,d", [
+    pytest.param(3, 0.5, id="0.5"), pytest.param(3, 1.6, id="1.6"),
+    pytest.param(2, 0.5, id="n2-0.5"), pytest.param(2, 1.6, id="n2-1.6"),
+    pytest.param(2, 4.5, id="n2-4.5")])    # B_lam (no focus), annulus, beyond
+def test_phi_potential_is_rotation_invariant(n, d):
     # a radial density makes Phi radial in y, whatever frame the grid takes
-    ctx = green.GreenContext(1.0, Params(3, 0.5))
+    ctx = green.GreenContext(1.0, Params(n, 0.5))
     q = _density()
-    y = d * np.array([0.6, -0.48, 0.64])
-    rot, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))
+    y = d * (np.array([0.6, -0.48, 0.64]) if n == 3 else np.array([0.6, -0.8]))
+    rot, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(n, n)))
     base = green.phi_potential(ctx, q, np.append(y, 0.2))
-    for z in (rot @ y, d * np.eye(3)[2], d * np.eye(3)[0]):
+    for z in (rot @ y, -y, d * np.eye(n)[n - 1], d * np.eye(n)[0]):
         assert green.phi_potential(ctx, q, np.append(z, 0.2)) == \
             pytest.approx(base, rel=1e-13)
 

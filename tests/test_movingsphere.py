@@ -192,18 +192,22 @@ def test_one_callback_call_per_batch(m):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_one_point_values_keep_the_scalar_formulas(n):
-    # numpy's vector power can differ from the scalar one in the last bit;
-    # at sigma = 1/4 neither exponent is an integer
+    # one point is a batch of one, and the scalar formulas hold to rounding:
+    # numpy's vector norm and power can differ from the scalar ones in the
+    # last bit; at sigma = 1/4 neither exponent is an integer
     pr = Params(n, 0.25)
     state = _bubble_state(pr, lam=0.9, c4=0.3, L=0.7)
     kelvin = bubbles.KelvinMap(pr, lam=0.9)
-    e = state.exponent
+    e = 2.0 * pr.sigma - n
     rng = np.random.default_rng(5)
     for _ in range(300):
         Y = rng.normal(size=n + 1)
         Y *= (1.0 + 3.0 * rng.random()) / np.linalg.norm(Y)
         Y[-1] = abs(Y[-1])
-        assert movingsphere.kelvin_difference(state, Y) == state.extension(Y) \
-            - float(kelvin.weight(Y)) * state.extension(kelvin.point(Y))
-        assert movingsphere.a_correction(state, Y) == \
-            -0.3 / 0.7 * (0.9 ** e - float(np.linalg.norm(Y)) ** e)
+        for f, want in (
+                (movingsphere.kelvin_difference, state.extension(Y)
+                 - float(kelvin.weight(Y)) * state.extension(kelvin.point(Y))),
+                (movingsphere.a_correction,
+                 -0.3 / 0.7 * (0.9 ** e - float(np.linalg.norm(Y)) ** e))):
+            assert f(state, Y) == f(state, Y[None, :])[0]
+            assert f(state, Y) == pytest.approx(want, rel=1e-14, abs=1e-15)
