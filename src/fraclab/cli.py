@@ -3,10 +3,11 @@
 ``green-verify`` and ``msphere`` are ``verify`` with the suite preset.
 Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
-report files.  A configuration no suite can run (an unknown or unreadable
-config key, sigma outside (0, 1), n <= 2 sigma) exits with status 2 and
-the reason on stderr; a ``construct`` whose plan is infeasible exits with
-status 1 and the reason.
+report files.  A configuration no command can run (an unknown or
+unreadable config key, n < 1 or sigma outside (0, 1) for any command,
+n <= 2 sigma for ``verify``) exits with status 2 and the reason on
+stderr; a ``construct`` whose plan is infeasible exits with status 1 and
+the reason.
 """
 
 from __future__ import annotations
@@ -50,6 +51,15 @@ def _config_from_args(args: argparse.Namespace) -> reports.RunConfig:
     return cfg
 
 
+def _params(n: int, sigma: float) -> Params:
+    """Params(n, sigma) for a command, or the ConfigError that makes it exit
+    with status 2 and the reason (``verify`` checks in ``run_suite``)."""
+    try:
+        return Params(n, sigma)
+    except ValueError as exc:
+        raise reports.ConfigError(f"n={n} and sigma={sigma}: {exc}") from None
+
+
 def _save(out_dir: str, name: str, text: str) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -72,7 +82,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(cfg.n, cfg.sigma)
+    pr = _params(cfg.n, cfg.sigma)
     cset = constants.constant_set(pr)
     payload = {"n": pr.n, "sigma": pr.sigma, "constants": cset.as_dict()}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -84,7 +94,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_fraclap(args: argparse.Namespace) -> int:
     """Fractional Laplacian of the model bubble on a radial sample grid."""
     cfg = _config_from_args(args)
-    pr = Params(max(cfg.n, 2), cfg.sigma)
+    pr = _params(max(cfg.n, 2), cfg.sigma)
     w = bubbles.model_bubble(pr)
     r = np.linspace(0.0, 3.0, 13)
     res = fracops.frac_lap_radial(w, r, pr)
@@ -98,7 +108,7 @@ def cmd_fraclap(args: argparse.Namespace) -> int:
 
 def cmd_bubble(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(max(cfg.n, 2), cfg.sigma)
+    pr = _params(max(cfg.n, 2), cfg.sigma)
     res = bubbles.bubble_identity_residuals(pr)
     rows = [(r, float(v)) for r, v in zip((0.0, 0.5, 1.0, 2.0, 5.0), res)]
     _write_csv(cfg.out, "bubble_identity.csv", ["radius", "relative_residual"],
@@ -110,7 +120,7 @@ def cmd_bubble(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(max(cfg.n, 2), cfg.sigma)
+    pr = _params(max(cfg.n, 2), cfg.sigma)
     w = bubbles.model_bubble(pr)
     d, t = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], [0.25, 1.0, 4.0],
                                            indexing="ij"))
@@ -123,7 +133,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(5 if args.n is None else args.n, 0.5 if args.sigma is None else args.sigma)
+    pr = _params(5 if args.n is None else args.n,
+                 0.5 if args.sigma is None else args.sigma)
     kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=pr.n,
                      decay="integrable_against_kernel")
     try:
@@ -168,7 +179,7 @@ def _construction_rhs():
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = Params(1, 0.5)
+    pr = _params(1, 0.5)
     prob = solver.build_problem((-1.0, 1.0), pr, nodes=128)
     if args.demo == "getoor":
         prob.rhs_map = lambda x, v: np.ones_like(x)

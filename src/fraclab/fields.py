@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +41,11 @@ class ScalarField:
     error_bound : float
         A bound on how far the field is from the function it stands for,
         such as an interpolation error; 0 for a field given exactly.
+
+    ``memo`` holds what the operators derive from the field once and reuse
+    across calls (such as the moments of the exterior series of
+    :func:`fraclab.fracops.riesz_potential`); it is not part of the field's
+    value.
     """
 
     func: Callable[[Array], Array]
@@ -51,6 +56,8 @@ class ScalarField:
     radial_profile: Optional[Callable[[Array], Array]] = None
     kink_radii: tuple = ()
     error_bound: float = 0.0
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def __post_init__(self):
         if self.decay not in DECAY_HINTS:

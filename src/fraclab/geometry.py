@@ -6,7 +6,9 @@ geometric panels plus breaks at edge * ``GRADING`` about each edge of
 :func:`kink_edges`.  :mod:`fraclab.fracops`, :mod:`fraclab.extension` and
 :mod:`fraclab.solver` take a block of rows at once (the extension in r,
 its kink edges divided by t); the other modules take one row from
-:func:`panel_breaks` and sum it by :func:`panel_quad`.
+:func:`panel_breaks` and sum it by :func:`panel_quad`.  The potential of
+a radial field takes Gauss rules for singular weights on (0, 1) from
+:func:`power_rule` and :func:`log_rule`.
 """
 
 from __future__ import annotations
@@ -207,6 +209,64 @@ def panel_breaks(s_min: float, s_max: float, per_decade: int,
     row = panel_rows(s_min, [s_min], [s_max], per_decade,
                      np.asarray(edges, dtype=float).reshape(1, -1))[0]
     return row[np.isfinite(row)]
+
+
+def _gauss_from_moments(moments: Array) -> Tuple[Array, Array]:
+    """Gauss nodes and weights on (0, 1) for the weight whose moments
+    against the shifted Legendre polynomials P_k(2t - 1), k < 2N, are
+    ``moments``: Gautschi's modified Chebyshev algorithm for the
+    recurrence, well conditioned where the power moments are not, then
+    the Golub-Welsch eigenproblem (Gautschi, *Orthogonal Polynomials*,
+    2004, §2.1.7 and §3.1.1.1)."""
+    size = len(moments)
+    k = np.arange(size)
+    # the monic shifted Legendre recurrence: pi_{k+1} = (t - 1/2) pi_k - b_k pi_{k-1}
+    b = k * k / (4.0 * (4.0 * k * k - 1.0))
+    lead = np.cumprod(np.concatenate([[1.0], 2.0 * (2.0 * k[1:] - 1.0) / k[1:]]))
+    sig, prev = np.asarray(moments) / lead, np.zeros(size)
+    alpha, beta = np.empty((2, size // 2))
+    alpha[0], beta[0] = 0.5 + sig[1] / sig[0], sig[0]
+    for j in range(1, size // 2):
+        mid = slice(j, size - j)
+        new = np.zeros(size)
+        new[mid] = (sig[j + 1:size - j + 1] - (alpha[j - 1] - 0.5) * sig[mid]
+                    - beta[j - 1] * prev[mid] + b[mid] * sig[j - 1:size - j - 1])
+        alpha[j] = 0.5 + new[j + 1] / new[j] - sig[j] / sig[j - 1]
+        beta[j] = new[j] / sig[j - 1]
+        prev, sig = sig, new
+    off = np.sqrt(beta[1:])
+    x, vec = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    w = beta[0] * vec[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def power_rule(beta: float, order: int) -> Tuple[Array, Array]:
+    """Gauss-Jacobi nodes and weights on (0, 1) for the weight t^beta,
+    beta > -1, whose shifted Legendre moments are
+    beta (beta - 1) ... (beta - k + 1) / ((beta + 1) ... (beta + k + 1))."""
+    size = 2 * order
+    return _gauss_from_moments(
+        np.cumprod(np.concatenate([[1.0], beta - np.arange(size - 1)]))
+        / np.cumprod(beta + np.arange(1, size + 1)))
+
+
+@lru_cache(maxsize=None)
+def log_rule(eps: float, order: int) -> Tuple[Array, Array]:
+    """Gauss nodes and weights on (0, 1) for the weight (1 - t^eps) / eps,
+    -1 < eps < 1, which is -ln t at eps = 0.
+
+    Its shifted Legendre moments are 1 / (1 + eps) and, for k >= 1,
+    -(eps - 1) ... (eps - k + 1) / ((eps + 1) ... (eps + k + 1)): the
+    moments of t^eps less those of 1, over eps, with no cancellation
+    near eps = 0.
+    """
+    size = 2 * order
+    tail = (-np.cumprod(np.concatenate([[1.0], eps - np.arange(1, size - 1)]))
+            / np.cumprod(eps + np.arange(1, size + 1))[1:])
+    return _gauss_from_moments(np.concatenate([[1.0 / (1.0 + eps)], tail]))
 
 
 @lru_cache(maxsize=None)

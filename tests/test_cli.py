@@ -210,3 +210,15 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["constants", "fraclap", "bubble",
+                                     "extend", "construct"])
+def test_bad_sigma_is_a_usage_error_for_every_command(capsys, command):
+    # each command builds its Params through the same check as verify
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--sigma", "1.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(
+        "sigma must lie in (0, 1), got 1.5")

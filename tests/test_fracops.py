@@ -577,3 +577,113 @@ def test_riesz_field_needs_a_radial_compact_field(name):
     field, pr = BATCH_FIELDS[name]
     with pytest.raises(ValueError):
         fracops.riesz_field(field, pr)
+
+
+# --- the potential of a radial field as one integral in rho -------------------
+
+KERNEL_SIGMAS = (0.1, 0.25, 0.49, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.75, 0.9)
+KERNEL_WS = np.concatenate([[2.0 ** -52, 2.0 ** -50, 1e-14, 1e-8, 1e-4,
+                             1.0 / 16.0, 0.2, 0.4 - 1e-12, 0.4, 0.4 + 1e-12,
+                             0.51, 0.52, 0.75, 1.0],
+                            np.linspace(0.0, 1.0, 41)[1:-1]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9])
+def test_sphere_mean_kernel_matches_mpmath(n):
+    # F = 2F1(q/2, 1 - s; n/2; z), q = n - 2s, from z = 0 to 1 - 2^-52, on
+    # both series and across every bucket edge; s = 1/2 is the log case
+    for s in KERNEL_SIGMAS:
+        if n <= 2 * s:
+            continue
+        got = fracops._kernel_factor(n, s, 1.0 - KERNEL_WS, KERNEL_WS)
+        # the connection series as the split panels take it, to w = 0.52
+        near = KERNEL_WS <= fracops.KERNEL_SPLIT_W
+        split = fracops._kernel_factor(n, s, 1.0 - KERNEL_WS[near],
+                                       KERNEL_WS[near], np.ones(near.sum(),
+                                                                dtype=bool))
+        with mp.workdps(40):
+            a, b, c = mp.mpf(n) / 2 - mp.mpf(s), 1 - mp.mpf(s), mp.mpf(n) / 2
+            want = [mp.hyp2f1(a, b, c, 1 - mp.mpf(w)) for w in KERNEL_WS]
+        for w, g, ref in zip(KERNEL_WS, got, want):
+            assert abs(g - ref) <= 1e-12 * abs(ref), (s, w)
+        for w, g, ref in zip(KERNEL_WS[near], split, np.array(want)[near]):
+            assert abs(g - ref) <= 1e-12 * abs(ref), (s, w)
+
+
+def test_sphere_mean_kernel_is_the_mean_of_the_riesz_kernel():
+    # in 3D the mean of |x - y|^{-q} over |y| = r is
+    # ((d + r)^{2-q} - |d - r|^{2-q}) / (2 d r (2 - q))
+    n, s = 3, 0.3
+    q = n - 2 * s
+    for d, r in ((1.0, 0.2), (1.0, 0.9), (1.0, 1.0 - 1e-9), (0.5, 3.0)):
+        lo, hi = min(d, r), max(d, r)
+        k = hi ** -q * fracops._kernel_factor(
+            n, s, np.array([(lo / hi) ** 2]),
+            np.array([(hi - lo) * (hi + lo) / hi ** 2]))[0]
+        want = ((d + r) ** (2 - q) - abs(d - r) ** (2 - q)) / (
+            2 * d * r * (2 - q))
+        assert k == pytest.approx(want, rel=1e-12)
+
+
+def _bubble_source(pr):
+    """Lambda w^p of the model bubble w, whose Riesz potential is w."""
+    lam, alpha = constants.bubble_eigenvalue(pr), pr.n + 2 * pr.sigma
+    return radial_field(
+        lambda r: lam * (1.0 + np.asarray(r) ** 2) ** (-0.5 * alpha), pr.n,
+        decay="power_decay", decay_rate=alpha)
+
+
+@pytest.mark.parametrize("n,s", [(n, s) for n in (1, 2, 3, 5)
+                                 for s in (0.25, 0.5, 0.75) if n > 2 * s])
+def test_riesz_potential_inverts_the_bubble_equation(n, s):
+    # (-Lap)^s w = Lambda w^p, so I_2s (Lambda w^p) = w exactly: the power
+    # decay path, its tail beyond OUTER_RADIUS and its bar
+    pr = Params(n, s)
+    d = np.array([0.0, 0.5, 1.0, 3.0, 10.0, 100.0])
+    res = fracops.riesz_potential(_bubble_source(pr), _on_axis(d, n), pr)
+    want = bubbles.model_bubble(pr).radial_profile(d)
+    err = np.abs(res.value - want)
+    assert np.all(err <= 1e-9 * want)
+    assert np.all(err <= res.error)
+    assert np.all(res.error <= 1e-6 * want)
+
+
+def test_riesz_potential_far_beyond_the_outer_radius():
+    # d > OUTER_RADIUS / 4: the panels run to 4 d and the tail starts there
+    pr = Params(3, 0.5)
+    d = np.array([300.0, 2e3, 1e4])
+    res = fracops.riesz_potential(_bubble_source(pr), _on_axis(d, 3), pr)
+    want = bubbles.model_bubble(pr).radial_profile(d)
+    assert np.all(np.abs(res.value - want) <= 1e-9 * want)
+    assert np.all(np.abs(res.value - want) <= res.error)
+
+
+def test_riesz_potential_caches_the_moments_once_per_field():
+    # the exterior series and the series in the field's moments are made
+    # on the first call and reused, so later calls evaluate no moments
+    calls = []
+
+    def counted(r):
+        calls.append(np.size(r))
+        return _bump(r)
+    bump = radial_field(counted, 2, decay="compact_support",
+                        support_radius=1.0)
+    pr = Params(2, 0.5)
+    first = fracops.riesz_potential(bump, _on_axis([0.7, 3.0], 2), pr)
+    made = len(calls)
+    again = fracops.riesz_potential(bump, _on_axis([0.7, 3.0], 2), pr)
+    assert np.array_equal(first.value, again.value)
+    assert len(calls) == made + 1  # the one kernel-path profile call
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-10])
+def test_riesz_potential_next_to_the_ball_edge(gap):
+    # the singularity at rho = d sits next to the jump at rho = 1: on both
+    # sides, and just past the end of the support
+    pr = Params(3, 0.25)
+    d = np.array([1.0 - gap, 1.0, 1.0 + gap])
+    res = fracops.riesz_potential(_unit_ball(3), _on_axis(d, 3), pr)
+    want = fracops.riesz_ball_indicator(d, 1.0, pr)
+    err = np.abs(res.value - want)
+    assert np.all(err <= 1e-9 * want)
+    assert np.all(err <= res.error)

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_jacobi
 
 from fraclab import geometry
 
@@ -110,3 +111,29 @@ def test_radial_mean_rule_is_exact_on_an_annulus_indicator(n):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.bincount(row, w.sum(axis=1)), 1.0,
                                rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("beta", [-0.8, -0.5, 0.0, 0.5, 2.3])
+@pytest.mark.parametrize("order", [4, 8])
+def test_power_rule_is_gauss_jacobi(beta, order):
+    # Golub-Welsch from modified moments against scipy's Gauss-Jacobi rule
+    # for (1 - x)^0 (1 + x)^beta on (-1, 1), moved to (0, 1)
+    t, w = geometry.power_rule(beta, order)
+    x, wx = roots_jacobi(order, 0.0, beta)
+    np.testing.assert_allclose(np.sort(t), np.sort(0.5 * (x + 1.0)),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(w[np.argsort(t)],
+                               (wx / 2.0 ** (beta + 1.0))[np.argsort(x)],
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-0.8, -0.5, -1e-7, 0.0, 1e-7, 0.5, 0.8])
+@pytest.mark.parametrize("order", [4, 8])
+def test_log_rule_is_exact_to_degree_2n_minus_1(eps, order):
+    # the weight (1 - t^eps) / eps has moments 1 / ((k + 1)(k + 1 + eps)),
+    # -ln t at eps = 0; nodes inside (0, 1), weights positive
+    t, w = geometry.log_rule(eps, order)
+    assert np.all((t > 0.0) & (t < 1.0)) and np.all(w > 0.0)
+    for k in range(2 * order):
+        want = 1.0 / ((k + 1) * (k + 1 + eps))
+        assert np.dot(w, t ** k) == pytest.approx(want, rel=1e-13), k
