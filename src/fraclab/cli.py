@@ -84,8 +84,10 @@ def cmd_constants(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     pr = _params(cfg.n, cfg.sigma)
     cset = constants.constant_set(pr)
-    payload = {"n": pr.n, "sigma": pr.sigma, "constants": cset.as_dict()}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a constant that does not exist at this (n, sigma) is NaN, written null
+    payload = {"n": pr.n, "sigma": pr.sigma, "constants": {
+        k: v if math.isfinite(v) else None for k, v in cset.as_dict().items()}}
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _save(cfg.out, "constants.json", text)
     sys.stdout.write(text)
     return 0

@@ -14,6 +14,11 @@ of its ladder share one annulus grid, built the same way at n = 2 and 3: its
 polar axis lies along y, so the kernel does not depend on the azimuth, and q
 and the weights are summed over the azimuth once; each height costs one node
 per (r, theta).  The G3 scan is one array per radius.
+
+The comparison inequalities set the extended model bubble against its
+half-space Kelvin images on random samples.  Each sample set is one call:
+the closed form at sigma = 1/2 and the Feynman-parameter integral
+:func:`extension.model_bubble_extension` elsewhere, with the trace at t = 0.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from . import constants, extension, geometry
-from .bubbles import KelvinMap, model_bubble
+from .bubbles import KelvinMap
 from .params import Params
 
 Array = np.ndarray
@@ -219,7 +224,8 @@ def wtilde_extension(Y: Array, params: Params):
     a float, or at rows of them (m, n+1), giving an (m,) array.
 
     At sigma = 1/2 it is the closed form; elsewhere rows with t = 0 take the
-    trace and the rest go to :func:`extension.extend` in one call.
+    trace and the rest go to the Feynman-parameter integral
+    :func:`extension.model_bubble_extension` in one call.
     """
     n = params.n
     Y = np.asarray(Y, dtype=float)
@@ -233,7 +239,7 @@ def wtilde_extension(Y: Array, params: Params):
     out = (1.0 + np.sum(y * y, axis=1)) ** (-params.half_exp)
     up = t != 0.0
     if up.any():
-        out[up] = extension.extend(model_bubble(params), y[up], t[up], params)
+        out[up] = extension.model_bubble_extension(y[up], t[up], params)
     return float(out[0]) if Y.ndim == 1 else out
 
 

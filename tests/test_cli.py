@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from fraclab import bubbles, cli, movingsphere, reports
+from fraclab import bubbles, cli, constants, movingsphere, reports
+from fraclab.params import Params
 
 
 def test_parse_phi():
@@ -52,6 +53,22 @@ def test_constants_subcommand(tmp_path, capsys):
     assert rc == 0
     payload = json.loads((tmp_path / "constants.json").read_text())
     assert payload["constants"]["c_tilde"] == pytest.approx(1.0)
+
+
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_constants_file_is_strict_json(tmp_path, capsys):
+    # at n <= 2 sigma the critical exponents do not exist; they are null
+    rc = cli.main(["constants", "--n", "1", "--sigma", "0.75",
+                   "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "constants.json").read_text()
+    payload = json.loads(text, parse_constant=_reject_constant)["constants"]
+    assert payload["p"] is None and payload["c_tilde"] is None
+    assert payload["d_sigma"] == pytest.approx(
+        constants.d_sigma(Params(1, 0.75)))
 
 
 def test_construct_subcommand(tmp_path, capsys):

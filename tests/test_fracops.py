@@ -163,7 +163,7 @@ def test_ball_profile_identity_on_a_grid():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: the bars undercover the power "
+                   reason="ROADMAP items 3 and 7: the bars undercover the power "
                    "singularity of (1 - r^2)_+^s at the end of a polar "
                    "piece, by up to 5.5e3 at (n, s) = (3, 1/4)")
 def test_ball_profile_bars_cover_the_error_on_a_grid():
