@@ -43,7 +43,7 @@ class ScalarField:
         such as an interpolation error; 0 for a field given exactly.
 
     ``memo`` holds what the operators derive from the field once and reuse
-    across calls (such as the moments of the exterior series of
+    across calls (such as the moment table of
     :func:`fraclab.fracops.riesz_potential`); it is not part of the field's
     value.
     """

@@ -29,10 +29,10 @@ Theory*, 1972, §I.1), so I_{2s} f(x) = r omega int_0^inf f(rho)
 rho^{n-1} K(d, rho) d rho, one integral in rho (:func:`_kernel_integral`).
 The kernel is summed with numpy alone (:func:`_kernel_factor`), its
 singularity at rho = d by a Gauss rule for its log weight
-(:func:`geometry.log_rule`), the stretch below 0.4 d as a series in the
-field's moments, and outside twice the support of a compact field the
-potential is the like series in (a/d)^2 (:func:`_exterior_series`); the
-moments are made once per field.
+(:func:`geometry.log_rule`).  The stretch below 0.4 d, and everything
+outside twice the support of a compact field, is one series in the
+field's moments (:func:`_moment_series`), read from one table made once
+per field and sigma (:func:`_moments`).
 
 :func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
 or a batch (m, n).  A radial field is evaluated at each point's distance
@@ -44,10 +44,10 @@ series beyond it, and an interpolation bound read from the trailing
 Chebyshev coefficients.  A nested operator such as (-Lap)^s I_{2s} f then
 costs one table, not one potential per outer quadrature node.
 
-:func:`riesz_ball_indicator` is Dyda's closed form, a 2F1 with
-c - a - b = 2 sigma, summed by :func:`_hyp2f1`: the Maclaurin series near
-z = 0 and the connection formula of Abramowitz & Stegun 15.3.6 near
-z = 1, whose log limit at sigma = 1/2 (A&S 15.3.11) needs no case of its own.
+One evaluator, :func:`_hypergeometric`, sums the kernel's 2F1 and the two
+of :func:`riesz_ball_indicator` (Dyda's closed form): the Maclaurin series
+near z = 0 and the connection formula of Abramowitz & Stegun 15.3.6 near
+z = 1, each re-expanded about the centres of a few buckets.
 """
 
 from __future__ import annotations
@@ -86,12 +86,13 @@ BLOCK = 16
 PANELS_PER_DECADE = 4
 PRODUCT_POINTS = 32
 
-#: Terms of the exterior series of :func:`riesz_potential`; beyond 2a each
-#: term is under a quarter of the one before, so the rest is below 4^-40.
+#: Terms of the series in a radial field's moments, :func:`_moment_series`:
+#: below 0.4 d, and beyond twice a compact support, each term is under a
+#: quarter of the one before, so the rest is below 4^-40.
 SERIES_TERMS = 40
 
-#: Gauss-Legendre panels per stretch between kinks for the moments of the
-#: exterior series.
+#: Uniform Gauss-Legendre panels per stretch between the kinks of a compact
+#: support, joined to the grid of the moments of :func:`_moments`.
 MOMENT_PANELS = 16
 
 #: Chebyshev nodes on each of the two pieces of :func:`riesz_field`, and
@@ -244,18 +245,15 @@ def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
 def _radial_potential(field: ScalarField, d: Array, sigma: float
                       ) -> Tuple[Array, Array]:
     """int_0^inf s^{2 sigma - 1} S(s) ds and its bar at the distances d of a
-    radial field: the exterior series of :func:`_exterior_series` beyond
-    twice the support of a compact field, and :func:`_kernel_integral`
-    everywhere else."""
+    radial field: :func:`_moment_series` beyond twice a compact support,
+    and :func:`_kernel_integral` everywhere else."""
     far = (d > 2.0 * field.support_radius
            if field.decay == "compact_support" else np.zeros(d.size, bool))
-    if not far.any():
-        return _kernel_integral(field, d, sigma)
-    if far.all():
-        return _exterior(field, 2.0 * sigma)(d)
     value, error = np.empty((2, d.size))
-    value[far], error[far] = _exterior(field, 2.0 * sigma)(d[far])
-    value[~far], error[~far] = _kernel_integral(field, d[~far], sigma)
+    if far.any():
+        value[far], error[far] = _moment_series(field, sigma, d[far], -1)
+    if not far.all():
+        value[~far], error[~far] = _kernel_integral(field, d[~far], sigma)
     return value, error
 
 
@@ -277,14 +275,12 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     """int_0^inf f(rho) rho^{n-1} K(d, rho) d rho and its bar at distances d
     (a 1-D array) of a radial field with compact support or power decay.
 
-    K(d, rho) = hi^{-q} F(z), q = n - 2 sigma, is the mean of |x - y|^{-q}
-    over the sphere |y| = rho about the origin, |x| = d, with lo and hi
-    the smaller and the larger of d and rho, F = 2F1(q/2, 1 - sigma; n/2; z)
-    and z = (lo / hi)^2 (Landkof, *Foundations of Modern Potential
-    Theory*, 1972, §I.1).  F is summed as in :func:`_hyp2f1` with m = 0,
-    in w = 1 - z = (hi - lo)(hi + lo) / hi^2, which keeps its digits at
-    rho = d.  The panels are those of :func:`_kernel_breaks`; each takes
-    GL8 for the value and GL4 for the bar, except:
+    K(d, rho) = hi^{-q} F(z) is the sphere-mean kernel of the module notes,
+    lo and hi the smaller and the larger of d and rho and z = (lo / hi)^2.
+    F is summed by :func:`_kernel_factor` with w = 1 - z =
+    (hi - lo)(hi + lo) / hi^2, which keeps its digits at rho = d.  The
+    panels are those of :func:`_kernel_breaks`; each takes GL8 for the
+    value and GL4 for the bar, except:
 
     * the two panels [d - h, d] and [d, d + h] next to the singularity.
       There F = E(ln w) p(w) - q(w) with E(y) = expm1(eps y) / eps,
@@ -302,16 +298,12 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
       in t = 1 / rho the integrand is t^{alpha - 2 sigma - 1} times a
       smooth function on (0, 1 / R), taken by its Gauss-Jacobi rule.
 
-    Below grid[cut], the largest break of the field's grid at or below
-    0.4 d, rho / d <= 0.4 and K = d^{-q} sum_j c_j (rho / d)^{2j} (c_j the
-    Maclaurin coefficients of F), so that stretch is
-    d^{-q} sum_j c_j m_j d^{-2j} with the field's moments m_j of
-    :func:`_interior`, made once per field.
+    The stretch below grid[cut], the largest radius of the field's moment
+    grid at or below 0.4 d, is the series of :func:`_moment_series`.
 
-    The bar is |GL8 - GL4| (the same for the other rules and the moments),
-    plus the rounding bound k eps sum |terms| of each k-term sum, plus the
-    kernel's truncation bound from :func:`_kernel_rule` times the sum of
-    |terms|, as F >= 1.
+    The bar is |GL8 - GL4| (the same for the other rules), plus the
+    rounding bound k eps sum |terms| of each k-term sum and, as F >= 1,
+    the truncation bound of :func:`_kernel_rule` times sum |terms|.
     """
     n, s2 = field.n, 2.0 * sigma
     q = n - s2
@@ -320,7 +312,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     end = (np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay
            else np.full(d.size, float(field.support_radius)))
     graded = [k * g for k in field.kink_radii for g in geometry.GRADING]
-    grid, moments = _interior(field)
+    grid = _moments(field, sigma)[0]
     cut = np.searchsorted(grid, NEAR_GRADING[0] * d, side="right") - 1
     # one entry per panel, and one more for each split panel's log rule:
     # start, signed width, rule (0 Gauss-Legendre, 1 the head at d = 0,
@@ -373,56 +365,89 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     coarse = np.bincount(owner, terms * coarse_w, minlength=m)
     absolute = np.bincount(owner, np.abs(terms * fine_w), minlength=m)
     count = np.bincount(owner, fine_w != 0.0, minlength=m)
-    trunc = _kernel_rule(n, sigma)[-1]
+    trunc = _kernel_rule(*_kernel_args(n, sigma))[-1]
     err = (np.abs(fine - coarse)
            + (count * np.finfo(float).eps + trunc) * absolute)
 
-    # [0, grid[cut]]: d^{-q} sum_j c_j m_j d^{-2j}, m_j the field's moments
-    # (0 where cut = 0); past INTERIOR_TERMS the terms fall below 0.16^24
-    # of the first, far under the rounding bound
-    far = np.where(cut > 0, d, 1.0)
-    value, quad, absolute = far ** -q * np.einsum(
-        "mkj,mj->km", moments[cut] * _kernel_rule(n, sigma)[-2],
-        far[:, None] ** INTERIOR_POWERS)
-    fine += value
-    err += quad + INTERIOR_TERMS * np.finfo(float).eps * absolute
-    return fine, err
+    # [0, grid[cut]]: the series in the field's moments (0 where cut = 0)
+    value, bar = _moment_series(field, sigma, d, cut)
+    return fine + value, err + bar
 
 
-#: Terms of the series in the field's moments of :func:`_kernel_integral`:
-#: below 0.4 d each term is under 0.16 of the one before, so the rest is
-#: below 1e-19.
-INTERIOR_TERMS = 24
-INTERIOR_POWERS = -2.0 * np.arange(INTERIOR_TERMS)
-
-
-def _interior(field: ScalarField) -> Tuple[Array, Array]:
-    """The grid of :func:`_kernel_breaks` below the field's top (its support
-    radius, or ``OUTER_RADIUS``), from 0, and at each grid radius g the
-    moments int_0^g f(r) r^{n-1+2j} dr, j < ``INTERIOR_TERMS``, by GL8 on
-    the grid's panels, with their |GL8 - GL4| and their sums of |terms|
-    (grid.size, 3, INTERIOR_TERMS).  Made once per field."""
-    key = "interior_moments"
+def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
+    """The moment grid of a radial field and the coefficient tables of
+    :func:`_moment_series`, made once per field and sigma.  The grid runs
+    from 0 to the field's top (its support radius, or ``OUTER_RADIUS``):
+    the geometric grid, the kink breaks and, if compact, ``MOMENT_PANELS``
+    uniform panels between kinks.  At each grid radius g the moments
+    m_j(g) = int_0^g f(r) r^{n-1} (r / g)^{2j} dr, j < J = ``SERIES_TERMS``,
+    are summed by GL8 on the grid's panels, a row carried to the next by
+    (g_k / g_{k+1})^{2j} <= 1, so a tiny support does not underflow.  The
+    tables (2, grid.size, J + 1) hold c_j m_j(g) and the bar: c_j times
+    the sums of |GL8 - GL4| and the rounding bound k eps sum |terms| (k
+    the GL8 nodes below g, plus J), and at j = J the truncation bound
+    (4/3) c_J int_0^g |f| r^{n-1} dr.
+    """
+    key = ("moments", sigma)
     if key not in field.memo:
-        top = (field.support_radius if field.decay == "compact_support"
-               else OUTER_RADIUS)
-        graded = [k * g for k in field.kink_radii for g in geometry.GRADING]
-        grid = np.array([0.0] + sorted(
-            {r for r in _geometric(0.0, top) + graded if 0.0 < r < top})
-            + [top])
-        sums = []
-        for order in (8, 4):
+        compact = field.decay == "compact_support"
+        top = field.support_radius if compact else OUTER_RADIUS
+        radii = _geometric(0.0, top) + [
+            k * g for k in field.kink_radii for g in geometry.GRADING]
+        if compact:
+            knots = np.unique([0.0, top] + [k for k in field.kink_radii
+                                            if k < top])
+            radii += np.linspace(knots[:-1], knots[1:],
+                                 MOMENT_PANELS + 1).ravel().tolist()
+        grid = np.array([0.0] + sorted({r for r in radii if 0.0 < r < top})
+                        + [top])
+
+        def panel_terms(order):  # (panel, node, j)
             r, w = geometry.gauss_panels(grid, order)
-            terms = ((field.radial_profile(r) * r ** (field.n - 1) * w)[:, None]
-                     * (r * r)[:, None] ** np.arange(INTERIOR_TERMS))
-            panels = terms.reshape(grid.size - 1, order, -1)
-            sums.append((panels.sum(axis=1), np.abs(panels).sum(axis=1)))
-        (m8, abs8), (m4, _) = sums
-        moments = np.zeros((grid.size, 3, INTERIOR_TERMS))
-        moments[1:] = np.cumsum(np.stack([m8, np.abs(m8 - m4), abs8], axis=1),
-                                axis=0)
-        field.memo[key] = _frozen(grid, moments)
+            return ((field.radial_profile(r) * r ** (field.n - 1) * w)[:, None]
+                    * _powers((r / grid[1:].repeat(order)) ** 2, SERIES_TERMS)
+                    ).reshape(grid.size - 1, order, -1)
+        c = _hyp2f1_rule(*_kernel_args(field.n, sigma), SHIFT_TERMS)[0]
+        fine, coarse = panel_terms(8), panel_terms(4)
+        m8 = fine.sum(axis=1)
+        panels = c[:SERIES_TERMS] * np.stack(
+            [m8, np.abs(m8 - coarse.sum(axis=1)), np.abs(fine).sum(axis=1)])
+        carry = _powers((grid[:-1] / grid[1:]) ** 2, SERIES_TERMS)
+        tables = np.zeros((3, grid.size, SERIES_TERMS + 1))
+        _, quad, absolute = tables[:, :, :-1]
+        for k in range(1, grid.size):
+            tables[:, k, :-1] = (tables[:, k - 1, :-1] * carry[k - 1]
+                                 + panels[:, k - 1])
+        quad += ((8 * np.arange(grid.size) + SERIES_TERMS)[:, None]
+                 * np.finfo(float).eps * absolute)
+        tables[1, :, -1] = 4.0 / 3.0 * c[SERIES_TERMS] * absolute[:, 0]
+        field.memo[key] = _frozen(grid, tables[:2])
     return field.memo[key]
+
+
+def _moment_series(field: ScalarField, sigma: float, d: Array,
+                   row: Array | int) -> Tuple[Array, Array]:
+    """int_0^g f(r) r^{n-1} K(d, r) dr = d^{-q} sum_j c_j m_j(g) x^j,
+    x = (g / d)^2, and its bar at the distances d, with g = grid[row] of
+    :func:`_moments`: one row per distance at or below 0.4 d (row 0 gives
+    0), or row -1, the top of a compact support, for d beyond twice it.
+    Below r = d the kernel is d^{-q} F((r / d)^2), and each c_j lies in
+    (0, 1] and falls with j; as x < 1/4, the terms past ``SERIES_TERMS``
+    are below c_J x^J / (1 - x) <= (4/3) c_J x^J times int_0^g |f| r^{n-1}.
+    """
+    grid, tables = _moments(field, sigma)
+    row = np.full(d.shape, row) % grid.size
+    far = np.where(row > 0, d, 1.0)
+    x = (grid[row] / far) ** 2
+    value, bar = np.empty((2, d.size))
+    for lo in range(0, d.size, POLY_BLOCK):
+        blk = slice(lo, lo + POLY_BLOCK)
+        # row by row (the same bits in any batch); x >= 0 takes pow's fast path
+        value[blk], bar[blk] = np.einsum(
+            "ij,kij->ki", x[blk, None] ** np.arange(SERIES_TERMS + 1),
+            tables[:, row[blk]])
+    lead = far ** -(field.n - 2.0 * sigma)
+    return lead * value, lead * bar
 
 
 def _geometric(lo: float, hi: float) -> list:
@@ -557,72 +582,6 @@ def _radial_sum(field: ScalarField, centres: Array, f0: Array, lap: bool,
     return value, err, s_tail
 
 
-def _exterior(field: ScalarField, s2: float
-              ) -> Callable[[Array], Tuple[Array, Array]]:
-    """:func:`_exterior_series` of the field, made once per field and s2."""
-    key = ("exterior_series", s2)
-    if key not in field.memo:
-        field.memo[key] = _exterior_series(field, s2)
-    return field.memo[key]
-
-
-def _exterior_series(field: ScalarField, s2: float
-                     ) -> Callable[[Array], Tuple[Array, Array]]:
-    """The potential of a radial field supported in B_a, for d > 2a.
-
-    The mean of |x - y|^{-q} over the sphere |y| = r < d = |x| is
-    d^{-q} 2F1(q/2, q/2 - n/2 + 1; n/2; r^2/d^2), q = n - 2 sigma, so
-    int_0^inf s^{2 sigma - 1} S(s) ds = sum_j c_j m_j d^{-q-2j} with c_j the
-    2F1 coefficients and m_j = int_0^a f(r) r^{n-1+2j} dr.  Each c_j lies in
-    (0, 1] and falls with j, and (a/d)^2 < 1/4, so ``SERIES_TERMS`` terms
-    leave at most c_J (a/d)^{2J} / (1 - (a/d)^2) times int |f| r^{n-1} dr.
-
-    Returns a function of an array of distances d > 2a giving that sum
-    (without the Riesz front factor) and its bar: the truncation bound, plus
-    sum_j c_j |GL8 - GL4| of the moments, plus the rounding bound
-    k eps sum |terms| over the k GL8 nodes and ``SERIES_TERMS`` terms.
-    """
-    n = field.n
-    a = field.support_radius
-    q = n - s2
-    knots = np.unique([0.0, a] + [k for k in field.kink_radii if 0.0 < k < a])
-    breaks = np.unique(np.concatenate(
-        [np.linspace(lo, hi, MOMENT_PANELS + 1)
-         for lo, hi in zip(knots[:-1], knots[1:])]))
-    j = np.arange(SERIES_TERMS)
-    ratio = (q / 2 + j) * (q / 2 - n / 2 + 1 + j) / ((n / 2 + j) * (j + 1))
-    c = np.cumprod(np.concatenate([[1.0], ratio]))
-    c, c_next = c[:-1], c[-1]
-
-    def moment_terms(order):
-        # (k, J) terms of m_j / a^{2j}, so that tiny supports do not underflow
-        r, w = geometry.gauss_panels(breaks, order)
-        return (np.vander((r / a) ** 2, SERIES_TERMS, increasing=True)
-                * (field.radial_profile(r) * r ** (n - 1) * w)[:, None])
-
-    terms = moment_terms(8)
-    m8, abs8 = terms.sum(axis=0), np.abs(terms).sum(axis=0)
-    m4 = moment_terms(4).sum(axis=0)
-    rounding = (terms.shape[0] + SERIES_TERMS) * np.finfo(float).eps
-    # columns: the coefficients of the value, |GL8 - GL4| and rounding series
-    coeffs = c[:, None] * np.stack([m8, np.abs(m8 - m4), rounding * abs8],
-                                   axis=1)
-
-    def evaluate(d: Array) -> Tuple[Array, Array]:
-        x = (a / d) ** 2
-        value, quad, rounded = np.empty((3, x.size))
-        for lo in range(0, x.size, POLY_BLOCK):
-            blk = slice(lo, lo + POLY_BLOCK)
-            powers = _powers(x[blk], SERIES_TERMS)
-            # row by row, so a point gets the same value in any batch
-            value[blk], quad[blk], rounded[blk] = (
-                np.einsum("ij,j->i", powers, col) for col in coeffs.T)
-        tail = c_next * x ** SERIES_TERMS * abs8[0] / (1.0 - x)
-        lead = d ** -q
-        return lead * value, lead * (quad + rounded + tail)
-    return evaluate
-
-
 def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     """The Riesz potential of a radial compact field, tabulated once.
 
@@ -631,12 +590,13 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     call, one integral in rho at each node, samples it at ``TABLE_NODES``
     Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a]
     for interpolation; beyond 2a the profile is the exterior series of
-    :func:`_exterior_series`, the same one the direct potential sums.  The result is a radial field
-    decaying like d^{2 sigma - n}, with kinks where the pieces join.  Its
-    ``error_bound`` is the interpolation bound 2 sum_{k >= N} |c_k|
-    (Trefethen, *Approximation Theory and Approximation Practice*,
-    ch. 7-8), the last ``TRAILING`` computed |c_k| standing in for that
-    tail; the sampled values carry the bars of :func:`riesz_potential`.
+    :func:`_moment_series`, the same one the direct potential sums.  The
+    result is a radial field decaying like d^{2 sigma - n}, with kinks
+    where the pieces join.  Its ``error_bound`` is the interpolation bound
+    2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
+    Approximation Practice*, ch. 7-8), the last ``TRAILING`` computed |c_k|
+    standing in for that tail; the sampled values carry the bars of
+    :func:`riesz_potential`.
     """
     if not field.is_radial or field.decay != "compact_support":
         raise ValueError("riesz_field needs a radial, compactly supported "
@@ -655,7 +615,6 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     bound = 2.0 * float(max(np.abs(inner[-TRAILING:]).sum(),
                             np.abs(mid[-TRAILING:]).sum()))
     front = _riesz_front(params)
-    exterior = _exterior(field, 2.0 * params.sigma)
 
     def profile(r):
         chebval = np.polynomial.chebyshev.chebval
@@ -665,7 +624,7 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
         between = ~(lo | hi)
         out[lo] = chebval(2.0 * (r[lo] / a) ** 2 - 1.0, inner)
         out[between] = chebval(2.0 * r[between] / a - 3.0, mid)
-        out[hi] = front * exterior(r[hi])[0]
+        out[hi] = front * _moment_series(field, params.sigma, r[hi], -1)[0]
         return out
     return radial_field(profile, n, decay="power_decay",
                         decay_rate=n - 2.0 * params.sigma,
@@ -683,13 +642,13 @@ def riesz_ball_indicator(d, radius, params: Params):
       F(n/2 - s, 1 - s; n/2 + 1; (radius / d)^2),
 
     the point mass r |B_radius| d^{2s-n} times a series in (radius / d)^2.
-    Both F have c - a - b = 2s and are summed by :func:`_hyp2f1`, which
-    takes w = 1 - z.  With g = (hi - lo) / hi, lo and hi the smaller and
-    the larger of d and radius, w = g (2 - g) keeps its relative accuracy
-    at the ball edge, where 1 - delta^2 would lose it.  The powers of
-    radius and delta stay apart, so tiny radii do not underflow, and
-    delta^-2, which overflows, is not formed.  Floats give a float; arrays
-    of distances or radii, broadcast against each other, give an array.
+    Both F are the m = 1 case of :func:`_hypergeometric` at z = (lo / hi)^2,
+    lo and hi the smaller and the larger of d and radius, and at
+    w = g (2 - g), g = (hi - lo) / hi, which keeps its relative accuracy at
+    the ball edge.  The powers of radius and delta stay apart, so tiny
+    radii do not underflow, and delta^-2, which overflows, is not formed.
+    Floats give a float; arrays of distances or radii, broadcast against
+    each other, give an array.
     """
     d, radius = np.broadcast_arrays(np.asarray(d, dtype=float),
                                     np.asarray(radius, dtype=float))
@@ -697,89 +656,43 @@ def riesz_ball_indicator(d, radius, params: Params):
         raise ValueError("ball radius must be positive, got "
                          f"{float(radius.min()):g}")
     n, s = params.n, params.sigma
+    a, eps = n / 2 - s, 2.0 * s - 1.0
     front = _riesz_front(params)
     lo, hi = np.minimum(d, radius), np.maximum(d, radius)
     # 1 - lo / hi, exact at the ball edge, and 1 at d = inf
     gap = np.divide(hi - lo, hi, out=np.ones(d.shape), where=hi < np.inf)
     w = gap * (2.0 - gap)
+    z = (lo / hi) ** 2
     out = np.empty(d.shape)
     near = d / radius <= 1.0
-    rn = radius[near]
-    out[near] = (front * rn ** (2.0 * s) / (2.0 * s)
-                 * _hyp2f1(n / 2 - s, -s, 2.0 * s - 1.0, w[near]))
     far = ~near
-    df, rf = d[far], radius[far]
-    out[far] = (front * rf ** (2.0 * s) / n * (df / rf) ** (2.0 * s - n)
-                * _hyp2f1(n / 2 - s, 1.0 - s, 2.0 * s - 1.0, w[far]))
+    if near.any():
+        rn = radius[near]
+        out[near] = (front * rn ** (2.0 * s) / (2.0 * s)
+                     * _hypergeometric(a, -s, eps, 1, z[near], w[near]))
+    if far.any():
+        df, rf = d[far], radius[far]
+        out[far] = (front * rf ** (2.0 * s) / n * (df / rf) ** (2.0 * s - n)
+                    * _hypergeometric(a, 1.0 - s, eps, 1, z[far], w[far]))
     return float(out) if out.ndim == 0 else out
 
-
-#: Terms of each series of :func:`_hyp2f1`, and the w = 1 - z from which
-#: on it sums the Maclaurin series.  Each series then runs in a variable
-#: below 0.7, and 0.7^90 ~ 1e-14 outweighs the growth of the coefficients
-#: (against 40-digit mpmath up to n = 9, the worst error is 4e-14).
-HYP_TERMS = 90
-HYP_SWITCH = 0.3
 
 #: B_2k / (2k (2k - 1)), the Stirling series of lgamma.
 STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
 
-
-def _hyp2f1(a: float, b: float, eps: float, w: Array) -> Array:
-    """2F1(a, b; c; 1 - w) with c = a + b + 1 + eps, for |eps| < 1 and an
-    array w in [0, 1], from the coefficients of :func:`_hyp2f1_rule`.
-
-    For w >= ``HYP_SWITCH`` it is the Maclaurin series in z = 1 - w.
-    Below, A&S 15.3.6 gives
-    F = lead + sum_j C pi / sin(pi eps) w^{j+1} [P_j w^eps - Q_j], term
-    j + 1 of its first series paired with term j of its second.  With
-    p_j = C P_j pi eps / sin(pi eps) and L_j = ln(P_j / Q_j), that is
-    lead + w [E(ln w) p(w) - q(w)], where E(y) = expm1(eps y) / eps,
-    p and q are polynomials in w and q_j = p_j E(-L_j / eps).  Every
-    quotient by eps has its limit at eps = 0, so sigma = 1/2, the log case
-    of A&S 15.3.11, takes the same path.
-    """
-    mac, lead, p, q = _hyp2f1_rule(a, b, eps, 1)
-    out = np.empty(w.shape)
-    series = w >= HYP_SWITCH
-    if series.any():
-        out[series] = _series(1.0 - w[series], mac)[0]
-    if not series.all():
-        w = w[~series]
-        # the w = 0 rows carry lead alone; ln 1 stands in for ln 0 there
-        log_w = np.log(np.where(w > 0.0, w, 1.0))
-        p_w, q_w = _series(w, p, q)
-        out[~series] = lead + w * (_over(np.expm1, eps, log_w) * p_w - q_w)
-    return out
-
-
-#: Points whose table of powers :func:`_series`, :func:`_kernel_factor`
-#: and the exterior series form at once, so that a large batch costs at
-#: most HYP_TERMS times this in memory.
+#: Points whose powers and coefficient rows :func:`_hypergeometric` and
+#: :func:`_moment_series` gather at once, so that a large batch costs about
+#: 3 ``SERIES_TERMS`` times this in memory.
 POLY_BLOCK = 2048
 
-
-def _series(x: Array, *coeffs: Array) -> Array:
-    """Each polynomial sum_k c_k x^k of ``coeffs`` at the array x, summed
-    row by row (as in :func:`_sphere_means`), so a point gets the same
-    value in any batch.  Returns (len(coeffs), x.size)."""
-    out = np.empty((len(coeffs), x.size))
-    for lo in range(0, x.size, POLY_BLOCK):
-        blk = slice(lo, lo + POLY_BLOCK)
-        powers = np.vander(x[blk], HYP_TERMS, increasing=True)
-        for res, c in zip(out, coeffs):
-            res[blk] = np.einsum("ij,j->i", powers, c)
-    return out
-
-
-#: The w = 1 - z from which on :func:`_kernel_factor` sums the Maclaurin
+#: The w = 1 - z from which on :func:`_hypergeometric` sums the Maclaurin
 #: series in z, and below which the connection series in w.
 KERNEL_SWITCH = 0.4
 
 #: Buckets of z (upper edge, centre) for the Maclaurin series of
-#: :func:`_kernel_factor`, and of w for its connection series, each
+#: :func:`_hypergeometric`, and of w for its connection series, each
 #: re-expanded about its centre; the last runs to the switch (z) or to
-#: ``KERNEL_SPLIT_W`` (w).  Up to n = 9 no bucket takes more than 25 terms.
+#: ``KERNEL_SPLIT_W`` (w).  Up to n = 9 no bucket keeps more than 26 terms.
 KERNEL_Z_BUCKETS = ((1.0 / 16.0, 0.0), (0.25, 5.0 / 32.0), (0.45, 0.35),
                     (np.inf, 0.525))
 KERNEL_W_BUCKETS = ((1.0 / 16.0, 0.0), (0.2, 0.13), (0.4, 0.3),
@@ -790,32 +703,42 @@ KERNEL_W_BUCKETS = ((1.0 / 16.0, 0.0), (0.2, 0.13), (0.4, 0.3),
 KERNEL_SPLIT_W = 0.52
 
 #: The share of the largest term below which :func:`_kernel_rule` drops
-#: the terms of a series in a bucket, and the terms of each series it
-#: re-expands.
+#: the terms of a series in a bucket; the most terms a bucket may keep;
+#: and the terms of each series it re-expands.
 KERNEL_TOL = 2.0 ** -60
-SHIFT_TERMS = 400
+BUCKET_TERMS = 40
+SHIFT_TERMS = 150
 
 
-def _kernel_factor(n: int, sigma: float, z: Array, w: Array,
-                   split: Optional[Array] = None,
-                   log_y: Optional[Array] = None,
-                   log_node: Optional[Array] = None) -> Array:
-    """F = 2F1(q/2, 1 - sigma; n/2; z), q = n - 2 sigma, at arrays z and
-    w = 1 - z (each given, so each keeps its digits where it is small).
+def _kernel_args(n: int, sigma: float) -> Tuple[float, float, float, int]:
+    """(a, b, eps, m) of the kernel's 2F1 for :func:`_hypergeometric`."""
+    return n / 2.0 - sigma, 1.0 - sigma, 2.0 * sigma - 1.0, 0
 
-    F has c - a - b = eps = 2 sigma - 1, so near z = 1 it is the m = 0
-    pairing of A&S 15.3.6 (:func:`_hyp2f1_rule`), E(y) p(w) - q(w) with
-    y = ln w and E(y) = expm1(eps y) / eps; at sigma = 1/2 that is the log
-    case A&S 15.3.10.  For w >= ``KERNEL_SWITCH`` it is the Maclaurin
-    series in z.  Every node sums the row of :func:`_kernel_rule` for its
-    bucket, in one table for both series (q = 0 on the Maclaurin rows).
+
+def _kernel_factor(n: int, sigma: float, z: Array, w: Array, *marks: Array
+                   ) -> Array:
+    """The kernel's F = 2F1(q/2, 1 - sigma; n/2; z), q = n - 2 sigma:
+    :func:`_hypergeometric` with m = 0 and its split-panel ``marks``."""
+    return _hypergeometric(*_kernel_args(n, sigma), z, w, *marks)
+
+
+def _hypergeometric(a: float, b: float, eps: float, m: int, z: Array,
+                    w: Array, split: Optional[Array] = None,
+                    log_y: Optional[Array] = None,
+                    log_node: Optional[Array] = None) -> Array:
+    """2F1(a, b; c; z), c = a + b + m + eps, m = 0 or 1 and |eps| < 1, at
+    arrays z and w = 1 - z (each given, so each keeps its digits where it
+    is small): the Maclaurin series in z for w >= ``KERNEL_SWITCH``, and
+    below it lead + w^m [E(ln w) p(w) - q(w)], E(y) = expm1(eps y) / eps
+    (:func:`_hyp2f1_rule`), each node on the row of :func:`_kernel_rule`
+    for its bucket (q = 0 on the Maclaurin rows).  At w = 0 (m = 1, the
+    ball edge) F is the lead: ln 1 stands in for ln 0.
     :func:`_kernel_integral` marks the nodes of its split panels
     (``split``), which take the connection series up to
     w = ``KERNEL_SPLIT_W``; it passes ``log_y`` in place of ln w, and
     ``log_node`` where it wants p(w) e^{eps y} alone.
     """
-    edges, centre, p_rows, q_rows, _, _ = _kernel_rule(n, sigma)
-    eps = 2.0 * sigma - 1.0
+    edges, centre, tables, lead, _ = _kernel_rule(a, b, eps, m)
     series = w >= KERNEL_SWITCH
     if split is not None:
         series &= ~split
@@ -826,15 +749,19 @@ def _kernel_factor(n: int, sigma: float, z: Array, w: Array,
     p_w, q_w = np.empty((2, x.size))
     for lo in range(0, x.size, POLY_BLOCK):
         blk = slice(lo, lo + POLY_BLOCK)
-        powers = _powers(x[blk], p_rows.shape[1])
+        powers = _powers(x[blk], tables.shape[-1])
         # row by row, so a point gets the same value in any batch
-        p_w[blk] = np.einsum("ij,ij->i", powers, p_rows[bucket[blk]])
-        q_w[blk] = np.einsum("ij,ij->i", powers, q_rows[bucket[blk]])
-    e_p = _over(np.expm1, eps, np.log(w) if log_y is None else log_y) * p_w
-    if log_node is None:
-        return np.where(series, p_w, e_p - q_w)
-    return np.where(series, p_w,
-                    np.where(log_node, p_w + eps * e_p, e_p - q_w))
+        p_w[blk], q_w[blk] = (np.einsum("ij,ij->i", powers, t[bucket[blk]])
+                              for t in tables)
+    if log_y is None:
+        log_y = np.log(np.where(w > 0.0, w, 1.0))
+    e_p = _over(np.expm1, eps, log_y) * p_w
+    near = e_p - q_w
+    if log_node is not None:
+        near = np.where(log_node, p_w + eps * e_p, near)
+    if m:
+        near = lead + w * near
+    return np.where(series, p_w, near)
 
 
 def _powers(x: Array, count: int) -> Array:
@@ -854,27 +781,22 @@ def _powers(x: Array, count: int) -> Array:
 
 
 @lru_cache(maxsize=None)
-def _kernel_rule(n: int, sigma: float) -> tuple:
-    """The buckets of :func:`_kernel_factor`: the inner edges in z, then 2,
-    then those in 2 + w; each bucket's centre and its rows of
-    coefficients (the Maclaurin or p series, and 0 or the q series,
-    zero-padded); the Maclaurin coefficients of the series in the field's
-    moments; and the truncation bound.
-
-    The coefficients are those of :func:`_hyp2f1_rule` with m = 0,
-    ``SHIFT_TERMS`` of each series, re-expanded about each bucket's centre
-    c0 as b_k = sum_j coef_j C(j, k) c0^{j - k}.  A bucket keeps every
-    term above ``KERNEL_TOL`` of the largest at its radius r about the
-    centre (|b_k| r^k, or (|b_k(p)| |E(ln w_lo)| + |b_k(q)|) r^k with w_lo
-    its least w, or r at w = 0); the bound is the largest share of the
-    dropped terms, with the tail past them as a geometric series.  As
-    F >= 1 (its Maclaurin coefficients are positive), it bounds the
-    relative truncation error.
+def _kernel_rule(a: float, b: float, eps: float, m: int) -> tuple:
+    """The buckets of :func:`_hypergeometric` for 2F1(a, b; c; z),
+    c = a + b + m + eps: the inner edges in z, then 2, then those in 2 + w;
+    each bucket's centre; its rows of coefficients, the Maclaurin or p
+    series and 0 or the q series, zero-padded (2, bucket, term); the lead;
+    and the truncation bound.  ``SHIFT_TERMS`` of each series of
+    :func:`_hyp2f1_rule` are re-expanded about each centre by
+    :func:`_shift`.  A bucket keeps every term above ``KERNEL_TOL`` of the
+    largest at its radius r about the centre (|b_k| r^k, or
+    (|b_k(p)| |E(ln w_lo)| + |b_k(q)|) r^k with w_lo its least w, or r at
+    w = 0); the bound is the largest share of the dropped terms, with the
+    tail past them as a geometric series.  It bounds the relative
+    truncation error of the kernel (m = 0), as F >= 1 there.
     """
-    a, b, eps = n / 2.0 - sigma, 1.0 - sigma, 2.0 * sigma - 1.0
-    mac, _, p, q = _hyp2f1_rule(a, b, eps, 0, SHIFT_TERMS)
-    j = np.arange(SHIFT_TERMS)
-    worst, kept, centres = 0.0, [], []
+    mac, lead, p, q = _hyp2f1_rule(a, b, eps, m, SHIFT_TERMS)
+    worst, kept = 0.0, []
     for buckets, top, series in ((KERNEL_Z_BUCKETS, 1.0 - KERNEL_SWITCH,
                                   (mac, np.zeros(SHIFT_TERMS))),
                                  (KERNEL_W_BUCKETS, KERNEL_SPLIT_W, (p, q))):
@@ -882,23 +804,15 @@ def _kernel_rule(n: int, sigma: float) -> tuple:
         for edge, centre in buckets:
             upper = min(edge, top)
             r = max(upper - centre, centre - lower)
-            shift = np.eye(HYP_TERMS, SHIFT_TERMS)
-            if centre:
-                # row k: C(j, k) centre^{j - k}, by the ratio
-                # (j - k + 1) / (k centre) from row k - 1
-                shift[0] = centre ** j
-                for k in range(1, HYP_TERMS):
-                    shift[k] = shift[k - 1] * (j - k + 1) / (k * centre)
-            coef = shift @ np.stack(series, axis=1)
+            coef = _shift(centre) @ np.stack(series, axis=1)
             size = np.abs(coef[:, 0]) * (abs(_over(
                 math.expm1, eps, math.log(lower or r))) if series[0] is p
                 else 1.0) + np.abs(coef[:, 1])
-            mag = size * r ** np.arange(HYP_TERMS)
+            mag = size * r ** np.arange(BUCKET_TERMS)
             count = int(np.nonzero(mag > KERNEL_TOL * mag.max())[0][-1]) + 1
             worst = max(worst, (mag[count:].sum() + mag[-1] * r / (1.0 - r))
                         / mag.max())
             kept.append(coef[:count])
-            centres.append(centre)
             lower = edge
     # (bucket, terms) tables, zero-padded to the longest bucket
     table = np.zeros((2, len(kept), max(c.shape[0] for c in kept)))
@@ -906,8 +820,21 @@ def _kernel_rule(n: int, sigma: float) -> tuple:
         table[:, i, :c.shape[0]] = c.T
     edges = ([e for e, _ in KERNEL_Z_BUCKETS[:-1]] + [2.0]
              + [2.0 + e for e, _ in KERNEL_W_BUCKETS[:-1]])
-    return _frozen(np.array(edges), np.array(centres), table[0], table[1],
-                   mac[:INTERIOR_TERMS].copy()) + (worst,)
+    centres = [c for _, c in KERNEL_Z_BUCKETS + KERNEL_W_BUCKETS]
+    return _frozen(np.array(edges), np.array(centres), table) + (lead, worst)
+
+
+@lru_cache(maxsize=None)
+def _shift(centre: float) -> Array:
+    """C(j, k) centre^{j - k} (``BUCKET_TERMS``, ``SHIFT_TERMS``), which
+    re-expands a power series about ``centre``; made once per centre."""
+    if not centre:
+        return _frozen(np.eye(BUCKET_TERMS, SHIFT_TERMS))[0]
+    # row k: C(j, k) centre^{j - k}, row k - 1 times (j - k + 1) / (k centre)
+    j = np.arange(SHIFT_TERMS)
+    k = np.arange(1, BUCKET_TERMS)[:, None]
+    return _frozen(np.cumprod(np.concatenate(
+        [centre ** j[None], (j - k + 1) / (k * centre)]), axis=0))[0]
 
 
 def _over(fn: Callable, eps: float, y):
@@ -916,12 +843,17 @@ def _over(fn: Callable, eps: float, y):
 
 
 @lru_cache(maxsize=None)
-def _hyp2f1_rule(a: float, b: float, eps: float, m: int = 1,
-                 terms: int = HYP_TERMS) -> Tuple[Array, float, Array, Array]:
-    """The coefficients of :func:`_hyp2f1`, made once per (a, b, eps, m),
-    that is per (n, sigma, branch) of :func:`riesz_ball_indicator` (m = 1)
-    and per (n, sigma) of the sphere-mean kernel (m = 0, with ``terms``
-    of each series).
+def _hyp2f1_rule(a: float, b: float, eps: float, m: int, terms: int
+                 ) -> Tuple[Array, float, Array, Array]:
+    """The coefficients of :func:`_hypergeometric`, ``terms`` of each
+    series, made once per (a, b, eps, m).
+
+    A&S 15.3.6 gives F = lead + sum_j C pi / sin(pi eps) w^{j+m}
+    [P_j w^eps - Q_j], term j + m of its first series paired with term j
+    of its second.  With p_j = C P_j pi eps / sin(pi eps) and
+    L_j = ln(P_j / Q_j), that is lead + w^m [E(ln w) p(w) - q(w)] with
+    q_j = p_j E(-L_j / eps); every quotient by eps has its limit at
+    eps = 0, the log case of A&S 15.3.10-11.
 
     Returns the Maclaurin coefficients (a)_k (b)_k / ((c)_k k!), the lead
     Gamma(c) Gamma(1 + eps) / (Gamma(a + 1 + eps) Gamma(b + 1 + eps))
@@ -958,13 +890,11 @@ def _hyp2f1_rule(a: float, b: float, eps: float, m: int = 1,
         ratio = math.gamma(a) * math.gamma(b) * math.gamma(1.0 + eps) / (
             math.gamma(a + eps) * math.gamma(b + eps) * math.gamma(1.0 - eps))
         q[0] = p[0] * (ratio - 1.0) / eps
-    for arr in (mac, p, q):
-        arr.setflags(write=False)
+    mac, p, q = _frozen(mac, p, q)
     return mac, lead, p, q
 
 
-def _lgamma_quotients(x0: float, eps: float, terms: int = HYP_TERMS
-                      ) -> Array:
+def _lgamma_quotients(x0: float, eps: float, terms: int) -> Array:
     """D(x, eps) = (lgamma(x + eps) - lgamma(x)) / eps at x = x0 + j,
     j < ``terms``, accurate for any small eps (D -> digamma at 0).
 

@@ -224,20 +224,24 @@ def test_riesz_ball_indicator_matches_mpmath(n):
 HYP_SIGMAS = (0.1, 0.25, 0.4, 0.49, 0.5 - 1e-7, 0.5, 0.5 + 1e-7, 0.51, 0.6,
               0.75, 0.9)
 HYP_WS = np.concatenate([[0.0, 2.0 ** -53, 2.0 ** -52, 1e-14, 1e-8, 1e-4,
-                          0.3 - 1e-12, 0.3, 0.3 + 1e-12, 0.5, 1.0],
+                          0.3 - 1e-12, 0.3, 0.3 + 1e-12, 0.5, 1.0,
+                          1.0 / 16.0, 0.2, 0.4 - 1e-12, 0.4 + 1e-12, 0.55,
+                          0.75, 0.9375],
                          np.linspace(0.0, 1.0, 41)[1:-1]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 9])
 @pytest.mark.parametrize("far", [False, True])
 def test_hyp2f1_matches_mpmath(n, far):
-    # both 2F1 of riesz_ball_indicator, across both series, down to z = 1;
-    # sigma = 1/2 is the log case, and 1/2 +- 1e-7 lie next to it
+    # both 2F1 of riesz_ball_indicator, across both series and every bucket
+    # edge, down to z = 1; sigma = 1/2 is the log case, and 1/2 +- 1e-7 lie
+    # next to it
     for s in HYP_SIGMAS:
         if n <= 2 * s:
             continue
         a, b = n / 2 - s, (1.0 - s if far else -s)
-        got = fracops._hyp2f1(a, b, 2 * s - 1, HYP_WS)
+        got = fracops._hypergeometric(a, b, 2 * s - 1, 1, 1.0 - HYP_WS,
+                                      HYP_WS)
         with mp.workdps(40):
             c = mp.mpf(a) + mp.mpf(b) + 2 * mp.mpf(s)
             want = [mp.hyp2f1(a, b, c, 1 - mp.mpf(w)) for w in HYP_WS]
@@ -514,6 +518,44 @@ def test_exterior_series_bar_covers_the_closed_form(n, s):
                                      1 / mp.mpf(d) ** 2))
         assert value > 0.0
         assert abs(value - want) <= bar
+
+
+TINY = 1e-30
+TINY_CASES = [(2, 0.25), (3, 0.5), (5, 0.75)]
+
+
+def _tiny_ball_potential(n, s, ratios):
+    """riesz_potential of the indicator of B_TINY at d = TINY * ratios, and
+    the closed form there."""
+    pr = Params(n, s)
+    ball = radial_field(lambda r: np.where(np.asarray(r) < TINY, 1.0, 0.0), n,
+                        decay="compact_support", support_radius=TINY)
+    d = TINY * np.array(ratios)
+    res = fracops.riesz_potential(ball, _on_axis(d, n), pr)
+    return res, fracops.riesz_ball_indicator(d, TINY, pr)
+
+
+@pytest.mark.parametrize("n,s", TINY_CASES)
+def test_exterior_series_of_a_tiny_ball(n, s):
+    # the moments are scaled by the support, so a^n (r / a)^{2j} neither
+    # underflows nor loses the series' terms
+    res, want = _tiny_ball_potential(n, s, [2.5, 10.0, 1e3])
+    err = np.abs(res.value - want)
+    assert np.all(err <= 1e-12 * want)
+    assert np.all(err <= res.error)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CENTRE_RADIUS = 1e-11 and the INNER_RADIUS of the "
+                   "moment grid are absolute lengths: inside twice a support "
+                   "of radius 1e-30 the potential is off by up to 5 times its "
+                   "value, far outside its bar")
+@pytest.mark.parametrize("n,s", TINY_CASES)
+def test_riesz_potential_of_a_tiny_ball_inside_twice_its_support(n, s):
+    res, want = _tiny_ball_potential(n, s, [0.5, 0.999, 1.5])
+    err = np.abs(res.value - want)
+    assert np.all(err <= 1e-9 * want)
+    assert np.all(err <= res.error)
 
 
 def test_exterior_series_obeys_the_mass_law():
