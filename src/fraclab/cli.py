@@ -5,9 +5,10 @@ Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
 report files.  A configuration no command can run (an unknown or
 unreadable config key, n < 1 or sigma outside (0, 1) for any command,
-n <= 2 sigma for ``verify``) exits with status 2 and the reason on
-stderr; a ``construct`` whose plan is infeasible exits with status 1 and
-the reason.
+n <= 2 sigma for ``verify``, n > 3 for its green suite) exits with
+status 2 and the reason on stderr; a ``construct`` whose plan is
+infeasible exits with status 1 and the reason.  ``construct`` plans at
+n = 5 unless the config file or a flag sets n.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key=value config file; flags override it")
 
 
-def _config_from_args(args: argparse.Namespace) -> reports.RunConfig:
-    cfg = (reports.RunConfig.from_file(args.config) if args.config
-           else reports.RunConfig())
+def _config_from_args(args: argparse.Namespace, **base) -> reports.RunConfig:
+    """The defaults, then ``base``, then the config file, then the flags."""
+    cfg = (reports.RunConfig.from_file(args.config, **base) if args.config
+           else reports.RunConfig(**base))
     for f in dc_fields(cfg):
         val = getattr(args, f.name, None)
         if val is not None:
@@ -134,9 +136,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    pr = _params(5 if args.n is None else args.n,
-                 0.5 if args.sigma is None else args.sigma)
+    cfg = _config_from_args(args, n=5)
+    pr = _params(cfg.n, cfg.sigma)
     kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=pr.n,
                      decay="integrable_against_kernel")
     try:

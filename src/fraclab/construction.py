@@ -509,7 +509,9 @@ def plan_sequences(params: Params, k: ScalarField,
     # ring geometry: regular i0-gon of side 4 rho_1 on the sphere |x| = delta1
     ring_radius = 2.0 * rho[0] / math.sin(math.pi / i0)
     if ring_radius >= delta1:
-        raise InfeasiblePlanError("polygon circumradius exceeds delta1")
+        raise InfeasiblePlanError(f"the circumradius {ring_radius:.6g} of the "
+                                  f"i0-gon, i0 = {i0}, exceeds delta1 = "
+                                  f"{delta1:.6g}")
     height = math.sqrt(delta1 ** 2 - ring_radius ** 2)
     centers = np.zeros((N, n))
     for j in range(ring):
@@ -538,6 +540,11 @@ def plan_sequences(params: Params, k: ScalarField,
                        amplitude=amp, w0=w0, margins=margins)
     out.margins["min_bj"] = _min_bj_margin(out)
     return out
+
+
+#: Ring neighbours summed on each side in the envelope check of
+#: :func:`_ring_checks`; the farther ones fall like sep^{-(n - 2 sigma)}.
+RING_NEIGHBOURS = 4096
 
 
 def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
@@ -571,11 +578,15 @@ def _ring_checks(params, w0, amp, phi, i0, beta, ring, eps_ring, m1k, m_big,
                 u_out + grad_out < 2.0 ** (-ring),
                 2.0 ** (-ring) - (u_out + grad_out)))
     # ring envelope condition: Z(k^{(n+2s)/4s}, sum_{i != j} u_i) > w(0)
-    # minimized over B_{2 rho_j}; the off-ring sum is the full i0-gon sum
+    # minimized over B_{2 rho_j}; the off-ring sum runs over the i0-gon,
+    # RING_NEIGHBOURS a side: each term dropped past them is positive, so
+    # the sum, and with it Z, stays a lower bound
     chord = lambda sep: 2.0 * (2.0 * rho / math.sin(math.pi / i0)) \
         * math.sin(math.pi * sep / i0)
+    near = min(i0 - 1, 2 * RING_NEIGHBOURS)
+    seps = [*range(1, near // 2 + 1), *range(i0 - (near + 1) // 2, i0)]
     top, total = _sum_exp(bubble_log_profile(
-        lam, [chord(sep) + 2 * rho for sep in range(1, i0)], amp, params))
+        lam, [chord(sep) + 2 * rho for sep in seps], amp, params))
     log_z, _ = log_envelope(lz2, top + math.log(total), params)
     out.append(("Z(k^{(n+2s)/4s}, ring sum) > w(0)", log_z > math.log(w0),
                 log_z - math.log(w0)))
@@ -767,12 +778,10 @@ def validate_plan(plan: SequencePlan, seed: int = 13) -> dict:
     rep["beta formula"] = (abs(plan.beta - beta_from_formula(p)) < 1e-15, plan.beta)
     rep["i0 formula"] = (plan.i0 == i0_from_formula(p, plan.a), plan.i0)
     # defining feasibility spot checks: every centre, where the inequality
-    # binds, then seeded distances from inside the ball to far out; each
-    # check draws its samples one by one, then takes one array call
+    # binds, then 64 seeded distances from inside the ball to far out
     def draw(lo, hi):
-        idx, scale = np.array([(rng.integers(plan.n_mat), 10.0 ** rng.uniform(lo, hi))
-                               for _ in range(64)]).T
-        return idx.astype(int), plan.rho[idx.astype(int)] * scale
+        idx = rng.integers(plan.n_mat, size=64)
+        return idx, plan.rho[idx] * 10.0 ** rng.uniform(lo, hi, size=64)
 
     idx, dist = draw(-3, 3)
     idx = np.concatenate([np.arange(plan.n_mat), idx])

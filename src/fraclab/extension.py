@@ -13,7 +13,7 @@ U solves div(t^{1-2s} grad U) = 0 for t > 0 with trace u, and its conormal
 derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 
 :func:`extend` takes one point (y, t) or rows of them in one call, and
-sums each row by the radial core of :mod:`fraclab.fracops`, with the
+sums them by the sphere-mean driver of :mod:`fraclab.fracops`, with the
 kernel r^{n-1} (1+r^2)^{-(n+2s)/2} and the scale t: GL8 on panels from a
 head radius r_lo, graded about the field's kink edges over t.  Below r_lo
 the sphere mean is a smooth even function of t r, and the head is
@@ -66,13 +66,12 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     """Value of the extension U(y, t) for t > 0.
 
     ``y`` (n,) with a float t gives a float; ``y`` (m, n) with t (m,)
-    gives an (m,) array.  A single point is a batch of one, and the
-    sphere-mean nodes of ``fracops.BLOCK`` rows go to the field in one call.
+    gives an (m,) array.  A single point is a batch of one.
 
-    Row j takes GL8 on panels from r_lo to ``OUTER``, graded about each
-    kink edge over t; t r_lo is the least of t, half the nearest kink edge
-    and ``fracops.INNER_RADIUS`` max(1, |y|).  Below r_lo the head fit of
-    the sphere mean meets the moments of :func:`_head_moments`.
+    One :func:`fracops._sphere_mean_sum` call sums every row with the scale
+    t: GL8 on panels from 1e-8 to ``OUTER``, from a head radius r_lo <= 1,
+    and below r_lo the head fit of the sphere mean against the moments of
+    :func:`_head_moments`.
     """
     single = np.ndim(y) == 1
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -83,27 +82,15 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     if (ts <= 0.0).any():
         raise ValueError("the extension is evaluated at t > 0")
     n, s2 = params.n, 2.0 * params.sigma
-    dist = np.linalg.norm(ys, axis=1)
-    edges = geometry.kink_edges(field.kink_radii, dist) / ts[:, None]
-    smooth = np.minimum(fracops.INNER_RADIUS * np.maximum(1.0, dist) / ts,
-                        0.5 * np.min(edges, axis=1, initial=np.inf))
-    r_lo = np.minimum(1.0, smooth)
-    centres, g0 = ((dist, field.radial_profile(dist)) if field.is_radial
-                   else (ys, field(ys)))
 
     def kernel(r):
         # exp and log1p, which numpy vectorises, cost a third of a power
         return r ** (n - 1) * np.exp(-0.5 * (n + s2) * np.log1p(r * r))
 
-    rows = geometry.panel_rows(1e-8, r_lo, np.full(ts.size, OUTER),
-                               fracops.PANELS_PER_DECADE, edges)
-    moments = _head_moments(n, params.sigma, r_lo)
-    value, s_tail = np.empty((2, ts.size))
-    for lo in range(0, ts.size, fracops.BLOCK):
-        blk = slice(lo, lo + fracops.BLOCK)
-        value[blk], _, s_tail[blk] = fracops._radial_sum(
-            field, centres[blk], g0[blk], False, rows[blk], ts[blk], kernel,
-            moments[blk], (8,), np.full(len(ts[blk]), OUTER))
+    _, value, _, s_tail = fracops._sphere_mean_sum(
+        field, ys, np.linalg.norm(ys, axis=1), False, kernel,
+        lambda r_lo: _head_moments(n, params.sigma, r_lo), (8,), ts, 1e-8,
+        np.full(ts.size, OUTER), 1.0)
     # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
     value += s_tail * OUTER ** (-s2) / s2
     cset = constants.constant_set(params)

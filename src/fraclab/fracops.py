@@ -8,14 +8,15 @@ Writing S(s) for the mean of f over the sphere of radius s about x,
 
 with omega the area of the unit sphere: int_0^inf s^e g(s) ds with
 e = -1 - 2 sigma, g = f(x) - S(s) and e = 2 sigma - 1, g = S(s) (Kwaśnicki,
-FCAA 20(1), 2017).  One radial core, :func:`_radial_sum`, sums the
-Laplacian, the potential of a field that is not radial, and the extension
-of :mod:`fraclab.extension`, on rows of panels graded at the field's
-kinks, GL8 with an embedded GL4, so every value has an error bar.  A
-radial field's sphere means are split at the kinks of its profile
+FCAA 20(1), 2017).  One sphere-mean driver, :func:`_sphere_mean_sum`,
+sums the Laplacian, the potential of a field that is not radial, and the
+extension of :mod:`fraclab.extension`: it builds the rows of panels graded
+at the field's kink edges and the head radius, and sums each row in GL8
+with an embedded GL4, so every value has an error bar.  A radial field's
+sphere means are split at the kinks of its profile
 (:func:`geometry.radial_mean_rule`); other fields take a product rule.
 
-Near s = 0 the sphere mean is a smooth even function of s, so the core
+Near s = 0 the sphere mean is a smooth even function of s, so the driver
 integrates the stretch below a small radius s_lo from a two-term even
 Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, against the
 kernel's moments on [0, s_lo] (s_lo^{e+1} / (e + 1 + 2k) for s^e), and
@@ -199,33 +200,22 @@ def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
     sphere means S(s) about each point (about its distance d for a radial
     field).
 
-    :func:`_radial_sum` takes GL8 and GL4 on the panels above
-    s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2), where
-    f(x) - S(s) would drown in float cancellation, and the head below; the
-    bar adds the tail charge.  A compact field is summed out to
-    d + 1.001 a (the Laplacian: at least ``OUTER_RADIUS``).
+    :func:`_sphere_mean_sum` takes GL8 and GL4 on the panels from
+    s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2) and the
+    head below, against the kernel s^e; the bar adds the tail charge.  A
+    compact field is summed out to d + 1.001 a (the Laplacian: at least
+    ``OUTER_RADIUS``).
     """
     lap = e < -1.0
-    centres, f0 = ((d, field.radial_profile(d)) if field.is_radial
-                   else (batch, field(batch)))
     compact = field.decay == "compact_support"
     outer = (d + field.support_radius * 1.001 if compact
              else np.full(d.size, OUTER_RADIUS))
     if compact and lap:
         outer = np.maximum(outer, OUTER_RADIUS)
-    edges = geometry.kink_edges(field.kink_radii, d)
-    s_lo = np.minimum(INNER_RADIUS * np.maximum(1.0, d),
-                      0.5 * np.min(edges, axis=1, initial=np.inf))
-    rows = geometry.panel_rows(1e-12, s_lo, outer, PANELS_PER_DECADE, edges)
-    moments = s_lo[:, None] ** (e + 1.0) / (e + 1.0 + 2.0 * np.arange(3))
-    tail = outer[:0] if compact else outer  # S(outer) is not read if compact
-    fine, err, s_tail = np.empty(d.size), np.empty(d.size), np.empty(tail.size)
-    for lo in range(0, d.size, BLOCK):
-        blk = slice(lo, lo + BLOCK)
-        fine[blk], err[blk], s_tail[blk] = _radial_sum(
-            field, centres[blk], f0[blk], lap, rows[blk],
-            np.ones(len(f0[blk])), lambda s: s ** e, moments[blk], (8, 4),
-            tail[blk])
+    f0, fine, err, s_tail = _sphere_mean_sum(
+        field, batch, d, lap, lambda s: s ** e,
+        lambda s_lo: s_lo[:, None] ** (e + 1.0) / (e + 1.0 + 2.0 * np.arange(3)),
+        (8, 4), np.ones(d.size), 1e-12, outer, np.inf)
 
     # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
     c, sign = (f0, -1.0) if lap else (np.zeros(d.size), 1.0)
@@ -265,7 +255,8 @@ def _radial_potential(field: ScalarField, d: Array, sigma: float
 #: grid gives way to these breaks between the first and the last.
 NEAR_GRADING = (0.4, 0.7, 1.0, 1.4, 1.8, 2.6)
 
-#: Distances at or below this are the origin: the potential of a field
+#: Distances at or below this, in units of a compact field's support
+#: radius (1 for power decay), are the origin: the potential of a field
 #: smooth there moves by O(d^2), under rounding at d <= 1e-8 INNER_RADIUS.
 CENTRE_RADIUS = 1e-8 * INNER_RADIUS
 
@@ -288,10 +279,12 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
       E(ln x + ln v) = E(ln x) v^eps + E(ln v), the integrand is
       E(ln x) g1 + g2 with g1 and g2 smooth, and
       int_0^h = h int_0^1 [p E(ln h v) - q] phi dt
-      - h^{1 + eps} int_0^1 (1 - t^eps) / eps p v^eps phi dt,
+      - h int_0^1 (1 - t^eps) / eps p (h v)^eps phi dt,
       the first by Gauss-Legendre and the second by the Gauss rule of
       that weight, :func:`geometry.log_rule`; at sigma = 1/2 it is -ln t.
-    * at d = 0, the panel [0, INNER_RADIUS], where K = rho^{-q}: the
+      Both take h v, near 1, in place of v: the second integrand is
+      p (h v)^eps, so its weights go as h and it cancels in no float.
+    * at d = 0, the panel [0, INNER_RADIUS a], where K = rho^{-q}: the
       Gauss-Jacobi rule of :func:`geometry.power_rule` for
       rho^{2 sigma - 1}.
     * beyond the last break R of a power-decay field, f ~ rho^{-alpha}:
@@ -300,6 +293,8 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
 
     The stretch below grid[cut], the largest radius of the field's moment
     grid at or below 0.4 d, is the series of :func:`_moment_series`.
+    Lengths are in units a of a compact field's support radius (1 for
+    power decay), so a tiny support sees the panels of a unit one.
 
     The bar is |GL8 - GL4| (the same for the other rules), plus the
     rounding bound k eps sum |terms| of each k-term sum and, as F >= 1,
@@ -307,8 +302,9 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     """
     n, s2 = field.n, 2.0 * sigma
     q = n - s2
-    d = np.where(d > CENTRE_RADIUS, d, 0.0)
     power_decay = field.decay == "power_decay"
+    unit = 1.0 if power_decay else field.support_radius
+    d = np.where(d > CENTRE_RADIUS * unit, d, 0.0)
     end = (np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay
            else np.full(d.size, float(field.support_radius)))
     graded = [k * g for k in field.kink_radii for g in geometry.GRADING]
@@ -316,49 +312,49 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     cut = np.searchsorted(grid, NEAR_GRADING[0] * d, side="right") - 1
     # one entry per panel, and one more for each split panel's log rule:
     # start, signed width, rule (0 Gauss-Legendre, 1 the head at d = 0,
-    # 2 the log rule from d), row, and scale (0; the width for a split
-    # panel's GL nodes; -1 for its log-rule nodes)
+    # 2 the log rule from d), row, and scale (the width on a split panel,
+    # 0 elsewhere)
     panels = []
     for j, (dj, start, ej) in enumerate(zip(d.tolist(), grid[cut].tolist(),
                                             end.tolist())):
-        breaks = _kernel_breaks(dj, graded, start, ej)
+        breaks = _kernel_breaks(dj, graded, start, ej, unit)
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             if dj > 0.0 and dj in (lo, hi):
                 panels += [(lo, hi - lo, 0, j, hi - lo),
-                           (dj, lo - hi if hi == dj else hi - lo, 2, j, -1.0)]
+                           (dj, lo - hi if hi == dj else hi - lo, 2, j, hi - lo)]
             else:
                 panels.append((lo, hi - lo, int(dj == 0.0 and lo == 0.0),
                                j, 0.0))
     start, width, kind, row, scale = np.array(panels).T
     kind, row = kind.astype(int), row.astype(int)
-    nodes, w8, w4, power = _kernel_template(sigma)
-    # the log rule's weights go as h^{1 + eps}, the others' as h
-    size = np.abs(width) ** power[kind]
+    nodes, w8, w4 = _kernel_template(sigma)
+    size = np.abs(width)
     rho = (start[:, None] + width[:, None] * nodes[kind]).ravel()
     fine_w = (size[:, None] * w8[kind]).ravel()
     coarse_w = (size[:, None] * w4[kind]).ravel()
-    owner = row.repeat(nodes.shape[1])
-    scale = scale.repeat(nodes.shape[1])
+    owner, scale, log_node = (x.repeat(nodes.shape[1])
+                              for x in (row, scale, kind == 2))
     if power_decay:
         u, u8, u4 = _tail_template(field.decay_rate, sigma)
         beta = field.decay_rate - s2 - 1.0
         big = end[:, None] / u
         jac = end[:, None] ** (-beta - 1.0) * big ** (2.0 + beta)
-        rho, fine_w, coarse_w, owner, scale = (np.concatenate(x) for x in (
-            (rho, big.ravel()), (fine_w, (jac * u8).ravel()),
-            (coarse_w, (jac * u4).ravel()),
-            (owner, np.arange(d.size).repeat(u.size)),
-            (scale, np.zeros(big.size))))
+        rho, fine_w, coarse_w, owner, scale, log_node = (
+            np.concatenate(x) for x in (
+                (rho, big.ravel()), (fine_w, (jac * u8).ravel()),
+                (coarse_w, (jac * u4).ravel()),
+                (owner, np.arange(d.size).repeat(u.size)),
+                (scale, np.zeros(big.size)), (log_node, np.zeros(big.size, bool))))
 
     at = d[owner]
     lo_, hi_ = np.minimum(rho, at), np.maximum(rho, at)
     v = (hi_ + lo_) / (hi_ * hi_)
     w = (hi_ - lo_) * v
-    # ln w; on a split panel ln (h v) at its GL nodes and ln v at its
-    # log-rule nodes (scale -1), where the kernel is p v^eps
+    # ln w; on a split panel ln (h v), and the kernel p (h v)^eps at its
+    # log-rule nodes
     kernel = _kernel_factor(n, sigma, (lo_ / hi_) ** 2, w, scale != 0.0,
-                            np.log(np.where(scale == 0.0, w,
-                                            np.abs(scale) * v)), scale < 0.0)
+                            np.log(np.where(scale == 0.0, w, scale * v)),
+                            log_node)
     terms = field.radial_profile(rho) * rho ** (n - 1) * hi_ ** -q * kernel
     m = d.size
     fine = np.bincount(owner, terms * fine_w, minlength=m)
@@ -392,7 +388,7 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
     if key not in field.memo:
         compact = field.decay == "compact_support"
         top = field.support_radius if compact else OUTER_RADIUS
-        radii = _geometric(0.0, top) + [
+        radii = _geometric(0.0, top, top if compact else 1.0) + [
             k * g for k in field.kink_radii for g in geometry.GRADING]
         if compact:
             knots = np.unique([0.0, top] + [k for k in field.kink_radii
@@ -450,14 +446,15 @@ def _moment_series(field: ScalarField, sigma: float, d: Array,
     return lead * value, lead * bar
 
 
-def _geometric(lo: float, hi: float) -> list:
-    """The radii INNER_RADIUS 10^{i / PANELS_PER_DECADE} in [lo, hi]
-    (from INNER_RADIUS when lo is 0), the geometric grid of every row."""
-    first = (0 if lo <= 0.0 else
-             math.floor(math.log10(lo / INNER_RADIUS) * PANELS_PER_DECADE))
-    last = math.ceil(math.log10(hi / INNER_RADIUS) * PANELS_PER_DECADE)
-    return [r for r in map(_geometric_radius, range(first, last + 1))
-            if lo <= r <= hi]
+def _geometric(lo: float, hi: float, unit: float) -> list:
+    """The radii unit INNER_RADIUS 10^{i / PANELS_PER_DECADE} in [lo, hi]
+    (from unit INNER_RADIUS when lo is 0), the geometric grid of every row
+    in the length unit of the field."""
+    first = (0 if lo <= 0.0 else math.floor(
+        math.log10(lo / (INNER_RADIUS * unit)) * PANELS_PER_DECADE))
+    last = math.ceil(math.log10(hi / (INNER_RADIUS * unit)) * PANELS_PER_DECADE)
+    return [r for r in (_geometric_radius(i) * unit
+                        for i in range(first, last + 1)) if lo <= r <= hi]
 
 
 @lru_cache(maxsize=None)
@@ -481,21 +478,19 @@ def _paired(rules) -> Tuple[Array, Array, Array]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_template(sigma: float) -> Tuple[Array, Array, Array, Array]:
+def _kernel_template(sigma: float) -> Tuple[Array, Array, Array]:
     """Nodes t in (0, 1) of a panel of :func:`_kernel_integral` and the
     weights of its value rule (order 8) and check rule (order 4), one row
     per rule: 0 Gauss-Legendre; 1 Gauss-Jacobi for t^{2 sigma - 1} with
     that factor divided out of the weights (the head at d = 0); 2 the log
-    rule of weight (1 - t^eps) / eps, eps = 2 sigma - 1, weights negated.
-    Then the power of the panel's width that scales each row's weights."""
+    rule of weight (1 - t^eps) / eps, eps = 2 sigma - 1, weights negated."""
     eps = 2.0 * sigma - 1.0
-    rules = ([(0.5 * (x + 1.0), 0.5 * w)
-              for x, w in (geometry._legendre(k) for k in (8, 4))],
+    rules = ([geometry.gauss_nodes(np.zeros(1), np.ones(1), k)
+              for k in (8, 4)],
              [(t, w * t ** -eps)
               for t, w in (geometry.power_rule(eps, k) for k in (8, 4))],
              [(t, -w) for t, w in (geometry.log_rule(eps, k) for k in (8, 4))])
-    return _frozen(*(np.stack(x) for x in zip(*map(_paired, rules))),
-                   np.array([1.0, 1.0, 1.0 + eps]))
+    return _frozen(*(np.stack(x) for x in zip(*map(_paired, rules))))
 
 
 @lru_cache(maxsize=None)
@@ -506,18 +501,19 @@ def _tail_template(alpha: float, sigma: float) -> Tuple[Array, Array, Array]:
                                                  k) for k in (8, 4)]))
 
 
-def _kernel_breaks(d: float, graded: list, start: float, end: float
-                   ) -> list:
+def _kernel_breaks(d: float, graded: list, start: float, end: float,
+                   unit: float) -> list:
     """Panel breaks in rho from ``start`` to ``end`` for the distance d of
     :func:`_kernel_integral`: the geometric grid of :func:`_geometric`
-    (from INNER_RADIUS, or from 2.6 d if lower), the kink breaks
+    (from unit INNER_RADIUS, or from 2.6 d if lower), the kink breaks
     ``graded``, and d * ``NEAR_GRADING`` in place of the grid between
     0.4 d and 2.6 d.  The offset 0.3 d of the inner split panel is halved
     down to half the gap between d and the nearest kink break or end, on
     both sides, so no panel sees the singularity at d closer than its own
     width."""
     low, high = NEAR_GRADING[0] * d, NEAR_GRADING[-1] * d
-    breaks = _geometric(min(high, INNER_RADIUS) if d > 0.0 else 0.0, end)
+    breaks = _geometric(min(high, INNER_RADIUS * unit) if d > 0.0 else 0.0,
+                        end, unit)
     if d > 0.0:
         breaks = [r for r in breaks if not low < r < high]
         breaks += [d * g for g in NEAR_GRADING]
@@ -532,54 +528,68 @@ def _kernel_breaks(d: float, graded: list, start: float, end: float
     return [start] + breaks + [end]
 
 
-def _radial_sum(field: ScalarField, centres: Array, f0: Array, lap: bool,
-                rows: Array, scale: Array, kernel: Callable[[Array], Array],
-                moments: Array, orders: Tuple[int, ...], tail: Array
-                ) -> Tuple[Array, Optional[Array], Array]:
-    """The one radial core: per row j, int K(r) g_j(scale_j r) dr up to the
-    last break of rows[j], its error bar, and S_j(scale_j tail_j).
+def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array, lap: bool,
+                     kernel: Callable[[Array], Array],
+                     head: Callable[[Array], Array], orders: Tuple[int, ...],
+                     scale: Array, first: float, outer: Array, cap: float
+                     ) -> Tuple[Array, Array, Array, Array]:
+    """The one sphere-mean driver (private, so a traced run charges its time
+    to the operator that called it): per point x_j of ``batch`` (m, n), at
+    distance d_j, int_0^{outer_j} K(r) g_j(scale_j r) dr, with g_j =
+    f(x_j) - S_j for ``lap`` and S_j otherwise, S_j the sphere mean about
+    x_j (about d_j for a radial field).  Returns f(x_j), the value, its bar
+    and S_j(scale_j outer_j).
 
-    g_j is f0_j - S_j for ``lap`` and S_j otherwise, S_j the sphere mean
-    about centres[j] and f0_j the field there.  Row j holds panel breaks in
-    r from the head radius r_lo, each panel summed in the Gauss-Legendre
-    ``orders`` (the first gives the value).  Below r_lo the head fit of
-    the module notes meets ``moments`` (m, 3), the integrals of
-    (r / r_lo)^{2k} K(r) on [0, r_lo], k = 0, 1, 2.  With two orders the
-    bar is |first - second|, plus the rounding bound k eps sum |terms| of
-    the k-node sum, plus half the quartic term's share; with one it is
-    None.  ``tail`` holds one radius per row, or none when the caller
-    reads no S beyond the panels.
+    Row j of :func:`geometry.panel_rows` runs from ``first``, graded about
+    the kink edges over scale_j, and starts at the head radius r_lo: the
+    least of ``cap``, half the nearest edge and INNER_RADIUS max(1, d_j) /
+    scale_j, below which f - S would drown in cancellation.  Each panel
+    takes the Gauss-Legendre ``orders``, the first for the value; below
+    r_lo the head fit of the module notes meets ``head(r_lo)`` (m, 3), the
+    integrals of (r / r_lo)^{2k} K(r) on [0, r_lo], k = 0, 1, 2.  With two
+    orders the bar is |first - second|, plus k eps sum |terms| for the
+    k-node sum and half the quartic term's share; with one it is 0.
     """
-    m = len(rows)
-    live = np.isfinite(rows[:, 1:])
-    owner = np.nonzero(live)[0]
-    rules = [geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], k)
-             for k in orders]
-    r_lo = rows[:, 0]
-    radii = np.concatenate([x for x, _ in rules] + [r_lo, 0.5 * r_lo, tail])
-    owners = [owner.repeat(k) for k in orders]
-    who = np.concatenate(owners + [np.arange(m)] * 2 + [np.arange(tail.size)])
-    means = _sphere_means(field, centres[who], scale[who] * radii)
-    g, g0 = (f0[who] - means, np.zeros(m)) if lap else (means, f0)
-    *parts, g_one, g_half, _ = np.split(
-        g, np.cumsum([x.size for x, _ in rules] + [m, m]))
-    terms = [gk * kernel(x) * w for gk, (x, w) in zip(parts, rules)]
-    sums = [np.bincount(o, t, minlength=m) for o, t in zip(owners, terms)]
+    centres, f0 = ((d, field.radial_profile(d)) if field.is_radial
+                   else (batch, field(batch)))
+    edges = geometry.kink_edges(field.kink_radii, d) / scale[:, None]
+    r_lo = np.minimum(cap, np.minimum(
+        INNER_RADIUS * np.maximum(1.0, d) / scale,
+        0.5 * np.min(edges, axis=1, initial=np.inf)))
+    rows = geometry.panel_rows(first, r_lo, outer, PANELS_PER_DECADE, edges)
+    moments = head(r_lo)
+    value, err, s_tail = np.zeros((3, d.size))
+    for lo in range(0, d.size, BLOCK):
+        blk = slice(lo, lo + BLOCK)
+        row, g0, m = rows[blk], f0[blk], len(rows[blk])
+        live = np.isfinite(row[:, 1:])
+        owner = np.nonzero(live)[0]
+        rules = [geometry.gauss_nodes(row[:, :-1][live], row[:, 1:][live], k)
+                 for k in orders]
+        radii = np.concatenate([x for x, _ in rules]
+                               + [row[:, 0], 0.5 * row[:, 0], outer[blk]])
+        owners = [owner.repeat(k) for k in orders]
+        who = np.concatenate(owners + [np.arange(m)] * 3)
+        means = _sphere_means(field, centres[blk][who], scale[blk][who] * radii)
+        g, g0 = (g0[who] - means, np.zeros(m)) if lap else (means, g0)
+        *parts, g_one, g_half, _ = np.split(
+            g, np.cumsum([x.size for x, _ in rules] + [m, m]))
+        terms = [gk * kernel(x) * w for gk, (x, w) in zip(parts, rules)]
+        sums = [np.bincount(o, t, minlength=m) for o, t in zip(owners, terms)]
 
-    # head: g(r) = g0 + a (r/r_lo)^2 + b (r/r_lo)^4 on [0, r_lo]
-    a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
-    b = g_one - g0 - a
-    value = sums[0] + (moments[:, 0] * g0 + moments[:, 1] * a
-                       + moments[:, 2] * b)
-    s_tail = means[means.size - tail.size:]
-    if len(sums) == 1:
-        return value, None, s_tail
-    # |GL8 - GL4|, plus the rounding bound k eps sum |terms| of a k-term sum
-    err = np.abs(sums[0] - sums[1]) + (
-        np.bincount(owners[0], minlength=m) * np.finfo(float).eps
-        * np.bincount(owners[0], np.abs(terms[0]), minlength=m))
-    err += 0.5 * np.abs(b) * moments[:, 2]
-    return value, err, s_tail
+        # head: g(r) = g0 + a (r/r_lo)^2 + b (r/r_lo)^4 on [0, r_lo]
+        a = (16.0 * (g_half - g0) - (g_one - g0)) / 3.0
+        b = g_one - g0 - a
+        mom = moments[blk]
+        value[blk] = sums[0] + (mom[:, 0] * g0 + mom[:, 1] * a + mom[:, 2] * b)
+        s_tail[blk] = means[-m:]
+        if len(sums) > 1:
+            # |GL8 - GL4|, plus the rounding bound of a k-term sum
+            err[blk] = np.abs(sums[0] - sums[1]) + (
+                np.bincount(owners[0], minlength=m) * np.finfo(float).eps
+                * np.bincount(owners[0], np.abs(terms[0]), minlength=m)
+                ) + 0.5 * np.abs(b) * mom[:, 2]
+    return f0, value, err, s_tail
 
 
 def riesz_field(field: ScalarField, params: Params) -> ScalarField:

@@ -1,14 +1,17 @@
 """Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
 
-Everything here is plain geometry on spheres in R^n.  Every radial
-integral of the package is summed on the panels of :func:`panel_rows`:
-geometric panels plus breaks at edge * ``GRADING`` about each edge of
-:func:`kink_edges`.  :mod:`fraclab.fracops`, :mod:`fraclab.extension` and
-:mod:`fraclab.solver` take a block of rows at once (the extension in r,
-its kink edges divided by t); the other modules take one row from
-:func:`panel_breaks` and sum it by :func:`panel_quad`.  The potential of
-a radial field takes Gauss rules for singular weights on (0, 1) from
-:func:`power_rule` and :func:`log_rule`.
+Everything here is plain geometry on spheres in R^n.  The sphere-mean
+integrals are summed on the panels of :func:`panel_rows`: geometric panels
+plus breaks at edge * ``GRADING`` about each edge of :func:`kink_edges`.
+The driver :func:`fraclab.fracops._sphere_mean_sum` (the operators and, in
+r with its kink edges divided by t, the extension) and
+:mod:`fraclab.solver` take a block of rows at once; the other modules take
+one row from :func:`panel_breaks` and sum it by :func:`panel_quad`.  Two
+radial integrals take panels of their own: the potential of a radial
+field, an integral in rho on the grid of ``fracops._geometric`` and the
+breaks of ``fracops._kernel_breaks``, with Gauss rules for singular
+weights on (0, 1) from :func:`power_rule` and :func:`log_rule`; and the
+Feynman-parameter integral of :mod:`fraclab.extension`, on dyadic panels.
 """
 
 from __future__ import annotations

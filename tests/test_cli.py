@@ -1,12 +1,13 @@
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from fraclab import bubbles, cli, constants, movingsphere, reports
+from fraclab import bubbles, cli, constants, fracops, movingsphere, reports
 from fraclab.params import Params
 
 
@@ -101,6 +102,53 @@ def test_construct_honours_n_and_sigma(tmp_path, capsys):
     assert rc == 1
     assert ("no plan for N=16: the target M_16 exceeds the float range"
             in capsys.readouterr().err)
+
+
+def test_construct_plans_at_the_config_files_n_and_sigma(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 6\nsigma = 0.75\n")
+    rc = cli.main(["construct", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert (plan["n"], plan["sigma"], plan["N"]) == (6, 0.75, 8)
+    assert plan["all_margins_positive"]
+
+
+def test_construct_with_a_vast_ring_ends_with_its_reason():
+    # i0 = 1518500250 at (20, 1/2): the ring check sums near neighbours
+    # only, so the run ends at once, in little memory, naming i0
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fraclab.cli", "construct", "--n", "20",
+         "--sigma", "0.5", "--N", "8"], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 1
+    assert "i0 = 1518500250" in proc.stderr
+
+
+def test_extend_suite_runs_past_three_dimensions(capsys):
+    # the mass check extends a radial constant, which needs no sphere rule
+    assert cli.main(["verify", "--suite", "extend", "--n", "5"]) == 0
+    assert "ALL PASS" in capsys.readouterr().out
+
+
+def test_green_suite_beyond_three_dimensions_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "green", "--n", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
+        "the green suite runs at n in {2, 3}, got n=5")
+
+
+def test_fraclap_suite_inverts_at_the_given_n(monkeypatch):
+    dims, tabulate = [], fracops.riesz_field
+    monkeypatch.setattr(fracops, "riesz_field", lambda field, pr: (
+        dims.append(pr.n), tabulate(field, pr))[1])
+    checks = reports.suite_fraclap(reports.RunConfig(n=5, sigma=0.5))
+    assert dims == [2, 3, 5]
+    assert all(c["passed"] for c in checks)
 
 
 def test_iterate_getoor_writes_csv(tmp_path, capsys):

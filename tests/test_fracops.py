@@ -521,7 +521,7 @@ def test_exterior_series_bar_covers_the_closed_form(n, s):
 
 
 TINY = 1e-30
-TINY_CASES = [(2, 0.25), (3, 0.5), (5, 0.75)]
+TINY_CASES = [(2, 0.25), (3, 0.1), (3, 0.5), (5, 0.75)]
 
 
 def _tiny_ball_potential(n, s, ratios):
@@ -545,11 +545,6 @@ def test_exterior_series_of_a_tiny_ball(n, s):
     assert np.all(err <= res.error)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="CENTRE_RADIUS = 1e-11 and the INNER_RADIUS of the "
-                   "moment grid are absolute lengths: inside twice a support "
-                   "of radius 1e-30 the potential is off by up to 5 times its "
-                   "value, far outside its bar")
 @pytest.mark.parametrize("n,s", TINY_CASES)
 def test_riesz_potential_of_a_tiny_ball_inside_twice_its_support(n, s):
     res, want = _tiny_ball_potential(n, s, [0.5, 0.999, 1.5])
