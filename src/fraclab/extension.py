@@ -14,11 +14,10 @@ derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 
 :func:`extend` takes one point (y, t) or rows of them in one call, and
 sums them by the sphere-mean driver of :mod:`fraclab.fracops`, with the
-kernel r^{n-1} (1+r^2)^{-(n+2s)/2} and the scale t: GL8 on panels from a
-head radius r_lo, graded about the field's kink edges over t.  Below r_lo
-the sphere mean is a smooth even function of t r, and the head is
-integrated against the kernel's moments on [0, r_lo], made per row by
-Gauss-Legendre quadrature.
+kernel r^{n-1} (1+r^2)^{-(n+2s)/2} and the scale t, on the operators' own
+rules: GL8 on panels graded about the field's kink edges over t, the head
+fit against the moments of r^{n-1} below r_lo, and beyond the last panel
+the operators' tail law S ~ (outer / s)^alpha.
 
 The model bubble w = (1+|z|^2)^{-b}, b = (n-2s)/2, has an extension in one
 variable at every sigma.  With a = (n+2s)/2, write the Poisson kernel and w
@@ -53,13 +52,8 @@ from .params import Params
 Array = np.ndarray
 
 
-#: Panels run out to OUTER, with a frozen-field tail beyond.
+#: Panels of a compact or bounded field run out to OUTER (alpha = 0 beyond).
 OUTER = 1e4
-
-#: Gauss-Legendre nodes of the head moments on [0, r_lo].  Their integrand
-#: is analytic but for the branch points +-i of (1+r^2)^{-c}, so on
-#: r_lo <= 1 the error falls like 4.6^{-2 HEAD_NODES}, far below rounding.
-HEAD_NODES = 32
 
 
 def extend(field: ScalarField, y: Array, t, params: Params):
@@ -69,9 +63,10 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     gives an (m,) array.  A single point is a batch of one.
 
     One :func:`fracops._sphere_mean_sum` call sums every row with the scale
-    t: GL8 on panels from 1e-8 to ``OUTER``, from a head radius r_lo <= 1,
-    and below r_lo the head fit of the sphere mean against the moments of
-    :func:`_head_moments`.
+    t, in r out to ``OUTER``, or for a field of power decay until t r
+    passes ``fracops.OUTER_RADIUS`` max(1, |y|), where the decay law holds.
+    Beyond, the kernel is r^{-1-2s} and S(t r) ~ S(t outer) (outer / r)^alpha,
+    alpha the decay rate (0 for a compact or bounded field).
     """
     single = np.ndim(y) == 1
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -87,30 +82,16 @@ def extend(field: ScalarField, y: Array, t, params: Params):
         # exp and log1p, which numpy vectorises, cost a third of a power
         return r ** (n - 1) * np.exp(-0.5 * (n + s2) * np.log1p(r * r))
 
+    d = np.linalg.norm(ys, axis=1)
+    alpha = field.decay_rate if field.decay == "power_decay" else 0.0
+    outer = (fracops.OUTER_RADIUS * np.maximum(1.0, d) / ts if alpha
+             else np.full(ts.size, OUTER))
     _, value, _, s_tail = fracops._sphere_mean_sum(
-        field, ys, np.linalg.norm(ys, axis=1), False, kernel,
-        lambda r_lo: _head_moments(n, params.sigma, r_lo), (8,), ts, 1e-8,
-        np.full(ts.size, OUTER), 1.0)
-    # tail: the kernel decays like r^{-1-2s}; treat u as frozen past OUTER
-    value += s_tail * OUTER ** (-s2) / s2
+        field, ys, d, False, kernel, n - 1.0, (8,), ts, outer)
+    value += s_tail * outer ** (-s2) / (s2 + alpha)
     cset = constants.constant_set(params)
     value *= cset.gamma_poisson * cset.sphere_area
     return float(value[0]) if single else value
-
-
-def _head_moments(n: int, sigma: float, r_lo: Array) -> Array:
-    """int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1+r^2)^{-c} dr, c = (n+2s)/2,
-    k = 0, 1, 2 (columns), at each r_lo <= 1 of an array r_lo (rows).
-
-    A moment is r_lo^n int_0^1 x^{n-1+2k} (1 + r_lo^2 x^2)^{-c} dx, summed on
-    ``HEAD_NODES`` Gauss-Legendre nodes x in (0, 1).
-    """
-    c = (n + 2.0 * sigma) / 2.0
-    x, w = geometry.gauss_nodes(np.zeros(1), np.ones(1), HEAD_NODES)
-    weights = w * x ** (n - 1) * (1.0 + (r_lo[:, None] * x) ** 2) ** (-c)
-    # row by row, so a row gets the same moments in any batch
-    return r_lo[:, None] ** n * np.einsum("ij,jk->ik", weights,
-                                          x[:, None] ** (2 * np.arange(3)))
 
 
 def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,

@@ -19,8 +19,8 @@ sphere means are split at the kinks of its profile
 Near s = 0 the sphere mean is a smooth even function of s, so the driver
 integrates the stretch below a small radius s_lo from a two-term even
 Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, against the
-kernel's moments on [0, s_lo] (s_lo^{e+1} / (e + 1 + 2k) for s^e), and
-charges half the quartic term to the error bar.
+moments s_lo^{e0+1} / (e0 + 1 + 2k) of the kernel's power s^e0 at 0 (e0 =
+e for s^e, n - 1 for the extension), charging half the quartic to the bar.
 
 The potential of a radial field needs no sphere means.  The mean of
 |x - y|^{-q}, q = n - 2 sigma, over the sphere |y| = rho is
@@ -213,9 +213,8 @@ def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
     if compact and lap:
         outer = np.maximum(outer, OUTER_RADIUS)
     f0, fine, err, s_tail = _sphere_mean_sum(
-        field, batch, d, lap, lambda s: s ** e,
-        lambda s_lo: s_lo[:, None] ** (e + 1.0) / (e + 1.0 + 2.0 * np.arange(3)),
-        (8, 4), np.ones(d.size), 1e-12, outer, np.inf)
+        field, batch, d, lap, lambda s: s ** e, e, (8, 4), np.ones(d.size),
+        outer)
 
     # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
     c, sign = (f0, -1.0) if lap else (np.zeros(d.size), 1.0)
@@ -529,9 +528,8 @@ def _kernel_breaks(d: float, graded: list, start: float, end: float,
 
 
 def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array, lap: bool,
-                     kernel: Callable[[Array], Array],
-                     head: Callable[[Array], Array], orders: Tuple[int, ...],
-                     scale: Array, first: float, outer: Array, cap: float
+                     kernel: Callable[[Array], Array], e0: float,
+                     orders: Tuple[int, ...], scale: Array, outer: Array
                      ) -> Tuple[Array, Array, Array, Array]:
     """The one sphere-mean driver (private, so a traced run charges its time
     to the operator that called it): per point x_j of ``batch`` (m, n), at
@@ -540,24 +538,34 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array, lap: bool,
     x_j (about d_j for a radial field).  Returns f(x_j), the value, its bar
     and S_j(scale_j outer_j).
 
-    Row j of :func:`geometry.panel_rows` runs from ``first``, graded about
-    the kink edges over scale_j, and starts at the head radius r_lo: the
-    least of ``cap``, half the nearest edge and INNER_RADIUS max(1, d_j) /
-    scale_j, below which f - S would drown in cancellation.  Each panel
-    takes the Gauss-Legendre ``orders``, the first for the value; below
-    r_lo the head fit of the module notes meets ``head(r_lo)`` (m, 3), the
-    integrals of (r / r_lo)^{2k} K(r) on [0, r_lo], k = 0, 1, 2.  With two
-    orders the bar is |first - second|, plus k eps sum |terms| for the
-    k-node sum and half the quartic term's share; with one it is 0.
+    Row j of :func:`geometry.panel_rows` runs from 1e-12, graded about the
+    kink edges over scale_j, and starts at the head radius r_lo: the least
+    of half the nearest kink edge, INNER_RADIUS max(1, d_j) min(1, 1 /
+    scale_j), below which f - S would drown in cancellation, and
+    INNER_RADIUS w, w the kernel's width, inside which K(r) is r^e0 for the
+    head fit.  Each panel takes the Gauss-Legendre ``orders``, the first
+    for the value.  With two the bar is |first - second|, plus k eps sum
+    |terms| for the k-node sum and half the quartic term's share.  A field
+    that is not radial needs n <= 3.
     """
+    if not field.is_radial and field.n > 3:
+        raise ValueError("sphere means need a field with a radial_profile, or "
+                         f"n <= 3; got one that is not radial at n={field.n}")
     centres, f0 = ((d, field.radial_profile(d)) if field.is_radial
                    else (batch, field(batch)))
     edges = geometry.kink_edges(field.kink_radii, d) / scale[:, None]
-    r_lo = np.minimum(cap, np.minimum(
-        INNER_RADIUS * np.maximum(1.0, d) / scale,
-        0.5 * np.min(edges, axis=1, initial=np.inf)))
-    rows = geometry.panel_rows(first, r_lo, outer, PANELS_PER_DECADE, edges)
-    moments = head(r_lo)
+    r_lo = np.minimum(
+        INNER_RADIUS * np.maximum(1.0, d) * np.minimum(1.0, 1.0 / scale),
+        0.5 * np.min(edges, axis=1, initial=np.inf))
+    # K / r^e0 = 1 + O((r / w)^2), read at r = INNER_RADIUS (a power: w = inf)
+    probe = np.array([INNER_RADIUS])
+    bend = abs(kernel(probe) / probe ** e0 - 1.0)[0]
+    if bend > 0.0:
+        r_lo = np.minimum(r_lo, INNER_RADIUS ** 2 / math.sqrt(bend))
+    if field.is_radial:  # graded where the sphere passes the centre, s = d
+        edges = np.column_stack([edges, d / scale])
+    rows = geometry.panel_rows(1e-12, r_lo, outer, PANELS_PER_DECADE, edges)
+    moments = r_lo[:, None] ** (e0 + 1.0) / (e0 + 1.0 + 2.0 * np.arange(3))
     value, err, s_tail = np.zeros((3, d.size))
     for lo in range(0, d.size, BLOCK):
         blk = slice(lo, lo + BLOCK)

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from fraclab import bubbles, cli, constants, fracops, movingsphere, reports
+from fraclab import (bubbles, cli, constants, extension, fracops,
+                     movingsphere, reports)
 from fraclab.params import Params
 
 
@@ -148,6 +149,28 @@ def test_fraclap_suite_inverts_at_the_given_n(monkeypatch):
         dims.append(pr.n), tabulate(field, pr))[1])
     checks = reports.suite_fraclap(reports.RunConfig(n=5, sigma=0.5))
     assert dims == [2, 3, 5]
+    assert all(c["passed"] for c in checks)
+
+
+def test_bubble_suite_checks_the_identity_at_the_given_n_and_sigma(
+        monkeypatch):
+    cases, residuals = [], bubbles.bubble_identity_residuals
+    monkeypatch.setattr(bubbles, "bubble_identity_residuals",
+                        lambda pr, **kw: (cases.append((pr.n, pr.sigma)),
+                                          residuals(pr, **kw))[1])
+    checks = reports.suite_bubble(reports.RunConfig(n=5, sigma=0.25))
+    # the identity, then the amplitude perturbation at (2, 1/2)
+    assert cases == [(2, 0.5), (3, 0.5), (3, 0.75), (5, 0.25), (2, 0.5)]
+    assert all(c["passed"] for c in checks)
+
+
+def test_extend_suite_extends_at_the_given_sigma(monkeypatch):
+    sigmas, extend = set(), extension.extend
+    monkeypatch.setattr(extension, "extend", lambda field, y, t, pr: (
+        sigmas.add(pr.sigma), extend(field, y, t, pr))[1])
+    checks = reports.suite_extend(reports.RunConfig(n=3, sigma=0.25))
+    assert sigmas == {0.25}
+    assert [c["name"] for c in checks][-1] == "conformal-invariance"
     assert all(c["passed"] for c in checks)
 
 

@@ -51,10 +51,6 @@ def test_half_order_closed_form_near_the_bubble(n):
     assert _half_order_worst(n, (0.5, 1.0, 2.0, 5.0)) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "CHANGES.md FOUND: extend at sigma = 1/2 misses the closed form far "
-    "out; its fixed radial panels, 4 a decade, under-resolve r ~ |y| / t, "
-    "where the sphere sweeps the bubble's peak"))
 @pytest.mark.parametrize("n", [2, 3])
 def test_half_order_closed_form_far_out(n):
     assert _half_order_worst(n, (20.0, 50.0)) < 1e-3
@@ -72,25 +68,12 @@ def _bubble_worst(n, s, radii):
     return float(np.max(np.abs(quad - direct) / direct))
 
 
-def _extend_misses(what):
-    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        f"CHANGES.md FOUND: extend at sigma != 1/2 misses the Feynman-parameter "
-        f"oracle {what}"))
-
-
-@pytest.mark.parametrize("n,s", [
-    pytest.param(2, 0.25, marks=_extend_misses("near the bubble")),
-    pytest.param(3, 0.25, marks=_extend_misses("near the bubble")),
-    (2, 0.75), (3, 0.75)])
+@pytest.mark.parametrize("n,s", [(2, 0.25), (3, 0.25), (2, 0.75), (3, 0.75)])
 def test_bubble_oracle_near_the_bubble(n, s):
     assert _bubble_worst(n, s, (0.5, 1.0, 2.0, 5.0)) < 1e-6
 
 
-@pytest.mark.parametrize("n,s", [
-    pytest.param(2, 0.25, marks=_extend_misses("far out")),
-    pytest.param(3, 0.25, marks=_extend_misses("far out")),
-    (2, 0.75),
-    pytest.param(3, 0.75, marks=_extend_misses("far out"))])
+@pytest.mark.parametrize("n,s", [(2, 0.25), (3, 0.25), (2, 0.75), (3, 0.75)])
 def test_bubble_oracle_far_out(n, s):
     assert _bubble_worst(n, s, (20.0, 50.0)) < 1e-3
 
@@ -117,11 +100,44 @@ def test_extend_batch_equals_single(n, s, radial):
     np.testing.assert_allclose(batch, single, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.25), (2, 0.75), (3, 0.5),
+                                 (5, 0.75), (7, 0.25)])
+def test_extend_reaches_the_trace(n, s):
+    # down to t = 1e-6 the head is 1e-3 max(1, |y|) wide in r, and the
+    # power-decay tail law takes over past t r = 1e3 max(1, |y|)
+    pr = Params(n, s)
+    d, t = np.meshgrid((0.0, 0.3, 1.0, 3.0), (1e-6, 1e-4, 1e-2))
+    y = d.reshape(-1, 1) * np.eye(n)[0]
+    got = extension.extend(bubbles.model_bubble(pr), y, t.ravel(), pr)
+    want = extension.model_bubble_extension(y, t.ravel(), pr)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.75), (3, 0.5)])
+def test_extend_far_along_the_boundary(n, s):
+    # INNER_RADIUS max(1, |y|) would put the head past the Poisson kernel's
+    # width for |y| >~ 100, where the kernel is no longer r^(n-1)
+    pr = Params(n, s)
+    d, t = np.meshgrid((1e2, 1e3, 1e4), (1e-3, 0.5))
+    y = d.reshape(-1, 1) * np.eye(n)[0]
+    got = extension.extend(bubbles.model_bubble(pr), y, t.ravel(), pr)
+    want = extension.model_bubble_extension(y, t.ravel(), pr)
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=0.0)
+
+
 def test_extend_rejects_the_boundary():
     w = bubbles.model_bubble(Params(2, 0.25))
     with pytest.raises(ValueError, match="t > 0"):
         extension.extend(w, np.zeros((2, 2)), np.array([0.5, 0.0]),
                          Params(2, 0.25))
+
+
+def test_extend_refuses_a_field_that_is_not_radial_above_three_dimensions():
+    pr = Params(5, 0.5)
+    sb = bubbles.standard_bubble(pr, center=0.3 * np.ones(5))
+    with pytest.raises(ValueError,
+                       match="a field with a radial_profile, or n <= 3"):
+        extension.extend(sb, np.zeros((2, 5)), np.array([0.5, 1.0]), pr)
 
 
 def test_half_order_closed_form_guard():
@@ -181,26 +197,6 @@ def test_conormal_limit_takes_every_height_in_one_call(n):
 def test_conormal_limit_needs_three_levels(ks):
     with pytest.raises(ValueError, match="at least three levels"):
         extension.conormal_limit(lambda ts: [1.0] * len(ts), 1.0, ks, 0.5)
-
-
-@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (3, 0.75),
-                                 (5, 0.5)])
-def test_head_moments_match_mpmath(n, s):
-    # int_0^{r_lo} (r / r_lo)^{2k} r^{n-1} (1 + r^2)^{-c} dr, in 30 digits,
-    # at head radii that are not panel breaks
-    rng = np.random.default_rng(18)
-    r_lo = np.append(10.0 ** rng.uniform(-8.0, 0.0, size=12), 1.0)
-    moments = extension._head_moments(n, s, r_lo)
-    assert moments.shape == (r_lo.size, 3)
-    c = mp.mpf(n + 2 * s) / 2
-    for r, row in zip(r_lo, moments):
-        with mp.workdps(30):
-            r = mp.mpf(r)
-            want = [r ** n * mp.quad(lambda x: x ** (n - 1 + 2 * k)
-                                     * (1 + (r * x) ** 2) ** -c, [0, 1])
-                    for k in range(3)]
-        for got, ref in zip(row, want):
-            assert abs(got - ref) <= 1e-14 * ref, float(r)
 
 
 def _indicator(n):

@@ -41,6 +41,19 @@ def test_frac_lap_head_stays_below_the_kink(n, s, gap):
     assert err <= res.error
 
 
+@pytest.mark.parametrize("n,s", [(3, 0.75), (5, 0.75)])
+def test_frac_lap_head_passes_the_centre(n, s):
+    # the panels are graded where the sphere passes the centre, s = d, but
+    # the mean is smooth there: a head cut at d / 2 would leave f - S to
+    # cancellation, off by 15x the value at d = 1e-10
+    pr = Params(n, s)
+    w = bubbles.model_bubble(pr)
+    d = np.array([1e-10, 1e-8, 1e-6])
+    got = fracops.frac_lap_radial(w, d, pr).value
+    want = constants.bubble_eigenvalue(pr) * w.radial_profile(d) ** pr.p
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
 @pytest.mark.parametrize("n,s", [(1, 0.25), (1, 0.5), (2, 0.5), (3, 0.75)])
 def test_ball_profile_identity(n, s):
     # the operator is constant on the unit ball for the (1 - r^2)^s profile
@@ -449,6 +462,16 @@ def test_frac_lap_rejects_bad_point_shapes():
         fracops.frac_lap_at(field, np.zeros(3), pr)
     with pytest.raises(ValueError):
         fracops.frac_lap_at(field, np.zeros((2, 2, 2)), pr)
+
+
+@pytest.mark.parametrize("operator", [fracops.frac_lap_at,
+                                      fracops.riesz_potential])
+def test_a_field_that_is_not_radial_above_n_3_is_refused(operator):
+    pr = Params(5, 0.5)
+    sb = bubbles.standard_bubble(pr, center=0.3 * np.ones(5))
+    with pytest.raises(ValueError,
+                       match="a field with a radial_profile, or n <= 3"):
+        operator(sb, np.zeros((2, 5)), pr)
 
 
 # --- the exterior series and the tabulated potential -------------------------
