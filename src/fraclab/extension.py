@@ -87,7 +87,7 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     outer = (fracops.OUTER_RADIUS * np.maximum(1.0, d) / ts if alpha
              else np.full(ts.size, OUTER))
     _, value, _, s_tail = fracops._sphere_mean_sum(
-        field, ys, d, False, kernel, n - 1.0, (8,), ts, outer)
+        field, ys, d, kernel, n - 1.0, (8,), ts, outer)
     value += s_tail * outer ** (-s2) / (s2 + alpha)
     cset = constants.constant_set(params)
     value *= cset.gamma_poisson * cset.sphere_area

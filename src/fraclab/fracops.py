@@ -16,6 +16,11 @@ with an embedded GL4, so every value has an error bar.  A radial field's
 sphere means are split at the kinks of its profile
 (:func:`geometry.radial_mean_rule`); other fields take a product rule.
 
+Lengths are in units of the field's own length L, the support radius
+of a compact field and 1 for any other, with one factor at the end:
+L^{2 sigma} for the integral in rho below, L^{e+1} for a sphere-mean
+integral of kernel power e.  A support of 1e-150 sees a unit one's panels.
+
 Near s = 0 the sphere mean is a smooth even function of s, so the driver
 integrates the stretch below a small radius s_lo from a two-term even
 Taylor fit, g(s) = g(0) + a (s/s_lo)^2 + b (s/s_lo)^4, against the
@@ -30,10 +35,11 @@ Theory*, 1972, §I.1), so I_{2s} f(x) = r omega int_0^inf f(rho)
 rho^{n-1} K(d, rho) d rho, one integral in rho (:func:`_kernel_integral`).
 The kernel is summed with numpy alone (:func:`_kernel_factor`), its
 singularity at rho = d by a Gauss rule for its log weight
-(:func:`geometry.log_rule`).  The stretch below 0.4 d, and everything
-outside twice the support of a compact field, is one series in the
-field's moments (:func:`_moment_series`), read from one table made once
-per field and sigma (:func:`_moments`).
+(:func:`geometry.log_rule`), and the tail of a power-decay field by
+Gauss-Jacobi in 1 / rho.  The stretch below 0.4 d, and everything outside
+twice the support of a compact field, is one series in the field's
+moments (:func:`_moment_series`), read from one table made once per field
+and sigma (:func:`_moments`).
 
 :func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
 or a batch (m, n).  A radial field is evaluated at each point's distance
@@ -101,7 +107,7 @@ MOMENT_PANELS = 16
 TABLE_NODES = 48
 TRAILING = 4
 
-#: Panels start at INNER_RADIUS * max(1, d) or below; a field without
+#: Panels start at INNER_RADIUS * max(1, d / L) or below; a field without
 #: compact support is summed out to OUTER_RADIUS, with a tail model beyond.
 INNER_RADIUS = 1e-3
 OUTER_RADIUS = 1e3
@@ -176,7 +182,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     ``x`` is one point (n,), giving floats, or a batch (m, n), giving
     arrays (m,); a single point is a batch of one.  A radial field is
     evaluated at each point's distance from the origin, and its potential
-    is the one integral in rho of :func:`_radial_potential`.  Every other
+    is the one integral in rho of :func:`_kernel_integral`.  Every other
     case is summed on sphere means by :func:`_sphere_mean_integral`.
     """
     pts = np.asarray(x, dtype=float)
@@ -185,13 +191,18 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     batch = pts.reshape(-1, field.n)
     dist = np.linalg.norm(batch, axis=1)
     if e > -1.0 and field.is_radial:
-        value, error = _radial_potential(field, dist, 0.5 * (e + 1.0))
+        value, error = _kernel_integral(field, dist, 0.5 * (e + 1.0))
     else:
         value, error = _sphere_mean_integral(field, batch, dist, e)
     value, error = front * value, front * error
     if pts.ndim == 1:
         return OpResult(float(value[0]), float(error[0]))
     return OpResult(value, error)
+
+
+def _length(field: ScalarField) -> float:
+    """The field's own length: its support radius if compact, else 1."""
+    return field.support_radius if field.decay == "compact_support" else 1.0
 
 
 def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
@@ -201,19 +212,19 @@ def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
     field).
 
     :func:`_sphere_mean_sum` takes GL8 and GL4 on the panels from
-    s_lo = min(INNER_RADIUS * max(1, d), nearest kink edge / 2) and the
-    head below, against the kernel s^e; the bar adds the tail charge.  A
-    compact field is summed out to d + 1.001 a (the Laplacian: at least
-    ``OUTER_RADIUS``).
+    s_lo = min(INNER_RADIUS max(1, d / L), nearest kink edge / 2) and the
+    head below, against the kernel s^e, with the field's length L
+    (:func:`_length`) as its scale; the bar adds the tail charge.  A compact
+    field is summed out to d / a + 1.001 (the Laplacian: at least
+    ``OUTER_RADIUS``).  Value and bar are then multiplied by L^{e + 1}.
     """
     lap = e < -1.0
-    compact = field.decay == "compact_support"
-    outer = (d + field.support_radius * 1.001 if compact
-             else np.full(d.size, OUTER_RADIUS))
+    compact, length = field.decay == "compact_support", _length(field)
+    outer = d / length + 1.001 if compact else np.full(d.size, OUTER_RADIUS)
     if compact and lap:
         outer = np.maximum(outer, OUTER_RADIUS)
     f0, fine, err, s_tail = _sphere_mean_sum(
-        field, batch, d, lap, lambda s: s ** e, e, (8, 4), np.ones(d.size),
+        field, batch, d, lambda s: s ** e, e, (8, 4), np.full(d.size, length),
         outer)
 
     # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
@@ -228,22 +239,7 @@ def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
     elif not compact:
         # S is only known to stay bounded: charge twice its size so far
         err += 2.0 * np.maximum(np.abs(c), np.abs(s_tail)) * far / abs(e + 1.0)
-    return fine, err
-
-
-def _radial_potential(field: ScalarField, d: Array, sigma: float
-                      ) -> Tuple[Array, Array]:
-    """int_0^inf s^{2 sigma - 1} S(s) ds and its bar at the distances d of a
-    radial field: :func:`_moment_series` beyond twice a compact support,
-    and :func:`_kernel_integral` everywhere else."""
-    far = (d > 2.0 * field.support_radius
-           if field.decay == "compact_support" else np.zeros(d.size, bool))
-    value, error = np.empty((2, d.size))
-    if far.any():
-        value[far], error[far] = _moment_series(field, sigma, d[far], -1)
-    if not far.all():
-        value[~far], error[~far] = _kernel_integral(field, d[~far], sigma)
-    return value, error
+    return fine * length ** (e + 1.0), err * length ** (e + 1.0)
 
 
 #: Breaks about a distance d > 0, as multiples of d: the kernel is singular
@@ -254,9 +250,9 @@ def _radial_potential(field: ScalarField, d: Array, sigma: float
 #: grid gives way to these breaks between the first and the last.
 NEAR_GRADING = (0.4, 0.7, 1.0, 1.4, 1.8, 2.6)
 
-#: Distances at or below this, in units of a compact field's support
-#: radius (1 for power decay), are the origin: the potential of a field
-#: smooth there moves by O(d^2), under rounding at d <= 1e-8 INNER_RADIUS.
+#: Distances at or below this, in units of the field's length, are the
+#: origin: the potential of a field smooth there moves by O(d^2), under
+#: rounding at d <= 1e-8 INNER_RADIUS.
 CENTRE_RADIUS = 1e-8 * INNER_RADIUS
 
 
@@ -265,58 +261,61 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     """int_0^inf f(rho) rho^{n-1} K(d, rho) d rho and its bar at distances d
     (a 1-D array) of a radial field with compact support or power decay.
 
-    K(d, rho) = hi^{-q} F(z) is the sphere-mean kernel of the module notes,
-    lo and hi the smaller and the larger of d and rho and z = (lo / hi)^2.
-    F is summed by :func:`_kernel_factor` with w = 1 - z =
-    (hi - lo)(hi + lo) / hi^2, which keeps its digits at rho = d.  The
+    Lengths are in units of the field's length L (:func:`_length`): d / L,
+    kinks k / L and the profile at L rho, with value and bar times
+    L^{2 sigma}.  K(d, rho) = hi^{-q} F(z) is the sphere-mean kernel of the
+    module notes, lo and hi the smaller and the larger of d and rho and
+    z = (lo / hi)^2.  F is summed by :func:`_kernel_factor` with w = 1 - z
+    = (hi - lo)(hi + lo) / hi^2, which keeps its digits at rho = d.  The
     panels are those of :func:`_kernel_breaks`; each takes GL8 for the
-    value and GL4 for the bar, except:
+    value and GL4 for the bar (rule 0 of :func:`_kernel_template`), except:
 
-    * the two panels [d - h, d] and [d, d + h] next to the singularity.
-      There F = E(ln w) p(w) - q(w) with E(y) = expm1(eps y) / eps,
-      eps = 2 sigma - 1, and w = x v, x = |rho - d|; since
-      E(ln x + ln v) = E(ln x) v^eps + E(ln v), the integrand is
-      E(ln x) g1 + g2 with g1 and g2 smooth, and
+    * rule 2 on the two panels [d - h, d] and [d, d + h] next to the
+      singularity.  There F = E(ln w) p(w) - q(w) with
+      E(y) = expm1(eps y) / eps, eps = 2 sigma - 1, and w = x v,
+      x = |rho - d|; since E(ln x + ln v) = E(ln x) v^eps + E(ln v), the
+      integrand is E(ln x) g1 + g2 with g1 and g2 smooth, and
       int_0^h = h int_0^1 [p E(ln h v) - q] phi dt
       - h int_0^1 (1 - t^eps) / eps p (h v)^eps phi dt,
-      the first by Gauss-Legendre and the second by the Gauss rule of
-      that weight, :func:`geometry.log_rule`; at sigma = 1/2 it is -ln t.
-      Both take h v, near 1, in place of v: the second integrand is
-      p (h v)^eps, so its weights go as h and it cancels in no float.
-    * at d = 0, the panel [0, INNER_RADIUS a], where K = rho^{-q}: the
-      Gauss-Jacobi rule of :func:`geometry.power_rule` for
+      the first by rule 0 and the second by the Gauss rule of that weight,
+      :func:`geometry.log_rule`; at sigma = 1/2 it is -ln t.  Both take
+      h v, near 1, in place of v: the second integrand is p (h v)^eps, so
+      its weights go as h and it cancels in no float.
+    * rule 1 at d = 0, on the panel [0, INNER_RADIUS], where K = rho^{-q}:
+      the Gauss-Jacobi rule of :func:`geometry.power_rule` for
       rho^{2 sigma - 1}.
-    * beyond the last break R of a power-decay field, f ~ rho^{-alpha}:
-      in t = 1 / rho the integrand is t^{alpha - 2 sigma - 1} times a
-      smooth function on (0, 1 / R), taken by its Gauss-Jacobi rule.
+    * rule 3 beyond the end R = max(``OUTER_RADIUS``, 4 d) of a
+      power-decay field, f ~ rho^{-alpha}: in rho = R / u the integrand is
+      u^{alpha - 2 sigma - 1} times a smooth function, by Gauss-Jacobi.
 
     The stretch below grid[cut], the largest radius of the field's moment
-    grid at or below 0.4 d, is the series of :func:`_moment_series`.
-    Lengths are in units a of a compact field's support radius (1 for
-    power decay), so a tiny support sees the panels of a unit one.
+    grid at or below 0.4 d, is the series of :func:`_moment_series`; beyond
+    2a it is the top row's, and the whole integral.
 
     The bar is |GL8 - GL4| (the same for the other rules), plus the
     rounding bound k eps sum |terms| of each k-term sum and, as F >= 1,
     the truncation bound of :func:`_kernel_rule` times sum |terms|.
     """
-    n, s2 = field.n, 2.0 * sigma
-    q = n - s2
-    power_decay = field.decay == "power_decay"
-    unit = 1.0 if power_decay else field.support_radius
-    d = np.where(d > CENTRE_RADIUS * unit, d, 0.0)
-    end = (np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay
-           else np.full(d.size, float(field.support_radius)))
-    graded = [k * g for k in field.kink_radii for g in geometry.GRADING]
+    n, s2, q = field.n, 2.0 * sigma, field.n - 2.0 * sigma
+    power_decay, length = field.decay == "power_decay", _length(field)
+    if not power_decay and (d / length > 2.0).all():
+        value, bar = _moment_series(field, sigma, d / length, -1)
+        return value * length ** s2, bar * length ** s2
+    d = np.where(d > CENTRE_RADIUS * length, d / length, 0.0)
     grid = _moments(field, sigma)[0]
     cut = np.searchsorted(grid, NEAR_GRADING[0] * d, side="right") - 1
+    cut[(d > 2.0) & (not power_decay)] = grid.size - 1
+    # [0, grid[cut]]: the series in the field's moments (0 where cut = 0)
+    value, bar = _moment_series(field, sigma, d, cut)
+    end = np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay else np.ones(d.size)
+    graded = [k / length * g for k in field.kink_radii for g in geometry.GRADING]
     # one entry per panel, and one more for each split panel's log rule:
-    # start, signed width, rule (0 Gauss-Legendre, 1 the head at d = 0,
-    # 2 the log rule from d), row, and scale (the width on a split panel,
-    # 0 elsewhere)
+    # start, signed width, rule, row, and scale (the width on a split
+    # panel, 0 elsewhere); a row beyond 2a starts at its end, with none
     panels = []
     for j, (dj, start, ej) in enumerate(zip(d.tolist(), grid[cut].tolist(),
                                             end.tolist())):
-        breaks = _kernel_breaks(dj, graded, start, ej, unit)
+        breaks = _kernel_breaks(dj, graded, start, ej) if start < ej else []
         for lo, hi in zip(breaks[:-1], breaks[1:]):
             if dj > 0.0 and dj in (lo, hi):
                 panels += [(lo, hi - lo, 0, j, hi - lo),
@@ -324,74 +323,65 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
             else:
                 panels.append((lo, hi - lo, int(dj == 0.0 and lo == 0.0),
                                j, 0.0))
+        if power_decay:
+            panels.append((ej, ej, 3, j, 0.0))
     start, width, kind, row, scale = np.array(panels).T
     kind, row = kind.astype(int), row.astype(int)
-    nodes, w8, w4 = _kernel_template(sigma)
-    size = np.abs(width)
-    rho = (start[:, None] + width[:, None] * nodes[kind]).ravel()
+    nodes, w8, w4 = _kernel_template(
+        sigma, field.decay_rate - s2 - 1.0 if power_decay else 0.0)
+    size, t = np.abs(width), nodes[kind]
+    rho = start[:, None] + width[:, None] * t
+    if power_decay:  # rule 3: rho = R / t beyond the end R
+        rho[kind == 3] = start[kind == 3, None] / t[kind == 3]
+    rho = rho.ravel()
     fine_w = (size[:, None] * w8[kind]).ravel()
     coarse_w = (size[:, None] * w4[kind]).ravel()
     owner, scale, log_node = (x.repeat(nodes.shape[1])
                               for x in (row, scale, kind == 2))
-    if power_decay:
-        u, u8, u4 = _tail_template(field.decay_rate, sigma)
-        beta = field.decay_rate - s2 - 1.0
-        big = end[:, None] / u
-        jac = end[:, None] ** (-beta - 1.0) * big ** (2.0 + beta)
-        rho, fine_w, coarse_w, owner, scale, log_node = (
-            np.concatenate(x) for x in (
-                (rho, big.ravel()), (fine_w, (jac * u8).ravel()),
-                (coarse_w, (jac * u4).ravel()),
-                (owner, np.arange(d.size).repeat(u.size)),
-                (scale, np.zeros(big.size)), (log_node, np.zeros(big.size, bool))))
-
     at = d[owner]
     lo_, hi_ = np.minimum(rho, at), np.maximum(rho, at)
     v = (hi_ + lo_) / (hi_ * hi_)
     w = (hi_ - lo_) * v
-    # ln w; on a split panel ln (h v), and the kernel p (h v)^eps at its
-    # log-rule nodes
+    # ln w, or ln (h v) on a split panel; p (h v)^eps at log-rule nodes
     kernel = _kernel_factor(n, sigma, (lo_ / hi_) ** 2, w, scale != 0.0,
                             np.log(np.where(scale == 0.0, w, scale * v)),
                             log_node)
-    terms = field.radial_profile(rho) * rho ** (n - 1) * hi_ ** -q * kernel
-    m = d.size
-    fine = np.bincount(owner, terms * fine_w, minlength=m)
-    coarse = np.bincount(owner, terms * coarse_w, minlength=m)
-    absolute = np.bincount(owner, np.abs(terms * fine_w), minlength=m)
-    count = np.bincount(owner, fine_w != 0.0, minlength=m)
+    terms = (field.radial_profile(length * rho) * rho ** (n - 1) * hi_ ** -q
+             * kernel)
+    fine = np.bincount(owner, terms * fine_w, minlength=d.size)
+    coarse = np.bincount(owner, terms * coarse_w, minlength=d.size)
+    absolute = np.bincount(owner, np.abs(terms * fine_w), minlength=d.size)
+    count = np.bincount(owner, fine_w != 0.0, minlength=d.size)
     trunc = _kernel_rule(*_kernel_args(n, sigma))[-1]
-    err = (np.abs(fine - coarse)
-           + (count * np.finfo(float).eps + trunc) * absolute)
-
-    # [0, grid[cut]]: the series in the field's moments (0 where cut = 0)
-    value, bar = _moment_series(field, sigma, d, cut)
-    return fine + value, err + bar
+    value += fine
+    bar += np.abs(fine - coarse) + (count * np.finfo(float).eps + trunc) * absolute
+    return value * length ** s2, bar * length ** s2
 
 
 def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
     """The moment grid of a radial field and the coefficient tables of
-    :func:`_moment_series`, made once per field and sigma.  The grid runs
-    from 0 to the field's top (its support radius, or ``OUTER_RADIUS``):
-    the geometric grid, the kink breaks and, if compact, ``MOMENT_PANELS``
-    uniform panels between kinks.  At each grid radius g the moments
-    m_j(g) = int_0^g f(r) r^{n-1} (r / g)^{2j} dr, j < J = ``SERIES_TERMS``,
-    are summed by GL8 on the grid's panels, a row carried to the next by
-    (g_k / g_{k+1})^{2j} <= 1, so a tiny support does not underflow.  The
-    tables (2, grid.size, J + 1) hold c_j m_j(g) and the bar: c_j times
-    the sums of |GL8 - GL4| and the rounding bound k eps sum |terms| (k
-    the GL8 nodes below g, plus J), and at j = J the truncation bound
+    :func:`_moment_series`, made once per field and sigma.  Lengths are in
+    units of the field's length L (:func:`_length`), the profile taken at
+    L r: the grid runs from 0 to the field's top (1 if compact, else
+    ``OUTER_RADIUS``), the geometric grid, the kink breaks and, if compact,
+    ``MOMENT_PANELS`` uniform panels between kinks.  At each grid radius g
+    the moments m_j(g) = int_0^g f(L r) r^{n-1} (r / g)^{2j} dr,
+    j < J = ``SERIES_TERMS``, are summed by GL8 on the grid's panels, a
+    row carried to the next by (g_k / g_{k+1})^{2j} <= 1.  The tables
+    (2, grid.size, J + 1) hold c_j m_j(g) and the bar: c_j times the sums
+    of |GL8 - GL4| and the rounding bound k eps sum |terms| (k the GL8
+    nodes below g, plus J), and at j = J the truncation bound
     (4/3) c_J int_0^g |f| r^{n-1} dr.
     """
     key = ("moments", sigma)
     if key not in field.memo:
-        compact = field.decay == "compact_support"
-        top = field.support_radius if compact else OUTER_RADIUS
-        radii = _geometric(0.0, top, top if compact else 1.0) + [
-            k * g for k in field.kink_radii for g in geometry.GRADING]
+        compact, length = field.decay == "compact_support", _length(field)
+        top = 1.0 if compact else OUTER_RADIUS
+        kinks = [k / length for k in field.kink_radii]
+        radii = _geometric(0.0, top) + [k * g for k in kinks
+                                        for g in geometry.GRADING]
         if compact:
-            knots = np.unique([0.0, top] + [k for k in field.kink_radii
-                                            if k < top])
+            knots = np.unique([0.0, top] + [k for k in kinks if k < top])
             radii += np.linspace(knots[:-1], knots[1:],
                                  MOMENT_PANELS + 1).ravel().tolist()
         grid = np.array([0.0] + sorted({r for r in radii if 0.0 < r < top})
@@ -399,7 +389,8 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
 
         def panel_terms(order):  # (panel, node, j)
             r, w = geometry.gauss_panels(grid, order)
-            return ((field.radial_profile(r) * r ** (field.n - 1) * w)[:, None]
+            return ((field.radial_profile(length * r) * r ** (field.n - 1)
+                     * w)[:, None]
                     * _powers((r / grid[1:].repeat(order)) ** 2, SERIES_TERMS)
                     ).reshape(grid.size - 1, order, -1)
         c = _hyp2f1_rule(*_kernel_args(field.n, sigma), SHIFT_TERMS)[0]
@@ -422,13 +413,14 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
 
 def _moment_series(field: ScalarField, sigma: float, d: Array,
                    row: Array | int) -> Tuple[Array, Array]:
-    """int_0^g f(r) r^{n-1} K(d, r) dr = d^{-q} sum_j c_j m_j(g) x^j,
-    x = (g / d)^2, and its bar at the distances d, with g = grid[row] of
-    :func:`_moments`: one row per distance at or below 0.4 d (row 0 gives
-    0), or row -1, the top of a compact support, for d beyond twice it.
-    Below r = d the kernel is d^{-q} F((r / d)^2), and each c_j lies in
-    (0, 1] and falls with j; as x < 1/4, the terms past ``SERIES_TERMS``
-    are below c_J x^J / (1 - x) <= (4/3) c_J x^J times int_0^g |f| r^{n-1}.
+    """int_0^g f(L r) r^{n-1} K(d, r) dr = d^{-q} sum_j c_j m_j(g) x^j,
+    x = (g / d)^2, and its bar at the distances d in units of the field's
+    length L, with g = grid[row] of :func:`_moments`: one row per distance
+    at or below 0.4 d (row 0 gives 0), or the top row (-1), the whole of a
+    compact support, for d beyond 2.  Below r = d the kernel is
+    d^{-q} F((r / d)^2), and each c_j lies in (0, 1] and falls with j; as
+    x < 1/4, the terms past ``SERIES_TERMS`` are below
+    c_J x^J / (1 - x) <= (4/3) c_J x^J times int_0^g |f| r^{n-1}.
     """
     grid, tables = _moments(field, sigma)
     row = np.full(d.shape, row) % grid.size
@@ -445,15 +437,15 @@ def _moment_series(field: ScalarField, sigma: float, d: Array,
     return lead * value, lead * bar
 
 
-def _geometric(lo: float, hi: float, unit: float) -> list:
-    """The radii unit INNER_RADIUS 10^{i / PANELS_PER_DECADE} in [lo, hi]
-    (from unit INNER_RADIUS when lo is 0), the geometric grid of every row
-    in the length unit of the field."""
+def _geometric(lo: float, hi: float) -> list:
+    """The radii INNER_RADIUS 10^{i / PANELS_PER_DECADE} in [lo, hi] (from
+    INNER_RADIUS when lo is 0), the geometric grid of every row, in units
+    of the field's length."""
     first = (0 if lo <= 0.0 else math.floor(
-        math.log10(lo / (INNER_RADIUS * unit)) * PANELS_PER_DECADE))
-    last = math.ceil(math.log10(hi / (INNER_RADIUS * unit)) * PANELS_PER_DECADE)
-    return [r for r in (_geometric_radius(i) * unit
-                        for i in range(first, last + 1)) if lo <= r <= hi]
+        math.log10(lo / INNER_RADIUS) * PANELS_PER_DECADE))
+    last = math.ceil(math.log10(hi / INNER_RADIUS) * PANELS_PER_DECADE)
+    return [r for r in map(_geometric_radius, range(first, last + 1))
+            if lo <= r <= hi]
 
 
 @lru_cache(maxsize=None)
@@ -477,42 +469,36 @@ def _paired(rules) -> Tuple[Array, Array, Array]:
 
 
 @lru_cache(maxsize=None)
-def _kernel_template(sigma: float) -> Tuple[Array, Array, Array]:
+def _kernel_template(sigma: float, beta: float) -> Tuple[Array, Array, Array]:
     """Nodes t in (0, 1) of a panel of :func:`_kernel_integral` and the
     weights of its value rule (order 8) and check rule (order 4), one row
     per rule: 0 Gauss-Legendre; 1 Gauss-Jacobi for t^{2 sigma - 1} with
     that factor divided out of the weights (the head at d = 0); 2 the log
-    rule of weight (1 - t^eps) / eps, eps = 2 sigma - 1, weights negated."""
+    rule of weight (1 - t^eps) / eps, eps = 2 sigma - 1, weights negated;
+    3 Gauss-Jacobi for t^beta with t^{-beta - 2} folded into the weights
+    (the power tail, rho = R / t; a compact field passes beta = 0)."""
     eps = 2.0 * sigma - 1.0
     rules = ([geometry.gauss_nodes(np.zeros(1), np.ones(1), k)
               for k in (8, 4)],
              [(t, w * t ** -eps)
               for t, w in (geometry.power_rule(eps, k) for k in (8, 4))],
-             [(t, -w) for t, w in (geometry.log_rule(eps, k) for k in (8, 4))])
+             [(t, -w) for t, w in (geometry.log_rule(eps, k) for k in (8, 4))],
+             [(t, w * t ** (-beta - 2.0))
+              for t, w in (geometry.power_rule(beta, k) for k in (8, 4))])
     return _frozen(*(np.stack(x) for x in zip(*map(_paired, rules))))
 
 
-@lru_cache(maxsize=None)
-def _tail_template(alpha: float, sigma: float) -> Tuple[Array, Array, Array]:
-    """Gauss-Jacobi nodes u in (0, 1) for u^{alpha - 2 sigma - 1}, with the
-    weights of orders 8 and 4 as in :func:`_kernel_template`."""
-    return _frozen(*_paired([geometry.power_rule(alpha - 2.0 * sigma - 1.0,
-                                                 k) for k in (8, 4)]))
-
-
-def _kernel_breaks(d: float, graded: list, start: float, end: float,
-                   unit: float) -> list:
+def _kernel_breaks(d: float, graded: list, start: float, end: float) -> list:
     """Panel breaks in rho from ``start`` to ``end`` for the distance d of
     :func:`_kernel_integral`: the geometric grid of :func:`_geometric`
-    (from unit INNER_RADIUS, or from 2.6 d if lower), the kink breaks
+    (from INNER_RADIUS, or from 2.6 d if lower), the kink breaks
     ``graded``, and d * ``NEAR_GRADING`` in place of the grid between
     0.4 d and 2.6 d.  The offset 0.3 d of the inner split panel is halved
     down to half the gap between d and the nearest kink break or end, on
     both sides, so no panel sees the singularity at d closer than its own
     width."""
     low, high = NEAR_GRADING[0] * d, NEAR_GRADING[-1] * d
-    breaks = _geometric(min(high, INNER_RADIUS * unit) if d > 0.0 else 0.0,
-                        end, unit)
+    breaks = _geometric(min(high, INNER_RADIUS) if d > 0.0 else 0.0, end)
     if d > 0.0:
         breaks = [r for r in breaks if not low < r < high]
         breaks += [d * g for g in NEAR_GRADING]
@@ -527,21 +513,23 @@ def _kernel_breaks(d: float, graded: list, start: float, end: float,
     return [start] + breaks + [end]
 
 
-def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array, lap: bool,
+def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
                      kernel: Callable[[Array], Array], e0: float,
                      orders: Tuple[int, ...], scale: Array, outer: Array
                      ) -> Tuple[Array, Array, Array, Array]:
     """The one sphere-mean driver (private, so a traced run charges its time
     to the operator that called it): per point x_j of ``batch`` (m, n), at
     distance d_j, int_0^{outer_j} K(r) g_j(scale_j r) dr, with g_j =
-    f(x_j) - S_j for ``lap`` and S_j otherwise, S_j the sphere mean about
-    x_j (about d_j for a radial field).  Returns f(x_j), the value, its bar
-    and S_j(scale_j outer_j).
+    f(x_j) - S_j for the Laplacian (e0 < -1, the one kernel power not
+    integrable at 0) and S_j otherwise, S_j the sphere mean about x_j
+    (about d_j for a radial field).  Returns f(x_j), the value, its bar and
+    S_j(scale_j outer_j).  r is in units of scale_j: the field's length L
+    (:func:`_length`) for the operators, t for the extension.
 
     Row j of :func:`geometry.panel_rows` runs from 1e-12, graded about the
     kink edges over scale_j, and starts at the head radius r_lo: the least
-    of half the nearest kink edge, INNER_RADIUS max(1, d_j) min(1, 1 /
-    scale_j), below which f - S would drown in cancellation, and
+    of half the nearest kink edge, INNER_RADIUS max(L, d_j) min(1 / L,
+    1 / scale_j), below which f - S would drown in cancellation, and
     INNER_RADIUS w, w the kernel's width, inside which K(r) is r^e0 for the
     head fit.  Each panel takes the Gauss-Legendre ``orders``, the first
     for the value.  With two the bar is |first - second|, plus k eps sum
@@ -551,12 +539,13 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array, lap: bool,
     if not field.is_radial and field.n > 3:
         raise ValueError("sphere means need a field with a radial_profile, or "
                          f"n <= 3; got one that is not radial at n={field.n}")
+    lap, length = e0 < -1.0, _length(field)
     centres, f0 = ((d, field.radial_profile(d)) if field.is_radial
                    else (batch, field(batch)))
     edges = geometry.kink_edges(field.kink_radii, d) / scale[:, None]
-    r_lo = np.minimum(
-        INNER_RADIUS * np.maximum(1.0, d) * np.minimum(1.0, 1.0 / scale),
-        0.5 * np.min(edges, axis=1, initial=np.inf))
+    r_lo = np.minimum(INNER_RADIUS * np.maximum(length, d)
+                      * np.minimum(1.0 / length, 1.0 / scale),
+                      0.5 * np.min(edges, axis=1, initial=np.inf))
     # K / r^e0 = 1 + O((r / w)^2), read at r = INNER_RADIUS (a power: w = inf)
     probe = np.array([INNER_RADIUS])
     bend = abs(kernel(probe) / probe ** e0 - 1.0)[0]
@@ -607,10 +596,10 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     [a, 2a], a = ``support_radius``.  One batched :func:`riesz_potential`
     call, one integral in rho at each node, samples it at ``TABLE_NODES``
     Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a]
-    for interpolation; beyond 2a the profile is the exterior series of
-    :func:`_moment_series`, the same one the direct potential sums.  The
-    result is a radial field decaying like d^{2 sigma - n}, with kinks
-    where the pieces join.  Its ``error_bound`` is the interpolation bound
+    for interpolation; beyond 2a the profile is a^{2 sigma} times the
+    exterior series of :func:`_moment_series` at d / a, the same bits the
+    direct potential sums.  The result is a radial field decaying like
+    d^{2 sigma - n}, with kinks where the pieces join.  Its ``error_bound`` is the interpolation bound
     2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
     Approximation Practice*, ch. 7-8), the last ``TRAILING`` computed |c_k|
     standing in for that tail; the sampled values carry the bars of
@@ -642,7 +631,8 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
         between = ~(lo | hi)
         out[lo] = chebval(2.0 * (r[lo] / a) ** 2 - 1.0, inner)
         out[between] = chebval(2.0 * r[between] / a - 3.0, mid)
-        out[hi] = front * _moment_series(field, params.sigma, r[hi], -1)[0]
+        out[hi] = front * (_moment_series(field, params.sigma, r[hi] / a,
+                                          -1)[0] * a ** (2.0 * params.sigma))
         return out
     return radial_field(profile, n, decay="power_decay",
                         decay_rate=n - 2.0 * params.sigma,

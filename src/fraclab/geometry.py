@@ -2,16 +2,17 @@
 
 Everything here is plain geometry on spheres in R^n.  The sphere-mean
 integrals are summed on the panels of :func:`panel_rows`: geometric panels
-plus breaks at edge * ``GRADING`` about each edge of :func:`kink_edges`.
-The driver :func:`fraclab.fracops._sphere_mean_sum` (the operators and, in
-r with its kink edges divided by t, the extension) and
+plus breaks at edge * ``GRADING`` about each edge of :func:`kink_edges`,
+relative to the kink or the distance, so at any scale.  The driver
+:func:`fraclab.fracops._sphere_mean_sum` (in r, the kink edges divided by
+the field's length for the operators and by t for the extension) and
 :mod:`fraclab.solver` take a block of rows at once; the other modules take
-one row from :func:`panel_breaks` and sum it by :func:`panel_quad`.  Two
-radial integrals take panels of their own: the potential of a radial
-field, an integral in rho on the grid of ``fracops._geometric`` and the
-breaks of ``fracops._kernel_breaks``, with Gauss rules for singular
-weights on (0, 1) from :func:`power_rule` and :func:`log_rule`; and the
-Feynman-parameter integral of :mod:`fraclab.extension`, on dyadic panels.
+one row from :func:`panel_breaks` and sum it by :func:`panel_quad`.  The
+potential of a radial field, an integral in rho in units of the field's
+length, takes Gauss rules for singular weights on (0, 1) from
+:func:`power_rule` and :func:`log_rule` on panels of its own
+(``fracops._kernel_breaks``), and the Feynman-parameter integral of
+:mod:`fraclab.extension` takes dyadic panels.
 """
 
 from __future__ import annotations
@@ -171,12 +172,12 @@ def kink_edges(kinks: Sequence[float], d: Array) -> Array:
     """(m, 2k) radii s where sphere means about |x| = d[j] lose smoothness.
 
     A kink of a radial profile at radius k shows up in the sphere mean about
-    x at s = |k - d| and s = k + d; edges at or below 1e-11 are inf.
+    x at s = |k - d| and s = k + d; edges at or below 1e-11 max(k, d) are inf.
     """
     kinks = np.asarray(kinks, dtype=float)[None, :]
     d = np.asarray(d, dtype=float)[:, None]
     edges = np.concatenate([np.abs(kinks - d), kinks + d], axis=1)
-    return np.where(edges > 1e-11, edges, np.inf)
+    return np.where(edges > 1e-11 * np.tile(np.maximum(kinks, d), 2), edges, np.inf)
 
 
 def panel_rows(start: float, s_lo: Array, outer: Array, per_decade: int,

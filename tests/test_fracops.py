@@ -176,9 +176,9 @@ def test_ball_profile_identity_on_a_grid():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 3 and 7: the bars undercover the power "
+                   reason="ROADMAP item 1(b): the bars undercover the power "
                    "singularity of (1 - r^2)_+^s at the end of a polar "
-                   "piece, by up to 5.5e3 at (n, s) = (3, 1/4)")
+                   "piece, by up to 1.6e3 at (n, s) = (3, 1/4)")
 def test_ball_profile_bars_cover_the_error_on_a_grid():
     for err, bar in _ball_profile_grid():
         assert np.all(err <= bar)
@@ -747,3 +747,108 @@ def test_riesz_potential_next_to_the_ball_edge(gap):
     err = np.abs(res.value - want)
     assert np.all(err <= 1e-9 * want)
     assert np.all(err <= res.error)
+
+
+# --- compact fields in units of their own support -----------------------------
+
+def _bump_of_size(a, n):
+    return radial_field(lambda r: _bump(np.asarray(r, dtype=float) / a), n,
+                        decay="compact_support", support_radius=a)
+
+
+def _parabola(a, n):
+    """(1 - r^2 / a^2)_+, whose support is the ball of radius a."""
+    return radial_field(
+        lambda r: np.clip(1.0 - (np.asarray(r, dtype=float) / a) ** 2, 0.0,
+                          None), n, decay="compact_support", support_radius=a)
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (5, 0.75)])
+def test_frac_lap_of_a_compact_field_is_scale_free(n, s):
+    # (-Lap)^s f(. / a) at a x is a^{-2s} (-Lap)^s f at x: the sphere-mean
+    # driver sums in units of the support, from a = 1e-120 to 1e100
+    pr = Params(n, s)
+    d = np.array([0.0, 0.5, 1.5])
+    one = fracops.frac_lap_at(_bump_of_size(1.0, n), _on_axis(d, n), pr)
+    for a in (1e-120, 1e-20, 1e-6, 1e6, 1e100):
+        res = fracops.frac_lap_at(_bump_of_size(a, n),
+                                  _on_axis(a * d, n), pr)
+        value, bar = res.value * a ** (2 * s), res.error * a ** (2 * s)
+        err = np.abs(value - one.value)
+        assert np.all(err <= 1e-12 * np.abs(one.value)), a
+        assert np.all(err <= bar + one.error), a
+
+
+@pytest.mark.parametrize("n,s", [(3, 0.5), (4, 0.5), (5, 0.5), (5, 0.75),
+                                 (9, 0.25)])
+def test_riesz_potential_of_a_compact_field_is_scale_free(n, s):
+    # I_2s f(. / a) at a x is a^{2s} I_2s f at x, across the far boundary 2a
+    pr = Params(n, s)
+    d = np.array([0.0, 0.5, 1.0, 1.7, 2.5, 10.0])
+    one = fracops.riesz_potential(_parabola(1.0, n), _on_axis(d, n), pr)
+    for a in (1e-60, 1e-80, 1e-120, 1e-150):
+        res = fracops.riesz_potential(_parabola(a, n), _on_axis(a * d, n), pr)
+        value, bar = res.value / a ** (2 * s), res.error / a ** (2 * s)
+        err = np.abs(value - one.value)
+        assert np.all(err <= 1e-13 * one.value), a
+        assert np.all(err <= bar + one.error), a
+
+
+@pytest.mark.parametrize("n,s", [(3, 0.5), (5, 0.75)])
+def test_riesz_field_of_a_compact_field_is_scale_free(n, s):
+    pr = Params(n, s)
+    d = np.array([0.0, 0.3, 0.9, 1.2, 1.9, 2.5, 7.0])
+    one = fracops.riesz_field(_bump_of_size(1.0, n), pr)
+    want = one.radial_profile(d)
+    for a in (1e-80, 1e-120):
+        table = fracops.riesz_field(_bump_of_size(a, n), pr)
+        got = table.radial_profile(a * d) / a ** (2 * s)
+        err = np.abs(got - want)
+        assert np.all(err <= 1e-13 * want), a
+        assert np.all(err <= table.error_bound / a ** (2 * s)
+                      + one.error_bound), a
+
+
+@pytest.mark.parametrize("n,s,d", [(3, 0.5, 1e77), (3, 0.5, 1e100),
+                                   (3, 0.5, 1e150), (2, 0.75, 1e77),
+                                   (2, 0.75, 1e100), (2, 0.75, 1e150),
+                                   (5, 0.25, 1e60)])
+def test_riesz_potential_power_tail_far_out(n, s, d):
+    # the tail rule rho = R / u keeps its weights finite at R = 4 d, where
+    # R^{-beta-1} (R / u)^{beta+2} would be 0 * inf
+    pr = Params(n, s)
+    res = fracops.riesz_potential(_bubble_source(pr), _on_axis([d], n)[0], pr)
+    want = float(bubbles.model_bubble(pr).radial_profile(np.array([d]))[0])
+    err = abs(res.value - want)
+    assert err <= 1e-11 * want
+    assert err <= res.error
+
+
+@pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 2.0, 2.25, 4.0, 8.5])
+def test_power_tail_rule_is_exact_on_polynomials(beta):
+    # rule 3 of the template: Gauss-Jacobi for u^beta with u^{-beta-2}
+    # folded into the weights, exact to degree 15
+    nodes, w8, w4 = fracops._kernel_template(0.25, beta)
+    u, w = nodes[3], w8[3]
+    for k in range(16):
+        got = np.sum(w * u ** (beta + 2.0) * u ** k)
+        assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=1e-13), k
+    for k in range(8):
+        got = np.sum(w4[3] * u ** (beta + 2.0) * u ** k)
+        assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=1e-13), k
+
+
+@pytest.mark.parametrize("n,s", [(3, 0.5), (5, 0.25)])
+@pytest.mark.parametrize("a", [1.0, 1e-70])
+def test_riesz_batch_across_the_far_boundary(n, s, a):
+    # rows beyond 2a take the top row's series and no panels, in a batch
+    # as alone; at d = inf the potential and its bar are 0
+    pr = Params(n, s)
+    field = _parabola(a, n)
+    d = a * np.array([0.0, 1e-9, 1.999, 2.0, 2.001, 2.5, 10.0, np.inf])
+    batch = fracops.riesz_potential(field, _on_axis(d, n), pr)
+    assert np.all(np.isfinite(batch.value)) and np.all(batch.value[:-1] > 0.0)
+    for j, x in enumerate(_on_axis(d, n)):
+        one = fracops.riesz_potential(field, x, pr)
+        assert batch.value[j] == one.value and batch.error[j] == one.error
+    assert batch.value[-1] == 0.0 and batch.error[-1] == 0.0

@@ -137,3 +137,13 @@ def test_log_rule_is_exact_to_degree_2n_minus_1(eps, order):
     for k in range(2 * order):
         want = 1.0 / ((k + 1) * (k + 1 + eps))
         assert np.dot(w, t ** k) == pytest.approx(want, rel=1e-13), k
+
+
+def test_kink_edges_are_relative_to_the_scale():
+    # an edge counts unless it is below 1e-11 of the kink or the distance,
+    # at any scale
+    for a in (1e-120, 1e-20, 1.0, 1e6, 1e100):
+        edges = geometry.kink_edges([a], a * np.array([0.5, 1.0, 1.0 + 1e-9]))
+        np.testing.assert_allclose(edges[0], a * np.array([0.5, 1.5]))
+        assert edges[1, 0] == np.inf and edges[1, 1] == 2.0 * a
+        assert np.all(np.isfinite(edges[2]))
