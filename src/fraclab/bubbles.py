@@ -103,11 +103,5 @@ def kelvin_fixes_bubble(params: Params, lam: float = 1.0,
                         radii: Sequence[float] = (0.3, 0.9, 2.7)) -> float:
     """Max |w^lam - w| over sample radii: the bubble is a Kelvin fixed point."""
     w = standard_bubble(params, lam=lam)
-    k = KelvinMap(params, lam=lam)
-    wk = k.transform(w)
-    worst = 0.0
-    for d in radii:
-        x = np.zeros(params.n)
-        x[0] = d
-        worst = max(worst, abs(wk.at(x) - w.at(x)))
-    return worst
+    x = np.outer(radii, np.eye(params.n)[0])
+    return float(np.max(np.abs(KelvinMap(params, lam=lam).transform(w)(x) - w(x))))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -65,7 +66,7 @@ def _params(n: int, sigma: float) -> Params:
 def _save(out_dir: str, name: str, text: str) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
             fh.write(text)
 
 
@@ -187,11 +188,9 @@ def cmd_iterate(args: argparse.Namespace) -> int:
     if args.demo == "getoor":
         prob.rhs_map = lambda x, v: np.ones_like(x)
         vbar = 1.2 * solver.getoor_profile(prob.grid, pr) + 0.1
-    elif args.demo == "construction1d":
+    else:  # construction1d, the other choice of --demo
         prob.rhs_map = _construction_rhs()
         vbar = solver.solve_linear(prob, 2.0 * np.ones(len(prob.grid)))
-    else:
-        raise ValueError("demo must be getoor or construction1d")
     trace = solver.monotone_iterate(prob, supersolution=vbar)
     sys.stdout.write(
         f"demo={args.demo} iters={len(trace.residuals)} "
@@ -205,15 +204,10 @@ def cmd_iterate(args: argparse.Namespace) -> int:
 
 
 def _write_csv(out_dir, name, header, rows) -> None:
-    if not out_dir:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                             for v in row])
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header] + [[repr(float(v)) if isinstance(
+        v, float) else v for v in row] for row in rows])
+    _save(out_dir, name, buf.getvalue())
 
 
 def main(argv=None) -> int:

@@ -82,7 +82,7 @@ def extend(field: ScalarField, y: Array, t, params: Params):
         # exp and log1p, which numpy vectorises, cost a third of a power
         return r ** (n - 1) * np.exp(-0.5 * (n + s2) * np.log1p(r * r))
 
-    d = np.linalg.norm(ys, axis=1)
+    d = geometry.radius(ys)
     alpha = field.decay_rate if field.decay == "power_decay" else 0.0
     outer = (fracops.OUTER_RADIUS * np.maximum(1.0, d) / ts if alpha
              else np.full(ts.size, OUTER))

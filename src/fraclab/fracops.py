@@ -189,7 +189,7 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
         raise ValueError("points must have shape (n,) or (m, n)")
     batch = pts.reshape(-1, field.n)
-    dist = np.linalg.norm(batch, axis=1)
+    dist = geometry.radius(batch)
     if e > -1.0 and field.is_radial:
         value, error = _kernel_integral(field, dist, 0.5 * (e + 1.0))
     else:
@@ -407,7 +407,7 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
         quad += ((8 * np.arange(grid.size) + SERIES_TERMS)[:, None]
                  * np.finfo(float).eps * absolute)
         tables[1, :, -1] = 4.0 / 3.0 * c[SERIES_TERMS] * absolute[:, 0]
-        field.memo[key] = _frozen(grid, tables[:2])
+        field.memo[key] = geometry.frozen(grid, tables[:2])
     return field.memo[key]
 
 
@@ -453,12 +453,6 @@ def _geometric_radius(i: int) -> float:
     return INNER_RADIUS * 10.0 ** (i / PANELS_PER_DECADE)
 
 
-def _frozen(*arrays: Array) -> Tuple[Array, ...]:
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
-
-
 def _paired(rules) -> Tuple[Array, Array, Array]:
     """Nodes of a value rule and a check rule side by side, with the weights
     of each (zero on the other's nodes)."""
@@ -485,7 +479,7 @@ def _kernel_template(sigma: float, beta: float) -> Tuple[Array, Array, Array]:
              [(t, -w) for t, w in (geometry.log_rule(eps, k) for k in (8, 4))],
              [(t, w * t ** (-beta - 2.0))
               for t, w in (geometry.power_rule(beta, k) for k in (8, 4))])
-    return _frozen(*(np.stack(x) for x in zip(*map(_paired, rules))))
+    return geometry.frozen(*(np.stack(x) for x in zip(*map(_paired, rules))))
 
 
 def _kernel_breaks(d: float, graded: list, start: float, end: float) -> list:
@@ -829,7 +823,7 @@ def _kernel_rule(a: float, b: float, eps: float, m: int) -> tuple:
     edges = ([e for e, _ in KERNEL_Z_BUCKETS[:-1]] + [2.0]
              + [2.0 + e for e, _ in KERNEL_W_BUCKETS[:-1]])
     centres = [c for _, c in KERNEL_Z_BUCKETS + KERNEL_W_BUCKETS]
-    return _frozen(np.array(edges), np.array(centres), table) + (lead, worst)
+    return geometry.frozen(np.array(edges), np.array(centres), table) + (lead, worst)
 
 
 @lru_cache(maxsize=None)
@@ -837,11 +831,11 @@ def _shift(centre: float) -> Array:
     """C(j, k) centre^{j - k} (``BUCKET_TERMS``, ``SHIFT_TERMS``), which
     re-expands a power series about ``centre``; made once per centre."""
     if not centre:
-        return _frozen(np.eye(BUCKET_TERMS, SHIFT_TERMS))[0]
+        return geometry.frozen(np.eye(BUCKET_TERMS, SHIFT_TERMS))[0]
     # row k: C(j, k) centre^{j - k}, row k - 1 times (j - k + 1) / (k centre)
     j = np.arange(SHIFT_TERMS)
     k = np.arange(1, BUCKET_TERMS)[:, None]
-    return _frozen(np.cumprod(np.concatenate(
+    return geometry.frozen(np.cumprod(np.concatenate(
         [centre ** j[None], (j - k + 1) / (k * centre)]), axis=0))[0]
 
 
@@ -898,7 +892,7 @@ def _hyp2f1_rule(a: float, b: float, eps: float, m: int, terms: int
         ratio = math.gamma(a) * math.gamma(b) * math.gamma(1.0 + eps) / (
             math.gamma(a + eps) * math.gamma(b + eps) * math.gamma(1.0 - eps))
         q[0] = p[0] * (ratio - 1.0) / eps
-    mac, p, q = _frozen(mac, p, q)
+    mac, p, q = geometry.frozen(mac, p, q)
     return mac, lead, p, q
 
 

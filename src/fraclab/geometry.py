@@ -56,6 +56,27 @@ def sphere_rule(n: int, m: int) -> Tuple[Array, Array]:
     return pts, wts
 
 
+def frozen(*arrays: Array) -> Tuple[Array, ...]:
+    """The arrays, made read-only: tables that are computed once and shared."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+#: The largest |x| whose square is finite.
+MAX_RADIUS = math.sqrt(np.finfo(float).max)
+
+
+def radius(points: Array) -> Array:
+    """|x| per row of ``points`` (m, n) by a chain of hypot, so that no square
+    over- or underflows; a finite |x| whose square overflows is refused."""
+    r = np.hypot.reduce(points, axis=1, initial=0.0)
+    if r.max(initial=0.0) > MAX_RADIUS and (r[r < np.inf] > MAX_RADIUS).any():
+        raise ValueError(f"|x| = {np.max(r[r < np.inf]):g} is too large: "
+                         "|x|^2 overflows")
+    return r
+
+
 #: Gauss-Legendre nodes on each piece of the polar angle.
 POLAR_NODES = 24
 
@@ -240,10 +261,7 @@ def _gauss_from_moments(moments: Array) -> Tuple[Array, Array]:
         prev, sig = sig, new
     off = np.sqrt(beta[1:])
     x, vec = np.linalg.eigh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    w = beta[0] * vec[0] ** 2
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return frozen(x, beta[0] * vec[0] ** 2)
 
 
 @lru_cache(maxsize=None)
@@ -275,10 +293,7 @@ def log_rule(eps: float, order: int) -> Tuple[Array, Array]:
 
 @lru_cache(maxsize=None)
 def _legendre(order: int) -> Tuple[Array, Array]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    return frozen(*np.polynomial.legendre.leggauss(order))
 
 
 def gauss_nodes(lo: Array, hi: Array, order: int) -> Tuple[Array, Array]:

@@ -295,8 +295,7 @@ def check_bbl_inequalities(params: Params, grid_points: int = 1000,
     outside = _halfspace_samples(rng, 200, n, 2.0 + 1e-3, 30.0)
     neg_max = float(np.max(gap(outside, 2.0)))
 
-    far = np.zeros(n + 1)
-    far[0] = 1e3
+    far = 1e3 * np.eye(n + 1)[0]
     far_coeff = 1e3 ** ne * gap(far, 0.5)
     far_target = 1.0 - 0.5 ** ne
 

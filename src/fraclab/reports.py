@@ -213,13 +213,11 @@ def suite_green(cfg: RunConfig) -> List[Dict]:
     # potential vanishes on the sphere
     q = green.AnnulusDensity(4.0, lambda y: np.exp(
         -np.linalg.norm(np.atleast_2d(y), axis=1) ** 2))
-    ysph = np.zeros(pr.n + 1)
-    ysph[0] = 1.0
+    ysph = np.eye(pr.n + 1)[0]
     phi0 = green.phi_potential(ctx, q, ysph)
     out.append(gate("sphere-vanishing", "the sphere-cancelled potential "
                     "vanishes on the inversion sphere", abs(phi0), 1e-8, cfg))
-    y0 = np.zeros(pr.n)
-    y0[0] = 1.5
+    y0 = 1.5 * np.eye(pr.n)[0]
     der = green.phi_conormal(ctx, q, y0)
     ref = float(q(y0[None, :])[0])
     rel = abs(der - ref) / abs(ref)

@@ -1,23 +1,19 @@
 """Monotone sub/super-solution iteration on discretized fractional problems.
 
-The nonlocal operator is discretized by quadrature-collocation of the
-symmetric-difference integral: at each node the sphere means of the
-piecewise-linear basis are integrated against s^{-1-2s} on its row of one
-:func:`geometry.panel_rows` call, graded where the sphere meets lo or hi;
-the exterior contributes an exact tail, and the innermost region uses a
-quadratic second-difference model.  All off-diagonal entries are
-nonpositive and rows act nonnegatively on the exterior-extended constant,
-so the discrete maximum principle and the monotone Picard scheme hold.
+The operator is collocated on the hat basis in the symmetric-difference
+form: beyond s = h/2 the sphere means of the basis against s^{-1-2s},
+an exact exterior tail, and a quadratic second-difference model on
+(0, h/2).  Off-diagonal entries are nonpositive and rows act nonnegatively
+on the exterior-extended constant: the discrete maximum principle and the
+monotone Picard scheme hold.
 
-A hat function is nonzero on two cells only, so each sphere-mean radius
-r in (lo, hi) touches exactly two basis functions: with u = (r - lo)/h
-and m = floor(u), its weight goes to node m - 1 as (1 - frac) and to
-node m as frac, frac = u - m (each evaluated as 1 - |r - x_j|/h).  Each
-row scatters those two values with one ``bincount``, O(R + N) for R
-radii.  Rows are scattered one at a time: a 96-node annulus has 1.7
-million sphere-mean radii in all.  The assembled matrix is read-only, and
-its inverse is computed once, on first use, read-only too, and shared by
-``solve_linear`` and ``monotone_iterate``: a solve is one mat-vec.
+On an interval the matrix is Toeplitz, filled from one column of the hat
+means in closed form (:func:`_hat_means`, Huang & Oberman 2014).  Each
+annulus row integrates its sphere means on one row of
+:func:`geometry.panel_rows`, graded where the sphere meets lo or hi, and
+:func:`_hat_scatter` puts each radius on its two live hats.  The matrix
+and its inverse, computed once on first use, are read-only; a solve of
+``solve_linear`` or ``monotone_iterate`` is one mat-vec.
 """
 
 from __future__ import annotations
@@ -58,9 +54,7 @@ class FractionalDirichletProblem:
     @cached_property
     def inverse(self) -> Array:
         """Inverse of the operator matrix, computed once and read-only."""
-        inv = np.linalg.inv(self.operator_matrix)
-        inv.flags.writeable = False
-        return inv
+        return geometry.frozen(np.linalg.inv(self.operator_matrix))[0]
 
     def row_sum_check(self) -> Tuple[bool, float]:
         """Maximum-principle structure: A 1 >= 0, diag > 0, off-diag <= 0."""
@@ -106,13 +100,29 @@ def _hat_scatter(r: Array, w: Array, lo: float, hi: float, h: float,
                        minlength=nodes)
 
 
-#: Geometric panels a decade per row.
+#: Geometric panels a decade per row of the annulus, and the terms of the
+#: series of the interval's hat means in 1/k^2 <= 1/4.
 PER_DECADE = 6
+HAT_TERMS = 32
 
 #: Picard steps of :func:`monotone_iterate`, and the sup-norm step below
 #: which it has converged.
 MAX_ITERS = 200
 STEP_TOL = 1e-10
+
+
+def _hat_means(p: float, nodes: int) -> Array:
+    """t_k = 1/2 int_{1/2}^inf [phi(u - k) + phi(u + k)] u^{-1-p} du, k < nodes,
+    phi the unit hat (1 - |v|)_+.  t_0 and t_1 sum powers u^{a-1} over (1/2, 1)
+    and (1, 2): lo^a expm1(a ln 2) / a.  For k >= 2, t_k is half the second
+    difference of G, G'' = u^{-1-p}; the binomial series of (1 +- 1/k)^{1-p}
+    give k^{1-p} / p sum_{m>=1} c_m k^{-2m}, c_m = prod_{i<2m} (i - 1 + p) / (2m)!:
+    positive terms, continuous through p = 1 (G = -log u)."""
+    e0, e1 = (np.expm1(a * np.log(2.0)) / a if a else np.log(2.0) for a in (-p, 1.0 - p))
+    q, i, k = 2.0 ** (p - 1.0), np.arange(1.0, 2.0 * HAT_TERMS), np.arange(2.0, nodes)
+    series = np.polyval(np.cumprod((i - 1.0 + p) / (i + 1.0))[::-2], k ** -2.0)
+    return np.concatenate([[q * (2.0 * e0 - e1), e0 + 0.5 * (q - 1.0) * e1],
+                           k ** (-1.0 - p) * series / p])
 
 
 def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
@@ -133,40 +143,36 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
         raise ResolutionError("need >= 64 nodes")
     if params.n != dimension:
         raise ValueError("params.n must equal the spatial dimension")
-    s2 = 2.0 * params.sigma
+    p = 2.0 * params.sigma
     cset = constants.constant_set(params)
     front = cset.c_frac * cset.sphere_area
     h = (hi - lo) / (nodes + 1)
     grid = lo + h * np.arange(1, nodes + 1)
-    a = np.zeros((nodes, nodes))
-    s_min = 0.5 * h
-    near_coef = front * s_min ** (2.0 - s2) / ((2.0 - s2) * 2.0 * dimension) / h ** 2
-
-    # the basis means lose smoothness where the sphere about d meets lo or hi
-    s_max = 2.0 * (hi - lo) + abs(lo) + abs(hi) + 1.0
-    rows = geometry.panel_rows(s_min, np.full(nodes, s_min), np.full(nodes, s_max),
-                               PER_DECADE, geometry.kink_edges((abs(lo), hi), grid))
-    for i, (d, row) in enumerate(zip(grid, rows)):
-        s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
-        kern = s_nodes ** (-1.0 - s2)
-        # sphere means about d, unsplit: the basis has a kink at every node
-        radii, wts, which = geometry.radial_mean_rule(
-            dimension, np.full_like(s_nodes, d), s_nodes, ())
-        # f(x) sum(kernel) minus the basis means; exact exterior tail
-        a[i, i] += front * s_min ** (-s2) / s2
-        a[i, :] -= front * _hat_scatter(
-            radii.ravel(), ((s_weights * kern)[which, None] * wts).ravel(),
-            lo, hi, h, nodes)
-        # near field: quadratic second-difference model on (0, h/2)
-        a[i, i] += 2.0 * near_coef
-        if i > 0:
-            a[i, i - 1] -= near_coef
-        if i + 1 < nodes:
-            a[i, i + 1] -= near_coef
-    a.flags.writeable = False
+    scale = front * h ** -p
+    # column of lags: the interval's hat means (the annulus adds its own
+    # below), the exact tail beyond h/2 and the near-field model
+    near_coef = scale * 2.0 ** (p - 2.0) / ((2.0 - p) * 2.0 * dimension)
+    col = -scale * _hat_means(p, nodes) if dimension == 1 else np.zeros(nodes)
+    col[0] += scale * 2.0 ** p / p + 2.0 * near_coef
+    col[1] -= near_coef
+    a = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([col[:0:-1], col]), nodes)[::-1].copy()
+    if dimension == 2:
+        # the basis means lose smoothness where the sphere about d meets lo or hi
+        rows = geometry.panel_rows(0.5 * h, np.full(nodes, 0.5 * h),
+                                   np.full(nodes, 3.0 * hi - lo + 1.0), PER_DECADE,
+                                   geometry.kink_edges((lo, hi), grid))
+        for i, (d, row) in enumerate(zip(grid, rows)):
+            s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
+            # sphere means about d, unsplit: the basis has a kink at every node
+            radii, wts, which = geometry.radial_mean_rule(
+                2, np.full_like(s_nodes, d), s_nodes, ())
+            a[i] -= front * _hat_scatter(
+                radii.ravel(), ((s_weights * s_nodes ** (-1.0 - p))[which, None]
+                                * wts).ravel(), lo, hi, h, nodes)
     return FractionalDirichletProblem(params=params, domain=(lo, hi),
                                       dimension=dimension, grid=grid, h=h,
-                                      operator_matrix=a)
+                                      operator_matrix=geometry.frozen(a)[0])
 
 
 def getoor_profile(x: Array, params: Params) -> Array:

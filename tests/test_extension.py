@@ -345,3 +345,14 @@ def test_model_bubble_extension_rejects_the_boundary(t):
     with pytest.raises(ValueError, match="t > 0"):
         extension.model_bubble_extension(np.zeros((2, 2)), np.array([0.5, t]),
                                          Params(2, 0.25))
+
+
+def test_points_beyond_the_float_range():
+    # |y| is taken scaled; a point whose |y|^2 overflows is refused up front
+    pr = Params(3, 0.5)
+    w = bubbles.model_bubble(pr)
+    with pytest.raises(ValueError, match=r"\|x\| = 2e\+154"):
+        extension.extend(w, np.array([2e154, 0.0, 0.0]), 0.5, pr)
+    for y in (1e150, 1e-160):
+        val = extension.extend(w, np.array([y, 0.0, 0.0]), 0.5, pr)
+        assert math.isfinite(val) and val > 0.0

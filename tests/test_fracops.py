@@ -852,3 +852,16 @@ def test_riesz_batch_across_the_far_boundary(n, s, a):
         one = fracops.riesz_potential(field, x, pr)
         assert batch.value[j] == one.value and batch.error[j] == one.error
     assert batch.value[-1] == 0.0 and batch.error[-1] == 0.0
+
+
+def test_points_beyond_the_float_range():
+    # |x| is taken scaled, so it neither overflows nor underflows; a point
+    # whose |x|^2 overflows is refused up front, naming |x|
+    pr = Params(3, 0.5)
+    w = bubbles.model_bubble(pr)
+    with pytest.raises(ValueError, match=r"\|x\| = 2e\+154"):
+        fracops.frac_lap_at(w, np.array([2e154, 0.0, 0.0]), pr)
+    for x in (1e150, 1e-160):
+        res = fracops.frac_lap_at(w, np.array([x, 0.0, 0.0]), pr)
+        assert math.isfinite(res.value) and math.isfinite(res.error)
+        assert res.value > 0.0

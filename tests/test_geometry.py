@@ -147,3 +147,13 @@ def test_kink_edges_are_relative_to_the_scale():
         np.testing.assert_allclose(edges[0], a * np.array([0.5, 1.5]))
         assert edges[1, 0] == np.inf and edges[1, 1] == 2.0 * a
         assert np.all(np.isfinite(edges[2]))
+
+
+def test_radius_is_free_of_overflow_and_underflow():
+    pts = np.array([[1e-160, 0.0, 0.0], [3e-170, 4e-170, 0.0], [-0.5, 0.0, 0.0],
+                    [3e153, 4e153, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    r = geometry.radius(pts)
+    np.testing.assert_allclose(r, [1e-160, 5e-170, 0.5, 5e153, np.inf, 0.0],
+                               rtol=1e-15)
+    with pytest.raises(ValueError, match=r"\|x\| = 1e\+155"):
+        geometry.radius(np.array([[1.0, 0.0], [0.0, -1e155]]))

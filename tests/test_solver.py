@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,6 +165,42 @@ def test_scatter_assembly_matches_dense_basis(case, s, nodes):
     assert np.array_equal(a == 0.0, ref == 0.0)
     off = ~np.eye(nodes, dtype=bool)
     assert np.array_equal(np.sign(a[off]), np.sign(ref[off]))
+
+
+def _hat_mean_reference(k, p):
+    # 1/2 int_{1/2}^inf [phi(u - k) + phi(u + k)] u^{-1-p} du at 30 digits,
+    # split at the kinks of the hats
+    with mp.workdps(30):
+        p = mp.mpf(p)
+        hat = lambda v: max(0, 1 - abs(v))
+        breaks = sorted({mp.mpf(0.5)} | {mp.mpf(b) for b in (k - 1, k, k + 1)
+                                         if b > 0.5})
+        return mp.quad(lambda u: (hat(u - k) + hat(u + k)) / 2
+                       * u ** (-1 - p), breaks)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.4999, 0.5, 0.75])
+def test_hat_means_match_high_precision_quadrature(s):
+    t = solver._hat_means(2.0 * s, 4096)
+    for k in (0, 1, 2, 3, 100, 511, 4095):
+        ref = _hat_mean_reference(k, 2.0 * s)
+        assert abs(t[k] / float(ref) - 1.0) < 1e-12, k
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_hat_means_stay_positive(s):
+    # every off-diagonal entry -scale t_k stays negative at any N
+    assert np.all(solver._hat_means(2.0 * s, 100_001) > 0.0)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("nodes", [64, 200])
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 3.0)])
+def test_interval_matrix_is_exactly_symmetric_toeplitz(s, nodes, domain):
+    a = solver.build_problem(domain, Params(1, s), nodes=nodes).operator_matrix
+    assert np.array_equal(a, a.T)
+    lag = np.abs(np.subtract.outer(np.arange(nodes), np.arange(nodes)))
+    assert np.array_equal(a, a[0][lag])
 
 
 def test_one_factorization_per_problem(monkeypatch):
