@@ -16,8 +16,8 @@ derivative -lim t^{1-2s} dU/dt recovers d_sigma * (-Lap)^s u.
 sums them by the sphere-mean driver of :mod:`fraclab.fracops`, with the
 kernel r^{n-1} (1+r^2)^{-(n+2s)/2} and the scale t, on the operators' own
 rules: GL8 on panels graded about the field's kink edges over t, the head
-fit against the moments of r^{n-1} below r_lo, and beyond the last panel
-the operators' tail law S ~ (outer / s)^alpha.
+fit against the moments of r^{n-1} below r_lo, and the driver's outer
+radius and far-field law for the kernel's far power r^{-1-2s}.
 
 The model bubble w = (1+|z|^2)^{-b}, b = (n-2s)/2, has an extension in one
 variable at every sigma.  With a = (n+2s)/2, write the Poisson kernel and w
@@ -52,10 +52,6 @@ from .params import Params
 Array = np.ndarray
 
 
-#: Panels of a compact or bounded field run out to OUTER (alpha = 0 beyond).
-OUTER = 1e4
-
-
 def extend(field: ScalarField, y: Array, t, params: Params):
     """Value of the extension U(y, t) for t > 0.
 
@@ -63,10 +59,9 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     gives an (m,) array.  A single point is a batch of one.
 
     One :func:`fracops._sphere_mean_sum` call sums every row with the scale
-    t, in r out to ``OUTER``, or for a field of power decay until t r
-    passes ``fracops.OUTER_RADIUS`` max(1, |y|), where the decay law holds.
-    Beyond, the kernel is r^{-1-2s} and S(t r) ~ S(t outer) (outer / r)^alpha,
-    alpha the decay rate (0 for a compact or bounded field).
+    t; its outer rule and far-field law see the kernel's far power
+    r^{-1-2s}.  The kernel is taken as r^{-1-2s} (1 + r^-2)^{-(n+2s)/2}
+    past r = 1, so that no power of a far node overflows.
     """
     single = np.ndim(y) == 1
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -77,18 +72,16 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     if (ts <= 0.0).any():
         raise ValueError("the extension is evaluated at t > 0")
     n, s2 = params.n, 2.0 * params.sigma
+    e_far = -1.0 - s2
 
     def kernel(r):
-        # exp and log1p, which numpy vectorises, cost a third of a power
-        return r ** (n - 1) * np.exp(-0.5 * (n + s2) * np.log1p(r * r))
+        far = r > 1.0
+        u = np.where(far, 1.0 / r, r)
+        return r ** np.where(far, e_far, n - 1.0) * np.exp(
+            -0.5 * (n + s2) * np.log1p(u * u))
 
-    d = geometry.radius(ys)
-    alpha = field.decay_rate if field.decay == "power_decay" else 0.0
-    outer = (fracops.OUTER_RADIUS * np.maximum(1.0, d) / ts if alpha
-             else np.full(ts.size, OUTER))
-    _, value, _, s_tail = fracops._sphere_mean_sum(
-        field, ys, d, kernel, n - 1.0, (8,), ts, outer)
-    value += s_tail * outer ** (-s2) / (s2 + alpha)
+    value, _ = fracops._sphere_mean_sum(field, ys, geometry.radius(ys), kernel,
+                                        n - 1.0, (8,), ts, e_far)
     cset = constants.constant_set(params)
     value *= cset.gamma_poisson * cset.sphere_area
     return float(value[0]) if single else value

@@ -16,6 +16,11 @@ with an embedded GL4, so every value has an error bar.  A radial field's
 sphere means are split at the kinks of its profile
 (:func:`geometry.radial_mean_rule`); other fields take a product rule.
 
+The driver owns the far field: it ends each row past a compact support,
+or where the decay law holds, and beyond takes the kernel as r^e_far
+(1 + c (outer / r)^2), e_far its far power, and S as S(outer) (outer /
+r)^alpha, alpha the decay rate (0 for a bounded field).
+
 Lengths are in units of the field's own length L, the support radius
 of a compact field and 1 for any other, with one factor at the end:
 L^{2 sigma} for the integral in rho below, L^{e+1} for a sphere-mean
@@ -107,8 +112,8 @@ MOMENT_PANELS = 16
 TABLE_NODES = 48
 TRAILING = 4
 
-#: Panels start at INNER_RADIUS * max(1, d / L) or below; a field without
-#: compact support is summed out to OUTER_RADIUS, with a tail model beyond.
+#: Panels start at INNER_RADIUS * max(1, d / L) or below, and a field
+#: without compact support ends at OUTER_RADIUS * max(1, d / L).
 INNER_RADIUS = 1e-3
 OUTER_RADIUS = 1e3
 
@@ -183,7 +188,8 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     arrays (m,); a single point is a batch of one.  A radial field is
     evaluated at each point's distance from the origin, and its potential
     is the one integral in rho of :func:`_kernel_integral`.  Every other
-    case is summed on sphere means by :func:`_sphere_mean_integral`.
+    case is one :func:`_sphere_mean_sum` call with the kernel s^e, in
+    units of the field's length L (:func:`_length`), times L^{e + 1}.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
@@ -193,7 +199,10 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     if e > -1.0 and field.is_radial:
         value, error = _kernel_integral(field, dist, 0.5 * (e + 1.0))
     else:
-        value, error = _sphere_mean_integral(field, batch, dist, e)
+        length = _length(field)
+        value, error = (length ** (e + 1.0) * v for v in _sphere_mean_sum(
+            field, batch, dist, lambda s: s ** e, e, (8, 4),
+            np.full(dist.size, length), e))
     value, error = front * value, front * error
     if pts.ndim == 1:
         return OpResult(float(value[0]), float(error[0]))
@@ -203,43 +212,6 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
 def _length(field: ScalarField) -> float:
     """The field's own length: its support radius if compact, else 1."""
     return field.support_radius if field.decay == "compact_support" else 1.0
-
-
-def _sphere_mean_integral(field: ScalarField, batch: Array, d: Array,
-                          e: float) -> Tuple[Array, Array]:
-    """int_0^inf s^e g(s) ds and its bar at the points of ``batch``, on the
-    sphere means S(s) about each point (about its distance d for a radial
-    field).
-
-    :func:`_sphere_mean_sum` takes GL8 and GL4 on the panels from
-    s_lo = min(INNER_RADIUS max(1, d / L), nearest kink edge / 2) and the
-    head below, against the kernel s^e, with the field's length L
-    (:func:`_length`) as its scale; the bar adds the tail charge.  A compact
-    field is summed out to d / a + 1.001 (the Laplacian: at least
-    ``OUTER_RADIUS``).  Value and bar are then multiplied by L^{e + 1}.
-    """
-    lap = e < -1.0
-    compact, length = field.decay == "compact_support", _length(field)
-    outer = d / length + 1.001 if compact else np.full(d.size, OUTER_RADIUS)
-    if compact and lap:
-        outer = np.maximum(outer, OUTER_RADIUS)
-    f0, fine, err, s_tail = _sphere_mean_sum(
-        field, batch, d, lambda s: s ** e, e, (8, 4), np.full(d.size, length),
-        outer)
-
-    # tail beyond outer: c in closed form (c = 0 where e > -1), S modelled
-    c, sign = (f0, -1.0) if lap else (np.zeros(d.size), 1.0)
-    far = outer ** (e + 1.0)
-    fine -= c * far / (e + 1.0)
-    if field.decay == "power_decay":
-        # S(s) ~ S(outer) (outer / s)^alpha, integrable as alpha > e + 1
-        tail = s_tail * far / (field.decay_rate - e - 1.0)
-        fine += sign * tail
-        err += 0.1 * np.abs(tail)
-    elif not compact:
-        # S is only known to stay bounded: charge twice its size so far
-        err += 2.0 * np.maximum(np.abs(c), np.abs(s_tail)) * far / abs(e + 1.0)
-    return fine * length ** (e + 1.0), err * length ** (e + 1.0)
 
 
 #: Breaks about a distance d > 0, as multiples of d: the kernel is singular
@@ -266,9 +238,11 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     L^{2 sigma}.  K(d, rho) = hi^{-q} F(z) is the sphere-mean kernel of the
     module notes, lo and hi the smaller and the larger of d and rho and
     z = (lo / hi)^2.  F is summed by :func:`_kernel_factor` with w = 1 - z
-    = (hi - lo)(hi + lo) / hi^2, which keeps its digits at rho = d.  The
-    panels are those of :func:`_kernel_breaks`; each takes GL8 for the
-    value and GL4 for the bar (rule 0 of :func:`_kernel_template`), except:
+    = (hi - lo)(1 + lo / hi) / hi, which keeps its digits at rho = d, and
+    rho^{n-1} hi^{-q} is taken as (rho / hi)^{n-1} hi^{2 sigma - 1}, so no
+    power overflows far out.  The panels are those of
+    :func:`_kernel_breaks`; each takes GL8 for the value and GL4 for the
+    bar (rule 0 of :func:`_kernel_template`), except:
 
     * rule 2 on the two panels [d - h, d] and [d, d + h] next to the
       singularity.  There F = E(ln w) p(w) - q(w) with
@@ -296,7 +270,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     rounding bound k eps sum |terms| of each k-term sum and, as F >= 1,
     the truncation bound of :func:`_kernel_rule` times sum |terms|.
     """
-    n, s2, q = field.n, 2.0 * sigma, field.n - 2.0 * sigma
+    n, s2 = field.n, 2.0 * sigma
     power_decay, length = field.decay == "power_decay", _length(field)
     if not power_decay and (d / length > 2.0).all():
         value, bar = _moment_series(field, sigma, d / length, -1)
@@ -340,14 +314,15 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
                               for x in (row, scale, kind == 2))
     at = d[owner]
     lo_, hi_ = np.minimum(rho, at), np.maximum(rho, at)
-    v = (hi_ + lo_) / (hi_ * hi_)
+    ratio = lo_ / hi_
+    v = (1.0 + ratio) / hi_
     w = (hi_ - lo_) * v
     # ln w, or ln (h v) on a split panel; p (h v)^eps at log-rule nodes
-    kernel = _kernel_factor(n, sigma, (lo_ / hi_) ** 2, w, scale != 0.0,
+    kernel = _kernel_factor(n, sigma, ratio * ratio, w, scale != 0.0,
                             np.log(np.where(scale == 0.0, w, scale * v)),
                             log_node)
-    terms = (field.radial_profile(length * rho) * rho ** (n - 1) * hi_ ** -q
-             * kernel)
+    terms = (field.radial_profile(length * rho) * (rho / hi_) ** (n - 1)
+             * hi_ ** (s2 - 1.0) * kernel)
     fine = np.bincount(owner, terms * fine_w, minlength=d.size)
     coarse = np.bincount(owner, terms * coarse_w, minlength=d.size)
     absolute = np.bincount(owner, np.abs(terms * fine_w), minlength=d.size)
@@ -509,16 +484,15 @@ def _kernel_breaks(d: float, graded: list, start: float, end: float) -> list:
 
 def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
                      kernel: Callable[[Array], Array], e0: float,
-                     orders: Tuple[int, ...], scale: Array, outer: Array
-                     ) -> Tuple[Array, Array, Array, Array]:
+                     orders: Tuple[int, ...], scale: Array, e_far: float
+                     ) -> Tuple[Array, Array]:
     """The one sphere-mean driver (private, so a traced run charges its time
     to the operator that called it): per point x_j of ``batch`` (m, n), at
-    distance d_j, int_0^{outer_j} K(r) g_j(scale_j r) dr, with g_j =
+    distance d_j, int_0^inf K(r) g_j(scale_j r) dr and its bar, with g_j =
     f(x_j) - S_j for the Laplacian (e0 < -1, the one kernel power not
     integrable at 0) and S_j otherwise, S_j the sphere mean about x_j
-    (about d_j for a radial field).  Returns f(x_j), the value, its bar and
-    S_j(scale_j outer_j).  r is in units of scale_j: the field's length L
-    (:func:`_length`) for the operators, t for the extension.
+    (about d_j for a radial field).  r is in units of scale_j: the field's
+    length L (:func:`_length`) for the operators, t for the extension.
 
     Row j of :func:`geometry.panel_rows` runs from 1e-12, graded about the
     kink edges over scale_j, and starts at the head radius r_lo: the least
@@ -529,6 +503,18 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
     for the value.  With two the bar is |first - second|, plus k eps sum
     |terms| for the k-node sum and half the quartic term's share.  A field
     that is not radial needs n <= 3.
+
+    The row ends at outer_j scale_j = d_j + 1.001 L for a compact field,
+    past which S = 0, and at ``OUTER_RADIUS`` max(L, d_j) for any other,
+    where the decay law or plain boundedness holds; at most (MAX_RADIUS -
+    d_j) / 2.  Beyond, K = r^e_far (1 + c (outer / r)^2), c = K(outer) /
+    outer^e_far - 1 (0 for a power, or where outer^e_far underflows), and
+    S(r) = S(outer) (outer / r)^alpha, alpha the decay rate (0 for a
+    bounded field), adds S(outer) outer^{e_far+1} [1 / (alpha - e_far - 1)
+    + c / (alpha - e_far + 1)], a tenth of it to the bar.  The Laplacian
+    adds the f(x) tail in closed form, but for a bounded field, whose S
+    may oscillate, charges 2 max(|f(x)|, |S(outer)|) outer^{e_far+1} /
+    |e_far + 1| to the bar instead of the S tail.
     """
     if not field.is_radial and field.n > 3:
         raise ValueError("sphere means need a field with a radial_profile, or "
@@ -547,6 +533,9 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
         r_lo = np.minimum(r_lo, INNER_RADIUS ** 2 / math.sqrt(bend))
     if field.is_radial:  # graded where the sphere passes the centre, s = d
         edges = np.column_stack([edges, d / scale])
+    compact = field.decay == "compact_support"
+    reach = d + 1.001 * length if compact else OUTER_RADIUS * np.maximum(length, d)
+    outer = np.minimum(reach, 0.5 * (geometry.MAX_RADIUS - d)) / scale
     rows = geometry.panel_rows(1e-12, r_lo, outer, PANELS_PER_DECADE, edges)
     moments = r_lo[:, None] ** (e0 + 1.0) / (e0 + 1.0 + 2.0 * np.arange(3))
     value, err, s_tail = np.zeros((3, d.size))
@@ -580,7 +569,24 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
                 np.bincount(owners[0], minlength=m) * np.finfo(float).eps
                 * np.bincount(owners[0], np.abs(terms[0]), minlength=m)
                 ) + 0.5 * np.abs(b) * mom[:, 2]
-    return f0, value, err, s_tail
+
+    # beyond outer: K = r^e_far (1 + c (outer / r)^2)
+    power, far = outer ** e_far, outer ** (e_far + 1.0)
+    c = np.divide(kernel(outer), power, out=np.ones(d.size),
+                  where=power >= np.finfo(float).tiny) - 1.0
+
+    def tail(alpha):  # int_outer^inf K(r) (outer / r)^alpha dr
+        return far * (1.0 / (alpha - e_far - 1.0) + c / (alpha - e_far + 1.0))
+    if lap:
+        value += f0 * tail(0.0)
+    if lap and field.decay == "integrable_against_kernel":
+        err += 2.0 * np.maximum(np.abs(f0), np.abs(s_tail)) * far / abs(e_far + 1.0)
+    elif not compact:
+        alpha = field.decay_rate if field.decay == "power_decay" else 0.0
+        s_far = (-s_tail if lap else s_tail) * tail(alpha)
+        value += s_far
+        err += 0.1 * np.abs(s_far)
+    return value, err
 
 
 def riesz_field(field: ScalarField, params: Params) -> ScalarField:

@@ -235,8 +235,7 @@ def _bubble_state(pr: Params, lam: float) -> movingsphere.ComparisonState:
     kf = ScalarField(lambda x: np.full(np.atleast_2d(x).shape[0],
                                        constants.bubble_eigenvalue(pr)),
                      n=pr.n, decay="integrable_against_kernel")
-    ext = lambda Y: extension.model_bubble_extension_halforder(
-        Y[..., :pr.n], Y[..., pr.n], Params(pr.n, 0.5))
+    ext = lambda Y: green.wtilde_extension(Y, pr)
     return movingsphere.ComparisonState(params=pr, trace=w, extension=ext,
                                         kelvin_radius=lam, k_field=kf)
 

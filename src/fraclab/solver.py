@@ -158,10 +158,10 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
     a = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([col[:0:-1], col]), nodes)[::-1].copy()
     if dimension == 2:
-        # the basis means lose smoothness where the sphere about d meets lo or hi
-        rows = geometry.panel_rows(0.5 * h, np.full(nodes, 0.5 * h),
-                                   np.full(nodes, 3.0 * hi - lo + 1.0), PER_DECADE,
-                                   geometry.kink_edges((lo, hi), grid))
+        # the basis means lose smoothness where the sphere about d meets lo
+        # or hi, and vanish past s = hi + d, where it misses the annulus
+        rows = geometry.panel_rows(0.5 * h, np.full(nodes, 0.5 * h), grid + hi,
+                                   PER_DECADE, geometry.kink_edges((lo, hi), grid))
         for i, (d, row) in enumerate(zip(grid, rows)):
             s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
             # sphere means about d, unsplit: the basis has a kink at every node

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -356,3 +357,34 @@ def test_points_beyond_the_float_range():
     for y in (1e150, 1e-160):
         val = extension.extend(w, np.array([y, 0.0, 0.0]), 0.5, pr)
         assert math.isfinite(val) and val > 0.0
+
+
+def test_extension_of_an_indicator_keeps_its_support():
+    # at n = 1, sigma = 1/2 the extension of 1_[-1, 1] is
+    # (atan((1 - y) / t) + atan((1 + y) / t)) / pi; the panels run past the
+    # support at any t, however far y is from it
+    pr = Params(1, 0.5)
+    box = radial_field(lambda r: (np.abs(r) <= 1.0).astype(float), 1,
+                       decay="compact_support", support_radius=1.0)
+    y, t = (a.ravel() for a in np.meshgrid([0.0, 0.5, 0.99, 2.0, 10.0],
+                                           [1e-4, 1e-2, 1.0]))
+    want = (np.arctan((1.0 - y) / t) + np.arctan((1.0 + y) / t)) / np.pi
+    got = extension.extend(box, y[:, None], t, pr)
+    np.testing.assert_allclose(got, want, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_extension_far_out_matches_the_closed_form(n):
+    # no power of the Poisson kernel overflows at a far node, so far points
+    # keep the half-order closed form and stay finite up to 1.3e154
+    pr = Params(n, 0.5)
+    w = bubbles.model_bubble(pr)
+    y = np.zeros((3, n))
+    y[:, 0] = (1e150, 1e150, 1.3e154)
+    t = np.array([1e-3, 0.5, 1e-3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = extension.extend(w, y, t, pr)
+    want = extension.model_bubble_extension_halforder(y[:2], t[:2], pr)
+    np.testing.assert_allclose(got[:2], want, rtol=1e-10, atol=0.0)
+    assert np.isfinite(got[2])

@@ -861,7 +861,47 @@ def test_points_beyond_the_float_range():
     w = bubbles.model_bubble(pr)
     with pytest.raises(ValueError, match=r"\|x\| = 2e\+154"):
         fracops.frac_lap_at(w, np.array([2e154, 0.0, 0.0]), pr)
+    lam = constants.bubble_eigenvalue(pr)
     for x in (1e150, 1e-160):
         res = fracops.frac_lap_at(w, np.array([x, 0.0, 0.0]), pr)
         assert math.isfinite(res.value) and math.isfinite(res.error)
-        assert res.value > 0.0
+        # Lambda (1 + |x|^2)^{-(n + 2 sigma) / 2} in floats: 0.0 at 1e150
+        exact = lam * (1.0 + x * x) ** (-0.5 * (pr.n + 2.0 * pr.sigma))
+        assert abs(res.value - exact) <= res.error
+    assert res.value > 0.0
+
+
+def test_frac_lap_applies_its_tail_law_past_the_centre():
+    # the sphere passes the centre before the far-field law takes over, so
+    # the model bubble far out lies within its bar of the closed form, and
+    # no power overflows up to the edge of the float range
+    pr = Params(3, 0.5)
+    w = bubbles.model_bubble(pr)
+    lam = constants.bubble_eigenvalue(pr)
+    d = np.array([1e4, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fracops.frac_lap_at(w, _on_axis(d, 3), pr)
+        edge = fracops.frac_lap_at(w, np.array([1.3e154, 0.0, 0.0]), pr)
+        # at sigma = 3/4 the kernel power outer^{-5/2} underflows to 0
+        steep = fracops.frac_lap_at(bubbles.model_bubble(Params(3, 0.75)),
+                                    _on_axis([1e150, 1.3e154], 3),
+                                    Params(3, 0.75))
+    exact = lam * (1.0 + d * d) ** -2.0
+    assert np.all(np.abs(res.value - exact) <= res.error)
+    # the value at 1e4 is what f(x) - S leaves of f(x) = 1e-8
+    assert res.error[0] < 1e-6 * w.radial_profile(1e4)
+    assert math.isfinite(edge.value) and math.isfinite(edge.error)
+    assert np.all(steep.value == 0.0) and np.all(steep.error == 0.0)
+
+
+def test_riesz_potential_far_out_keeps_its_decay_law():
+    # the potential of the bubble decays like |x|^{4 sigma - n}; the kernel
+    # terms are formed as ratios, so rho^{n-1} and |x|^2 never overflow
+    pr = Params(5, 0.5)
+    w = bubbles.standard_bubble(pr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fracops.riesz_potential(w, _on_axis([1e60, 1e76, 1e100], 5), pr)
+    assert np.all(np.isfinite(res.value)) and np.all(np.isfinite(res.error))
+    assert res.value[1] == pytest.approx(res.value[0] * 1e-48, rel=1e-10)
