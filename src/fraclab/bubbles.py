@@ -99,9 +99,12 @@ def bubble_identity_residuals(params: Params, lam: float = 1.0,
     return np.abs(lhs - rhs) / np.abs(rhs)
 
 
-def kelvin_fixes_bubble(params: Params, lam: float = 1.0,
-                        radii: Sequence[float] = (0.3, 0.9, 2.7)) -> float:
-    """Max |w^lam - w| over sample radii: the bubble is a Kelvin fixed point."""
-    w = standard_bubble(params, lam=lam)
-    x = np.outer(radii, np.eye(params.n)[0])
-    return float(np.max(np.abs(KelvinMap(params, lam=lam).transform(w)(x) - w(x))))
+#: Sample radii of :func:`kelvin_fixes_bubble`, about the unit sphere.
+KELVIN_RADII = (0.3, 0.9, 2.7)
+
+
+def kelvin_fixes_bubble(params: Params) -> float:
+    """Max |w^1 - w| over ``KELVIN_RADII``: the unit bubble is a Kelvin fixed point."""
+    w = standard_bubble(params)
+    x = np.outer(KELVIN_RADII, np.eye(params.n)[0])
+    return float(np.max(np.abs(KelvinMap(params).transform(w)(x) - w(x))))

@@ -105,10 +105,10 @@ def radial_integral(g: Callable[[np.ndarray], np.ndarray], n: int) -> float:
     which resolve power-law ends to about machine precision for the
     algebraic kernels of the normalization checks.
     """
-    total = geometry.panel_quad(
-        lambda r: np.asarray(g(r), dtype=float) * r ** (n - 1),
-        geometry.panel_breaks(1e-30, 1e30, RADIAL_PER_DECADE))
-    return sphere_area(n) * total
+    r, w, _ = geometry.panel_nodes(geometry.panel_rows(
+        1e-30, [1e-30], [1e30], RADIAL_PER_DECADE, np.zeros((1, 0))), 8)
+    return sphere_area(n) * float(
+        np.dot(np.asarray(g(r), dtype=float) * r ** (n - 1), w))
 
 
 def poisson_norm_residual(params: Params) -> float:

@@ -54,6 +54,9 @@ TINY = np.finfo(float).tiny
 #: :func:`plan_sequences` gives up.
 SEARCH_BUDGET = 60
 
+#: The core radius delta of every plan: k must equal 1 on B_delta.
+DELTA = 0.5
+
 
 # --- log-space core --------------------------------------------------------
 
@@ -406,7 +409,7 @@ def lambda_from_constraint(i: int, rho: float, eps_i: float,
 
 def plan_sequences(params: Params, k: ScalarField,
                    phi: Callable[[float], float], N: int,
-                   delta: float = 0.5, seed: int = 5) -> SequencePlan:
+                   seed: int = 5) -> SequencePlan:
     """Select every sequence of the construction for N materialized bubbles.
 
     Reduced mode (N < i0) materializes N consecutive ring vertices of the
@@ -427,7 +430,7 @@ def plan_sequences(params: Params, k: ScalarField,
     kv = k(probe)
     if np.any(kv <= 0.0):
         raise InfeasiblePlanError("k must be positive")
-    near = kv[np.linalg.norm(probe, axis=1) <= delta]
+    near = kv[np.linalg.norm(probe, axis=1) <= DELTA]
     if near.size and np.max(np.abs(near - 1.0)) > 1e-12:
         raise InfeasiblePlanError("k must equal 1 on the core ball")
     a = 0.5 * float(np.min(kv))
@@ -438,7 +441,7 @@ def plan_sequences(params: Params, k: ScalarField,
     reduced = N < i0
     if N < 1:
         raise InfeasiblePlanError("N must be >= 1")
-    delta1, delta2 = choose_deltas(params, delta)
+    delta1, delta2 = choose_deltas(params, DELTA)
     w0 = amp * (2.0 * b) ** (-n / (2.0 * s))
 
     ring = min(N, i0)
@@ -532,7 +535,7 @@ def plan_sequences(params: Params, k: ScalarField,
             i, m_formula(i, eps[idx]), ci, r_small[idx], eps[idx])
 
     margins = {name: margin for name, ok, margin in checks}
-    out = SequencePlan(params=params, a=a, b=b, delta=delta, delta1=delta1,
+    out = SequencePlan(params=params, a=a, b=b, delta=DELTA, delta1=delta1,
                        delta2=delta2, i0=i0, beta=beta, n_mat=N,
                        reduced=reduced, eps=eps, one_minus_k=one_minus_k,
                        m_big=m_big, rho=rho, lam=lam, r_small=r_small,
@@ -641,11 +644,8 @@ def _tent_riesz(d, rho, params: Params):
     """
     d, rho = (np.asarray(a, dtype=float) for a in np.broadcast_arrays(d, rho))
     shape, d, rho = d.shape, d.ravel(), rho.ravel()
-    rows = geometry.panel_rows(1.0, np.ones(d.size), np.full(d.size, 2.0), 4,
-                               (d / rho)[:, None])
-    live = np.isfinite(rows[:, 1:])
-    nodes, weights = geometry.gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], 8)
-    owner = np.repeat(np.nonzero(live)[0], 8)
+    nodes, weights, owner = geometry.panel_nodes(geometry.panel_rows(
+        1.0, np.ones(d.size), np.full(d.size, 2.0), 4, (d / rho)[:, None]), 8)
     vals = fracops.riesz_ball_indicator(d[owner], rho[owner] * nodes, params)
     out = np.bincount(owner, vals * weights, d.size).reshape(shape)
     return float(out) if out.ndim == 0 else out
@@ -710,7 +710,8 @@ def _u0(plan: SequencePlan, u0_mode: str, rows: _Rows) -> Array:
 
 
 def assemble_u(plan: SequencePlan, u0_mode: str, pt: Point):
-    """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution}."""
+    """u = u0 + truncated bubble sum; u0 per mode {zero, supersolution}: the
+    paper's u, whose blow-up rate at the centres acceptance criterion 9 checks."""
     rows = _Rows(plan, pt)
     return rows.out(_u0(plan, u0_mode, rows) + bubble_sum(plan, rows))
 

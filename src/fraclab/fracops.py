@@ -261,6 +261,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     * rule 3 beyond the end R = max(``OUTER_RADIUS``, 4 d) of a
       power-decay field, f ~ rho^{-alpha}: in rho = R / u the integrand is
       u^{alpha - 2 sigma - 1} times a smooth function, by Gauss-Jacobi.
+      A distance whose least node u puts L R / u past ``MAX_RADIUS`` is refused.
 
     The stretch below grid[cut], the largest radius of the field's moment
     grid at or below 0.4 d, is the series of :func:`_moment_series`; beyond
@@ -276,12 +277,18 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
         value, bar = _moment_series(field, sigma, d / length, -1)
         return value * length ** s2, bar * length ** s2
     d = np.where(d > CENTRE_RADIUS * length, d / length, 0.0)
+    end = np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay else np.ones(d.size)
+    nodes, w8, w4 = _kernel_template(
+        sigma, field.decay_rate - s2 - 1.0 if power_decay else 0.0)
+    reach = length * end.max(initial=0.0) / nodes[3].min()
+    if power_decay and reach > geometry.MAX_RADIUS:
+        raise ValueError(f"|x| = {length * d.max():g} is too large: the tail of "
+                         f"the rho integral passes {geometry.MAX_RADIUS:g}")
     grid = _moments(field, sigma)[0]
     cut = np.searchsorted(grid, NEAR_GRADING[0] * d, side="right") - 1
     cut[(d > 2.0) & (not power_decay)] = grid.size - 1
     # [0, grid[cut]]: the series in the field's moments (0 where cut = 0)
     value, bar = _moment_series(field, sigma, d, cut)
-    end = np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay else np.ones(d.size)
     graded = [k / length * g for k in field.kink_radii for g in geometry.GRADING]
     # one entry per panel, and one more for each split panel's log rule:
     # start, signed width, rule, row, and scale (the width on a split
@@ -301,8 +308,6 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
             panels.append((ej, ej, 3, j, 0.0))
     start, width, kind, row, scale = np.array(panels).T
     kind, row = kind.astype(int), row.astype(int)
-    nodes, w8, w4 = _kernel_template(
-        sigma, field.decay_rate - s2 - 1.0 if power_decay else 0.0)
     size, t = np.abs(width), nodes[kind]
     rho = start[:, None] + width[:, None] * t
     if power_decay:  # rule 3: rho = R / t beyond the end R
@@ -363,7 +368,7 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
                         + [top])
 
         def panel_terms(order):  # (panel, node, j)
-            r, w = geometry.gauss_panels(grid, order)
+            r, w, _ = geometry.panel_nodes(grid, order)
             return ((field.radial_profile(length * r) * r ** (field.n - 1)
                      * w)[:, None]
                     * _powers((r / grid[1:].repeat(order)) ** 2, SERIES_TERMS)
@@ -542,19 +547,15 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
     for lo in range(0, d.size, BLOCK):
         blk = slice(lo, lo + BLOCK)
         row, g0, m = rows[blk], f0[blk], len(rows[blk])
-        live = np.isfinite(row[:, 1:])
-        owner = np.nonzero(live)[0]
-        rules = [geometry.gauss_nodes(row[:, :-1][live], row[:, 1:][live], k)
-                 for k in orders]
-        radii = np.concatenate([x for x, _ in rules]
-                               + [row[:, 0], 0.5 * row[:, 0], outer[blk]])
-        owners = [owner.repeat(k) for k in orders]
-        who = np.concatenate(owners + [np.arange(m)] * 3)
+        nodes, weights, owners = zip(*(geometry.panel_nodes(row, k)
+                                       for k in orders))
+        radii = np.concatenate(nodes + (row[:, 0], 0.5 * row[:, 0], outer[blk]))
+        who = np.concatenate(owners + (np.arange(m),) * 3)
         means = _sphere_means(field, centres[blk][who], scale[blk][who] * radii)
         g, g0 = (g0[who] - means, np.zeros(m)) if lap else (means, g0)
         *parts, g_one, g_half, _ = np.split(
-            g, np.cumsum([x.size for x, _ in rules] + [m, m]))
-        terms = [gk * kernel(x) * w for gk, (x, w) in zip(parts, rules)]
+            g, np.cumsum([x.size for x in nodes] + [m, m]))
+        terms = [gk * kernel(x) * w for gk, x, w in zip(parts, nodes, weights)]
         sums = [np.bincount(o, t, minlength=m) for o, t in zip(owners, terms)]
 
         # head: g(r) = g0 + a (r/r_lo)^2 + b (r/r_lo)^4 on [0, r_lo]
@@ -596,10 +597,10 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     [a, 2a], a = ``support_radius``.  One batched :func:`riesz_potential`
     call, one integral in rho at each node, samples it at ``TABLE_NODES``
     Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a]
-    for interpolation; beyond 2a the profile is a^{2 sigma} times the
-    exterior series of :func:`_moment_series` at d / a, the same bits the
-    direct potential sums.  The result is a radial field decaying like
-    d^{2 sigma - n}, with kinks where the pieces join.  Its ``error_bound`` is the interpolation bound
+    for interpolation; beyond 2a the profile is :func:`riesz_potential`
+    itself, the exterior series of :func:`_moment_series` at d / a.  The
+    result is a radial field decaying like d^{2 sigma - n}, with kinks
+    where the pieces join.  Its ``error_bound`` is the interpolation bound
     2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
     Approximation Practice*, ch. 7-8), the last ``TRAILING`` computed |c_k|
     standing in for that tail; the sampled values carry the bars of
@@ -621,7 +622,6 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     inner, mid = (to_coeffs @ v for v in np.split(sampled.value, 2))
     bound = 2.0 * float(max(np.abs(inner[-TRAILING:]).sum(),
                             np.abs(mid[-TRAILING:]).sum()))
-    front = _riesz_front(params)
 
     def profile(r):
         chebval = np.polynomial.chebyshev.chebval
@@ -631,8 +631,8 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
         between = ~(lo | hi)
         out[lo] = chebval(2.0 * (r[lo] / a) ** 2 - 1.0, inner)
         out[between] = chebval(2.0 * r[between] / a - 3.0, mid)
-        out[hi] = front * (_moment_series(field, params.sigma, r[hi] / a,
-                                          -1)[0] * a ** (2.0 * params.sigma))
+        out[hi] = riesz_potential(field, r[hi][:, None] * np.eye(n)[0],
+                                  params).value
         return out
     return radial_field(profile, n, decay="power_decay",
                         decay_rate=n - 2.0 * params.sigma,

@@ -6,8 +6,9 @@ plus breaks at edge * ``GRADING`` about each edge of :func:`kink_edges`,
 relative to the kink or the distance, so at any scale.  The driver
 :func:`fraclab.fracops._sphere_mean_sum` (in r, the kink edges divided by
 the field's length for the operators and by t for the extension) and
-:mod:`fraclab.solver` take a block of rows at once; the other modules take
-one row from :func:`panel_breaks` and sum it by :func:`panel_quad`.  The
+:mod:`fraclab.solver` take a block of rows at once, the other modules one
+row or a break vector of their own.  Every composite Gauss-Legendre panel
+sum reads its nodes, weights and owning rows from :func:`panel_nodes`.  The
 potential of a radial field, an integral in rho in units of the field's
 length, takes Gauss rules for singular weights on (0, 1) from
 :func:`power_rule` and :func:`log_rule` on panels of its own
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -226,16 +227,6 @@ def panel_rows(start: float, s_lo: Array, outer: Array, per_decade: int,
     return np.sort(rows, axis=1)
 
 
-def panel_breaks(s_min: float, s_max: float, per_decade: int,
-                 edges: Sequence[float] = ()) -> Array:
-    """One row of :func:`panel_rows` from s_min to s_max, without its padding."""
-    if not (0.0 < s_min < s_max):
-        raise ValueError("need 0 < s_min < s_max")
-    row = panel_rows(s_min, [s_min], [s_max], per_decade,
-                     np.asarray(edges, dtype=float).reshape(1, -1))[0]
-    return row[np.isfinite(row)]
-
-
 def _gauss_from_moments(moments: Array) -> Tuple[Array, Array]:
     """Gauss nodes and weights on (0, 1) for the weight whose moments
     against the shifted Legendre polynomials P_k(2t - 1), k < 2N, are
@@ -305,13 +296,12 @@ def gauss_nodes(lo: Array, hi: Array, order: int) -> Tuple[Array, Array]:
             (half[:, None] * w[None, :]).ravel())
 
 
-def gauss_panels(breaks: Array, order: int) -> Tuple[Array, Array]:
-    """Composite Gauss-Legendre nodes and weights on the panels of ``breaks``."""
-    breaks = np.asarray(breaks, dtype=float)
-    return gauss_nodes(breaks[:-1], breaks[1:], order)
-
-
-def panel_quad(g: Callable[[Array], Array], breaks: Array) -> float:
-    """Integral of g over the panels by composite Gauss-Legendre(8)."""
-    nodes, weights = gauss_panels(breaks, 8)
-    return float(np.dot(np.asarray(g(nodes), dtype=float), weights))
+def panel_nodes(rows: Array, order: int) -> Tuple[Array, Array, Array]:
+    """Gauss-Legendre nodes and weights of ``order`` on the live panels of
+    ``rows``, the inf-padded rows (m, k) of :func:`panel_rows` or one break
+    vector, and the row that owns each node: panel by panel in row order,
+    so each row sums in the same order in any table."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    live = np.isfinite(rows[:, 1:])
+    nodes, weights = gauss_nodes(rows[:, :-1][live], rows[:, 1:][live], order)
+    return nodes, weights, np.nonzero(live)[0].repeat(order)

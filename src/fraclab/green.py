@@ -56,7 +56,7 @@ def _split(Y: Array, n: int) -> Tuple[Array, float]:
 
 
 def _sq_dists(ctx: GreenContext, y: Array, etas: Array) -> Tuple[Array, Array, Array]:
-    """|y - eta|^2, |y - eta^lam|^2 and (lam/|eta|)^{n-2s} per eta; y is (n,) or (m, 1, n)."""
+    """|y - eta|^2, |y - eta^lam|^2 and (lam/|eta|)^{n-2s} per eta; y (n,) or (..., 1, n)."""
     kelvin = KelvinMap(ctx.params, lam=ctx.lam)
     return (np.sum((etas - y) ** 2, axis=-1),
             np.sum((kelvin.point(etas) - y) ** 2, axis=-1), kelvin.weight(etas))
@@ -123,11 +123,11 @@ def _annulus_grid(ctx: GreenContext, outer: float, y: Array,
     if focus:
         extra = d + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
         rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
-    r, wr = geometry.gauss_panels(rbreaks, 8)
+    r, wr, _ = geometry.panel_nodes(rbreaks, 8)
     wr = wr * r ** (n - 1)
 
     offs = np.concatenate([[0.0], 0.02 * 1.8 ** np.arange(12)])
-    th, wth = geometry.gauss_panels(np.append(offs[offs < math.pi], math.pi), 4)
+    th, wth, _ = geometry.panel_nodes(np.append(offs[offs < math.pi], math.pi), 4)
     az, waz = geometry.sphere_rule(n - 1, AZIMUTHS)
     u = y / d if d > 0.0 else np.eye(n)[0]
     # I - 2 v v^T / |v|^2 with v = e_1 + sgn u (|v|^2 >= 2, no cancellation)
@@ -157,13 +157,16 @@ def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float) -> float:
     """
     n, lam = ctx.params.n, ctx.lam
     s2n = (2.0 * ctx.params.sigma - n) / 2.0
-    breaks = geometry.panel_breaks(
-        max(1e-8 * lam, 1e-3 * max(t, 1e-30)), d + outer, CAP_PER_DECADE,
-        geometry.kink_edges((lam, outer), [d])[0])
-    return constants.constant_set(ctx.params).sphere_area * geometry.panel_quad(
-        lambda s: s ** (n - 1) * (s ** 2 + t * t) ** s2n
+    s_lo = max(1e-8 * lam, 1e-3 * max(t, 1e-30))
+    if not s_lo < d + outer:
+        raise ValueError(f"height t = {t:g} is too large for the cap integral")
+    s, w, _ = geometry.panel_nodes(geometry.panel_rows(
+        s_lo, [s_lo], [d + outer], CAP_PER_DECADE,
+        geometry.kink_edges((lam, outer), [d])), 8)
+    return constants.constant_set(ctx.params).sphere_area * float(np.dot(
+        s ** (n - 1) * (s ** 2 + t * t) ** s2n
         * (geometry.cap_fraction(d, s, outer, n) - geometry.cap_fraction(d, s, lam, n)),
-        breaks)
+        w))
 
 
 def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
@@ -332,17 +335,15 @@ def check_g3_bound(ctx: GreenContext, n_side: int = 8, seed: int = 11) -> dict:
         dirs_e /= np.linalg.norm(dirs_e, axis=1, keepdims=True)
         etas = (re[:, None] * dirs_e[None, :, :]).reshape(-1, n)
         gap_eta = np.linalg.norm(etas, axis=1) ** 2 - lam ** 2
-        worst = 0.0
-        for a in ry:
-            Ys = a * dirs_y
-            t2 = Ys[:, n:] * Ys[:, n:]
-            sq = _sq_dists(ctx, Ys[:, None, :n], etas)
-            direct, image = _direct_and_image(ctx, sq, t2)
-            g = constants.constant_set(ctx.params).n_green * (direct - image)
-            ratio = (g * lam * (sq[0] + t2) ** ((n - 2 * ctx.params.sigma + 2) / 2.0)
-                     / ((a - lam) * gap_eta))
-            worst = max(worst, float(np.max(ratio)))
-        return worst
+        # (radius, direction of Y, eta)
+        Ys = ry[:, None, None] * dirs_y
+        t2 = Ys[..., n:] * Ys[..., n:]
+        sq = _sq_dists(ctx, Ys[:, :, None, :n], etas)
+        direct, image = _direct_and_image(ctx, sq, t2)
+        g = constants.constant_set(ctx.params).n_green * (direct - image)
+        ratio = (g * lam * (sq[0] + t2) ** ((n - 2 * ctx.params.sigma + 2) / 2.0)
+                 / ((ry - lam)[:, None, None] * gap_eta))
+        return float(np.max(ratio))
 
     coarse = sup_on(n_side)
     fine = sup_on(2 * n_side)

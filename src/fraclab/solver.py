@@ -60,10 +60,7 @@ class FractionalDirichletProblem:
         """Maximum-principle structure: A 1 >= 0, diag > 0, off-diag <= 0."""
         a = np.ascontiguousarray(self.operator_matrix)
         n = a.shape[0]
-        diag = np.diag(a)
-        # the N^2 - 1 entries after a[0, 0], read as N - 1 rows of N + 1,
-        # hold a diagonal entry last in each row: drop that column
-        off = a.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        diag, off = np.diag(a), a[~np.eye(n, dtype=bool)]
         rows = a @ np.ones(n)
         ok = bool(np.all(diag > 0.0)
                   and np.max(off, initial=-np.inf) <= 1e-12 * np.max(diag)
@@ -163,7 +160,7 @@ def build_problem(domain: Tuple[float, float], params: Params, nodes: int = 128,
         rows = geometry.panel_rows(0.5 * h, np.full(nodes, 0.5 * h), grid + hi,
                                    PER_DECADE, geometry.kink_edges((lo, hi), grid))
         for i, (d, row) in enumerate(zip(grid, rows)):
-            s_nodes, s_weights = geometry.gauss_panels(row[np.isfinite(row)], 8)
+            s_nodes, s_weights, _ = geometry.panel_nodes(row, 8)
             # sphere means about d, unsplit: the basis has a kink at every node
             radii, wts, which = geometry.radial_mean_rule(
                 2, np.full_like(s_nodes, d), s_nodes, ())

@@ -824,6 +824,20 @@ def test_riesz_potential_power_tail_far_out(n, s, d):
     assert err <= res.error
 
 
+def test_riesz_potential_far_out_is_right_or_refused_by_name():
+    # the potential of the standard bubble at (3, 1/2) is pi / d far out;
+    # the tail rule puts nodes at about 200 d, past MAX_RADIUS for d = 1e152
+    pr = Params(3, 0.5)
+    field = bubbles.standard_bubble(pr)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fracops.riesz_potential(field, _on_axis([1e151], 3)[0], pr)
+        assert abs(res.value - math.pi / 1e151) <= res.error
+        for d in (1e152, 1e153):
+            with pytest.raises(ValueError, match=r"\|x\| = 1e\+15"):
+                fracops.riesz_potential(field, _on_axis([d], 3)[0], pr)
+
+
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 2.0, 2.25, 4.0, 8.5])
 def test_power_tail_rule_is_exact_on_polynomials(beta):
     # rule 3 of the template: Gauss-Jacobi for u^beta with u^{-beta-2}

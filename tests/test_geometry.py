@@ -94,6 +94,41 @@ def test_panel_rows_start_increase_and_hold_every_break(start, per_decade,
         assert np.array_equal(alone[np.isfinite(alone)], finite)
 
 
+@given(st.floats(min_value=1e-12, max_value=1e-2),
+       st.integers(min_value=1, max_value=8),
+       st.lists(st.tuples(st.floats(min_value=0.5, max_value=12.0),
+                          st.floats(min_value=0.0, max_value=0.999),
+                          st.lists(st.one_of(
+                              st.floats(min_value=1e-13, max_value=1e12),
+                              st.just(np.inf)), max_size=6)),
+                min_size=1, max_size=4),
+       st.sampled_from([1, 4, 8]))
+@settings(max_examples=200, deadline=None)
+def test_panel_nodes_are_gauss_nodes_row_by_row(start, per_decade, specs,
+                                                order):
+    outer = np.array([start * 10.0 ** dec for dec, _, _ in specs])
+    s_lo = np.array([start * (o / start) ** u
+                     for o, (_, u, _) in zip(outer, specs)])
+    width = max(len(e) for _, _, e in specs)
+    edges = np.array([e + [np.inf] * (width - len(e)) for _, _, e in specs])
+    rows = geometry.panel_rows(start, s_lo, outer, per_decade, edges)
+    nodes, weights, owner = geometry.panel_nodes(rows, order)
+    assert nodes.shape == weights.shape == owner.shape
+    assert np.all(np.diff(owner) >= 0)
+    want = [geometry.gauss_nodes(f[:-1], f[1:], order)
+            for f in (row[np.isfinite(row)] for row in rows)]
+    assert np.array_equal(nodes, np.concatenate([x for x, _ in want]))
+    assert np.array_equal(weights, np.concatenate([w for _, w in want]))
+    spans = np.array([row[np.isfinite(row)][-1] - row[0] for row in rows])
+    np.testing.assert_allclose(
+        np.bincount(owner, weights, minlength=len(rows)), spans, rtol=1e-13)
+    finite = rows[0][np.isfinite(rows[0])]
+    alone, alone_w, alone_owner = geometry.panel_nodes(finite, order)
+    assert np.array_equal(alone, want[0][0])
+    assert np.array_equal(alone_w, want[0][1])
+    assert np.array_equal(alone_owner, np.zeros(alone.size, dtype=int))
+
+
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_radial_mean_rule_is_exact_on_an_annulus_indicator(n):
     # the indicator of lam < |x| < outer is constant on each polar piece, so
