@@ -38,8 +38,8 @@ K(d, rho) = max(d, rho)^{-q} 2F1(q/2, 1 - sigma; n/2; z),
 z = (min / max)^2 and d = |x| (Landkof, *Foundations of Modern Potential
 Theory*, 1972, §I.1), so I_{2s} f(x) = r omega int_0^inf f(rho)
 rho^{n-1} K(d, rho) d rho, one integral in rho (:func:`_kernel_integral`).
-The kernel is summed with numpy alone (:func:`_kernel_factor`), its
-singularity at rho = d by a Gauss rule for its log weight
+The kernel's 2F1 is summed with numpy alone (:func:`_hypergeometric`),
+its singularity at rho = d by a Gauss rule for its log weight
 (:func:`geometry.log_rule`), and the tail of a power-decay field by
 Gauss-Jacobi in 1 / rho.  The stretch below 0.4 d, and everything outside
 twice the support of a compact field, is one series in the field's
@@ -214,7 +214,7 @@ def _length(field: ScalarField) -> float:
     return field.support_radius if field.decay == "compact_support" else 1.0
 
 
-#: Breaks about a distance d > 0, as multiples of d: the kernel is singular
+#: Breaks about a distance d, as multiples of d: the kernel is singular
 #: at rho = d.  The two panels that touch it take the split rule of
 #: :func:`_kernel_integral`, whose smooth parts are singular only at
 #: rho = 0 (so each is under a third of its distance from 0 wide); every
@@ -222,9 +222,9 @@ def _length(field: ScalarField) -> float:
 #: grid gives way to these breaks between the first and the last.
 NEAR_GRADING = (0.4, 0.7, 1.0, 1.4, 1.8, 2.6)
 
-#: Distances at or below this, in units of the field's length, are the
-#: origin: the potential of a field smooth there moves by O(d^2), under
-#: rounding at d <= 1e-8 INNER_RADIUS.
+#: Distances below this, in units of the field's length, are raised to it,
+#: so the centre takes the panels of any small distance: the potential of
+#: a field smooth there moves by O(d^2), under rounding at 1e-8 INNER_RADIUS.
 CENTRE_RADIUS = 1e-8 * INNER_RADIUS
 
 
@@ -234,17 +234,18 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     (a 1-D array) of a radial field with compact support or power decay.
 
     Lengths are in units of the field's length L (:func:`_length`): d / L,
-    kinks k / L and the profile at L rho, with value and bar times
-    L^{2 sigma}.  K(d, rho) = hi^{-q} F(z) is the sphere-mean kernel of the
-    module notes, lo and hi the smaller and the larger of d and rho and
-    z = (lo / hi)^2.  F is summed by :func:`_kernel_factor` with w = 1 - z
-    = (hi - lo)(1 + lo / hi) / hi, which keeps its digits at rho = d, and
-    rho^{n-1} hi^{-q} is taken as (rho / hi)^{n-1} hi^{2 sigma - 1}, so no
-    power overflows far out.  The panels are those of
+    at least ``CENTRE_RADIUS``, kinks k / L and the profile at L rho, with
+    value and bar times L^{2 sigma}.  K(d, rho) = hi^{-q} F(z) is the
+    sphere-mean kernel of the module notes, lo and hi the smaller and the
+    larger of d and rho and z = (lo / hi)^2.  F is summed by
+    :func:`_hypergeometric` with w = 1 - z = (hi - lo)(1 + lo / hi) / hi,
+    which keeps its digits at rho = d, and rho^{n-1} hi^{-q} is taken as
+    (rho / hi)^{n-1} hi^{2 sigma - 1}, so no power overflows far out.  The
+    panels are those of
     :func:`_kernel_breaks`; each takes GL8 for the value and GL4 for the
     bar (rule 0 of :func:`_kernel_template`), except:
 
-    * rule 2 on the two panels [d - h, d] and [d, d + h] next to the
+    * rule 1 on the two panels [d - h, d] and [d, d + h] next to the
       singularity.  There F = E(ln w) p(w) - q(w) with
       E(y) = expm1(eps y) / eps, eps = 2 sigma - 1, and w = x v,
       x = |rho - d|; since E(ln x + ln v) = E(ln x) v^eps + E(ln v), the
@@ -255,10 +256,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
       :func:`geometry.log_rule`; at sigma = 1/2 it is -ln t.  Both take
       h v, near 1, in place of v: the second integrand is p (h v)^eps, so
       its weights go as h and it cancels in no float.
-    * rule 1 at d = 0, on the panel [0, INNER_RADIUS], where K = rho^{-q}:
-      the Gauss-Jacobi rule of :func:`geometry.power_rule` for
-      rho^{2 sigma - 1}.
-    * rule 3 beyond the end R = max(``OUTER_RADIUS``, 4 d) of a
+    * rule 2 beyond the end R = max(``OUTER_RADIUS``, 4 d) of a
       power-decay field, f ~ rho^{-alpha}: in rho = R / u the integrand is
       u^{alpha - 2 sigma - 1} times a smooth function, by Gauss-Jacobi.
       A distance whose least node u puts L R / u past ``MAX_RADIUS`` is refused.
@@ -269,18 +267,20 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
 
     The bar is |GL8 - GL4| (the same for the other rules), plus the
     rounding bound k eps sum |terms| of each k-term sum and, as F >= 1,
-    the truncation bound of :func:`_kernel_rule` times sum |terms|.
+    the truncation bound of :func:`_kernel_rule` times sum |terms|.  There
+    a profile value f is known to eps max(|f|, tiny), tiny the least normal
+    float, so the bar shows where the profile has underflowed.
     """
     n, s2 = field.n, 2.0 * sigma
     power_decay, length = field.decay == "power_decay", _length(field)
     if not power_decay and (d / length > 2.0).all():
         value, bar = _moment_series(field, sigma, d / length, -1)
         return value * length ** s2, bar * length ** s2
-    d = np.where(d > CENTRE_RADIUS * length, d / length, 0.0)
+    d = np.maximum(d / length, CENTRE_RADIUS)
     end = np.maximum(OUTER_RADIUS, 4.0 * d) if power_decay else np.ones(d.size)
     nodes, w8, w4 = _kernel_template(
         sigma, field.decay_rate - s2 - 1.0 if power_decay else 0.0)
-    reach = length * end.max(initial=0.0) / nodes[3].min()
+    reach = length * end.max(initial=0.0) / nodes[2].min()
     if power_decay and reach > geometry.MAX_RADIUS:
         raise ValueError(f"|x| = {length * d.max():g} is too large: the tail of "
                          f"the rho integral passes {geometry.MAX_RADIUS:g}")
@@ -298,39 +298,41 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
                                             end.tolist())):
         breaks = _kernel_breaks(dj, graded, start, ej) if start < ej else []
         for lo, hi in zip(breaks[:-1], breaks[1:]):
-            if dj > 0.0 and dj in (lo, hi):
+            if dj in (lo, hi):
                 panels += [(lo, hi - lo, 0, j, hi - lo),
-                           (dj, lo - hi if hi == dj else hi - lo, 2, j, hi - lo)]
+                           (dj, lo - hi if hi == dj else hi - lo, 1, j, hi - lo)]
             else:
-                panels.append((lo, hi - lo, int(dj == 0.0 and lo == 0.0),
-                               j, 0.0))
+                panels.append((lo, hi - lo, 0, j, 0.0))
         if power_decay:
-            panels.append((ej, ej, 3, j, 0.0))
+            panels.append((ej, ej, 2, j, 0.0))
     start, width, kind, row, scale = np.array(panels).T
     kind, row = kind.astype(int), row.astype(int)
     size, t = np.abs(width), nodes[kind]
     rho = start[:, None] + width[:, None] * t
-    if power_decay:  # rule 3: rho = R / t beyond the end R
-        rho[kind == 3] = start[kind == 3, None] / t[kind == 3]
+    if power_decay:  # rule 2: rho = R / t beyond the end R
+        rho[kind == 2] = start[kind == 2, None] / t[kind == 2]
     rho = rho.ravel()
     fine_w = (size[:, None] * w8[kind]).ravel()
     coarse_w = (size[:, None] * w4[kind]).ravel()
     owner, scale, log_node = (x.repeat(nodes.shape[1])
-                              for x in (row, scale, kind == 2))
+                              for x in (row, scale, kind == 1))
     at = d[owner]
     lo_, hi_ = np.minimum(rho, at), np.maximum(rho, at)
     ratio = lo_ / hi_
     v = (1.0 + ratio) / hi_
     w = (hi_ - lo_) * v
     # ln w, or ln (h v) on a split panel; p (h v)^eps at log-rule nodes
-    kernel = _kernel_factor(n, sigma, ratio * ratio, w, scale != 0.0,
-                            np.log(np.where(scale == 0.0, w, scale * v)),
-                            log_node)
-    terms = (field.radial_profile(length * rho) * (rho / hi_) ** (n - 1)
-             * hi_ ** (s2 - 1.0) * kernel)
+    kernel = _hypergeometric(*_kernel_args(n, sigma), ratio * ratio, w,
+                             scale != 0.0,
+                             np.log(np.where(scale == 0.0, w, scale * v)),
+                             log_node)
+    f, tiny = field.radial_profile(length * rho), np.finfo(float).tiny
+    rho_power, hi_power = (rho / hi_) ** (n - 1), hi_ ** (s2 - 1.0)
+    terms, floored = (g * rho_power * hi_power * kernel
+                      for g in (f, np.where(np.abs(f) < tiny, tiny, f)))
     fine = np.bincount(owner, terms * fine_w, minlength=d.size)
     coarse = np.bincount(owner, terms * coarse_w, minlength=d.size)
-    absolute = np.bincount(owner, np.abs(terms * fine_w), minlength=d.size)
+    absolute = np.bincount(owner, np.abs(floored * fine_w), minlength=d.size)
     count = np.bincount(owner, fine_w != 0.0, minlength=d.size)
     trunc = _kernel_rule(*_kernel_args(n, sigma))[-1]
     value += fine
@@ -446,16 +448,13 @@ def _paired(rules) -> Tuple[Array, Array, Array]:
 def _kernel_template(sigma: float, beta: float) -> Tuple[Array, Array, Array]:
     """Nodes t in (0, 1) of a panel of :func:`_kernel_integral` and the
     weights of its value rule (order 8) and check rule (order 4), one row
-    per rule: 0 Gauss-Legendre; 1 Gauss-Jacobi for t^{2 sigma - 1} with
-    that factor divided out of the weights (the head at d = 0); 2 the log
-    rule of weight (1 - t^eps) / eps, eps = 2 sigma - 1, weights negated;
-    3 Gauss-Jacobi for t^beta with t^{-beta - 2} folded into the weights
-    (the power tail, rho = R / t; a compact field passes beta = 0)."""
+    per rule: 0 Gauss-Legendre; 1 the log rule of weight (1 - t^eps) / eps,
+    eps = 2 sigma - 1, weights negated; 2 Gauss-Jacobi for t^beta with
+    t^{-beta - 2} folded into the weights (the power tail, rho = R / t; a
+    compact field passes beta = 0)."""
     eps = 2.0 * sigma - 1.0
     rules = ([geometry.gauss_nodes(np.zeros(1), np.ones(1), k)
               for k in (8, 4)],
-             [(t, w * t ** -eps)
-              for t, w in (geometry.power_rule(eps, k) for k in (8, 4))],
              [(t, -w) for t, w in (geometry.log_rule(eps, k) for k in (8, 4))],
              [(t, w * t ** (-beta - 2.0))
               for t, w in (geometry.power_rule(beta, k) for k in (8, 4))])
@@ -472,17 +471,15 @@ def _kernel_breaks(d: float, graded: list, start: float, end: float) -> list:
     both sides, so no panel sees the singularity at d closer than its own
     width."""
     low, high = NEAR_GRADING[0] * d, NEAR_GRADING[-1] * d
-    breaks = _geometric(min(high, INNER_RADIUS) if d > 0.0 else 0.0, end)
-    if d > 0.0:
-        breaks = [r for r in breaks if not low < r < high]
-        breaks += [d * g for g in NEAR_GRADING]
-        gap = min([abs(r - d) for r in graded + [end] if r != d])
-        first = (1.0 - NEAR_GRADING[1]) * d
-        for j in range(1, 61):
-            step = first * 0.5 ** j
-            if step < 0.5 * gap:
-                break
-            breaks += [d - step, d + step]
+    breaks = [r for r in _geometric(min(high, INNER_RADIUS), end)
+              if not low < r < high] + [d * g for g in NEAR_GRADING]
+    gap = min([abs(r - d) for r in graded + [end] if r != d])
+    first = (1.0 - NEAR_GRADING[1]) * d
+    for j in range(1, 61):
+        step = first * 0.5 ** j
+        if step < 0.5 * gap:
+            break
+        breaks += [d - step, d + step]
     breaks = sorted({r for r in breaks + graded if start < r < end})
     return [start] + breaks + [end]
 
@@ -721,13 +718,6 @@ SHIFT_TERMS = 150
 def _kernel_args(n: int, sigma: float) -> Tuple[float, float, float, int]:
     """(a, b, eps, m) of the kernel's 2F1 for :func:`_hypergeometric`."""
     return n / 2.0 - sigma, 1.0 - sigma, 2.0 * sigma - 1.0, 0
-
-
-def _kernel_factor(n: int, sigma: float, z: Array, w: Array, *marks: Array
-                   ) -> Array:
-    """The kernel's F = 2F1(q/2, 1 - sigma; n/2; z), q = n - 2 sigma:
-    :func:`_hypergeometric` with m = 0 and its split-panel ``marks``."""
-    return _hypergeometric(*_kernel_args(n, sigma), z, w, *marks)
 
 
 def _hypergeometric(a: float, b: float, eps: float, m: int, z: Array,

@@ -154,12 +154,12 @@ def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float) -> float:
 
     Reduced to 1D through spherical caps about y (|y| = d): the annulus
     fraction of the sphere of radius s is a difference of cap fractions.
+    [0, s_lo] is dropped: s_lo = 1e-3 t, a share under (1e-3)^n, up to
+    t = d + outer, and 1e-8 lam above, where the integrand is flat near 0.
     """
     n, lam = ctx.params.n, ctx.lam
     s2n = (2.0 * ctx.params.sigma - n) / 2.0
-    s_lo = max(1e-8 * lam, 1e-3 * max(t, 1e-30))
-    if not s_lo < d + outer:
-        raise ValueError(f"height t = {t:g} is too large for the cap integral")
+    s_lo = max(1e-8 * lam, 1e-3 * t if t <= d + outer else 0.0)
     s, w, _ = geometry.panel_nodes(geometry.panel_rows(
         s_lo, [s_lo], [d + outer], CAP_PER_DECADE,
         geometry.kink_edges((lam, outer), [d])), 8)

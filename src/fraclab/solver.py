@@ -191,11 +191,16 @@ def monotone_iterate(prob: FractionalDirichletProblem,
 
     Requires rhs_map >= 0 and non-decreasing in v on [0, supersolution],
     and A supersolution >= rhs(x, supersolution); then the iterates
-    increase and stay below the supersolution.
+    increase and stay below the supersolution.  rhs_map is called once at
+    the supersolution, once at y_0 and once a step, at y_{k+1}: that value
+    gives the step's residual and the next step's right-hand side.
     """
     if prob.rhs_map is None:
         raise ValueError("problem has no rhs_map")
     vbar = np.asarray(supersolution, dtype=float)
+    if vbar.shape != prob.grid.shape:
+        raise ValueError(f"supersolution has shape {vbar.shape}, the problem "
+                         f"needs {prob.grid.shape}")
     rhs_bar = prob.rhs_map(prob.grid, vbar)
     if np.any(np.asarray(rhs_bar) < -1e-12):
         raise ValueError("rhs_map must be nonnegative")
@@ -204,10 +209,10 @@ def monotone_iterate(prob: FractionalDirichletProblem,
     trace = IterationTrace()
     y = np.zeros(len(prob.grid))
     trace.iterates.append(y.copy())
+    rhs = prob.rhs_map(prob.grid, y)
     for _ in range(MAX_ITERS):
-        rhs = np.broadcast_to(np.asarray(prob.rhs_map(prob.grid, y),
-                                         dtype=float), y.shape)
-        y_next = prob.inverse @ rhs
+        y_next = prob.inverse @ np.broadcast_to(np.asarray(rhs, dtype=float),
+                                                y.shape)
         flag = bool(np.all(y_next >= y - 1e-12))
         trace.monotone_flags.append(flag)
         if not flag:
@@ -216,8 +221,8 @@ def monotone_iterate(prob: FractionalDirichletProblem,
         if np.any(y_next > vbar + 1e-8 * (1.0 + np.abs(vbar))):
             raise MonotonicityError("iterate escaped the supersolution")
         diff = float(np.max(np.abs(y_next - y)))
-        resid = float(np.max(np.abs(prob.operator_matrix @ y_next
-                                    - prob.rhs_map(prob.grid, y_next))))
+        rhs = prob.rhs_map(prob.grid, y_next)  # also the next step's
+        resid = float(np.max(np.abs(prob.operator_matrix @ y_next - rhs)))
         trace.iterates.append(y_next.copy())
         trace.residuals.append(resid)
         y = y_next

@@ -27,6 +27,21 @@ def test_rescaled_bubble_still_solves():
     assert float(np.max(res)) < 1e-3
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: fracops._length is 1 for every "
+                   "field that is not compact, so a bubble of scale lam is "
+                   "summed in units of 1; at (3, 1/2) the worst residual is "
+                   "1.0 at lam = 1e-6 and 4.2e2 at lam = 1e6")
+def test_bubble_identity_at_every_scale():
+    # the identity is scale-free: at radii lam * (0, 1/2, 1, 2, 5) the
+    # residuals at lam = 1 are 1.5e-8
+    for lam in (1e-6, 1e6):
+        radii = tuple(lam * r for r in (0.0, 0.5, 1.0, 2.0, 5.0))
+        res = bubbles.bubble_identity_residuals(Params(3, 0.5), lam=lam,
+                                                radii=radii)
+        assert float(np.max(res)) < 1e-6, lam
+
+
 def test_kelvin_fixes_unit_bubble():
     assert bubbles.kelvin_fixes_bubble(Params(2, 0.5)) < 1e-12
     assert bubbles.kelvin_fixes_bubble(Params(3, 0.75)) < 1e-12

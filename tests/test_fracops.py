@@ -655,12 +655,13 @@ def test_sphere_mean_kernel_matches_mpmath(n):
     for s in KERNEL_SIGMAS:
         if n <= 2 * s:
             continue
-        got = fracops._kernel_factor(n, s, 1.0 - KERNEL_WS, KERNEL_WS)
+        args = fracops._kernel_args(n, s)
+        got = fracops._hypergeometric(*args, 1.0 - KERNEL_WS, KERNEL_WS)
         # the connection series as the split panels take it, to w = 0.52
         near = KERNEL_WS <= fracops.KERNEL_SPLIT_W
-        split = fracops._kernel_factor(n, s, 1.0 - KERNEL_WS[near],
-                                       KERNEL_WS[near], np.ones(near.sum(),
-                                                                dtype=bool))
+        split = fracops._hypergeometric(*args, 1.0 - KERNEL_WS[near],
+                                        KERNEL_WS[near], np.ones(near.sum(),
+                                                                 dtype=bool))
         with mp.workdps(40):
             a, b, c = mp.mpf(n) / 2 - mp.mpf(s), 1 - mp.mpf(s), mp.mpf(n) / 2
             want = [mp.hyp2f1(a, b, c, 1 - mp.mpf(w)) for w in KERNEL_WS]
@@ -677,8 +678,8 @@ def test_sphere_mean_kernel_is_the_mean_of_the_riesz_kernel():
     q = n - 2 * s
     for d, r in ((1.0, 0.2), (1.0, 0.9), (1.0, 1.0 - 1e-9), (0.5, 3.0)):
         lo, hi = min(d, r), max(d, r)
-        k = hi ** -q * fracops._kernel_factor(
-            n, s, np.array([(lo / hi) ** 2]),
+        k = hi ** -q * fracops._hypergeometric(
+            *fracops._kernel_args(n, s), np.array([(lo / hi) ** 2]),
             np.array([(hi - lo) * (hi + lo) / hi ** 2]))[0]
         want = ((d + r) ** (2 - q) - abs(d - r) ** (2 - q)) / (
             2 * d * r * (2 - q))
@@ -840,15 +841,15 @@ def test_riesz_potential_far_out_is_right_or_refused_by_name():
 
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 2.0, 2.25, 4.0, 8.5])
 def test_power_tail_rule_is_exact_on_polynomials(beta):
-    # rule 3 of the template: Gauss-Jacobi for u^beta with u^{-beta-2}
+    # rule 2 of the template: Gauss-Jacobi for u^beta with u^{-beta-2}
     # folded into the weights, exact to degree 15
     nodes, w8, w4 = fracops._kernel_template(0.25, beta)
-    u, w = nodes[3], w8[3]
+    u, w = nodes[2], w8[2]
     for k in range(16):
         got = np.sum(w * u ** (beta + 2.0) * u ** k)
         assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=1e-13), k
     for k in range(8):
-        got = np.sum(w4[3] * u ** (beta + 2.0) * u ** k)
+        got = np.sum(w4[2] * u ** (beta + 2.0) * u ** k)
         assert got == pytest.approx(1.0 / (beta + k + 1.0), rel=1e-13), k
 
 
@@ -919,3 +920,26 @@ def test_riesz_potential_far_out_keeps_its_decay_law():
         res = fracops.riesz_potential(w, _on_axis([1e60, 1e76, 1e100], 5), pr)
     assert np.all(np.isfinite(res.value)) and np.all(np.isfinite(res.error))
     assert res.value[1] == pytest.approx(res.value[0] * 1e-48, rel=1e-10)
+
+
+def test_riesz_potential_past_the_normal_range_is_right_or_barred():
+    # the bubble at (5, 1/2) decays like rho^-4, slower than rho^-n, so the
+    # terms near rho = d carry its potential; once the profile there leaves
+    # the normal float range, the bar must cover what is lost, or the call
+    # must refuse |x| by name
+    pr = Params(5, 0.5)
+    w = bubbles.standard_bubble(pr)
+    ref = fracops.riesz_potential(w, _on_axis([1e10], 5)[0], pr)
+    for d in (1e70, 1e80, 1e90, 1e100):
+        law = ref.value * (d / 1e10) ** -3.0
+        try:
+            res = fracops.riesz_potential(w, _on_axis([d], 5)[0], pr)
+        except ValueError as exc:
+            assert d > 1e70 and "|x|" in str(exc), d
+            continue
+        assert abs(res.value - law) <= res.error, d
+    # a field decaying like rho^{-n-2 sigma} keeps its value in the moments
+    res = fracops.riesz_potential(_bubble_source(pr), _on_axis([1e60], 5)[0],
+                                  pr)
+    want = float(bubbles.model_bubble(pr).radial_profile(np.array([1e60]))[0])
+    assert res.value == pytest.approx(want, rel=1e-12)

@@ -74,6 +74,23 @@ def _cap_reference(ctx, d, t, outer):
     return constants.constant_set(ctx.params).sphere_area * total
 
 
+@pytest.mark.parametrize("n,s", [(3, 0.25), (2, 0.5), (3, 0.75)])
+def test_phi_meets_its_far_limit(n, s):
+    # far above the annulus t^{n - 2s} Phi(y, t) tends to
+    # N int q(eta) (1 - (lam / |eta|)^{n - 2s}) d eta, for y inside it too
+    ctx = green.GreenContext(1.0, Params(n, s))
+    q = green.AnnulusDensity(2.0, lambda y: 1.0 / (
+        1.0 + np.linalg.norm(np.atleast_2d(y), axis=1) ** 2))
+    cset = constants.constant_set(ctx.params)
+    want = cset.n_green * cset.sphere_area * quad(
+        lambda r: r ** (n - 1) / (1.0 + r * r) * (1.0 - r ** (2 * s - n)),
+        1.0, 2.0, epsabs=0.0, epsrel=1e-12)[0]
+    for t in (1e4, 1e6):
+        got = t ** (n - 2 * s) * green.phi_potential(
+            ctx, q, np.append(1.3 * np.eye(n)[0], t))
+        assert abs(got - want) <= 1e-6, t
+
+
 @pytest.mark.parametrize("n,s", SWEEP)
 def test_cap_integral_matches_adaptive_quadrature(n, s):
     # the top edge d + outer is graded as well as the inner ones

@@ -229,3 +229,23 @@ def test_solve_linear_rejects_wrong_length_rhs():
     prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
     with pytest.raises(ValueError, match=r"\(63,\).*64 nodes"):
         solver.solve_linear(prob, np.ones(63))
+
+
+def test_monotone_iteration_evaluates_each_right_hand_side_once():
+    # one call at the supersolution, one at y_0 = 0 and one a step: the
+    # residual's evaluation at y_{k+1} is the next step's right-hand side
+    prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
+    calls = []
+    prob.rhs_map = lambda x, v: (calls.append(1) or
+                                 0.5 * np.exp(-2 * x ** 2) * (1 + v) ** 1.2)
+    vbar = solver.solve_linear(prob, 4.0 * np.ones(64))
+    trace = solver.monotone_iterate(prob, supersolution=vbar)
+    assert trace.converged and len(trace.residuals) > 1
+    assert len(calls) == len(trace.residuals) + 2
+
+
+def test_monotone_iteration_rejects_a_supersolution_of_the_wrong_shape():
+    prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
+    prob.rhs_map = lambda x, v: np.ones_like(x)
+    with pytest.raises(ValueError, match=r"\(3,\).*\(64,\)"):
+        solver.monotone_iterate(prob, supersolution=np.zeros(3))
