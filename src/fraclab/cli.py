@@ -5,10 +5,10 @@ Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
 report files.  A configuration no command can run (an unknown or
 unreadable config key, n < 1 or sigma outside (0, 1) for any command,
-n <= 2 sigma for ``verify``, n > 3 for its green suite) exits with
-status 2 and the reason on stderr; a ``construct`` whose plan is
-infeasible exits with status 1 and the reason.  ``construct`` plans at
-n = 5 unless the config file or a flag sets n.
+n <= 2 sigma for ``verify``) exits with status 2 and the reason on
+stderr; a ``construct`` whose plan is infeasible exits with status 1 and
+the reason.  ``construct`` plans at n = 5 unless the config file or a
+flag sets n.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ C(1) = t^2, and its roots lie outside [0, 1].  At sigma = 1/2 this is
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, List, Sequence
 
 import numpy as np
@@ -95,14 +96,19 @@ def conormal_limit(U: Callable[[List[float]], Sequence[float]], t_top: float,
     and returns their values.  As t^{1-2s} dU/dt = -conormal + O(t^{2-2s}),
     the centred differences at successive halvings are combined with that
     exponent; the two extrapolants that agree best (of three levels or more) win.
+    With U ~ U_0 - c t^{2s}, each difference is divided by its t-free bias
+    F = [(1 + q)^{2s} - (1 - q)^{2s}] / (4 q s) = sum_j C(2s, 2j + 1) q^{2j} / 2s,
+    whose terms after the first carry 2s - 1, so F is 1 at s = 1/2 exactly.
     """
     q = 0.05
+    factor = sum(math.prod((2.0 * sigma - k) / (k + 1.0) for k in range(1, j))
+                 * q ** (j - 1) for j in range(1, 16, 2))
     rho = 2.0 ** (-(2.0 - 2.0 * sigma))
     ts = [t_top * 2.0 ** (-k) for k in ks]
     if len(ts) < 3:
         raise ValueError(f"conormal_limit needs at least three levels, got {len(ts)}")
     vals = U([t * (1 + q) for t in ts] + [t * (1 - q) for t in ts])
-    ladder = [-t ** (1.0 - 2.0 * sigma) * ((up - um) / (2 * q * t))
+    ladder = [-t ** (1.0 - 2.0 * sigma) * ((up - um) / (2 * q * t) / factor)
               for t, up, um in zip(ts, vals[:len(ts)], vals[len(ts):])]
     extrap = [(ladder[i + 1] - rho * ladder[i]) / (1.0 - rho)
               for i in range(len(ladder) - 1)]

@@ -1,4 +1,4 @@
-"""Sphere-mean rules, spherical-cap fractions, and the radial panel quadrature.
+"""Sphere-mean rules and the radial panel quadrature.
 
 Everything here is plain geometry on spheres in R^n.  The sphere-mean
 integrals are summed on the panels of :func:`panel_rows`: geometric panels
@@ -146,42 +146,6 @@ def radial_mean_rule(n: int, d: Array, s: Array, kinks: Sequence[float]
         w[m:] *= (c2 - c2 * c2) ** (0.5 * (n - 2))
     r += gap[row]
     return np.sqrt(r, out=r), w, row
-
-
-# --- spherical caps -------------------------------------------------------
-
-def cap_fraction(d: float, s: Array, radius: float, n: int) -> Array:
-    """Fraction of each sphere |x - x0| = s lying inside the ball |x| <= radius.
-
-    ``d`` is |x0| and ``s`` an array of radii >= 0.  The boundary polar
-    cosine is t0 = (radius^2 - d^2 - s^2) / (2 d s); where the sphere
-    crosses the ball boundary the fraction is the normalized surface
-    measure of {theta : <x0/d, theta> <= t0}, the regularized incomplete
-    beta function I_x(a, a), x = (1 + t0) / 2, a = (n - 1) / 2.  As a is a
-    whole or half-whole number, it starts from I_x(1, 1) = x or
-    I_x(1/2, 1/2) = (2 / pi) arcsin sqrt(x) and steps up by
-    I_x(k+1, k+1) = I_x(k, k) + (2x - 1) [x (1 - x)]^k / (k B(k, k)).
-    Spheres inside the ball give exactly 1, spheres outside it (or
-    enclosing it) exactly 0.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.where(s > 0.0, d + s <= radius, d <= radius).astype(float)
-    cross = (s > 0.0) & (d + s > radius) & (np.abs(d - s) < radius)
-    if n == 1:
-        # two points d - s and d + s; here exactly one is inside
-        out[cross] = 0.5
-    else:
-        sc = s[cross]
-        t0 = np.clip((radius * radius - d * d - sc * sc) / (2.0 * d * sc), -1.0, 1.0)
-        x = (1.0 + t0) / 2.0
-        k = 1.0 if n % 2 else 0.5
-        share = x if n % 2 else (2.0 / math.pi) * np.arcsin(np.sqrt(x))
-        while k < (n - 1) / 2.0:
-            share = share + (2.0 * x - 1.0) * (x * (1.0 - x)) ** k * (
-                math.gamma(2.0 * k) / (k * math.gamma(k) ** 2))
-            k += 1.0
-        out[cross] = share
-    return out
 
 
 # --- composite radial panels ----------------------------------------------

@@ -9,11 +9,12 @@ radius lam.  The potential of a continuous density q on an annulus E - B_lam,
 
     Phi(Y) = int G(Y, eta) q(eta) d eta,
 
-vanishes on |Y| = lam and recovers q as its conormal derivative.  All heights
-of its ladder share one annulus grid, built the same way at n = 2 and 3: its
-polar axis lies along y, so the kernel does not depend on the azimuth, and q
-and the weights are summed over the azimuth once; each height costs one node
-per (r, theta).  The G3 scan is one array per radius.
+vanishes on |Y| = lam and recovers q as its conormal derivative.  For a
+radial q it is one integral in rho at every n > 2s, every height of a
+conormal ladder in one call: the mean of the direct kernel over a sphere
+|eta| = rho is a 2F1 (Landkof, *Foundations of Modern Potential Theory*,
+I.1), and the image sphere |eta| = lam^2 / rho has a constant Kelvin
+weight.  The G3 scan is one array per radius.
 
 The comparison inequalities set the extended model bubble against its
 half-space Kelvin images on random samples.  Each sample set is one call:
@@ -29,7 +30,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import constants, extension, geometry
+from . import constants, extension, fracops, geometry
 from .bubbles import KelvinMap
 from .params import Params
 
@@ -91,7 +92,8 @@ def green_eval(ctx: GreenContext, Y: Array, eta: Array) -> float:
 
 @dataclass
 class AnnulusDensity:
-    """Continuous density q on the annulus lam < |eta| < outer_radius."""
+    """Continuous radial density q on the annulus lam < |eta| < outer_radius,
+    a function of points; :func:`phi_potential` refuses one that is not radial."""
 
     outer_radius: float
     q: Callable[[Array], Array]
@@ -101,123 +103,82 @@ class AnnulusDensity:
                           dtype=float)
 
 
-#: Azimuth nodes of the annulus grid at n = 3 (n = 2 has the two of S^0).
-AZIMUTHS = 24
-
-
-def _annulus_grid(ctx: GreenContext, outer: float, y: Array,
-                  focus: bool) -> Tuple[Array, Array]:
-    """Product quadrature nodes and weights over the boundary annulus.
-
-    The polar angle is measured from y/|y| (e_1 when y = 0), on panels
-    graded toward 0, and crossed with the azimuths of
-    ``geometry.sphere_rule(n - 1, AZIMUTHS)``, which run fastest; one
-    Householder reflection turns the polar axis onto y/|y|.  With ``focus``
-    the radial panels are graded toward |y| too, since the subtracted
-    integrand still peaks there.
-    """
-    n = ctx.params.n
-    lam = ctx.lam
-    d = float(np.linalg.norm(y))
-    rbreaks = np.linspace(lam, outer, 13)
-    if focus:
-        extra = d + (outer - lam) * np.array([-0.05, -0.01, 0.0, 0.01, 0.05])
-        rbreaks = np.unique(np.clip(np.concatenate([rbreaks, extra]), lam, outer))
-    r, wr, _ = geometry.panel_nodes(rbreaks, 8)
-    wr = wr * r ** (n - 1)
-
-    offs = np.concatenate([[0.0], 0.02 * 1.8 ** np.arange(12)])
-    th, wth, _ = geometry.panel_nodes(np.append(offs[offs < math.pi], math.pi), 4)
-    az, waz = geometry.sphere_rule(n - 1, AZIMUTHS)
-    u = y / d if d > 0.0 else np.eye(n)[0]
-    # I - 2 v v^T / |v|^2 with v = e_1 + sgn u (|v|^2 >= 2, no cancellation)
-    # takes -sgn e_1 to u, so the polar axis is laid along -sgn e_1
-    sgn = 1.0 if u[0] >= 0.0 else -1.0
-    v = sgn * u
-    v[0] += 1.0
-    dirs = np.concatenate([
-        np.broadcast_to(-sgn * np.cos(th)[:, None, None], (th.size, waz.size, 1)),
-        np.sin(th)[:, None, None] * az[None, :, :]], axis=-1).reshape(-1, n)
-    dirs -= np.outer(dirs @ v, (2.0 / float(v @ v)) * v)
-    wang = np.outer(wth * np.sin(th) ** (n - 2) * constants.sphere_area(n - 1),
-                    waz).ravel()
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    return pts, np.outer(wr, wang).ravel()
-
-
-#: Geometric panels a decade of the spherical-cap integral.
-CAP_PER_DECADE = 6
-
-
-def _cap_integral(ctx: GreenContext, d: float, t: float, outer: float) -> float:
-    """int over the annulus of (|y - eta|^2 + t^2)^{(2s-n)/2} d eta.
-
-    Reduced to 1D through spherical caps about y (|y| = d): the annulus
-    fraction of the sphere of radius s is a difference of cap fractions.
-    [0, s_lo] is dropped: s_lo = 1e-3 t, a share under (1e-3)^n, up to
-    t = d + outer, and 1e-8 lam above, where the integrand is flat near 0.
-    """
-    n, lam = ctx.params.n, ctx.lam
-    s2n = (2.0 * ctx.params.sigma - n) / 2.0
-    s_lo = max(1e-8 * lam, 1e-3 * t if t <= d + outer else 0.0)
-    s, w, _ = geometry.panel_nodes(geometry.panel_rows(
-        s_lo, [s_lo], [d + outer], CAP_PER_DECADE,
-        geometry.kink_edges((lam, outer), [d])), 8)
-    return constants.constant_set(ctx.params).sphere_area * float(np.dot(
-        s ** (n - 1) * (s ** 2 + t * t) ** s2n
-        * (geometry.cap_fraction(d, s, outer, n) - geometry.cap_fraction(d, s, lam, n)),
-        w))
+def _phi_rows(lam: float, outer: float, d: float, ts: Array) -> Array:
+    """Inf-padded rows of rho breaks on [lam, outer], one row a height t:
+    13 uniform breaks, and c and c +- t 2^k, k >= -2, about the points c of
+    [lam, outer] nearest |y| and lam^2 / |y|, where the direct and the image
+    kernel peak with width t; breaks past an end fall on it."""
+    span = outer - lam
+    peaks = np.clip([d, lam * lam / d if d > 0.0 else outer], lam, outer)
+    k = np.arange(-2.0, math.log2(span / ts[ts > 0.0].min(initial=span)) + 1)
+    offsets = ts[:, None] * np.concatenate([-2.0 ** k, [0.0], 2.0 ** k])
+    rows = np.clip(np.concatenate([
+        np.broadcast_to(np.linspace(lam, outer, 13), (ts.size, 13)),
+        (peaks[:, None] + offsets[:, None, :]).reshape(ts.size, -1)], axis=1),
+        lam, outer)
+    rows.sort(axis=1)
+    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = np.inf
+    return np.sort(rows, axis=1)
 
 
 def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
-    """Phi(y, t) at each height t; the t-free grid, q and distances are built once."""
+    """Phi(y, t) at each height t of ``ts``, in one call, for a radial q:
+    N |S^{n-1}| int_lam^outer q(rho) rho^{n-1} [M(rho) - (lam / rho)^{q_e}
+    M(lam^2 / rho)] d rho, q_e = n - 2s.  M(rho) = A^{-q_e/2}
+    2F1(q_e/4, q_e/4 + 1/2; n/2; z) is the mean of (t^2 + |y - eta|^2)^{-q_e/2}
+    over |eta| = rho, A = t^2 + |y|^2 + rho^2 and z = (2 |y| rho / A)^2; one
+    :func:`fracops._hypergeometric` call takes every node, with 1 - z formed
+    as (t^2 + (|y| - rho)^2)(t^2 + (|y| + rho)^2) / A^2.  GL8 on the rows of
+    :func:`_phi_rows`, summed per height, so a height has the same bits in
+    any ladder.  Refused: t < 0; t = 0 where M is singular on [lam, outer]
+    (lam < |y| <= outer or its image, off |y| = lam to 1e-12, where the two
+    terms cancel); and q that differs along e_1 and -(1, ..., 1) by 1e-12.
+    """
     lam, outer = ctx.lam, q.outer_radius
     if outer <= lam:
         raise ValueError(f"empty annulus: outer_radius {outer} <= lam {lam}")
-    n = ctx.params.n
-    if n not in (2, 3):
-        raise ValueError("phi_potential supports n in {2, 3}")
+    n, sigma = ctx.params.n, ctx.params.sigma
     d = float(np.linalg.norm(y))
+    ts = np.asarray(ts, dtype=float)
+    if (ts < 0.0).any():
+        raise ValueError(f"height t = {ts.min():g} is negative")
+    if ((ts == 0.0).any() and abs(d - lam) > 1e-12 * lam
+            and lam * lam / outer <= d <= outer):
+        raise ValueError(f"Phi at t = 0 is singular at |y| = {d:g} in the "
+                         f"annulus [{lam:g}, {outer:g}] or its Kelvin image")
+    rho, wts, row = geometry.panel_nodes(_phi_rows(lam, outer, d, ts), 8)
+    along, aslant = (q(rho[:, None] * u)
+                     for u in (np.eye(n)[0], np.full(n, -n ** -0.5)))
+    if not np.allclose(aslant, along, rtol=1e-12, atol=0.0):
+        raise ValueError("the density is not radial: it differs along e_1 "
+                         "and along -(1, ..., 1)")
+    q_e = ctx.params.kelvin_exp
+    r = np.concatenate([rho, lam * lam / rho])
+    t2 = np.tile(ts[row] ** 2, 2)
+    a = t2 + d * d + r * r
+    z = (2.0 * d * r / a) ** 2
+    w = (t2 + (d - r) ** 2) / a * ((t2 + (d + r) ** 2) / a)
+    mean = a ** (-q_e / 2.0) * fracops._hypergeometric(
+        q_e / 4.0, q_e / 4.0 + 0.5, sigma - 0.5, 0, z, w)
+    direct, image = np.split(mean, 2)
+    terms = along * rho ** (n - 1) * (direct - (lam / rho) ** q_e * image)
     cset = constants.constant_set(ctx.params)
-    qy = float(q(y[None, :])[0]) if lam < d < outer else 0.0
-    pts, wts = _annulus_grid(ctx, outer, y, qy != 0.0)
-    # the kernel is the same on each block of equal-weight azimuths, so each
-    # block becomes one node: its weight sum, and the means of q and q - q(y)
-    fold = geometry.sphere_rule(n - 1, AZIMUTHS)[1].size
-    qv = q(pts).reshape(-1, fold)
-    q_rest = (qv - qy).mean(axis=1)
-    qv = qv.mean(axis=1)
-    wts = wts.reshape(-1, fold).sum(axis=1)
-    sq = _sq_dists(ctx, y, pts[::fold])
-    del pts     # hold no more memory at once than one height needs
-    vals = []
-    for t in ts:
-        direct, image = _direct_and_image(ctx, sq, t * t)
-        val = cset.n_green * float(np.dot(direct * q_rest - image * qv, wts))
-        if qy != 0.0:
-            val += cset.n_green * qy * _cap_integral(ctx, d, t, outer)
-        vals.append(val)
-    return vals
+    return (cset.n_green * cset.sphere_area
+            * np.bincount(row, terms * wts, minlength=ts.size)).tolist()
 
 
 def phi_potential(ctx: GreenContext, q: AnnulusDensity, Y: Array) -> float:
-    """Potential Phi(Y) of the density q against the Green function.
-
-    The on-boundary singularity |Y - eta|^{2s-n} at eta = y is removed by
-    subtracting q(y) times the exactly-integrated annulus kernel (a 1D
-    spherical-cap integral); the remainder vanishes at eta = y and is
-    handled by a graded product grid.
-    """
+    """Potential Phi(Y) of the radial density q against the Green function:
+    one integral in rho of q against the sphere means of the direct and the
+    image kernel (:func:`_phi_heights`), at every n > 2 sigma."""
     y, t = _split(Y, ctx.params.n)
     return _phi_heights(ctx, q, y, [t])[0]
 
 
 def phi_conormal(ctx: GreenContext, q: AnnulusDensity, y: Array) -> float:
     """-lim t^{1-2s} d Phi/dt at the boundary point y, via Richardson."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return extension.conormal_limit(
-        lambda ts: _phi_heights(ctx, q, y, ts),
-        ctx.lam, range(4, 12), ctx.params.sigma)
+    return extension.conormal_limit(lambda ts: _phi_heights(ctx, q, y, ts),
+                                    ctx.lam, range(4, 12), ctx.params.sigma)
 
 
 # --- comparison inequalities for the extended model bubble ---------------

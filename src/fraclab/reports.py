@@ -194,7 +194,7 @@ def suite_extend(cfg: RunConfig) -> List[Dict]:
 
 def suite_green(cfg: RunConfig) -> List[Dict]:
     out = []
-    pr = Params(max(cfg.n, 2), cfg.sigma)
+    pr = Params(cfg.n, cfg.sigma)
     rep = green.check_bbl_inequalities(pr, seed=cfg.seed)
     out.append(check("kelvin-gap-positive", "the extension dominates its "
                      "Kelvin image inside the ball with positive margin",
@@ -386,8 +386,6 @@ def run_suite(cfg: RunConfig) -> Dict:
         Params(cfg.n, cfg.sigma).kelvin_exp
     except ValueError as exc:
         raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: {exc}") from None
-    if "green" in names and cfg.n > 3:
-        raise ConfigError(f"the green suite runs at n in {{2, 3}}, got n={cfg.n}")
     checks = []
     for name in names:
         for c in SUITE_FUNCS[name](cfg):

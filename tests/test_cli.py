@@ -135,12 +135,11 @@ def test_extend_suite_runs_past_three_dimensions(capsys):
     assert "ALL PASS" in capsys.readouterr().out
 
 
-def test_green_suite_beyond_three_dimensions_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "green", "--n", "5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.strip().splitlines()[-1].endswith(
-        "the green suite runs at n in {2, 3}, got n=5")
+@pytest.mark.parametrize("args", [["--n", "5"], ["--n", "1", "--sigma", "0.25"]])
+def test_green_suite_runs_at_the_given_n(args, capsys):
+    # the Green potential is one integral in rho at every n > 2 sigma
+    assert cli.main(["verify", "--suite", "green"] + args) == 0
+    assert "ALL PASS" in capsys.readouterr().out
 
 
 def test_fraclap_suite_inverts_at_the_given_n(monkeypatch):

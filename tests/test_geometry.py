@@ -1,63 +1,25 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import roots_jacobi
+from scipy.special import betainc, roots_jacobi
 
 from fraclab import geometry
 
 
-@given(st.floats(min_value=0.01, max_value=4.0),
-       st.lists(st.floats(min_value=0.01, max_value=4.0), min_size=1,
-                max_size=20),
-       st.floats(min_value=0.1, max_value=4.0))
-@settings(max_examples=200, deadline=None)
-def test_cap_fraction_three_dimensional_closed_form(d, s, radius):
-    # at n = 3 the beta weight is uniform, I_x(1, 1) = x
-    s = np.array(s)
-    t0 = (radius * radius - d * d - s * s) / (2.0 * d * s)
-    want = np.clip((1.0 + t0) / 2.0, 0.0, 1.0)
-    got = geometry.cap_fraction(d, s, radius, 3)
-    assert got.shape == s.shape
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_cap_fraction_matches_mpmath_betainc(n):
-    # t0 from -1 to 1, near-tangent spheres included: radius^2 =
-    # d^2 + s^2 + 2 d s t0 with d = 1, s = 0.75
-    d, s = 1.0, 0.75
-    t0 = np.array([-1.0 + 1e-15, -1.0 + 1e-10, -0.99, -0.5, -0.1, 0.0, 0.3,
-                   0.7, 0.99, 1.0 - 1e-10, 1.0 - 1e-15])
-    for radius in np.sqrt(d * d + s * s + 2.0 * d * s * t0):
-        got = geometry.cap_fraction(d, np.array([s]), radius, n)[0]
-        x = (1.0 + (radius * radius - d * d - s * s) / (2.0 * d * s)) / 2.0
-        want = mp.betainc(mp.mpf(n - 1) / 2, mp.mpf(n - 1) / 2, 0, x,
-                          regularized=True)
-        assert abs(got - want) <= 1e-14, (n, radius)
-
-
-@given(st.integers(min_value=0, max_value=64),
-       st.integers(min_value=1, max_value=64),
-       st.integers(min_value=0, max_value=64),
-       st.sampled_from([1, 2, 3, 5]))
-@settings(max_examples=200, deadline=None)
-def test_cap_fraction_exact_on_empty_and_full_branches(i, j, k, n):
-    # dyadic inputs make d + s = radius and |d - s| = radius exact
-    d, radius = i / 8.0, j / 8.0
-    s = np.array([0.0, abs(radius - d), d + radius, k / 8.0])
-    got = geometry.cap_fraction(d, s, radius, n)
-    for sv, gv in zip(s, got):
-        if sv == 0.0:
-            assert gv == (1.0 if d <= radius else 0.0)
-        elif d + sv <= radius:
-            assert gv == 1.0
-        elif abs(d - sv) >= radius:
-            assert gv == 0.0
-        else:
-            assert 0.0 < gv < 1.0
+def _cap_share(d, s, radius, n):
+    """Share of the sphere |x - x0| = s, |x0| = d, inside |x| <= radius:
+    I_x((n - 1)/2, (n - 1)/2) with x = (1 + t0) / 2 and t0 the polar cosine
+    of the crossing (1/2 at n = 1, where the sphere is two points), else
+    0 or 1."""
+    if s > 0.0 and d + s > radius and abs(d - s) < radius:
+        if n == 1:
+            return 0.5
+        t0 = (radius * radius - d * d - s * s) / (2.0 * d * s)
+        return float(betainc((n - 1) / 2, (n - 1) / 2,
+                             (1.0 + min(max(t0, -1.0), 1.0)) / 2.0))
+    return float(d + s <= radius if s > 0.0 else d <= radius)
 
 
 @given(st.floats(min_value=1e-12, max_value=1e-2),
@@ -140,8 +102,7 @@ def test_radial_mean_rule_is_exact_on_an_annulus_indicator(n):
     r, w, row = geometry.radial_mean_rule(n, d, s, (lam, outer))
     g = ((r > lam) & (r < outer)).astype(float)
     got = np.bincount(row, np.einsum("ij,ij->i", g, w), minlength=d.size)
-    want = [geometry.cap_fraction(dj, np.array([sj]), outer, n)[0]
-            - geometry.cap_fraction(dj, np.array([sj]), lam, n)[0]
+    want = [_cap_share(dj, sj, outer, n) - _cap_share(dj, sj, lam, n)
             for dj, sj in zip(d, s)]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.bincount(row, w.sum(axis=1)), 1.0,

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fraclab import constants, geometry, green
-from fraclab.bubbles import KelvinMap
+from fraclab import constants, green
 from fraclab.params import Params
 
 
@@ -45,7 +46,8 @@ def test_phi_vanishes_on_sphere(ctx3):
 
 
 #: The (n, sigma) cases of the Green potential checks.
-SWEEP = [(n, s) for n in (2, 3) for s in (0.25, 0.5, 0.75)]
+SWEEP = [(n, s) for n in (2, 3) for s in (0.25, 0.5, 0.75)] + [
+    (1, 0.25), (5, 0.25), (5, 0.75)]
 
 
 @pytest.mark.parametrize("n,s", SWEEP)
@@ -55,23 +57,7 @@ def test_conormal_recovers_density(n, s):
     y[0] = 1.6
     got = green.phi_conormal(ctx, _density(), y)
     want = 1.0 / (1.0 + 1.6 ** 2)
-    assert got == pytest.approx(want, rel=1e-3)
-
-
-def _cap_reference(ctx, d, t, outer):
-    """_cap_integral by adaptive quadrature, split at every kink edge below d + outer."""
-    n, lam = ctx.params.n, ctx.lam
-    s2n = (2.0 * ctx.params.sigma - n) / 2.0
-
-    def f(s):
-        shell = np.array([s])
-        return s ** (n - 1) * (s * s + t * t) ** s2n * float(
-            geometry.cap_fraction(d, shell, outer, n)[0]
-            - geometry.cap_fraction(d, shell, lam, n)[0])
-    knots = sorted({0.0, abs(lam - d), lam + d, abs(outer - d), t, d + outer})
-    total = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=200)[0]
-                for a, b in zip(knots[:-1], knots[1:]))
-    return constants.constant_set(ctx.params).sphere_area * total
+    assert got == pytest.approx(want, rel=1e-5)
 
 
 @pytest.mark.parametrize("n,s", [(3, 0.25), (2, 0.5), (3, 0.75)])
@@ -89,16 +75,6 @@ def test_phi_meets_its_far_limit(n, s):
         got = t ** (n - 2 * s) * green.phi_potential(
             ctx, q, np.append(1.3 * np.eye(n)[0], t))
         assert abs(got - want) <= 1e-6, t
-
-
-@pytest.mark.parametrize("n,s", SWEEP)
-def test_cap_integral_matches_adaptive_quadrature(n, s):
-    # the top edge d + outer is graded as well as the inner ones
-    ctx = green.GreenContext(1.0, Params(n, s))
-    for d in (1.5, 1.6, 3.0):
-        for t in (1e-3, 0.05, 1.0):
-            assert green._cap_integral(ctx, d, t, 4.0) == pytest.approx(
-                _cap_reference(ctx, d, t, 4.0), rel=1e-6)
 
 
 def test_bbl_inequalities():
@@ -146,53 +122,100 @@ def _density():
         1.0 + np.linalg.norm(np.atleast_2d(y), axis=1) ** 2))
 
 
-def _phi_reference(ctx, q, y, t):
-    """Phi(y, t) with the grid, the distances and the weights built for this height."""
-    n = ctx.params.n
-    d = float(np.linalg.norm(y))
-    qy = float(q(y[None, :])[0]) if ctx.lam < d < q.outer_radius else 0.0
-    pts, wts = green._annulus_grid(ctx, q.outer_radius, y, qy != 0.0)
-    qv = q(pts)
-    kelvin = KelvinMap(ctx.params, lam=ctx.lam)
-    s2n = (2.0 * ctx.params.sigma - n) / 2.0
-    direct = (np.sum((pts - y) ** 2, axis=1) + t * t) ** s2n
-    image = kelvin.weight(pts) * (
-        np.sum((kelvin.point(pts) - y) ** 2, axis=1) + t * t) ** s2n
-    n_green = constants.constant_set(ctx.params).n_green
-    val = n_green * float(np.dot(direct * (qv - qy) - image * qv, wts))
-    if qy != 0.0:
-        val += n_green * qy * green._cap_integral(ctx, d, t, q.outer_radius)
-    return val
+def _sphere_sum(n, s, d, t, r):
+    """The integral of (t^2 + |y - eta|^2)^{s - n/2} over the unit sphere
+    eta / r, |y| = d: by quad in the polar angle from y, split at
+    multiples of the peak width there, or two points at n = 1."""
+    e2 = t * t + (d - r) ** 2
+    if n == 1:
+        return e2 ** (s - n / 2) + (t * t + (d + r) ** 2) ** (s - n / 2)
+    width = math.sqrt(e2 / (d * r)) if d > 0.0 else math.pi
+    points = [width * 4.0 ** k for k in range(8) if width * 4.0 ** k < math.pi]
+    return constants.sphere_area(n - 1) * quad(
+        lambda th: (e2 + 4.0 * d * r * math.sin(th / 2) ** 2) ** (s - n / 2)
+        * math.sin(th) ** (n - 2), 0.0, math.pi, points=points or None,
+        epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
-@pytest.mark.parametrize("n,s", [(2, 0.5), (2, 0.25), (3, 0.5), (3, 0.75)])
+def _phi_oracle(ctx, d, t, outer=4.0):
+    """Phi(y, t), |y| = d, of the density 1 / (1 + |eta|^2) on the annulus
+    by nested quad in rho and the polar angle, no 2F1: the direct and the
+    image term each split about its peak, rho = d or lam^2 / d."""
+    n, s, lam = ctx.params.n, ctx.params.sigma, ctx.lam
+    total = 0.0
+    for sign, peak, kernel in (
+            (1.0, d, lambda r: _sphere_sum(n, s, d, t, r)),
+            (-1.0, lam * lam / d if d > 0.0 else outer,
+             lambda r: (lam / r) ** (n - 2 * s)
+             * _sphere_sum(n, s, d, t, lam * lam / r))):
+        c = min(max(peak, lam), outer)
+        points = sorted({min(max(c + o * t, lam), outer)
+                         for o in (0, -1, 1, -8, 8, -64, 64)} - {lam, outer})
+        total += sign * quad(
+            lambda r: r ** (n - 1) / (1.0 + r * r) * kernel(r), lam, outer,
+            points=points or None, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return constants.constant_set(ctx.params).n_green * total
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.25), (3, 0.5), (3, 0.75),
+                                 (5, 0.25)])
+def test_phi_potential_matches_nested_quadrature(n, s):
+    # inside B_lam, on the annulus and beyond it, and within t of its edges
+    ctx = green.GreenContext(1.0, Params(n, s))
+    q = _density()
+    for d, t in [(0.5, 0.5), (1.3, 0.05), (4.5, 0.3), (0.999, 0.05),
+                 (1.0001, 1e-3), (4.001, 1e-3), (3.9999, 1e-4)]:
+        got = green.phi_potential(ctx, q, np.append(d * np.eye(n)[0], t))
+        assert got == pytest.approx(_phi_oracle(ctx, d, t), rel=1e-9), (d, t)
+
+
+@pytest.mark.parametrize("n,s", [(2, 0.5), (2, 0.25), (3, 0.5), (3, 0.75),
+                                 (1, 0.25), (5, 0.5)])
 @pytest.mark.parametrize("d", [1.6, 0.5, 4.5])   # annulus, B_lam, beyond it
 def test_phi_heights_match_one_height_at_a_time(n, s, d):
     ctx = green.GreenContext(1.0, Params(n, s))
     q = _density()
     y = d * np.eye(n)[0]
     ts = [1e-3, 0.01, 0.3, 1.0, 2.5]
-    want = [_phi_reference(ctx, q, y, t) for t in ts]
     got = green._phi_heights(ctx, q, y, ts)
-    # the ladder sums the same grid in another order (azimuths first)
-    assert got == pytest.approx(want, rel=1e-13)
+    assert got == pytest.approx([_phi_oracle(ctx, d, t) for t in ts],
+                                rel=1e-9)
     assert [green.phi_potential(ctx, q, np.append(y, t)) for t in ts] == got
 
 
 @pytest.mark.parametrize("n,d", [
     pytest.param(3, 0.5, id="0.5"), pytest.param(3, 1.6, id="1.6"),
     pytest.param(2, 0.5, id="n2-0.5"), pytest.param(2, 1.6, id="n2-1.6"),
-    pytest.param(2, 4.5, id="n2-4.5")])    # B_lam (no focus), annulus, beyond
+    pytest.param(2, 4.5, id="n2-4.5"), pytest.param(5, 0.5, id="n5-0.5"),
+    pytest.param(5, 1.6, id="n5-1.6"), pytest.param(5, 4.5, id="n5-4.5")])
 def test_phi_potential_is_rotation_invariant(n, d):
-    # a radial density makes Phi radial in y, whatever frame the grid takes
+    # a radial density makes Phi radial in y
     ctx = green.GreenContext(1.0, Params(n, 0.5))
     q = _density()
-    y = d * (np.array([0.6, -0.48, 0.64]) if n == 3 else np.array([0.6, -0.8]))
+    y = d * {2: np.array([0.6, -0.8]), 3: np.array([0.6, -0.48, 0.64]),
+             5: np.array([0.36, -0.48, 0.64, 0.0, 0.48])}[n]
     rot, _ = np.linalg.qr(np.random.default_rng(2).normal(size=(n, n)))
     base = green.phi_potential(ctx, q, np.append(y, 0.2))
     for z in (rot @ y, -y, d * np.eye(n)[n - 1], d * np.eye(n)[0]):
         assert green.phi_potential(ctx, q, np.append(z, 0.2)) == \
             pytest.approx(base, rel=1e-13)
+
+
+def test_phi_refuses_a_negative_height(ctx3):
+    with pytest.raises(ValueError, match="height t = -0.1 is negative"):
+        green.phi_potential(ctx3, _density(), np.array([1.6, 0.0, 0.0, -0.1]))
+
+
+@pytest.mark.parametrize("d", [1.6, 4.0, 0.5])  # annulus, its edge, its image
+def test_phi_refuses_the_trace_where_the_kernel_is_singular(ctx3, d):
+    with pytest.raises(ValueError, match="t = 0 is singular"):
+        green.phi_potential(ctx3, _density(), np.array([d, 0.0, 0.0, 0.0]))
+
+
+def test_phi_refuses_a_density_that_is_not_radial(ctx3):
+    q = green.AnnulusDensity(4.0, lambda y: 1.0 + np.atleast_2d(y)[:, 0])
+    with pytest.raises(ValueError, match="not radial"):
+        green.phi_potential(ctx3, q, np.array([1.6, 0.0, 0.0, 0.1]))
 
 
 def test_phi_conormal_builds_the_grid_once(monkeypatch):
