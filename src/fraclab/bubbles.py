@@ -5,7 +5,9 @@ The bubble of scale lam centered at x0,
     w(x) = c * (lam / (lam^2 + |x - x0|^2))^{(n-2s)/2},
 
 solves (-Lap)^s w = w^p with the critical exponent p, once the amplitude
-c is the one returned by :func:`fraclab.constants.bubble_constant`.  The
+c is the one returned by :func:`fraclab.constants.bubble_constant`.  As
+the equation is invariant under translation and dilation, a bubble is one
+radial field whose frame is its own: length lam and centre x0.  The
 Kelvin transform about the sphere of radius lam maps solutions of the
 critical equation to solutions, and fixes each bubble centered at the
 origin with that scale.
@@ -34,21 +36,16 @@ def model_bubble(params: Params) -> ScalarField:
 
 def standard_bubble(params: Params, lam: float = 1.0,
                     center: Array = None, amplitude: float = None) -> ScalarField:
-    """Bubble of scale lam about center, normalized to solve the equation."""
-    n = params.n
+    """Bubble of scale lam about center (the origin by default), normalized
+    to solve the equation: one radial field of length lam about center."""
     he = params.half_exp
     if amplitude is None:
         amplitude = constants.bubble_constant(params)
-    if center is None or not np.any(center):
-        def profile(r: Array) -> Array:
-            return amplitude * (lam / (lam ** 2 + np.asarray(r) ** 2)) ** he
-        return radial_field(profile, n, decay="power_decay", decay_rate=2.0 * he)
-    c0 = np.asarray(center, dtype=float)
 
-    def func(x: Array) -> Array:
-        r2 = np.sum((x - c0) ** 2, axis=-1)
-        return amplitude * (lam / (lam ** 2 + r2)) ** he
-    return ScalarField(func=func, n=n, decay="power_decay", decay_rate=2.0 * he)
+    def profile(r: Array) -> Array:
+        return amplitude * (lam / (lam ** 2 + np.asarray(r) ** 2)) ** he
+    return radial_field(profile, params.n, centre=center, decay="power_decay",
+                        decay_rate=2.0 * he, length=lam)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ Reports are JSON with sorted keys; field samples are CSV with a header
 row.  Two runs with the same seed and config produce byte-identical
 report files.  A configuration no command can run (an unknown or
 unreadable config key, n < 1 or sigma outside (0, 1) for any command,
-n <= 2 sigma for ``verify``) exits with status 2 and the reason on
+n <= 2 sigma for ``verify``, ``fraclap``, ``bubble`` and ``extend``)
+exits with status 2 and the reason on
 stderr; a ``construct`` whose plan is infeasible exits with status 1 and
 the reason.  ``construct`` plans at n = 5 unless the config file or a
 flag sets n.
@@ -54,15 +55,6 @@ def _config_from_args(args: argparse.Namespace, **base) -> reports.RunConfig:
     return cfg
 
 
-def _params(n: int, sigma: float) -> Params:
-    """Params(n, sigma) for a command, or the ConfigError that makes it exit
-    with status 2 and the reason (``verify`` checks in ``run_suite``)."""
-    try:
-        return Params(n, sigma)
-    except ValueError as exc:
-        raise reports.ConfigError(f"n={n} and sigma={sigma}: {exc}") from None
-
-
 def _save(out_dir: str, name: str, text: str) -> None:
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -85,7 +77,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = _params(cfg.n, cfg.sigma)
+    pr = reports.checked_params(cfg.n, cfg.sigma, critical=False)
     cset = constants.constant_set(pr)
     # a constant that does not exist at this (n, sigma) is NaN, written null
     payload = {"n": pr.n, "sigma": pr.sigma, "constants": {
@@ -99,7 +91,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 def cmd_fraclap(args: argparse.Namespace) -> int:
     """Fractional Laplacian of the model bubble on a radial sample grid."""
     cfg = _config_from_args(args)
-    pr = _params(max(cfg.n, 2), cfg.sigma)
+    pr = reports.checked_params(cfg.n, cfg.sigma)
     w = bubbles.model_bubble(pr)
     r = np.linspace(0.0, 3.0, 13)
     res = fracops.frac_lap_radial(w, r, pr)
@@ -113,7 +105,7 @@ def cmd_fraclap(args: argparse.Namespace) -> int:
 
 def cmd_bubble(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = _params(max(cfg.n, 2), cfg.sigma)
+    pr = reports.checked_params(cfg.n, cfg.sigma)
     res = bubbles.bubble_identity_residuals(pr)
     rows = [(r, float(v)) for r, v in zip((0.0, 0.5, 1.0, 2.0, 5.0), res)]
     _write_csv(cfg.out, "bubble_identity.csv", ["radius", "relative_residual"],
@@ -125,7 +117,7 @@ def cmd_bubble(args: argparse.Namespace) -> int:
 
 def cmd_extend(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = _params(max(cfg.n, 2), cfg.sigma)
+    pr = reports.checked_params(cfg.n, cfg.sigma)
     w = bubbles.model_bubble(pr)
     d, t = (a.ravel() for a in np.meshgrid([0.0, 0.5, 1.0], [0.25, 1.0, 4.0],
                                            indexing="ij"))
@@ -138,7 +130,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args, n=5)
-    pr = _params(cfg.n, cfg.sigma)
+    pr = reports.checked_params(cfg.n, cfg.sigma, critical=False)
     kf = ScalarField(lambda x: np.ones(np.atleast_2d(x).shape[0]), n=pr.n,
                      decay="integrable_against_kernel")
     try:
@@ -183,7 +175,7 @@ def _construction_rhs():
 
 def cmd_iterate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    pr = _params(1, 0.5)
+    pr = Params(1, 0.5)
     prob = solver.build_problem((-1.0, 1.0), pr, nodes=128)
     if args.demo == "getoor":
         prob.rhs_map = lambda x, v: np.ones_like(x)

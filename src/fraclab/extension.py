@@ -60,9 +60,10 @@ def extend(field: ScalarField, y: Array, t, params: Params):
     gives an (m,) array.  A single point is a batch of one.
 
     One :func:`fracops._sphere_mean_sum` call sums every row with the scale
-    t; its outer rule and far-field law see the kernel's far power
-    r^{-1-2s}.  The kernel is taken as r^{-1-2s} (1 + r^-2)^{-(n+2s)/2}
-    past r = 1, so that no power of a far node overflows.
+    t, a radial field at the distance |y - centre|; its outer rule and
+    far-field law see the kernel's far power r^{-1-2s}.  The kernel is
+    taken as r^{-1-2s} (1 + r^-2)^{-(n+2s)/2} past r = 1, so that no power
+    of a far node overflows.
     """
     single = np.ndim(y) == 1
     ys = np.atleast_2d(np.asarray(y, dtype=float))
@@ -81,8 +82,9 @@ def extend(field: ScalarField, y: Array, t, params: Params):
         return r ** np.where(far, e_far, n - 1.0) * np.exp(
             -0.5 * (n + s2) * np.log1p(u * u))
 
-    value, _ = fracops._sphere_mean_sum(field, ys, geometry.radius(ys), kernel,
-                                        n - 1.0, (8,), ts, e_far)
+    value, _ = fracops._sphere_mean_sum(
+        field, ys, geometry.radius(ys - field.centre), kernel, n - 1.0, (8,),
+        ts, e_far)
     cset = constants.constant_set(params)
     value *= cset.gamma_poisson * cset.sphere_area
     return float(value[0]) if single else value

@@ -21,10 +21,11 @@ or where the decay law holds, and beyond takes the kernel as r^e_far
 (1 + c (outer / r)^2), e_far its far power, and S as S(outer) (outer /
 r)^alpha, alpha the decay rate (0 for a bounded field).
 
-Lengths are in units of the field's own length L, the support radius
-of a compact field and 1 for any other, with one factor at the end:
+Lengths are in units of the field's own ``length`` L (the support radius
+of a compact field, the scale of any other), with one factor at the end:
 L^{2 sigma} for the integral in rho below, L^{e+1} for a sphere-mean
-integral of kernel power e.  A support of 1e-150 sees a unit one's panels.
+integral of kernel power e.  A support or a bubble of scale 1e-150 sees a
+unit one's panels.
 
 Near s = 0 the sphere mean is a smooth even function of s, so the driver
 integrates the stretch below a small radius s_lo from a two-term even
@@ -48,7 +49,7 @@ and sigma (:func:`_moments`).
 
 :func:`frac_lap_at` and :func:`riesz_potential` each take one point (n,)
 or a batch (m, n).  A radial field is evaluated at each point's distance
-from the origin.
+from its centre, so a bubble about any centre takes the radial rules.
 
 :func:`riesz_field` tabulates the potential of such a field once: one
 batched call at Chebyshev nodes inside twice the support, the exterior
@@ -146,12 +147,13 @@ def frac_lap_at(field: ScalarField, x: Array, params: Params) -> OpResult:
 
 
 def frac_lap_radial(field: ScalarField, d, params: Params) -> OpResult:
-    """Fractional Laplacian of a radial field at one distance d from the
-    origin (float fields) or at a 1-D array of them (arrays)."""
+    """Fractional Laplacian of a radial field at one distance d from its
+    centre (floats) or at a 1-D array of them (arrays), taken at the points
+    centre + d e_1: like any point, they resolve d to eps |centre|."""
     if not field.is_radial:
         raise ValueError("frac_lap_radial needs a radial field")
-    return frac_lap_at(field, np.asarray(d, dtype=float)[..., None]
-                       * np.eye(field.n)[0], params)
+    d = np.asarray(d, dtype=float)[..., None]
+    return frac_lap_at(field, field.centre + d * np.eye(field.n)[0], params)
 
 
 def riesz_potential(field: ScalarField, x: Array, params: Params) -> OpResult:
@@ -186,20 +188,20 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
 
     ``x`` is one point (n,), giving floats, or a batch (m, n), giving
     arrays (m,); a single point is a batch of one.  A radial field is
-    evaluated at each point's distance from the origin, and its potential
+    evaluated at each point's distance from its centre, and its potential
     is the one integral in rho of :func:`_kernel_integral`.  Every other
     case is one :func:`_sphere_mean_sum` call with the kernel s^e, in
-    units of the field's length L (:func:`_length`), times L^{e + 1}.
+    units of the field's length L, times L^{e + 1}.
     """
     pts = np.asarray(x, dtype=float)
     if pts.ndim not in (1, 2) or pts.shape[-1] != field.n:
         raise ValueError("points must have shape (n,) or (m, n)")
     batch = pts.reshape(-1, field.n)
-    dist = geometry.radius(batch)
+    dist = geometry.radius(batch - field.centre)
     if e > -1.0 and field.is_radial:
         value, error = _kernel_integral(field, dist, 0.5 * (e + 1.0))
     else:
-        length = _length(field)
+        length = field.length
         value, error = (length ** (e + 1.0) * v for v in _sphere_mean_sum(
             field, batch, dist, lambda s: s ** e, e, (8, 4),
             np.full(dist.size, length), e))
@@ -207,11 +209,6 @@ def _radial_integral(field: ScalarField, x: Array, e: float,
     if pts.ndim == 1:
         return OpResult(float(value[0]), float(error[0]))
     return OpResult(value, error)
-
-
-def _length(field: ScalarField) -> float:
-    """The field's own length: its support radius if compact, else 1."""
-    return field.support_radius if field.decay == "compact_support" else 1.0
 
 
 #: Breaks about a distance d, as multiples of d: the kernel is singular
@@ -233,7 +230,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     """int_0^inf f(rho) rho^{n-1} K(d, rho) d rho and its bar at distances d
     (a 1-D array) of a radial field with compact support or power decay.
 
-    Lengths are in units of the field's length L (:func:`_length`): d / L,
+    Lengths are in units of the field's length L: d / L,
     at least ``CENTRE_RADIUS``, kinks k / L and the profile at L rho, with
     value and bar times L^{2 sigma}.  K(d, rho) = hi^{-q} F(z) is the
     sphere-mean kernel of the module notes, lo and hi the smaller and the
@@ -272,7 +269,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
     float, so the bar shows where the profile has underflowed.
     """
     n, s2 = field.n, 2.0 * sigma
-    power_decay, length = field.decay == "power_decay", _length(field)
+    power_decay, length = field.decay == "power_decay", field.length
     if not power_decay and (d / length > 2.0).all():
         value, bar = _moment_series(field, sigma, d / length, -1)
         return value * length ** s2, bar * length ** s2
@@ -343,7 +340,7 @@ def _kernel_integral(field: ScalarField, d: Array, sigma: float
 def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
     """The moment grid of a radial field and the coefficient tables of
     :func:`_moment_series`, made once per field and sigma.  Lengths are in
-    units of the field's length L (:func:`_length`), the profile taken at
+    units of the field's length L, the profile taken at
     L r: the grid runs from 0 to the field's top (1 if compact, else
     ``OUTER_RADIUS``), the geometric grid, the kink breaks and, if compact,
     ``MOMENT_PANELS`` uniform panels between kinks.  At each grid radius g
@@ -357,7 +354,7 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
     """
     key = ("moments", sigma)
     if key not in field.memo:
-        compact, length = field.decay == "compact_support", _length(field)
+        compact, length = field.decay == "compact_support", field.length
         top = 1.0 if compact else OUTER_RADIUS
         kinks = [k / length for k in field.kink_radii]
         radii = _geometric(0.0, top) + [k * g for k in kinks
@@ -493,8 +490,8 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
     distance d_j, int_0^inf K(r) g_j(scale_j r) dr and its bar, with g_j =
     f(x_j) - S_j for the Laplacian (e0 < -1, the one kernel power not
     integrable at 0) and S_j otherwise, S_j the sphere mean about x_j
-    (about d_j for a radial field).  r is in units of scale_j: the field's
-    length L (:func:`_length`) for the operators, t for the extension.
+    (at the distance d_j from its centre for a radial field).  r is in units
+    of scale_j: the field's length L for the operators, t for the extension.
 
     Row j of :func:`geometry.panel_rows` runs from 1e-12, graded about the
     kink edges over scale_j, and starts at the head radius r_lo: the least
@@ -521,7 +518,7 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
     if not field.is_radial and field.n > 3:
         raise ValueError("sphere means need a field with a radial_profile, or "
                          f"n <= 3; got one that is not radial at n={field.n}")
-    lap, length = e0 < -1.0, _length(field)
+    lap, length = e0 < -1.0, field.length
     centres, f0 = ((d, field.radial_profile(d)) if field.is_radial
                    else (batch, field(batch)))
     edges = geometry.kink_edges(field.kink_radii, d) / scale[:, None]
@@ -590,28 +587,28 @@ def _sphere_mean_sum(field: ScalarField, batch: Array, d: Array,
 def riesz_field(field: ScalarField, params: Params) -> ScalarField:
     """The Riesz potential of a radial compact field, tabulated once.
 
-    The potential I(d) is even in d and smooth on each of [0, a] and
-    [a, 2a], a = ``support_radius``.  One batched :func:`riesz_potential`
-    call, one integral in rho at each node, samples it at ``TABLE_NODES``
+    The potential I(d) at the distance d from the field's centre is even in
+    d and smooth on each of [0, a] and [a, 2a], a = ``length``.  One
+    batched :func:`riesz_potential` call at the points centre + d e_1, one
+    integral in rho at each node, samples it at ``TABLE_NODES``
     Chebyshev first-kind nodes in (d/a)^2 on [0, a] and in d on [a, 2a]
     for interpolation; beyond 2a the profile is :func:`riesz_potential`
     itself, the exterior series of :func:`_moment_series` at d / a.  The
-    result is a radial field decaying like d^{2 sigma - n}, with kinks
-    where the pieces join.  Its ``error_bound`` is the interpolation bound
-    2 sum_{k >= N} |c_k| (Trefethen, *Approximation Theory and
-    Approximation Practice*, ch. 7-8), the last ``TRAILING`` computed |c_k|
-    standing in for that tail; the sampled values carry the bars of
-    :func:`riesz_potential`.
+    result is a radial field about the same centre, of length a, decaying
+    like d^{2 sigma - n}, with kinks where the pieces join.  Its
+    ``error_bound`` is the interpolation bound 2 sum_{k >= N} |c_k|
+    (Trefethen, *Approximation Theory and Approximation Practice*, ch.
+    7-8), the last ``TRAILING`` computed |c_k| standing in for that tail;
+    the sampled values carry the bars of :func:`riesz_potential`.
     """
     if not field.is_radial or field.decay != "compact_support":
         raise ValueError("riesz_field needs a radial, compactly supported "
                          "field")
-    n = field.n
-    a = field.support_radius
+    n, a, axis = field.n, field.length, np.eye(field.n)[0]
     theta = np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES
     t = np.cos(theta)
     d = np.concatenate([a * np.sqrt(0.5 * (t + 1.0)), a * (0.5 * t + 1.5)])
-    sampled = riesz_potential(field, d[:, None] * np.eye(n)[0], params)
+    sampled = riesz_potential(field, field.centre + d[:, None] * axis, params)
     # values at first-kind nodes -> Chebyshev coefficients (a DCT-II)
     to_coeffs = (2.0 / TABLE_NODES) * np.cos(
         np.outer(np.arange(TABLE_NODES), theta))
@@ -628,11 +625,11 @@ def riesz_field(field: ScalarField, params: Params) -> ScalarField:
         between = ~(lo | hi)
         out[lo] = chebval(2.0 * (r[lo] / a) ** 2 - 1.0, inner)
         out[between] = chebval(2.0 * r[between] / a - 3.0, mid)
-        out[hi] = riesz_potential(field, r[hi][:, None] * np.eye(n)[0],
+        out[hi] = riesz_potential(field, field.centre + r[hi][:, None] * axis,
                                   params).value
         return out
-    return radial_field(profile, n, decay="power_decay",
-                        decay_rate=n - 2.0 * params.sigma,
+    return radial_field(profile, n, centre=field.centre, decay="power_decay",
+                        decay_rate=n - 2.0 * params.sigma, length=a,
                         kink_radii=(a, 2.0 * a), error_bound=bound)
 
 

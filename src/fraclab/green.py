@@ -130,7 +130,8 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
     :func:`fracops._hypergeometric` call takes every node, with 1 - z formed
     as (t^2 + (|y| - rho)^2)(t^2 + (|y| + rho)^2) / A^2.  GL8 on the rows of
     :func:`_phi_rows`, summed per height, so a height has the same bits in
-    any ladder.  Refused: t < 0; t = 0 where M is singular on [lam, outer]
+    any ladder.  Refused: y whose shape is not (n,); t < 0; t or |y| whose
+    square overflows; t = 0 where M is singular on [lam, outer]
     (lam < |y| <= outer or its image, off |y| = lam to 1e-12, where the two
     terms cancel); and q that differs along e_1 and -(1, ..., 1) by 1e-12.
     """
@@ -138,10 +139,15 @@ def _phi_heights(ctx: GreenContext, q: AnnulusDensity, y: Array, ts) -> list:
     if outer <= lam:
         raise ValueError(f"empty annulus: outer_radius {outer} <= lam {lam}")
     n, sigma = ctx.params.n, ctx.params.sigma
-    d = float(np.linalg.norm(y))
-    ts = np.asarray(ts, dtype=float)
+    y, ts = np.asarray(y, dtype=float), np.asarray(ts, dtype=float)
+    if y.shape != (n,):
+        raise ValueError(f"expected a boundary point with {n} coordinates, "
+                         f"got shape {y.shape}")
+    d = float(geometry.radius(y[None])[0])
     if (ts < 0.0).any():
         raise ValueError(f"height t = {ts.min():g} is negative")
+    if ts.max(initial=0.0) > geometry.MAX_RADIUS:
+        raise ValueError(f"height t = {ts.max():g} is too large: t^2 overflows")
     if ((ts == 0.0).any() and abs(d - lam) > 1e-12 * lam
             and lam * lam / outer <= d <= outer):
         raise ValueError(f"Phi at t = 0 is singular at |y| = {d:g} in the "

@@ -29,6 +29,18 @@ class ConfigError(ValueError):
     """A run configuration or environment setting that no suite can run."""
 
 
+def checked_params(n: int, sigma: float, critical: bool = True) -> Params:
+    """Params(n, sigma): n >= 1, sigma in (0, 1) and, if ``critical``,
+    n > 2 sigma for the exponents; else the ConfigError naming both."""
+    try:
+        pr = Params(n, sigma)
+        if critical:
+            pr.kelvin_exp
+        return pr
+    except ValueError as exc:
+        raise ConfigError(f"n={n} and sigma={sigma}: {exc}") from None
+
+
 @dataclass
 class RunConfig:
     """Every field has a default; :meth:`from_file` reads key=value files
@@ -130,7 +142,7 @@ def suite_fraclap(cfg: RunConfig) -> List[Dict]:
         pr = Params(n, cfg.sigma)
         prof = lambda r: np.where(r < 1.0, np.exp(
             -np.clip(r, 0, 0.999999) ** 2 / np.clip(1 - r ** 2, 1e-12, None)), 0.0)
-        bump = radial_field(prof, n, decay="compact_support", support_radius=1.0)
+        bump = radial_field(prof, n, decay="compact_support")
         pts = np.outer((0.0, 0.3, 0.5), np.eye(n)[0])
         back = fracops.frac_lap_at(fracops.riesz_field(bump, pr), pts, pr)
         rel = np.abs(back.value - bump(pts)) / bump.at(np.zeros(n))
@@ -162,7 +174,7 @@ def suite_bubble(cfg: RunConfig) -> List[Dict]:
 
 def suite_extend(cfg: RunConfig) -> List[Dict]:
     out = []
-    pr = Params(max(cfg.n, 2), cfg.sigma)
+    pr = Params(cfg.n, cfg.sigma)
     one = radial_field(np.ones_like, pr.n)  # radial, so every n runs
     val = extension.extend(one, np.zeros(pr.n), 0.7, pr)
     err = abs(val - 1.0)
@@ -382,10 +394,7 @@ def run_suite(cfg: RunConfig) -> Dict:
     for name in names:
         if name not in SUITE_FUNCS:
             raise ConfigError(f"unknown suite: {name}")
-    try:    # n >= 1, sigma in (0, 1), and n > 2 sigma for the exponents
-        Params(cfg.n, cfg.sigma).kelvin_exp
-    except ValueError as exc:
-        raise ConfigError(f"n={cfg.n} and sigma={cfg.sigma}: {exc}") from None
+    checked_params(cfg.n, cfg.sigma)
     checks = []
     for name in names:
         for c in SUITE_FUNCS[name](cfg):

@@ -88,7 +88,7 @@ def test_criterion_04_riesz_inversion():
             -np.clip(r, 0, 0.999999) ** 2 / np.clip(1 - r ** 2, 1e-12, None)),
             0.0)
         bump = radial_field(prof, n, decay="compact_support",
-                            support_radius=1.0)
+                            length=1.0)
         for d in (0.0, 0.2, 0.3, 0.4, 0.5):
             pot = ScalarField(
                 lambda x, _pr=pr, _b=bump: np.array(

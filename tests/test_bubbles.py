@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclab import bubbles, constants
+from fraclab import bubbles, constants, fracops
 from fraclab.params import Params
 
 
@@ -27,11 +27,6 @@ def test_rescaled_bubble_still_solves():
     assert float(np.max(res)) < 1e-3
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7: fracops._length is 1 for every "
-                   "field that is not compact, so a bubble of scale lam is "
-                   "summed in units of 1; at (3, 1/2) the worst residual is "
-                   "1.0 at lam = 1e-6 and 4.2e2 at lam = 1e6")
 def test_bubble_identity_at_every_scale():
     # the identity is scale-free: at radii lam * (0, 1/2, 1, 2, 5) the
     # residuals at lam = 1 are 1.5e-8
@@ -40,6 +35,23 @@ def test_bubble_identity_at_every_scale():
         res = bubbles.bubble_identity_residuals(Params(3, 0.5), lam=lam,
                                                 radii=radii)
         assert float(np.max(res)) < 1e-6, lam
+
+
+@pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (5, 0.75)])
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+def test_a_centred_bubble_solves_the_equation_at_every_scale(n, s, lam):
+    # (-Lap)^s u = u^p about any centre, at 0 to 4 scale lengths from it
+    pr = Params(n, s)
+    centre = lam * np.linspace(-1.5, 2.0, n)
+    sb = bubbles.standard_bubble(pr, lam=lam, center=centre)
+    dirs = np.random.default_rng(n).normal(size=(5, n))
+    pts = centre + (lam * np.arange(5.0))[:, None] * dirs / np.linalg.norm(
+        dirs, axis=1)[:, None]
+    res = fracops.frac_lap_at(sb, pts, pr)
+    want = sb(pts) ** pr.p
+    err = np.abs(res.value - want)
+    assert np.all(err <= 1e-6 * want)
+    assert np.all(err <= res.error)
 
 
 def test_kelvin_fixes_unit_bubble():

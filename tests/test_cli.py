@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fraclab import (bubbles, cli, constants, extension, fracops,
@@ -171,6 +172,57 @@ def test_extend_suite_extends_at_the_given_sigma(monkeypatch):
     assert sigmas == {0.25}
     assert [c["name"] for c in checks][-1] == "conformal-invariance"
     assert all(c["passed"] for c in checks)
+
+
+def test_commands_run_at_the_given_n(tmp_path, capsys):
+    # --n 1 runs at n = 1, where it used to run at n = 2: each output is
+    # checked against its value at n = 1
+    pr = Params(1, 0.25)
+    argv = ["--n", "1", "--sigma", "0.25", "--out", str(tmp_path)]
+    w = bubbles.model_bubble(pr)
+    assert cli.main(["fraclap"] + argv) == 0
+    rows = _csv_rows(tmp_path / "fraclap_bubble.csv")
+    r = np.array([float(row["radius"]) for row in rows])
+    want = constants.bubble_eigenvalue(pr) * w.radial_profile(r) ** pr.p
+    np.testing.assert_allclose([float(row["frac_lap"]) for row in rows],
+                               want, rtol=1e-6)
+    assert cli.main(["extend"] + argv) == 0
+    rows = _csv_rows(tmp_path / "extension_samples.csv")
+    y = np.array([[float(row["base_radius"])] for row in rows])
+    t = np.array([float(row["height"]) for row in rows])
+    np.testing.assert_allclose([float(row["extension_value"]) for row in rows],
+                               extension.model_bubble_extension(y, t, pr),
+                               rtol=1e-6)
+    capsys.readouterr()
+    assert cli.main(["bubble"] + argv) == 0
+    worst = float(np.max(bubbles.bubble_identity_residuals(pr)))
+    assert capsys.readouterr().out == f"max identity residual: {worst:.3e}\n"
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_extend_suite_runs_at_one_dimension(monkeypatch, capsys):
+    dims, extend = set(), extension.extend
+    monkeypatch.setattr(extension, "extend", lambda field, y, t, pr: (
+        dims.add(pr.n), extend(field, y, t, pr))[1])
+    assert cli.main(["verify", "--suite", "extend", "--n", "1",
+                     "--sigma", "0.25"]) == 0
+    assert dims == {1}
+    assert "ALL PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["fraclap", "bubble", "extend"])
+def test_a_subcritical_command_is_a_usage_error(capsys, command):
+    # n <= 2 sigma has no critical exponent: exit 2 with n and sigma named
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--n", "1", "--sigma", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].endswith(
+        "n=1 and sigma=0.5: exponent requires n > 2*sigma")
 
 
 def test_iterate_getoor_writes_csv(tmp_path, capsys):

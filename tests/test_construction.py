@@ -257,7 +257,7 @@ def test_tent_potential_matches_the_tent_field():
     rho = 0.5
     tent = radial_field(
         lambda r: np.clip(2.0 - np.asarray(r, dtype=float) / rho, 0.0, 1.0),
-        5, decay="compact_support", support_radius=2.0 * rho,
+        5, decay="compact_support", length=2.0 * rho,
         kink_radii=(rho, 2.0 * rho))
     d = rho * np.array([0.0, 0.5, 1.5, 3.0, 10.0, 1999.0, 2001.0])
     x = np.zeros((d.size, 5))

@@ -135,10 +135,27 @@ def test_extend_rejects_the_boundary():
 
 def test_extend_refuses_a_field_that_is_not_radial_above_three_dimensions():
     pr = Params(5, 0.5)
-    sb = bubbles.standard_bubble(pr, center=0.3 * np.ones(5))
     with pytest.raises(ValueError,
                        match="a field with a radial_profile, or n <= 3"):
-        extension.extend(sb, np.zeros((2, 5)), np.array([0.5, 1.0]), pr)
+        extension.extend(_off_centre_bubble(5), np.zeros((2, 5)),
+                         np.array([0.5, 1.0]), pr)
+
+
+@pytest.mark.parametrize("n,s,lam", [(1, 0.25, 1e-6), (3, 0.5, 1.0),
+                                     (5, 0.75, 1e6)])
+def test_extend_of_a_centred_field_is_the_uncentred_one_moved(n, s, lam):
+    # U(y, t) of a bubble about c is the origin bubble's U(y - c, t), bit
+    # for bit
+    pr = Params(n, s)
+    centre = lam * np.linspace(0.7, -2.0, n)
+    rng = np.random.default_rng(n)
+    ys = centre + lam * rng.normal(size=(6, n))
+    ts = lam * 10.0 ** rng.uniform(-3, 1, size=6)
+    moved = bubbles.standard_bubble(pr, lam=lam, center=centre)
+    got = extension.extend(moved, ys, ts, pr)
+    want = extension.extend(bubbles.standard_bubble(pr, lam=lam),
+                            ys - centre, ts, pr)
+    assert np.array_equal(got, want)
 
 
 def test_half_order_closed_form_guard():
@@ -204,7 +221,7 @@ def test_conormal_limit_needs_three_levels(ks):
 def _indicator(n):
     """The indicator of the unit ball, radial with a kink at 1."""
     return radial_field(lambda r: (np.abs(r) <= 1.0).astype(float), n,
-                        decay="compact_support", support_radius=1.0,
+                        decay="compact_support", length=1.0,
                         kink_radii=(1.0,))
 
 
@@ -366,7 +383,7 @@ def test_extension_of_an_indicator_keeps_its_support():
     # support at any t, however far y is from it
     pr = Params(1, 0.5)
     box = radial_field(lambda r: (np.abs(r) <= 1.0).astype(float), 1,
-                       decay="compact_support", support_radius=1.0)
+                       decay="compact_support", length=1.0)
     y, t = (a.ravel() for a in np.meshgrid([0.0, 0.5, 0.99, 2.0, 10.0],
                                            [1e-4, 1e-2, 1.0]))
     want = (np.arctan((1.0 - y) / t) + np.arctan((1.0 + y) / t)) / np.pi

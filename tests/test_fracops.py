@@ -34,7 +34,7 @@ def test_frac_lap_head_stays_below_the_kink(n, s, gap):
     # head of 1e-3 unless the head is capped at half the kink edge
     pr = Params(n, s)
     f = radial_field(_ball_profile(pr), n, decay="compact_support",
-                     support_radius=1.0)
+                     length=1.0)
     want = _ball_constant(pr)
     res = fracops.frac_lap_radial(f, 1.0 - gap, pr)
     err = abs(res.value - want)
@@ -60,7 +60,7 @@ def test_ball_profile_identity(n, s):
     # the operator is constant on the unit ball for the (1 - r^2)^s profile
     pr = Params(n, s)
     f = radial_field(_ball_profile(pr), n, decay="compact_support",
-                     support_radius=1.0)
+                     length=1.0)
     want = _ball_constant(pr)
     for d in (0.0, 0.35, 0.7):
         got = fracops.frac_lap_radial(f, d, pr).value
@@ -115,7 +115,7 @@ def test_riesz_dimension_divergence_guard(s):
     # I_{2 sigma} needs n > 2 sigma: at n = 1 the kernel is not integrable
     pr = Params(1, s)
     bump = radial_field(_ball_profile(pr), 1, decay="compact_support",
-                        support_radius=1.0)
+                        length=1.0)
     with pytest.raises(ValueError, match="n = 1"):
         fracops.riesz_potential(bump, np.zeros(1), pr)
 
@@ -135,7 +135,7 @@ def test_riesz_ball_indicator_matches_generic_potential():
     # integrates the indicator exactly in the polar angle
     pr = Params(3, 0.5)
     ball = radial_field(lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0), 3,
-                        decay="compact_support", support_radius=1.0,
+                        decay="compact_support", length=1.0,
                         kink_radii=(1.0,))
     for d in (0.0, 0.6, 1.5, 4.0):
         direct = fracops.riesz_ball_indicator(d, 1.0, pr)
@@ -163,7 +163,7 @@ def _ball_profile_grid():
         for s in (0.25, 0.5, 0.75):
             pr = Params(n, s)
             f = radial_field(_ball_profile(pr), n, decay="compact_support",
-                             support_radius=1.0)
+                             length=1.0)
             res = fracops.frac_lap_radial(f, np.linspace(0.0, 0.9, 10), pr)
             yield (np.abs(res.value - _ball_constant(pr))
                    / _ball_constant(pr), res.error / _ball_constant(pr))
@@ -343,7 +343,7 @@ def test_riesz_error_bar_covers_ball_centre(s):
     # centre of the unit ball the potential is r omega / (2 sigma)
     pr = Params(3, s)
     ball = radial_field(lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0), 3,
-                        decay="compact_support", support_radius=1.0)
+                        decay="compact_support", length=1.0)
     res = fracops.riesz_potential(ball, np.zeros(3), pr)
     closed = fracops.riesz_ball_indicator(0.0, 1.0, pr)
     assert abs(res.value - closed) <= res.error
@@ -362,12 +362,12 @@ def _kinked_power(r):
 
 BATCH_FIELDS = {
     "bump": (radial_field(_bump, 2, decay="compact_support",
-                          support_radius=1.0), Params(2, 0.5)),
+                          length=1.0), Params(2, 0.5)),
     "power": (radial_field(_kinked_power, 3, decay="power_decay",
                            decay_rate=4.0, kink_radii=(0.5,)), Params(3, 0.25)),
     "tilted": (ScalarField(lambda x: np.maximum(1.0 - np.sum(x * x, axis=1), 0.0)
                            * (1.0 + 0.3 * x[:, 0]), n=2,
-                           decay="compact_support", support_radius=1.0),
+                           decay="compact_support", length=1.0),
                Params(2, 0.75)),
 }
 
@@ -437,12 +437,19 @@ def test_frac_lap_batch_matches_single_points(name):
         assert abs(batch.error[j] - one.error) <= tol
 
 
+def _seen_by_its_values(field):
+    """The field as one that is not radial: its values and decay alone."""
+    return ScalarField(field, n=field.n, decay=field.decay,
+                       decay_rate=field.decay_rate)
+
+
 def test_frac_lap_batch_is_exact_for_an_off_centre_bubble():
     # a non-radial field: each point is its own row, and the 20 points span
     # two blocks
     pr = Params(3, 0.5)
     centre = np.array([0.3, -0.2, 0.1])
-    sb = bubbles.standard_bubble(pr, lam=0.8, center=centre)
+    sb = _seen_by_its_values(bubbles.standard_bubble(pr, lam=0.8,
+                                                     center=centre))
     rng = np.random.default_rng(5)
     dirs = rng.normal(size=(20, 3))
     pts = centre + (0.8 * rng.uniform(0.0, 1.0, 20)[:, None] * dirs
@@ -482,10 +489,32 @@ def test_frac_lap_rejects_bad_point_shapes():
                                       fracops.riesz_potential])
 def test_a_field_that_is_not_radial_above_n_3_is_refused(operator):
     pr = Params(5, 0.5)
-    sb = bubbles.standard_bubble(pr, center=0.3 * np.ones(5))
+    sb = _seen_by_its_values(bubbles.standard_bubble(pr, center=0.3 * np.ones(5)))
     with pytest.raises(ValueError,
                        match="a field with a radial_profile, or n <= 3"):
         operator(sb, np.zeros((2, 5)), pr)
+
+
+@pytest.mark.parametrize("operator", [fracops.frac_lap_at,
+                                      fracops.riesz_potential])
+@pytest.mark.parametrize("n,s,lam", [(1, 0.2, 1e-6), (3, 0.25, 1.0),
+                                     (5, 0.75, 1e6)])
+def test_a_centred_field_is_the_uncentred_one_moved(operator, n, s, lam):
+    # the value at x of a field about c is the origin field's at x - c, bit
+    # for bit: a bubble and a compact bump of the same length
+    pr = Params(n, s)
+    centre = lam * np.linspace(0.7, -2.0, n)
+    rng = np.random.default_rng(n)
+    pts = centre + lam * rng.normal(size=(7, n))
+    fields = [(bubbles.standard_bubble(pr, lam=lam, center=c),
+               radial_field(lambda r: _bump(np.asarray(r) / lam), n,
+                            centre=c, decay="compact_support", length=lam))
+              for c in (centre, None)]
+    for moved, origin in zip(*fields):
+        got = operator(moved, pts, pr)
+        want = operator(origin, pts - centre, pr)
+        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.error, want.error)
 
 
 # --- the exterior series and the tabulated potential -------------------------
@@ -495,7 +524,7 @@ FAR = (2.5, 4.0, 10.0, 30.0, 1e3, 1e5)
 
 def _unit_ball(n):
     return radial_field(lambda r: np.where(np.asarray(r) < 1.0, 1.0, 0.0), n,
-                        decay="compact_support", support_radius=1.0)
+                        decay="compact_support", length=1.0)
 
 
 def _on_axis(d, n):
@@ -566,7 +595,7 @@ def _tiny_ball_potential(n, s, ratios):
     the closed form there."""
     pr = Params(n, s)
     ball = radial_field(lambda r: np.where(np.asarray(r) < TINY, 1.0, 0.0), n,
-                        decay="compact_support", support_radius=TINY)
+                        decay="compact_support", length=TINY)
     d = TINY * np.array(ratios)
     res = fracops.riesz_potential(ball, _on_axis(d, n), pr)
     return res, fracops.riesz_ball_indicator(d, TINY, pr)
@@ -592,7 +621,7 @@ def test_riesz_potential_of_a_tiny_ball_inside_twice_its_support(n, s):
 
 def test_exterior_series_obeys_the_mass_law():
     pr = Params(3, 0.5)
-    bump = radial_field(_bump, 3, decay="compact_support", support_radius=1.0)
+    bump = radial_field(_bump, 3, decay="compact_support", length=1.0)
     cset = constants.constant_set(pr)
     mass = cset.sphere_area * quad(lambda r: _bump(r) * r * r, 0.0, 1.0,
                                    epsabs=0.0, epsrel=1e-13)[0]
@@ -606,7 +635,7 @@ def test_exterior_series_obeys_the_mass_law():
 def bump_table(request):
     n = request.param
     pr = Params(n, 0.5)
-    bump = radial_field(_bump, n, decay="compact_support", support_radius=1.0)
+    bump = radial_field(_bump, n, decay="compact_support", length=1.0)
     return bump, pr, fracops.riesz_field(bump, pr)
 
 
@@ -641,9 +670,31 @@ def test_riesz_field_samples_in_one_call(monkeypatch):
         calls.append(args[1].shape)
         return direct(*args, **kwargs)
     monkeypatch.setattr(fracops, "riesz_potential", counted)
-    bump = radial_field(_bump, 2, decay="compact_support", support_radius=1.0)
+    bump = radial_field(_bump, 2, decay="compact_support", length=1.0)
     fracops.riesz_field(bump, Params(2, 0.5))
     assert len(calls) == 1
+
+
+def test_riesz_field_of_a_centred_bump():
+    # the table keeps the bump's centre and states its length, and it
+    # matches the potential taken point by point about that centre
+    pr = Params(3, 0.5)
+    centre = np.array([1.0, -0.5, 2.0])
+    bump = radial_field(lambda r: _bump(np.asarray(r) / 0.5), 3, centre=centre,
+                        decay="compact_support", length=0.5)
+    table = fracops.riesz_field(bump, pr)
+    assert np.array_equal(table.centre, centre) and table.length == 0.5
+    assert table.kink_radii == (0.5, 1.0)
+    dirs = np.random.default_rng(4).normal(size=(40, 3))
+    pts = centre + (np.linspace(0.0, 3.0, 40)[:, None] * dirs
+                    / np.linalg.norm(dirs, axis=1)[:, None])
+    direct = fracops.riesz_potential(bump, pts, pr)
+    gap = np.abs(table(pts) - direct.value)
+    assert np.all(gap <= table.error_bound + direct.error)
+    # and its Laplacian gives the bump back, about its own centre
+    back = fracops.frac_lap_at(table, pts[:10], pr)
+    np.testing.assert_allclose(back.value, bump(pts[:10]), rtol=0.0,
+                               atol=1e-3 * bump.at(centre))
 
 
 @pytest.mark.parametrize("name", ["power", "tilted"])
@@ -742,7 +793,7 @@ def test_riesz_potential_caches_the_moments_once_per_field():
         calls.append(np.size(r))
         return _bump(r)
     bump = radial_field(counted, 2, decay="compact_support",
-                        support_radius=1.0)
+                        length=1.0)
     pr = Params(2, 0.5)
     first = fracops.riesz_potential(bump, _on_axis([0.7, 3.0], 2), pr)
     made = len(calls)
@@ -768,14 +819,14 @@ def test_riesz_potential_next_to_the_ball_edge(gap):
 
 def _bump_of_size(a, n):
     return radial_field(lambda r: _bump(np.asarray(r, dtype=float) / a), n,
-                        decay="compact_support", support_radius=a)
+                        decay="compact_support", length=a)
 
 
 def _parabola(a, n):
     """(1 - r^2 / a^2)_+, whose support is the ball of radius a."""
     return radial_field(
         lambda r: np.clip(1.0 - (np.asarray(r, dtype=float) / a) ** 2, 0.0,
-                          None), n, decay="compact_support", support_radius=a)
+                          None), n, decay="compact_support", length=a)
 
 
 @pytest.mark.parametrize("n,s", [(1, 0.25), (2, 0.5), (3, 0.25), (5, 0.75)])

@@ -275,3 +275,20 @@ def test_g3_scan_matches_one_kernel_call_per_point(n, s, lam):
     rep = green.check_g3_bound(ctx, n_side=6, seed=3)
     assert rep["sup_coarse"] == _g3_reference(ctx, 6, 3)
     assert rep["sup_fine"] == _g3_reference(ctx, 12, 3)
+
+
+@pytest.mark.parametrize("y", [np.array([1.6, 0.0]), np.array([1.6, 0.0, 0.0, 0.0])])
+def test_phi_refuses_a_boundary_point_with_the_wrong_coordinates(ctx3, y):
+    with pytest.raises(ValueError, match="expected a boundary point with 3 "
+                       "coordinates"):
+        green.phi_conormal(ctx3, _density(), y)
+
+
+def test_phi_refuses_a_height_whose_square_overflows(ctx3):
+    with pytest.raises(ValueError, match="height t = 1e\\+160 is too large"):
+        green.phi_potential(ctx3, _density(), np.array([1.3, 0.0, 0.0, 1e160]))
+
+
+def test_phi_refuses_a_point_whose_square_overflows(ctx3):
+    with pytest.raises(ValueError, match="1e\\+160 is too large"):
+        green.phi_potential(ctx3, _density(), np.array([1e160, 0.0, 0.0, 0.5]))

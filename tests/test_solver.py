@@ -31,7 +31,7 @@ def test_getoor_oracle_verified_by_quadrature():
     # the closed-form profile solves the unit-source problem: check with
     # the independent singular-integral operator before trusting it below
     f = ScalarField(lambda x: np.clip(1 - x[:, 0] ** 2, 0.0, None) ** 0.5,
-                    n=1, decay="compact_support", support_radius=1.0)
+                    n=1, decay="compact_support", length=1.0)
     scale = solver.getoor_profile(np.zeros(1), PR1)[0]
     for d in (0.0, 0.4, 0.8):
         val = scale * fracops.frac_lap_at(f, np.array([d]), PR1).value
@@ -46,7 +46,7 @@ def test_getoor_two_percent(prob256):
 
 def test_constant_function_cross_validation(prob256):
     f = ScalarField(lambda x: np.where(np.abs(x[:, 0]) < 1.0, 1.0, 0.0),
-                    n=1, decay="compact_support", support_radius=1.0)
+                    n=1, decay="compact_support", length=1.0)
     mid = len(prob256.grid) // 2
     val = (prob256.operator_matrix @ np.ones(len(prob256.grid)))[mid]
     ref = fracops.frac_lap_at(f, np.array([prob256.grid[mid]]), PR1).value
@@ -62,7 +62,7 @@ def test_refinement_improves():
             lambda x: np.where(np.abs(x[:, 0]) < 1,
                                np.exp(-4 * x[:, 0] ** 2)
                                * np.clip(1 - x[:, 0] ** 2, 0, None) ** 2, 0.0),
-            n=1, decay="compact_support", support_radius=1.0)
+            n=1, decay="compact_support", length=1.0)
         i = m // 2
         ref = fracops.frac_lap_at(fld, np.array([p.grid[i]]), PR1).value
         errs.append(abs((p.operator_matrix @ g)[i] - ref) / abs(ref))
@@ -79,7 +79,7 @@ def test_annulus_operator_cross_validation():
                              0.0, None) ** 2 * 16.0
     fld = ScalarField(
         lambda x: prof(np.linalg.norm(x, axis=1)), n=2,
-        decay="compact_support", support_radius=2.0,
+        decay="compact_support", length=2.0,
         radial_profile=prof, kink_radii=(1.0, 2.0))
     g = prof(prob.grid)
     for i in (16, 32, 48):
