@@ -360,7 +360,7 @@ def _moments(field: ScalarField, sigma: float) -> Tuple[Array, Array]:
         radii = _geometric(0.0, top) + [k * g for k in kinks
                                         for g in geometry.GRADING]
         if compact:
-            knots = np.unique([0.0, top] + [k for k in kinks if k < top])
+            knots = np.array(sorted({0.0, top, *(k for k in kinks if k < top)}))
             radii += np.linspace(knots[:-1], knots[1:],
                                  MOMENT_PANELS + 1).ravel().tolist()
         grid = np.array([0.0] + sorted({r for r in radii if 0.0 < r < top})

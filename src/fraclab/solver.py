@@ -13,7 +13,10 @@ annulus row integrates its sphere means on one row of
 :func:`geometry.panel_rows`, graded where the sphere meets lo or hi, and
 :func:`_hat_scatter` puts each radius on its two live hats.  The matrix
 and its inverse, computed once on first use, are read-only; a solve of
-``solve_linear`` or ``monotone_iterate`` is one mat-vec.
+``solve_linear`` or ``monotone_iterate`` is one mat-vec.  The interval's
+inverse comes from its Toeplitz column in O(N^2)
+(:func:`_toeplitz_inverse`); the annulus, which is not Toeplitz, keeps
+the LAPACK inverse.
 """
 
 from __future__ import annotations
@@ -53,14 +56,18 @@ class FractionalDirichletProblem:
 
     @cached_property
     def inverse(self) -> Array:
-        """Inverse of the operator matrix, computed once and read-only."""
-        return geometry.frozen(np.linalg.inv(self.operator_matrix))[0]
+        """Inverse of the operator matrix, computed once and read-only: in
+        O(N^2) from the Toeplitz column on an interval, LAPACK's otherwise."""
+        a = self.operator_matrix
+        return geometry.frozen(_toeplitz_inverse(a[:, 0]) if self.dimension == 1
+                               else np.linalg.inv(a))[0]
 
     def row_sum_check(self) -> Tuple[bool, float]:
         """Maximum-principle structure: A 1 >= 0, diag > 0, off-diag <= 0."""
         a = np.ascontiguousarray(self.operator_matrix)
         n = a.shape[0]
-        diag, off = np.diag(a), a[~np.eye(n, dtype=bool)]
+        # the entries between consecutive diagonal ones, as a view
+        diag, off = np.diag(a), a.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
         rows = a @ np.ones(n)
         ok = bool(np.all(diag > 0.0)
                   and np.max(off, initial=-np.inf) <= 1e-12 * np.max(diag)
@@ -81,20 +88,16 @@ def _hat_scatter(r: Array, w: Array, lo: float, hi: float, h: float,
     """sum_k w_k phi_j(r_k) for every node j of the hat basis on (lo, hi).
 
     A radius r in (lo, hi) lies in the cell [x_{m-1}, x_m], with
-    m = floor((r - lo) / h) and x_j = lo + (j + 1) h, so only the hats of
-    nodes m - 1 and m are live there; m - 1 = -1 and m = nodes are the
-    boundary and drop out.  Each live value is 1 - |r - x_j| / h, the
-    entry a dense basis table would hold.
+    u = (r - lo) / h, m = floor(u) and x_j = lo + (j + 1) h, so only the
+    hats of nodes m - 1 and m are live there, at 1 - (u - m) and u - m;
+    m - 1 = -1 and m = nodes are the boundary and drop out.
     """
     inside = (r > lo) & (r < hi)
-    r, w = r[inside], w[inside]
-    m = np.floor((r - lo) / h).astype(np.intp)
-    cols = np.concatenate([m - 1, m])
-    hat = np.clip(1.0 - np.abs(np.concatenate([r, r])
-                               - (lo + h * (cols + 1))) / h, 0.0, None)
-    keep = (cols >= 0) & (cols < nodes)
-    return np.bincount(cols[keep], (np.concatenate([w, w]) * hat)[keep],
-                       minlength=nodes)
+    u, w = (r[inside] - lo) / h, w[inside]
+    m = np.floor(u).astype(np.intp)
+    up = w * (u - m)
+    return (np.bincount(m, up, minlength=nodes + 1)[:nodes]
+            + np.bincount(m, w - up, minlength=nodes + 1)[1:])
 
 
 #: Geometric panels a decade per row of the annulus, and the terms of the
@@ -106,6 +109,33 @@ HAT_TERMS = 32
 #: which it has converged.
 MAX_ITERS = 200
 STEP_TOL = 1e-10
+
+
+def _toeplitz_inverse(col: Array) -> Array:
+    """Inverse of the symmetric positive definite Toeplitz matrix with first
+    column ``col`` in O(N^2), with O(N) temporaries (Golub & Van Loan,
+    Matrix Computations, 4.7).  Durbin's recursion on r = col[1:] / col[0]
+    gives x, the first column of the inverse B; the Gohberg-Semencul formula
+    gives B[i, j] = B[i-1, j-1] + (x_i x_j - xt_i xt_j) / x_0, with
+    xt = (0, x_{N-1}, ..., x_1), a row and its column at a time, so that B
+    is exactly symmetric."""
+    n = col.size
+    r, y = col[1:] / col[0], np.empty(n - 1)
+    y[0] = alpha = -r[0]
+    beta = 1.0
+    for k in range(1, n - 1):
+        beta *= 1.0 - alpha * alpha
+        alpha = -(r[k] + r[k - 1::-1] @ y[:k]) / beta
+        y[:k] += alpha * y[k - 1::-1]
+        y[k] = alpha
+    x = np.concatenate([[1.0], y]) / (col[0] * (1.0 + r @ y))
+    xt = np.concatenate([[0.0], x[:0:-1]])
+    b = np.empty((n, n))
+    b[0] = b[:, 0] = x
+    for i in range(1, n):
+        b[i, i:] = b[i - 1, i - 1:-1] + (x[i] * x[i:] - xt[i] * xt[i:]) / x[0]
+        b[i:, i] = b[i, i:]
+    return b
 
 
 def _hat_means(p: float, nodes: int) -> Array:

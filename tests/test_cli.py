@@ -351,6 +351,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_verify_loads_no_numpy_ma(tmp_path):
+    # numpy.ma comes in only where a bare import of numpy brings it
+    code = ("import sys, numpy; bare = 'numpy.ma' in sys.modules; "
+            "from fraclab import cli; "
+            f"status = cli.main(['verify', '--suite', 'all', '--out', {str(tmp_path)!r}]); "
+            "print(status, 'numpy.ma' in sys.modules, bare)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    status, loaded, bare = out.split()[-3:]
+    assert status == "0" and loaded == bare
+
+
 @pytest.mark.parametrize("command", ["constants", "fraclap", "bubble",
                                      "extend", "construct"])
 def test_bad_sigma_is_a_usage_error_for_every_command(capsys, command):

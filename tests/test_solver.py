@@ -205,16 +205,52 @@ def test_interval_matrix_is_exactly_symmetric_toeplitz(s, nodes, domain):
 
 def test_one_factorization_per_problem(monkeypatch):
     calls = []
-    real = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv",
-                        lambda m: calls.append(m.shape) or real(m))
+    for owner, name in ((np.linalg, "inv"), (solver, "_toeplitz_inverse")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda m, name=name, real=real:
+                            calls.append((name, m.shape)) or real(m))
     prob = solver.build_problem((-1.0, 1.0), PR1, nodes=64)
     prob.rhs_map = lambda x, v: np.ones_like(x)
     vbar = solver.solve_linear(prob, 2.0 * np.ones(64))
     trace = solver.monotone_iterate(prob, supersolution=vbar)
     solver.solve_linear(prob, np.ones(64))
     assert trace.converged
-    assert calls == [(64, 64)]
+    # the interval inverts its Toeplitz column, with no LAPACK inverse
+    assert calls == [("_toeplitz_inverse", (64,))]
+    calls.clear()
+    annulus = solver.build_problem((1.0, 2.0), Params(2, 0.5), nodes=64,
+                                   dimension=2)
+    solver.solve_linear(annulus, np.ones(64))
+    solver.solve_linear(annulus, np.ones(64))
+    assert calls == [("inv", (64, 64))]
+
+
+def _check_toeplitz_inverse(prob):
+    a, b = prob.operator_matrix, prob.inverse
+    assert np.max(np.abs(a @ b - np.eye(len(prob.grid)))) <= 1e-12
+    assert np.array_equal(b, b.T)
+    rhs = np.random.default_rng(len(prob.grid)).random((len(prob.grid), 3))
+    want = np.linalg.solve(a, rhs)
+    got = solver.solve_linear(prob, rhs)
+    # two stable solves differ by up to cond(A) eps: at N = 700, sigma = 0.95
+    # cond_1(A) = 1.4e5 and they differ by 2e-12
+    cond = np.max(np.abs(a).sum(axis=0)) * np.max(np.abs(b).sum(axis=0))
+    tol = max(1e-12, cond * np.finfo(float).eps)
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@given(st.integers(min_value=64, max_value=700),
+       st.floats(min_value=0.05, max_value=0.95),
+       st.sampled_from([(-1.0, 1.0), (0.0, 3.0), (-0.25, 0.5)]))
+@settings(max_examples=12, deadline=None)
+def test_toeplitz_inverse_matches_lapack(nodes, s, domain):
+    _check_toeplitz_inverse(solver.build_problem(domain, Params(1, s),
+                                                 nodes=nodes))
+
+
+def test_toeplitz_inverse_at_2048_nodes():
+    _check_toeplitz_inverse(solver.build_problem((-1.0, 1.0), Params(1, 0.75),
+                                                 nodes=2048))
 
 
 def test_operator_matrix_is_read_only():
